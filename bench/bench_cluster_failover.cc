@@ -27,15 +27,9 @@
 // Prints a table and writes BENCH_cluster_failover.json (schema in
 // EXPERIMENTS.md); scripts/check.sh runs it and validates the file.
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +40,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/errno_util.h"
+#include "proc.h"
 #include "server/client.h"
 #include "server/hash_ring.h"
 #include "server/wire_protocol.h"
@@ -80,99 +74,6 @@ constexpr double kPostRejoinSeconds = 1.5;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// ---------------------------------------------------------------------
-// Child-process plumbing (same shape as bench_cluster_throughput).
-// ---------------------------------------------------------------------
-
-std::string SelfDirectory() {
-  char buffer[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  PPC_CHECK_MSG(n > 0, "readlink(/proc/self/exe) failed");
-  buffer[n] = '\0';
-  std::string path(buffer);
-  const size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
-std::string BinaryPath(const char* env_override, const char* relative) {
-  const char* overridden = std::getenv(env_override);
-  if (overridden != nullptr && overridden[0] != '\0') return overridden;
-  return SelfDirectory() + relative;
-}
-
-struct ChildProcess {
-  pid_t pid = -1;
-  int stdout_fd = -1;
-  uint16_t port = 0;
-
-  ~ChildProcess() { Terminate(); }
-
-  void Terminate() { Reap(SIGTERM); }
-  /// The failure injection: no shutdown handler runs, no drain, the
-  /// kernel just closes every socket — exactly a crashed shard.
-  void Kill() { Reap(SIGKILL); }
-
-  void Reap(int signal) {
-    if (stdout_fd >= 0) {
-      ::close(stdout_fd);
-      stdout_fd = -1;
-    }
-    if (pid > 0) {
-      ::kill(pid, signal);
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-      pid = -1;
-    }
-  }
-};
-
-void Spawn(const std::string& binary, const std::vector<std::string>& args,
-           ChildProcess* child) {
-  int pipe_fds[2];
-  PPC_CHECK_MSG(::pipe(pipe_fds) == 0, "pipe failed");
-  const pid_t pid = ::fork();
-  PPC_CHECK_MSG(pid >= 0, "fork failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), argv.data());
-    std::fprintf(stderr, "exec %s: %s\n", binary.c_str(),
-                 ppc::ErrnoMessage(errno).c_str());
-    ::_exit(127);
-  }
-  ::close(pipe_fds[1]);
-  child->pid = pid;
-  child->stdout_fd = pipe_fds[0];
-
-  std::string line;
-  char byte;
-  while (true) {
-    const ssize_t n = ::read(pipe_fds[0], &byte, 1);
-    if (n <= 0) {
-      std::fprintf(stderr, "child %s exited before LISTENING\n",
-                   binary.c_str());
-      PPC_CHECK_MSG(false, "child process failed to start");
-    }
-    if (byte == '\n') {
-      unsigned parsed = 0;
-      if (std::sscanf(line.c_str(), "LISTENING %u", &parsed) == 1) {
-        child->port = static_cast<uint16_t>(parsed);
-        return;
-      }
-      line.clear();
-      continue;
-    }
-    line.push_back(byte);
-  }
 }
 
 // ---------------------------------------------------------------------

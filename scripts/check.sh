@@ -4,21 +4,24 @@
 #   2. plain build + the entire test suite (the tier-1 gate), then a
 #      forced-scalar leg (PPC_DISABLE_AVX2=1) over the SIMD-dispatching
 #      tests so the portable kernels stay exercised,
-#   3. retune smoke: bench_drift_recovery end to end, asserting the
+#   3. perfbench build + its own tests: the benchmark package under
+#      perfbench/ links against src/, so an API change that breaks the
+#      benchmark fails here,
+#   4. retune smoke: bench_drift_recovery end to end, asserting the
 #      retuning arm refits and the generation handoff serves gap-free,
-#   4. workload-zoo smoke: bench_workload_zoo drives all four named
+#   5. workload-zoo smoke: bench_workload_zoo drives all four named
 #      scenarios against live servers, asserting determinism, zero
 #      failures, a diurnal shed-ladder excursion and a drift refit,
-#   5. cluster smoke test (router + 2 shards as real processes, with a
+#   6. cluster smoke test (router + 2 shards as real processes, with a
 #      wire-level warm start),
-#   6. cluster failover smoke: bench_cluster_failover SIGKILLs a shard
+#   7. cluster failover smoke: bench_cluster_failover SIGKILLs a shard
 #      out of a 3-shard cluster mid-load and asserts availability,
 #      zero wrong answers and an automatic warm rejoin,
-#   7. the JSON-emitting benches + validation of every BENCH_*.json,
-#   8. server smoke test (live TCP round-trips + clean shutdown),
-#   9. ASan build + the entire test suite,
-#  10. TSan build + the concurrency, metrics, server and router tests,
-#  11. chaos stage: the randomized fault-injection tests (ctest label
+#   8. the JSON-emitting benches + validation of every BENCH_*.json,
+#   9. server smoke test (live TCP round-trips + clean shutdown),
+#  10. ASan build + the entire test suite,
+#  11. TSan build + the concurrency, metrics, server and router tests,
+#  12. chaos stage: the randomized fault-injection tests (ctest label
 #      `chaos`) under both sanitizers.
 # The deterministic ctest stages exclude the chaos label (-LE chaos) so
 # their runtime stays flat; the chaos stage runs it explicitly (-L chaos).
@@ -46,6 +49,16 @@ echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, transform, predictor"
   ctest --output-on-failure -LE chaos \
     -R 'Simd|Transform|Zorder|LshHistograms|PlanSynopsis|Predictor|Retune|Generation' \
     -j "$JOBS")
+
+echo "==> perfbench build + tests (the benchmark compiles against src/)"
+# perfbench/ is a CMake package of its own that builds src/ and links its
+# harness (an in-process PlanServer and PlanRouter) against it.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  >/dev/null
+cmake --build build-perfbench -j "$JOBS" \
+  --target perfbench_harness perfbench_tests
+./build-perfbench/perfbench_tests
+echo "    perfbench harness builds, perfbench_tests pass"
 
 echo "==> retune smoke (drift-triggered refit + warm generation handoff)"
 # bench_drift_recovery runs the retuning-on vs. -off arms end to end:

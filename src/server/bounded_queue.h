@@ -49,14 +49,14 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking Pop: dequeues the oldest item if one is immediately
-  /// available, nullopt otherwise (empty or closed-and-drained — the
-  /// caller cannot distinguish, and does not need to: this is the
-  /// opportunistic drain used by worker micro-batching, where "nothing
-  /// ready right now" simply ends the batch).
-  std::optional<T> TryPop() {
+  /// Non-blocking Pop of the oldest item, only when it satisfies `pred`
+  /// (evaluated under the lock); nullopt otherwise. Worker micro-batching
+  /// uses it to take a run of matching requests off the head while
+  /// leaving everything else queued for the other workers.
+  template <typename Pred>
+  std::optional<T> TryPopIf(Pred pred) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
+    if (items_.empty() || !pred(items_.front())) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     return item;

@@ -28,7 +28,7 @@ namespace ppc {
 /// shard is never observable cold (the same invariant the ppc_server
 /// --warm-start-from path gives a cold process start).
 ///
-/// Thread-safe: forwards record outcomes from connection threads while
+/// Thread-safe: forwards record outcomes from the router's workers while
 /// the prober drives the open → half-open → closed cycle.
 class CircuitBreaker {
  public:

@@ -1,5 +1,6 @@
 #include "server/client.h"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,6 +38,13 @@ Status PpcClient::Connect(const std::string& host, uint16_t port) {
     last = fd.status();
   }
   return last;
+}
+
+bool PpcClient::PeerClosed() const {
+  if (fd_ < 0) return true;
+  struct pollfd entry = {fd_, POLLRDHUP, 0};
+  return ::poll(&entry, 1, 0) > 0 &&
+         (entry.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
 }
 
 void PpcClient::Close() {

@@ -74,6 +74,10 @@ class PpcClient {
   Status Connect(const std::string& host, uint16_t port);
   void Close();
   bool connected() const { return fd_ >= 0; }
+  /// True when no connection is open or the server has closed or reset
+  /// it (a restarted peer, an idle timeout). Never blocks; lets a cached
+  /// client re-dial instead of failing its next call.
+  bool PeerClosed() const;
 
   /// Cumulative resilience accounting (reset by neither Close nor
   /// Connect), surfaced in the bench load generator's output.

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "common/errno_util.h"
@@ -107,6 +108,19 @@ Result<int> Listen(const std::string& bind_address, uint16_t port,
     return nb;
   }
   return fd;
+}
+
+bool ParsePort(const std::string& text, uint16_t* port) {
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  // A leading digit rules out signs and whitespace; strtol saturates, so
+  // an overlong number fails the range check.
+  if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' ||
+      value > 65535) {
+    return false;
+  }
+  *port = static_cast<uint16_t>(value);
+  return true;
 }
 
 Result<int> Connect(const std::string& host, uint16_t port,

@@ -62,6 +62,11 @@ class Deadline {
   Clock::time_point when_{};
 };
 
+/// Parses a decimal TCP port in 0..65535 (0 picks an ephemeral port when
+/// listening) that makes up all of `text`. False for anything else, so an
+/// out-of-range or mistyped port is refused instead of truncated.
+bool ParsePort(const std::string& text, uint16_t* port);
+
 /// Creates a TCP listen socket bound to `bind_address:port` (port 0 picks
 /// an ephemeral port). On success returns the fd and stores the actually
 /// bound port in `*bound_port`. The socket has SO_REUSEADDR set and is

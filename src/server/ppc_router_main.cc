@@ -29,7 +29,6 @@
 //   --breaker-cooldown-ms=N         open-state cooldown before the
 //                                   half-open probe (default 1000)
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,6 +36,7 @@
 
 #include "common/status.h"
 #include "server/hash_ring.h"
+#include "server/net_util.h"
 #include "server/router.h"
 
 namespace {
@@ -45,20 +45,14 @@ using ppc::HashRing;
 using ppc::PlanRouter;
 using ppc::Status;
 
-PlanRouter* g_router = nullptr;
-
-/// PlanRouter::Shutdown is atomic stores only — async-signal-safe.
-void HandleSignal(int) {
-  if (g_router != nullptr) g_router->Shutdown();
-}
-
 bool ParseBackend(const std::string& value, HashRing::Node* node) {
   const size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
-  const long port = std::strtol(value.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) return false;
+  if (!ppc::net::ParsePort(value.substr(colon + 1), &node->port) ||
+      node->port == 0) {
+    return false;
+  }
   node->host = value.substr(0, colon);
-  node->port = static_cast<uint16_t>(port);
   return true;
 }
 
@@ -75,8 +69,11 @@ bool ParseFlags(int argc, char** argv, PlanRouter::Config* config) {
     if (key == "bind") {
       config->bind_address = value;
     } else if (key == "port") {
-      config->port = static_cast<uint16_t>(std::strtol(value.c_str(),
-                                                       nullptr, 10));
+      if (!ppc::net::ParsePort(value, &config->port)) {
+        std::fprintf(stderr, "bad --port (want 0-65535): %s\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "backend-deadline-ms") {
       config->backend_deadline_ms = std::strtol(value.c_str(), nullptr, 10);
     } else if (key == "probe-interval-ms") {
@@ -129,13 +126,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
-  g_router = &router;
-
-  struct sigaction action = {};
-  action.sa_handler = HandleSignal;
-  sigemptyset(&action.sa_mask);
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
+  const Status handlers = ppc::InstallShutdownSignalHandlers(&router);
+  if (!handlers.ok()) {
+    std::fprintf(stderr, "signal handlers: %s\n",
+                 handlers.ToString().c_str());
+    router.Stop();
+    return 1;
+  }
 
   std::fprintf(stderr, "routing across %zu backend(s)\n",
                router.backend_count());

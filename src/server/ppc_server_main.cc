@@ -39,6 +39,7 @@
 #include "ppc/ppc_framework.h"
 #include "ppc/predictor_state.h"
 #include "server/client.h"
+#include "server/net_util.h"
 #include "server/server.h"
 #include "storage/tpch_generator.h"
 #include "workload/templates.h"
@@ -83,10 +84,10 @@ bool ParseHostPort(const std::string& value, std::string* host,
                    uint16_t* port) {
   const size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
-  const long parsed = std::strtol(value.c_str() + colon + 1, nullptr, 10);
-  if (parsed <= 0 || parsed > 65535) return false;
+  if (!ppc::net::ParsePort(value.substr(colon + 1), port) || *port == 0) {
+    return false;
+  }
   *host = value.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
   return true;
 }
 
@@ -103,8 +104,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     if (key == "bind") {
       flags->bind = value;
     } else if (key == "port") {
-      flags->port = static_cast<uint16_t>(std::strtol(value.c_str(),
-                                                      nullptr, 10));
+      if (!ppc::net::ParsePort(value, &flags->port)) {
+        std::fprintf(stderr, "bad --port (want 0-65535): %s\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "workers") {
       flags->workers = static_cast<int>(std::strtol(value.c_str(),
                                                     nullptr, 10));

@@ -1,9 +1,5 @@
 #include "server/router.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -12,7 +8,6 @@
 #include <utility>
 
 #include "ppc/predictor_state.h"
-#include "server/net_util.h"
 
 namespace ppc {
 
@@ -38,50 +33,38 @@ bool IsTransportFailure(const Status& status) {
          status.code() == StatusCode::kInternal;
 }
 
+/// How long a forward waits for a saturated shard's slot before failing
+/// over. A healthy shard frees one within a forward's latency; a hung one
+/// does not, and then only the first waiter pays this.
+constexpr auto kSlotWait = std::chrono::milliseconds(100);
+
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
 
+/// The serving core's settings: the router's listener and framing limits,
+/// PlanServer's defaults for everything else.
+PlanServer::Config CoreConfig(const PlanRouter::Config& config) {
+  PlanServer::Config core;
+  core.bind_address = config.bind_address;
+  core.port = config.port;
+  core.max_frame_bytes = config.max_frame_bytes;
+  core.write_deadline_ms = config.write_deadline_ms;
+  return core;
+}
+
 }  // namespace
 
-/// Lives on a connection thread's stack: the client-side deframer plus
-/// this thread's private shard connections (keyed by shard address, so
-/// no backend connection is ever shared across threads).
-struct PlanRouter::ConnectionState {
-  ConnectionState(int fd_in, size_t max_frame_bytes)
-      : fd(fd_in), frames(max_frame_bytes) {}
-
-  int fd;
-  wire::FrameBuffer frames;
-  std::map<std::string, std::unique_ptr<PpcClient>> shard_clients;
-
-  /// Get-or-dial the client for `node`. Null when the dial fails (the
-  /// caller reports the shard unavailable); a cached client for a shard
-  /// that since died is dropped by the caller after the failed call, so
-  /// the next request re-dials.
-  PpcClient* ClientFor(const HashRing::Node& node,
-                       const PlanRouter::Config& config) {
-    const std::string address = node.Address();
-    auto it = shard_clients.find(address);
-    if (it != shard_clients.end()) return it->second.get();
-    PpcClient::Options options;
-    options.call_deadline_ms = config.backend_deadline_ms;
-    options.retry = config.backend_retry;
-    auto client = std::make_unique<PpcClient>(options);
-    if (!client->Connect(node.host, node.port).ok()) return nullptr;
-    return shard_clients.emplace(address, std::move(client))
-        .first->second.get();
-  }
-
-  void Drop(const HashRing::Node& node) {
-    shard_clients.erase(node.Address());
-  }
-};
-
 PlanRouter::PlanRouter(Config config)
-    : config_(std::move(config)), ring_(config_.vnodes_per_node) {
+    : config_(std::move(config)),
+      ring_(config_.vnodes_per_node),
+      worker_clients_(
+          static_cast<size_t>(CoreConfig(config_).worker_threads)),
+      forward_slots_(worker_clients_.size() > 1 ? worker_clients_.size() - 1
+                                                : 1),
+      server_(this, &metrics_, CoreConfig(config_)) {
   for (const HashRing::Node& node : config_.backends) {
     ring_.Add(node);
     auto& state = backend_states_[node.Address()];
@@ -94,14 +77,9 @@ PlanRouter::PlanRouter(Config config)
 PlanRouter::~PlanRouter() { Stop(); }
 
 Status PlanRouter::Start() {
-  if (running_.load(std::memory_order_acquire)) {
+  if (server_.running()) {
     return Status::FailedPrecondition("router already started");
   }
-  PPC_ASSIGN_OR_RETURN(
-      listen_fd_,
-      net::Listen(config_.bind_address, config_.port, /*backlog=*/64, &port_));
-  instruments_.connections_accepted =
-      &metrics_.counter("router.connections.accepted");
   instruments_.requests_forwarded =
       &metrics_.counter("router.requests.forwarded");
   instruments_.requests_local = &metrics_.counter("router.requests.local");
@@ -110,8 +88,6 @@ Status PlanRouter::Start() {
   instruments_.topology_adds = &metrics_.counter("router.topology.adds");
   instruments_.topology_removes =
       &metrics_.counter("router.topology.removes");
-  instruments_.frames_malformed =
-      &metrics_.counter("router.frames.malformed");
   instruments_.forward_us = &metrics_.histogram("router.forward_us");
   instruments_.health_probes = &metrics_.counter("router.health.probes");
   instruments_.health_probe_failures =
@@ -130,9 +106,8 @@ Status PlanRouter::Start() {
   instruments_.rejoin_warm_starts =
       &metrics_.counter("router.rejoin.warm_starts");
   instruments_.rejoin_failures = &metrics_.counter("router.rejoin.failures");
-  running_.store(true, std::memory_order_release);
+  PPC_RETURN_NOT_OK(server_.Start());
   draining_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread(&PlanRouter::AcceptLoop, this);
   if (config_.probe_interval_ms > 0) {
     health_thread_ = std::thread(&PlanRouter::HealthLoop, this);
   }
@@ -140,29 +115,20 @@ Status PlanRouter::Start() {
 }
 
 void PlanRouter::Shutdown() {
-  // Atomic store only — safe from signal handlers; the accept and
-  // connection loops notice at their next idle poll tick.
-  draining_.store(true, std::memory_order_release);
+  server_.Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(health_mu_);
+    draining_.store(true, std::memory_order_release);
+  }
+  health_cv_.notify_all();
 }
 
 void PlanRouter::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // The core drains on its own after a SHUTDOWN request or a signal; the
+  // health thread stops once it has.
+  server_.Wait();
+  Shutdown();
   if (health_thread_.joinable()) health_thread_.join();
-  // The accept thread has exited, so no new connection threads can
-  // appear — joining the snapshot below drains everything.
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  running_.store(false, std::memory_order_release);
 }
 
 void PlanRouter::Stop() {
@@ -195,6 +161,28 @@ std::vector<PlanRouter::BackendStatus> PlanRouter::backend_status() const {
   return statuses;
 }
 
+bool PlanRouter::BackendState::AcquireSlot(size_t cap) {
+  std::unique_lock<std::mutex> lock(slots_mu);
+  if (in_flight >= cap &&
+      (saturated || !slot_freed.wait_for(lock, kSlotWait, [this, cap] {
+        return in_flight < cap;
+      }))) {
+    saturated = true;
+    return false;
+  }
+  ++in_flight;
+  return true;
+}
+
+void PlanRouter::BackendState::ReleaseSlot() {
+  {
+    std::lock_guard<std::mutex> lock(slots_mu);
+    --in_flight;
+    saturated = false;
+  }
+  slot_freed.notify_one();
+}
+
 void PlanRouter::RecordBackendSuccess(BackendState* state) {
   if (state->breaker.RecordSuccess()) {
     instruments_.breaker_closes->Increment();
@@ -207,68 +195,9 @@ void PlanRouter::RecordBackendFailure(BackendState* state) {
   }
 }
 
-void PlanRouter::AcceptLoop() {
-  while (!draining_.load(std::memory_order_acquire)) {
-    struct pollfd entry = {listen_fd_, POLLIN, 0};
-    const int ready =
-        ::poll(&entry, 1, static_cast<int>(config_.idle_poll_ms));
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    instruments_.connections_accepted->Increment();
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    connection_threads_.emplace_back(&PlanRouter::ServeConnection, this, fd);
-  }
-}
-
-void PlanRouter::ServeConnection(int fd) {
-  ConnectionState state(fd, config_.max_frame_bytes);
-  char buffer[16 * 1024];
-  bool open = true;
-  while (open && !draining_.load(std::memory_order_acquire)) {
-    Result<size_t> received =
-        net::RecvSome(fd, buffer, sizeof(buffer),
-                      net::Deadline::AfterMs(config_.idle_poll_ms));
-    if (!received.ok()) {
-      if (received.status().code() == StatusCode::kDeadlineExceeded) {
-        continue;  // idle tick: re-check draining_, keep listening
-      }
-      break;
-    }
-    if (received.value() == 0) break;  // clean peer close
-    state.frames.Append(buffer, received.value());
-    std::string payload;
-    while (open) {
-      Result<bool> next = state.frames.Next(&payload);
-      if (!next.ok()) {
-        // Framing violation: the byte stream can no longer be trusted.
-        instruments_.frames_malformed->Increment();
-        wire::Response error;
-        error.status = wire::WireStatus::kBadRequest;
-        error.error = next.status().message();
-        (void)SendResponse(&state, error);
-        open = false;
-        break;
-      }
-      if (!next.value()) break;
-      open = HandleFrame(&state, payload);
-    }
-  }
-  ::close(fd);
-}
-
-bool PlanRouter::HandleFrame(ConnectionState* state,
-                             const std::string& payload) {
-  Result<wire::Request> decoded = wire::DecodeRequest(payload);
-  if (!decoded.ok()) {
-    instruments_.frames_malformed->Increment();
-    wire::Response error;
-    error.status = wire::WireStatus::kBadRequest;
-    error.error = decoded.status().message();
-    (void)SendResponse(state, error);
-    return false;
-  }
-  const wire::Request& request = decoded.value();
+wire::Response PlanRouter::Handle(const wire::Request& request,
+                                  size_t worker_index) {
+  BackendClients* clients = &worker_clients_[worker_index];
   wire::Response response;
   response.type = request.type;
   response.id = request.id;
@@ -276,14 +205,14 @@ bool PlanRouter::HandleFrame(ConnectionState* state,
     case wire::MessageType::kPredict:
     case wire::MessageType::kPredictBatch:
     case wire::MessageType::kExecute:
-      response = Forward(state, request);
+      response = Forward(clients, request);
       break;
     case wire::MessageType::kPing:
       instruments_.requests_local->Increment();
       break;
     case wire::MessageType::kMetrics:
       instruments_.requests_local->Increment();
-      response = AggregateMetrics(state);
+      response = AggregateMetrics(clients);
       response.id = request.id;
       break;
     case wire::MessageType::kTopology:
@@ -299,16 +228,15 @@ bool PlanRouter::HandleFrame(ConnectionState* state,
           "directly";
       break;
     case wire::MessageType::kShutdown:
+      // The core writes the ack, then drains.
       instruments_.requests_local->Increment();
-      (void)SendResponse(state, response);  // ack before draining
-      Shutdown();
-      return false;
+      break;
     case wire::MessageType::kInvalid:
       response.status = wire::WireStatus::kBadRequest;
       response.error = "invalid request type";
       break;
   }
-  return SendResponse(state, response).ok();
+  return response;
 }
 
 Result<PlanRouter::Route> PlanRouter::ResolveRoute(
@@ -333,7 +261,7 @@ Result<PlanRouter::Route> PlanRouter::ResolveRoute(
   return route;
 }
 
-wire::Response PlanRouter::Forward(ConnectionState* state,
+wire::Response PlanRouter::Forward(BackendClients* clients,
                                    const wire::Request& request) {
   wire::Response response;
   response.type = request.type;
@@ -372,16 +300,32 @@ wire::Response PlanRouter::Forward(ConnectionState* state,
 
   Status failure = Status::Unavailable("no backend attempt made");
   for (const Attempt& attempt : attempts) {
-    // This thread's cached connection can be stale — the shard restarted
+    if (!attempt.backend->AcquireSlot(forward_slots_)) {
+      // Every slot has been taken for longer than a healthy shard needs:
+      // it is hung or badly overloaded. Nothing was sent, so even an
+      // EXECUTE may go to the replica.
+      failure = Status::Unavailable("shard " + attempt.node->Address() +
+                                    " has all its forwards in flight");
+      continue;
+    }
+    // This worker's cached connection can be stale — the shard restarted
     // (or dropped idle peers) since the last exchange — in which case the
     // call fails Unavailable even though the shard is healthy again.
     // Read-only requests get one retry on a fresh dial before the
-    // failure counts against the backend; an EXECUTE is never
-    // auto-replayed once any bytes may have reached a shard.
-    const int tries = request.type == wire::MessageType::kExecute ? 1 : 2;
+    // failure counts against the backend. An EXECUTE is never
+    // auto-replayed once any bytes may have reached a shard, so it is
+    // never sent down a connection the shard has already closed.
+    const bool is_execute = request.type == wire::MessageType::kExecute;
+    if (is_execute) {
+      const auto it = clients->find(attempt.node->Address());
+      if (it != clients->end() && it->second->PeerClosed()) {
+        clients->erase(it);
+      }
+    }
+    const int tries = is_execute ? 1 : 2;
     Result<wire::Response> answer = failure;
     for (int attempt_try = 0; attempt_try < tries; ++attempt_try) {
-      PpcClient* client = state->ClientFor(*attempt.node, config_);
+      PpcClient* client = BackendClientFor(clients, *attempt.node);
       if (client == nullptr) {
         answer = Status::Unavailable("shard " + attempt.node->Address() +
                                      " is unreachable");
@@ -393,13 +337,14 @@ wire::Response PlanRouter::Forward(ConnectionState* state,
       if (answer.ok()) break;
       // The client closed its connection on the failure; drop it so the
       // next request for this shard re-dials instead of failing forever.
-      state->Drop(*attempt.node);
+      clients->erase(attempt.node->Address());
       if (answer.status().code() != StatusCode::kUnavailable) break;
     }
+    attempt.backend->ReleaseSlot();
     if (!answer.ok()) {
       RecordBackendFailure(attempt.backend);
       failure = answer.status();
-      if (request.type == wire::MessageType::kExecute &&
+      if (is_execute &&
           answer.status().code() == StatusCode::kDeadlineExceeded) {
         // The EXECUTE may still be running on the timed-out shard;
         // replaying it on the replica could run the query twice. PREDICTs
@@ -431,7 +376,7 @@ wire::Response PlanRouter::Forward(ConnectionState* state,
   return response;
 }
 
-wire::Response PlanRouter::AggregateMetrics(ConnectionState* state) {
+wire::Response PlanRouter::AggregateMetrics(BackendClients* clients) {
   wire::Response response;
   response.type = wire::MessageType::kMetrics;
   std::string json = "{\"router\":";
@@ -464,11 +409,19 @@ wire::Response PlanRouter::AggregateMetrics(ConnectionState* state) {
       json += "\"}";
       continue;
     }
-    PpcClient* client = state->ClientFor(node, config_);
+    // A shard with every forwarding slot taken may be hung; asking it
+    // would hold this worker too, so it is reported without a call.
+    const bool asked =
+        backend == nullptr || backend->AcquireSlot(forward_slots_);
     Result<std::string> shard_json =
-        client == nullptr
-            ? Result<std::string>(Status::Unavailable("unreachable"))
-            : client->Metrics();
+        Status::Unavailable("all its forwards are in flight");
+    if (asked) {
+      PpcClient* client = BackendClientFor(clients, node);
+      shard_json = client == nullptr
+                       ? Result<std::string>(Status::Unavailable("unreachable"))
+                       : client->Metrics();
+      if (backend != nullptr) backend->ReleaseSlot();
+    }
     if (shard_json.ok()) {
       if (backend != nullptr) RecordBackendSuccess(backend.get());
       // Shard payloads are themselves JSON objects; splice verbatim.
@@ -477,8 +430,10 @@ wire::Response PlanRouter::AggregateMetrics(ConnectionState* state) {
       json += "}";
     } else {
       // One dead shard degrades its own entry, never the aggregate.
-      state->Drop(node);
-      if (backend != nullptr) RecordBackendFailure(backend.get());
+      if (asked) {
+        clients->erase(node.Address());
+        if (backend != nullptr) RecordBackendFailure(backend.get());
+      }
       json += "{\"up\":false,\"breaker_state\":\"";
       json += CircuitBreaker::StateName(
           backend != nullptr ? backend->breaker.state()
@@ -520,13 +475,17 @@ wire::Response PlanRouter::ApplyTopology(const wire::Request& request) {
   return response;
 }
 
-Status PlanRouter::SendResponse(ConnectionState* state,
-                                const wire::Response& response) {
-  std::string frame;
-  wire::EncodeResponse(response, &frame);
-  return net::WriteAll(
-      state->fd, frame.data(), frame.size(),
-      net::Deadline::AfterMsOrInfinite(config_.write_deadline_ms));
+PpcClient* PlanRouter::BackendClientFor(BackendClients* clients,
+                                        const HashRing::Node& node) {
+  const std::string address = node.Address();
+  auto it = clients->find(address);
+  if (it != clients->end()) return it->second.get();
+  PpcClient::Options options;
+  options.call_deadline_ms = config_.backend_deadline_ms;
+  options.retry = config_.backend_retry;
+  auto client = std::make_unique<PpcClient>(options);
+  if (!client->Connect(node.host, node.port).ok()) return nullptr;
+  return clients->emplace(address, std::move(client)).first->second.get();
 }
 
 PpcClient* PlanRouter::HealthClientFor(HealthClients* clients,
@@ -551,16 +510,12 @@ void PlanRouter::HealthLoop() {
   ShippedHashes shipped;
   auto last_replication = std::chrono::steady_clock::now();
   while (!draining_.load(std::memory_order_acquire)) {
-    // Sleep one probe interval in idle_poll-sized slices so a drain is
-    // noticed promptly even under a long interval.
-    const auto tick_end =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(config_.probe_interval_ms);
-    while (!draining_.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < tick_end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::max<int64_t>(1, std::min(config_.idle_poll_ms,
-                                        config_.probe_interval_ms))));
+    // Sleep one probe interval; Shutdown() wakes the wait at once.
+    {
+      std::unique_lock<std::mutex> lock(health_mu_);
+      health_cv_.wait_for(
+          lock, std::chrono::milliseconds(config_.probe_interval_ms),
+          [this] { return draining_.load(std::memory_order_acquire); });
     }
     if (draining_.load(std::memory_order_acquire)) break;
 
@@ -785,6 +740,10 @@ void PlanRouter::ReplicateOnce(HealthClients* clients,
       }
     }
   }
+}
+
+Status InstallShutdownSignalHandlers(PlanRouter* router) {
+  return InstallShutdownSignalHandlers(&router->server_);
 }
 
 }  // namespace ppc

@@ -2,6 +2,7 @@
 #define PPC_SERVER_ROUTER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "server/circuit_breaker.h"
 #include "server/client.h"
 #include "server/hash_ring.h"
+#include "server/server.h"
 #include "server/wire_protocol.h"
 
 namespace ppc {
@@ -64,16 +66,22 @@ namespace ppc {
 ///     shard-to-shard, not routed.
 ///   * kShutdown — ack, then drain the router itself.
 ///
-/// Threading model: one accept thread, one thread per client connection,
-/// plus one health thread (prober + replicator + rejoin driver). Each
-/// connection thread keeps its own PpcClient per shard, so backend
-/// connections never need cross-thread locking; the shared state is the
-/// ring + per-backend breakers behind a shared_mutex.
+/// Threading model: PlanServer's serving core (server.h) with this class
+/// as its forwarding RequestHandler, plus one health thread (prober +
+/// replicator + rejoin driver). Router clients get the core's connection
+/// limit, deadlines, backpressure, shed ladder and pipelining. Each worker
+/// keeps its own PpcClient per shard, so forwarding holds at most
+/// `worker_threads` x backends shard connections, none shared across
+/// threads; the shared state is the ring + per-backend breakers behind a
+/// shared_mutex. A forward blocks its worker, so each shard gets at most
+/// `worker_threads` - 1 forwards in flight: a shard that hangs without
+/// closing its connections holds at most that many workers, and its excess
+/// requests fail over to the replica (DESIGN.md §15).
 ///
-/// Shutdown()/drain: async-signal-safe (atomic stores only). The accept,
-/// connection and health loops poll `idle_poll_ms`-bounded ticks and exit
-/// at the next one; in-flight forwards finish under the backend deadline.
-class PlanRouter {
+/// Shutdown()/drain: the core drains (a SHUTDOWN request, Shutdown(), or a
+/// signal via InstallShutdownSignalHandlers); Wait() then stops the health
+/// thread.
+class PlanRouter : private RequestHandler {
  public:
   struct Config {
     std::string bind_address = "127.0.0.1";
@@ -82,15 +90,14 @@ class PlanRouter {
     /// Initial shard set; extendable at runtime via kTopology.
     std::vector<HashRing::Node> backends;
     int vnodes_per_node = 64;
+    /// The core takes this, bind_address, port and write_deadline_ms;
+    /// every other core setting is PlanServer::Config's default.
     size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
     /// Per-forward wall clock, spanning the retry policy below. 0 waits
     /// forever (not recommended — a hung shard then hangs its clients).
     int64_t backend_deadline_ms = 5000;
     /// Applied to shard connects and BUSY answers (server/client.h).
     RetryPolicy backend_retry{/*max_attempts=*/3};
-    /// Read-poll granularity: how quickly idle connection threads notice
-    /// a drain, and how often they re-check for client bytes.
-    int64_t idle_poll_ms = 50;
     /// Bound on writing one response frame back to a client.
     int64_t write_deadline_ms = 10000;
 
@@ -120,23 +127,23 @@ class PlanRouter {
   PlanRouter(const PlanRouter&) = delete;
   PlanRouter& operator=(const PlanRouter&) = delete;
 
-  /// Binds, listens, and spawns the accept + health threads. Does not
+  /// Binds, listens, and starts the serving core + health thread. Does not
   /// wait on the backends — a shard is dialed lazily on its first
   /// forwarded request or probe, so the router can start ahead of its
   /// shards.
   Status Start();
 
-  /// Initiates the drain. Async-signal-safe and idempotent.
+  /// Initiates the drain. Non-blocking and idempotent.
   void Shutdown();
 
-  /// Blocks until every connection thread has exited.
+  /// Blocks until the core has drained and the health thread has exited.
   void Wait();
 
   /// Shutdown() + Wait().
   void Stop();
 
-  uint16_t port() const { return port_; }
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  uint16_t port() const { return server_.port(); }
+  bool running() const { return server_.running(); }
   size_t backend_count() const;
   std::vector<HashRing::Node> backends() const;
 
@@ -148,20 +155,31 @@ class PlanRouter {
   };
   std::vector<BackendStatus> backend_status() const;
 
-  /// The router's own instruments (router.* names).
+  /// The router's instruments (router.*) and its core's (server.*).
   MetricsRegistry& metrics() { return metrics_; }
 
  private:
-  /// Per-connection-thread state: the client socket's deframer plus this
-  /// thread's private shard connections.
-  struct ConnectionState;
+  friend Status InstallShutdownSignalHandlers(PlanRouter* router);
+
+  /// One worker's private shard connections, keyed by shard address.
+  using BackendClients = std::map<std::string, std::unique_ptr<PpcClient>>;
 
   /// Shared per-backend health state. Held by shared_ptr so a forward in
   /// flight keeps its breaker alive across a concurrent topology remove.
   struct BackendState {
     explicit BackendState(const CircuitBreaker::Options& options)
         : breaker(options) {}
+    /// Takes one of `cap` forwarding slots. At the cap it waits briefly
+    /// for a slot to free, unless an earlier wait already timed out since
+    /// the last forward finished; false means the shard is saturated.
+    bool AcquireSlot(size_t cap);
+    void ReleaseSlot();
+
     CircuitBreaker breaker;
+    std::mutex slots_mu;
+    std::condition_variable slot_freed;
+    size_t in_flight = 0;
+    bool saturated = false;
   };
 
   /// One resolved routing decision: placement plus the breakers of both
@@ -174,15 +192,18 @@ class PlanRouter {
     std::shared_ptr<BackendState> replica_state;
   };
 
-  void AcceptLoop();
-  void ServeConnection(int fd);
-  /// Decodes + dispatches one frame payload; false when the connection
-  /// must close (protocol violation or shutdown handoff).
-  bool HandleFrame(ConnectionState* state, const std::string& payload);
-  wire::Response Forward(ConnectionState* state, const wire::Request& request);
-  wire::Response AggregateMetrics(ConnectionState* state);
+  /// The forwarding handler, called by the core's workers.
+  wire::Response Handle(const wire::Request& request,
+                        size_t worker_index) override;
+  wire::Response Forward(BackendClients* clients,
+                         const wire::Request& request);
+  wire::Response AggregateMetrics(BackendClients* clients);
   wire::Response ApplyTopology(const wire::Request& request);
-  Status SendResponse(ConnectionState* state, const wire::Response& response);
+  /// Get-or-dial `clients`' connection to `node`; null when the dial
+  /// fails. Callers erase a client whose call failed, so the next request
+  /// re-dials.
+  PpcClient* BackendClientFor(BackendClients* clients,
+                              const HashRing::Node& node);
 
   Result<Route> ResolveRoute(const std::string& template_name) const;
   /// Breaker bookkeeping around one backend call outcome, with the open /
@@ -218,31 +239,35 @@ class PlanRouter {
 
   const Config config_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
+  /// Stops the health thread. Set under health_mu_ so a health thread
+  /// sleeping on health_cv_ wakes at once.
   std::atomic<bool> draining_{false};
+  std::mutex health_mu_;
+  std::condition_variable health_cv_;
 
-  /// Ring + backend set + per-backend breakers, shared across connection
-  /// threads and the health thread.
+  /// Ring + backend set + per-backend breakers, shared across the
+  /// workers and the health thread.
   mutable std::shared_mutex topology_mu_;
   HashRing ring_;
   std::map<std::string, std::shared_ptr<BackendState>> backend_states_;
 
-  std::thread accept_thread_;
   std::thread health_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> connection_threads_;
 
   MetricsRegistry metrics_;
+  /// Indexed by worker; sized once at construction from the core's
+  /// worker count.
+  std::vector<BackendClients> worker_clients_;
+  /// Forwards one shard may have in flight: one fewer than the workers,
+  /// so a shard that hangs without closing its connections can never hold
+  /// every worker (DESIGN.md §15).
+  const size_t forward_slots_;
+  PlanServer server_;
   struct {
-    MetricsCounter* connections_accepted = nullptr;
     MetricsCounter* requests_forwarded = nullptr;
     MetricsCounter* requests_local = nullptr;
     MetricsCounter* forward_failures = nullptr;
     MetricsCounter* topology_adds = nullptr;
     MetricsCounter* topology_removes = nullptr;
-    MetricsCounter* frames_malformed = nullptr;
     LatencyHistogram* forward_us = nullptr;
     /// Health model (DESIGN.md §18).
     MetricsCounter* health_probes = nullptr;
@@ -258,6 +283,10 @@ class PlanRouter {
     MetricsCounter* rejoin_failures = nullptr;
   } instruments_;
 };
+
+/// Routes SIGINT/SIGTERM to the router's serving core (see the PlanServer
+/// overload in server.h); the caller should follow with Wait().
+Status InstallShutdownSignalHandlers(PlanRouter* router);
 
 }  // namespace ppc
 

@@ -57,6 +57,39 @@ wire::WireStatus WireStatusFrom(const Status& status) {
   }
 }
 
+/// The framework handler: answers every request against one PpcFramework,
+/// and counts the replication traffic it serves (server.replication.*).
+class FrameworkHandler final : public RequestHandler {
+ public:
+  explicit FrameworkHandler(PpcFramework* framework) : framework_(framework) {
+    PPC_CHECK(framework != nullptr);
+    MetricsRegistry& metrics = framework_->metrics();
+    instruments_.replication_snapshots_served =
+        &metrics.counter("server.replication.snapshots_served");
+    instruments_.replication_snapshot_bytes =
+        &metrics.counter("server.replication.snapshot_bytes");
+    instruments_.replication_applies =
+        &metrics.counter("server.replication.applies");
+    instruments_.replication_apply_failures =
+        &metrics.counter("server.replication.apply_failures");
+  }
+
+  wire::Response Handle(const wire::Request& request,
+                        size_t worker_index) override;
+
+ private:
+  PpcFramework* const framework_;
+  /// Replication: snapshots served to joining shards (count + bytes
+  /// shipped), snapshots applied here via SNAPSHOT_APPLY, and apply
+  /// rejections (corrupt/stale/mismatched blobs).
+  struct {
+    MetricsCounter* replication_snapshots_served = nullptr;
+    MetricsCounter* replication_snapshot_bytes = nullptr;
+    MetricsCounter* replication_applies = nullptr;
+    MetricsCounter* replication_apply_failures = nullptr;
+  } instruments_;
+};
+
 }  // namespace
 
 /// Per-connection state. The IO thread owns reading (FrameBuffer) and the
@@ -130,11 +163,21 @@ struct PlanServer::WorkItem {
 };
 
 PlanServer::PlanServer(PpcFramework* framework, Config config)
-    : framework_(framework),
+    : owned_handler_(std::make_unique<FrameworkHandler>(framework)),
+      handler_(owned_handler_.get()),
+      metrics_(&framework->metrics()),
+      config_(std::move(config)),
+      shed_(config_.shed),
+      queue_(config_.queue_capacity) {}
+
+PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
+                       Config config)
+    : handler_(handler),
+      metrics_(metrics),
       config_(std::move(config)),
       shed_(config_.shed),
       queue_(config_.queue_capacity) {
-  PPC_CHECK(framework != nullptr);
+  PPC_CHECK(handler != nullptr && metrics != nullptr);
 }
 
 PlanServer::~PlanServer() { Stop(); }
@@ -167,7 +210,7 @@ Status PlanServer::Start() {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  MetricsRegistry& metrics = framework_->metrics();
+  MetricsRegistry& metrics = *metrics_;
   instruments_.requests_predict = &metrics.counter("server.requests.predict");
   instruments_.requests_predict_batch =
       &metrics.counter("server.requests.predict_batch");
@@ -201,14 +244,6 @@ Status PlanServer::Start() {
       &metrics.counter("server.requests.snapshot");
   instruments_.requests_snapshot_apply =
       &metrics.counter("server.requests.snapshot_apply");
-  instruments_.replication_snapshots_served =
-      &metrics.counter("server.replication.snapshots_served");
-  instruments_.replication_snapshot_bytes =
-      &metrics.counter("server.replication.snapshot_bytes");
-  instruments_.replication_applies =
-      &metrics.counter("server.replication.applies");
-  instruments_.replication_apply_failures =
-      &metrics.counter("server.replication.apply_failures");
   instruments_.replication_snapshot_us =
       &metrics.histogram("server.replication.snapshot_us");
   instruments_.replication_apply_us =
@@ -226,7 +261,8 @@ Status PlanServer::Start() {
   const int workers = config_.worker_threads > 0 ? config_.worker_threads : 1;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back(
+        [this, i] { WorkerLoop(static_cast<size_t>(i)); });
   }
   return Status::OK();
 }
@@ -594,7 +630,8 @@ void PlanServer::SendError(const std::shared_ptr<Connection>& conn,
   conn->WriteFrame(payload);
 }
 
-wire::Response PlanServer::HandleRequest(const wire::Request& request) {
+wire::Response FrameworkHandler::Handle(const wire::Request& request,
+                                        size_t /*worker_index*/) {
   wire::Response response;
   response.type = request.type;
   response.id = request.id;
@@ -702,12 +739,70 @@ wire::Response PlanServer::HandleRequest(const wire::Request& request) {
   return response;
 }
 
-void PlanServer::ProcessSingle(WorkItem* item) {
+void PlanServer::ProcessSingle(WorkItem* item, size_t worker_index) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
   if (config_.pre_dispatch_hook) {
     config_.pre_dispatch_hook(item->request.type);
   }
-  wire::Response response = HandleRequest(item->request);
+  const wire::Response response =
+      handler_->Handle(item->request, worker_index);
+  Reply(item, response);
+  if (response.type == wire::MessageType::kShutdown && response.ok()) {
+    // Ack already written; now start the drain. Everything admitted
+    // before this point still completes.
+    Shutdown();
+  }
+}
+
+void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
+                                   size_t worker_index) {
+  failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
+  const wire::Request& head = items[0].request;
+  wire::Request batch;
+  batch.type = wire::MessageType::kPredictBatch;
+  batch.id = head.id;
+  batch.template_name = head.template_name;
+  batch.batch_dims = static_cast<uint32_t>(head.point.size());
+  batch.batch_points.reserve(count * head.point.size());
+  for (size_t p = 0; p < count; ++p) {
+    if (config_.pre_dispatch_hook) {
+      config_.pre_dispatch_hook(items[p].request.type);
+    }
+    batch.batch_points.insert(batch.batch_points.end(),
+                              items[p].request.point.begin(),
+                              items[p].request.point.end());
+  }
+  const wire::Response answer = handler_->Handle(batch, worker_index);
+  const bool rejected = answer.status == wire::WireStatus::kBadRequest ||
+                        answer.status == wire::WireStatus::kNotFound;
+  if (answer.ok() ? answer.batch.size() != count : rejected) {
+    // A rejection of the request (unknown template, bad arity, non-finite
+    // coordinate) must not fail items that would succeed alone: answer
+    // each request on its own instead. The hooks already ran. Any other
+    // failure (a shard behind the router is down or timed out) would
+    // recur per item, so the batch's error answers every item.
+    for (size_t p = 0; p < count; ++p) {
+      Reply(&items[p], handler_->Handle(items[p].request, worker_index));
+    }
+    return;
+  }
+  for (size_t p = 0; p < count; ++p) {
+    wire::Response response;
+    response.type = wire::MessageType::kPredict;
+    response.id = items[p].request.id;
+    if (answer.ok()) {
+      response.predict = answer.batch[p];
+    } else {
+      response.status = answer.status;
+      response.error = answer.error;
+    }
+    Reply(&items[p], response);
+  }
+  instruments_.microbatches->Increment();
+  instruments_.microbatched_predicts->Increment(count);
+}
+
+void PlanServer::Reply(WorkItem* item, const wire::Response& response) {
   std::string payload;
   wire::EncodeResponsePayload(response, &payload);
   item->conn->WriteFrame(payload);
@@ -749,99 +844,41 @@ void PlanServer::ProcessSingle(WorkItem* item) {
       break;
   }
   if (!response.ok()) instruments_.responses_error->Increment();
-  if (response.type == wire::MessageType::kShutdown && response.ok()) {
-    // Ack already written; now start the drain. Everything admitted
-    // before this point still completes.
-    Shutdown();
-  }
 }
 
-void PlanServer::ProcessPredictRun(WorkItem* items, size_t count) {
-  failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  const wire::Request& head = items[0].request;
-  const size_t dims = head.point.size();
-  std::vector<double> points;
-  points.reserve(count * dims);
-  for (size_t p = 0; p < count; ++p) {
-    if (config_.pre_dispatch_hook) {
-      config_.pre_dispatch_hook(items[p].request.type);
-    }
-    points.insert(points.end(), items[p].request.point.begin(),
-                  items[p].request.point.end());
-  }
-  Result<std::vector<PpcFramework::PredictReport>> reports =
-      framework_->PredictBatch(head.template_name, points.data(), count, dims);
-  if (!reports.ok()) {
-    // A batch-level rejection (unknown template, bad arity, non-finite
-    // coordinate) must not fail items that would succeed alone: answer
-    // each request on the scalar path instead. The hooks already ran.
-    for (size_t p = 0; p < count; ++p) {
-      wire::Response response = HandleRequest(items[p].request);
-      std::string payload;
-      wire::EncodeResponsePayload(response, &payload);
-      items[p].conn->WriteFrame(payload);
-      instruments_.requests_predict->Increment();
-      instruments_.predict_us->Record(MicrosSince(items[p].admitted));
-      if (!response.ok()) instruments_.responses_error->Increment();
-    }
-    return;
-  }
-  for (size_t p = 0; p < count; ++p) {
-    wire::Response response;
-    response.type = wire::MessageType::kPredict;
-    response.id = items[p].request.id;
-    response.predict.plan = reports.value()[p].plan;
-    response.predict.confidence = reports.value()[p].confidence;
-    response.predict.cache_hit = reports.value()[p].cache_hit;
-    std::string payload;
-    wire::EncodeResponsePayload(response, &payload);
-    items[p].conn->WriteFrame(payload);
-    instruments_.requests_predict->Increment();
-    instruments_.predict_us->Record(MicrosSince(items[p].admitted));
-  }
-  instruments_.microbatches->Increment();
-  instruments_.microbatched_predicts->Increment(count);
-}
-
-void PlanServer::WorkerLoop() {
-  std::vector<WorkItem> batch;
+void PlanServer::WorkerLoop(size_t worker_index) {
+  std::vector<WorkItem> run;
   while (std::optional<WorkItem> item = queue_.Pop()) {
-    batch.clear();
-    batch.push_back(std::move(*item));
-    // Opportunistic micro-batch: only after popping a single-point
-    // PREDICT, drain whatever else is already queued (never blocking) up
-    // to the cap. Runs of same-template PREDICTs then share one batched
-    // predictor pass; everything else is handled in admission order. The
+    run.clear();
+    run.push_back(std::move(*item));
+    // Opportunistic micro-batch: after popping a single-point PREDICT,
+    // take the same-(template, arity) PREDICTs queued right behind it
+    // (never blocking) up to the cap, and answer them as one
+    // PREDICT_BATCH. Anything else stays queued for the other workers, so
+    // a handler that blocks (the router's forwards) keeps its
+    // parallelism. A zero-arity point cannot form a PREDICT_BATCH. The
     // first shed rung turns this off — under sustained pressure one slow
     // batch must not grow head-of-line latency (DESIGN.md §14).
     if (config_.max_microbatch > 1 &&
         shed_.level() < net::ShedController::kNoMicrobatch &&
-        batch.front().request.type == wire::MessageType::kPredict) {
-      while (batch.size() < config_.max_microbatch) {
-        std::optional<WorkItem> extra = queue_.TryPop();
+        run.front().request.type == wire::MessageType::kPredict &&
+        !run.front().request.point.empty()) {
+      const auto same_run = [&run](const WorkItem& next) {
+        const wire::Request& head = run.front().request;
+        return next.request.type == wire::MessageType::kPredict &&
+               next.request.template_name == head.template_name &&
+               next.request.point.size() == head.point.size();
+      };
+      while (run.size() < config_.max_microbatch) {
+        std::optional<WorkItem> extra = queue_.TryPopIf(same_run);
         if (!extra.has_value()) break;
-        batch.push_back(std::move(*extra));
+        run.push_back(std::move(*extra));
       }
     }
-    size_t index = 0;
-    while (index < batch.size()) {
-      size_t run = index + 1;
-      if (batch[index].request.type == wire::MessageType::kPredict) {
-        while (run < batch.size() &&
-               batch[run].request.type == wire::MessageType::kPredict &&
-               batch[run].request.template_name ==
-                   batch[index].request.template_name &&
-               batch[run].request.point.size() ==
-                   batch[index].request.point.size()) {
-          ++run;
-        }
-      }
-      if (run - index >= 2) {
-        ProcessPredictRun(&batch[index], run - index);
-      } else {
-        ProcessSingle(&batch[index]);
-      }
-      index = run;
+    if (run.size() >= 2) {
+      ProcessPredictRun(run.data(), run.size(), worker_index);
+    } else {
+      ProcessSingle(&run.front(), worker_index);
     }
   }
 }

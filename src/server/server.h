@@ -23,19 +23,31 @@ namespace net {
 class TimerWheel;
 }  // namespace net
 
+/// Answers one decoded request for the serving core: the framework
+/// handler behind PlanServer(PpcFramework*, Config), or PlanRouter's
+/// forwarding handler (server/router.h).
+class RequestHandler {
+ public:
+  virtual ~RequestHandler() = default;
+  /// Called concurrently by every worker; `worker_index` in
+  /// [0, worker_threads) lets a handler keep per-worker state unlocked.
+  virtual wire::Response Handle(const wire::Request& request,
+                                size_t worker_index) = 0;
+};
+
 /// The network serving layer (DESIGN.md §12): a Linux epoll-based TCP
-/// server fronting one PpcFramework with the wire protocol of
-/// server/wire_protocol.h.
+/// server speaking the wire protocol of server/wire_protocol.h in front
+/// of a RequestHandler.
 ///
 /// Threading model — one IO thread plus a fixed worker pool:
 ///
 ///   * The IO thread owns the epoll set: it accepts connections, reads
 ///     bytes, deframes and decodes requests, and enqueues work items onto
 ///     a bounded MPMC queue. It never executes a query.
-///   * `worker_threads` workers drain the queue, run the request against
-///     the framework, and write the response frame directly to the
-///     connection (a per-connection write mutex serializes writers, so
-///     pipelined responses interleave safely).
+///   * `worker_threads` workers drain the queue, pass each request to the
+///     handler, and write the response frame directly to the connection
+///     (a per-connection write mutex serializes writers, so pipelined
+///     responses interleave safely).
 ///
 /// Robustness semantics:
 ///
@@ -75,12 +87,12 @@ class PlanServer {
     size_t max_connections = 64;
     size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
     /// Opportunistic micro-batching: when a worker pops a single-point
-    /// PREDICT, it drains up to this many total queued requests without
-    /// blocking and answers runs of same-template PREDICTs with one
-    /// batched predictor pass, so even non-batching clients amortize the
-    /// lock/transform/histogram costs under load (DESIGN.md §13). 1 (or
-    /// 0) disables draining; each answer is still written per request,
-    /// so clients observe identical frames either way.
+    /// PREDICT, it also takes the same-template PREDICTs queued right
+    /// behind it (without blocking, up to this many in all) and hands
+    /// them to the handler as one PREDICT_BATCH, so even non-batching
+    /// clients amortize the lock/transform/histogram costs under load
+    /// (DESIGN.md §13). 1 (or 0) disables it; each answer is still written
+    /// per request, so clients observe identical frames either way.
     size_t max_microbatch = 16;
     /// A connection with no inbound bytes for this long is closed
     /// (slow-loris / leaked-peer protection). 0 disables.
@@ -102,7 +114,11 @@ class PlanServer {
     std::function<void(wire::MessageType)> pre_dispatch_hook;
   };
 
+  /// Serves `framework`; the `server.*` instruments go to its registry.
   PlanServer(PpcFramework* framework, Config config);
+  /// Serves `handler`; both it and `metrics` must outlive the server.
+  PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
+             Config config);
   ~PlanServer();
 
   PlanServer(const PlanServer&) = delete;
@@ -142,7 +158,7 @@ class PlanServer {
   struct WorkItem;
 
   void IoLoop();
-  void WorkerLoop();
+  void WorkerLoop(size_t worker_index);
   void AcceptConnections(net::TimerWheel* wheel);
   /// Timer-wheel bookkeeping (IO thread only): (re)arms a connection's
   /// wheel entry from its idle/frame deadlines, and refreshes those
@@ -167,19 +183,25 @@ class PlanServer {
   /// that arrived after the IO loop stopped reading are answered with a
   /// SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
-  wire::Response HandleRequest(const wire::Request& request);
   /// Answers one work item the scalar way: hook, handle, write, account.
-  void ProcessSingle(WorkItem* item);
+  void ProcessSingle(WorkItem* item, size_t worker_index);
   /// Answers `count` same-template single-point PREDICT items with one
-  /// batched predictor pass; falls back to per-item ProcessSingle when
-  /// the batch is rejected (e.g. one point is non-finite), so grouping
-  /// never changes which requests succeed.
-  void ProcessPredictRun(WorkItem* items, size_t count);
+  /// PREDICT_BATCH through the handler; falls back to one request per
+  /// item when the batch is rejected (e.g. one point is non-finite), so
+  /// grouping never changes which requests succeed. Any other failure
+  /// answers every item with the batch's error.
+  void ProcessPredictRun(WorkItem* items, size_t count, size_t worker_index);
+  /// Writes `response` to the item's connection and records its request
+  /// counter and latency.
+  void Reply(WorkItem* item, const wire::Response& response);
   void SendError(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, uint64_t id, wire::WireStatus status,
                  const std::string& message);
 
-  PpcFramework* const framework_;
+  /// Set only when this server built its own framework handler.
+  std::unique_ptr<RequestHandler> owned_handler_;
+  RequestHandler* const handler_;
+  MetricsRegistry* const metrics_;
   const Config config_;
 
   int listen_fd_ = -1;
@@ -206,7 +228,7 @@ class PlanServer {
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
   /// Serving-layer instruments, resolved once at Start() from the
-  /// framework's registry (DESIGN.md §11 naming scheme).
+  /// registry (DESIGN.md §11 naming scheme).
   struct {
     MetricsCounter* requests_predict = nullptr;
     MetricsCounter* requests_predict_batch = nullptr;
@@ -214,8 +236,8 @@ class PlanServer {
     MetricsCounter* requests_metrics = nullptr;
     MetricsCounter* requests_ping = nullptr;
     MetricsCounter* requests_shutdown = nullptr;
-    /// Micro-batching effectiveness: batched predictor passes executed by
-    /// workers, and single-point PREDICTs answered through them.
+    /// Micro-batching effectiveness: runs answered through one
+    /// PREDICT_BATCH, and single-point PREDICTs answered through them.
     MetricsCounter* microbatches = nullptr;
     MetricsCounter* microbatched_predicts = nullptr;
     MetricsCounter* responses_busy = nullptr;
@@ -236,16 +258,10 @@ class PlanServer {
     MetricsCounter* shed_recovered = nullptr;
     MetricsCounter* shed_abstained_predicts = nullptr;
     MetricsCounter* shutdown_swept = nullptr;
-    /// Replication (server.replication.*): snapshots served to joining
-    /// shards (count + bytes shipped), snapshots applied here via
-    /// SNAPSHOT_APPLY, and apply rejections (corrupt/stale/mismatched
-    /// blobs).
+    /// Replication requests and their latency; the framework handler
+    /// counts what they shipped and applied (server.replication.*).
     MetricsCounter* requests_snapshot = nullptr;
     MetricsCounter* requests_snapshot_apply = nullptr;
-    MetricsCounter* replication_snapshots_served = nullptr;
-    MetricsCounter* replication_snapshot_bytes = nullptr;
-    MetricsCounter* replication_applies = nullptr;
-    MetricsCounter* replication_apply_failures = nullptr;
     LatencyHistogram* replication_snapshot_us = nullptr;
     LatencyHistogram* replication_apply_us = nullptr;
     LatencyHistogram* predict_us = nullptr;

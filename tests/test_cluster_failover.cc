@@ -150,7 +150,6 @@ class ClusterFailoverTest : public ::testing::Test {
       ASSERT_TRUE(StartShard(i, /*port=*/0));
     }
     PlanRouter::Config config;
-    config.idle_poll_ms = 10;
     config.backend_deadline_ms = 2000;
     config.probe_interval_ms = 25;
     config.probe_deadline_ms = 250;

@@ -74,6 +74,20 @@ TEST(DeadlineTest, AfterMsOrInfiniteTreatsZeroAsDisabled) {
   EXPECT_FALSE(Deadline::AfterMsOrInfinite(5).infinite());
 }
 
+TEST(ParsePortTest, AcceptsOnlyWholeDecimalPortsInRange) {
+  uint16_t port = 7;
+  EXPECT_TRUE(ParsePort("0", &port));
+  EXPECT_EQ(port, 0);
+  EXPECT_TRUE(ParsePort("65535", &port));
+  EXPECT_EQ(port, 65535);
+  for (const char* bad : {"", "65536", "70000", "99999999999999999999",
+                          "-1", "+80", " 80", "80x", "abc"}) {
+    port = 7;
+    EXPECT_FALSE(ParsePort(bad, &port)) << "'" << bad << "'";
+    EXPECT_EQ(port, 7) << "'" << bad << "' overwrote the port";
+  }
+}
+
 TEST_F(SocketPairTest, WriteAllThenReadFullRoundTrips) {
   const std::string message = "deadline-aware round trip";
   ASSERT_TRUE(WriteAll(left(), message.data(), message.size(),

@@ -1,10 +1,13 @@
 #include "server/router.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +18,7 @@
 #include "common/status.h"
 #include "server/client.h"
 #include "server/hash_ring.h"
+#include "server/net_util.h"
 #include "server/server.h"
 #include "test_util.h"
 #include "workload/templates.h"
@@ -275,15 +279,25 @@ class RouterTest : public ::testing::Test {
                         ->RegisterTemplate(EvaluationTemplate(spec.name))
                         .ok());
       }
+      PlanServer::Config shard_config;
+      // While hung_[i] is set, shard i's workers hold every request, as a
+      // shard that stops answering without closing its connections does.
+      shard_config.pre_dispatch_hook = [this, i](wire::MessageType) {
+        while (hung_[i].load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+      };
       shards_[i] = std::make_unique<PlanServer>(frameworks_[i].get(),
-                                                PlanServer::Config{});
+                                                shard_config);
       ASSERT_TRUE(shards_[i]->Start().ok());
     }
   }
 
-  void StartRouter(std::vector<int> backend_indices = {0, 1}) {
+  void StartRouter(std::vector<int> backend_indices = {0, 1},
+                   int64_t backend_deadline_ms =
+                       PlanRouter::Config{}.backend_deadline_ms) {
     PlanRouter::Config config;
-    config.idle_poll_ms = 10;
+    config.backend_deadline_ms = backend_deadline_ms;
     // Keep these tests deterministic: no background prober, so breaker
     // state moves only on the passive failures each test provokes. The
     // full health model (probes, rejoin, replication) is exercised by
@@ -337,6 +351,7 @@ class RouterTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    for (auto& hung : hung_) hung.store(false);
     if (router_ != nullptr) router_->Stop();
     for (auto& shard : shards_) {
       if (shard != nullptr) shard->Stop();
@@ -344,6 +359,7 @@ class RouterTest : public ::testing::Test {
   }
 
   std::unique_ptr<PpcFramework> frameworks_[kShards];
+  std::atomic<bool> hung_[kShards] = {};
   std::unique_ptr<PlanServer> shards_[kShards];
   std::unique_ptr<PlanRouter> router_;
 };
@@ -562,6 +578,252 @@ TEST_F(RouterTest, ConcurrentClientsRouteWithoutInterference) {
     }
   }
   EXPECT_EQ(sum, kTotal);
+}
+
+/// One numeric field of /proc/self/status (sizes are in kB), or -1.
+long ProcStatusField(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  const std::string prefix = field + ":";
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(prefix, 0) == 0) {
+      return std::strtol(line.c_str() + prefix.size(), nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST_F(RouterTest, ConnectionChurnLeavesThreadsAndAddressSpaceBounded) {
+  StartRouter();
+  // Let every serving thread allocate once first, so a per-thread malloc
+  // arena reserved on first use is not mistaken for growth.
+  for (int i = 0; i < 20; ++i) {
+    PpcClient client;
+    ASSERT_TRUE(ConnectClient(&client).ok());
+    ASSERT_TRUE(client.Ping().ok());
+  }
+  const long threads_before = ProcStatusField("Threads");
+  const long vm_before_kb = ProcStatusField("VmSize");
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_before_kb, 0);
+
+  for (int i = 0; i < 2000; ++i) {
+    Result<int> fd = net::Connect("127.0.0.1", router_->port(),
+                                  net::Deadline::AfterMs(5000));
+    ASSERT_TRUE(fd.ok()) << "cycle " << i << ": " << fd.status().ToString();
+    ::close(fd.value());
+  }
+
+  // A thread per connection would exit on the peer's close but keep its
+  // stack mapped until joined: the thread count recovers, VmSize does not.
+  long threads_after = ProcStatusField("Threads");
+  for (int spin = 0; spin < 500 && threads_after != threads_before; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    threads_after = ProcStatusField("Threads");
+  }
+  EXPECT_EQ(threads_after, threads_before);
+  const long vm_growth_kb = ProcStatusField("VmSize") - vm_before_kb;
+  EXPECT_LT(vm_growth_kb, 64 * 1024) << "VmSize grew " << vm_growth_kb
+                                     << " kB over 2000 connect/close cycles";
+}
+
+TEST_F(RouterTest, ConnectionsAboveTheLimitAreAcceptedThenClosed) {
+  StartRouter();
+  PpcClient::Options options;
+  options.call_deadline_ms = 5000;
+  std::vector<std::unique_ptr<PpcClient>> admitted;
+  const size_t limit = PlanServer::Config{}.max_connections;
+  for (size_t i = 0; i < limit; ++i) {
+    auto client = std::make_unique<PpcClient>(options);
+    ASSERT_TRUE(ConnectClient(client.get()).ok());
+    ASSERT_TRUE(client->Ping().ok()) << "connection " << i;
+    admitted.push_back(std::move(client));
+  }
+
+  // The kernel completes the handshake; the router then closes the
+  // connection without reading from it.
+  PpcClient extra(options);
+  ASSERT_TRUE(ConnectClient(&extra).ok());
+  EXPECT_FALSE(extra.Ping().ok());
+  EXPECT_GE(router_->metrics().counter("server.connections.rejected").value(),
+            1u);
+  // The admitted connections are unaffected.
+  EXPECT_TRUE(admitted.front()->Ping().ok());
+  EXPECT_TRUE(admitted.back()->Ping().ok());
+}
+
+TEST_F(RouterTest, PipelinedPredictsGetTheShardDirectAnswers) {
+  StartRouter();
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(client
+                    .Execute("Q1", {0.5 + rng.Uniform(-0.02, 0.02),
+                                    0.5 + rng.Uniform(-0.02, 0.02)})
+                    .ok());
+  }
+
+  // 64 PREDICTs in flight on one connection; the router's workers may
+  // forward runs of them as one PREDICT_BATCH.
+  std::vector<std::vector<double>> points;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 64; ++i) {
+    const double spread = (i % 3 == 0) ? 0.45 : 0.03;
+    points.push_back({0.5 + rng.Uniform(-spread, spread),
+                      0.5 + rng.Uniform(-spread, spread)});
+    auto id = client.SendPredict("Q1", points.back());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+
+  PpcClient direct;
+  ASSERT_TRUE(
+      direct.Connect("127.0.0.1", shards_[OwnerIndex("Q1")]->port()).ok());
+  int committed = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto routed = client.Wait(ids[i]);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_TRUE(routed.value().ok()) << routed.value().error;
+    auto expected = direct.Predict("Q1", points[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(routed.value().predict.plan, expected.value().plan)
+        << "point " << i;
+    EXPECT_EQ(routed.value().predict.confidence, expected.value().confidence)
+        << "point " << i;
+    if (expected.value().plan != kNullPlanId) ++committed;
+  }
+  EXPECT_GT(committed, 0) << "the template never warmed to a committed plan";
+}
+
+TEST_F(RouterTest, ExecuteAfterAShardRestartIsNotFailedOver) {
+  StartRouter();
+  const std::string name = "Q1";
+  const int owner = OwnerIndex(name);
+  ASSERT_GE(owner, 0);
+
+  // Enough EXECUTEs in flight at once that every router worker opens its
+  // own connection to the owning shard.
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 64; ++i) {
+    auto id = client.SendExecute(name, PointFor(name));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  for (uint64_t id : ids) ASSERT_TRUE(client.Wait(id).ok());
+
+  // Restart the shard on its port: every cached worker connection to it
+  // is now closed by the peer.
+  const uint16_t port = shards_[owner]->port();
+  shards_[owner]->Stop();
+  PlanServer::Config config;
+  config.port = port;
+  bool restarted = false;
+  for (int attempt = 0; attempt < 100 && !restarted; ++attempt) {
+    shards_[owner] =
+        std::make_unique<PlanServer>(frameworks_[owner].get(), config);
+    restarted = shards_[owner]->Start().ok();
+    if (!restarted) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(restarted);
+
+  // Each worker re-dials instead of failing the EXECUTE (which is never
+  // replayed on the primary) over to the replica.
+  for (int i = 0; i < 16; ++i) {
+    auto executed = client.Execute(name, PointFor(name));
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_FALSE(executed.value().failed_over) << "execute " << i;
+  }
+  EXPECT_EQ(router_->metrics().counter("router.failovers").value(), 0u);
+}
+
+TEST_F(RouterTest, AHungShardLeavesTheOtherShardsTemplatesServed) {
+  StartRouter({0, 1}, /*backend_deadline_ms=*/1500);
+  std::string hung_template;
+  std::string live_template;
+  for (const TemplateSpec& spec : kTemplates) {
+    const int owner = OwnerIndex(spec.name);
+    if (owner == 0 && hung_template.empty()) hung_template = spec.name;
+    if (owner == 1 && live_template.empty()) live_template = spec.name;
+  }
+  ASSERT_FALSE(hung_template.empty());
+  ASSERT_FALSE(live_template.empty());
+
+  // Shard 0 hangs. Twice as many EXECUTEs for it as the router has
+  // workers; each forward it accepts blocks until the backend deadline.
+  hung_[0].store(true);
+  PpcClient hung_client;
+  ASSERT_TRUE(ConnectClient(&hung_client).ok());
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 2 * PlanServer::Config{}.worker_threads; ++i) {
+    auto id = hung_client.SendExecute(hung_template, PointFor(hung_template));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // Shard 1's templates are still answered well inside that deadline.
+  PpcClient live_client;
+  ASSERT_TRUE(ConnectClient(&live_client).ok());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 5; ++i) {
+    auto predicted =
+        live_client.Predict(live_template, PointFor(live_template));
+    ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+    auto executed =
+        live_client.Execute(live_template, PointFor(live_template));
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_FALSE(executed.value().failed_over);
+  }
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, 750)
+      << "requests for the live shard waited behind the hung one";
+
+  hung_[0].store(false);
+  for (uint64_t id : ids) ASSERT_TRUE(hung_client.Wait(id).ok());
+}
+
+TEST_F(RouterTest, AFailedRunIsForwardedOnceNotOncePerItem) {
+  StartRouter();
+  shards_[0]->Stop();
+  shards_[1]->Stop();
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  constexpr int kRequests = 64;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kRequests; ++i) {
+    auto id = client.SendPredict("Q1", PointFor("Q1"));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  for (uint64_t id : ids) {
+    auto answer = client.Wait(id);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer.value().status, wire::WireStatus::kInternal);
+  }
+
+  // Each run of PREDICTs the core batched is one forward, and so one
+  // failure, like each PREDICT it forwarded alone. The core counts a run
+  // after writing its answers, so poll briefly.
+  MetricsRegistry& metrics = router_->metrics();
+  uint64_t failures = 0;
+  uint64_t forwards = 0;
+  for (int spin = 0; spin < 2000; ++spin) {
+    failures = metrics.counter("router.forward_failures").value();
+    forwards = kRequests -
+               metrics.counter("server.microbatched_predicts").value() +
+               metrics.counter("server.microbatches").value();
+    if (failures == forwards) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(failures, forwards);
+  EXPECT_GT(metrics.counter("server.microbatches").value(), 0u)
+      << "no run formed, so the batch path went untested";
 }
 
 TEST_F(RouterTest, ShutdownOverTheWireDrainsTheRouter) {
