@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification sweep:
 #   1. documentation checks (markdown links, header doc presence),
-#   2. plain build + the entire test suite (the tier-1 gate), then a
-#      forced-scalar leg (PPC_DISABLE_AVX2=1) over the SIMD-dispatching
-#      tests so the portable kernels stay exercised,
+#   2. plain build + the entire test suite (the tier-1 gate, including
+#      the Golden.* paper-output locks), then a forced-scalar leg
+#      (PPC_DISABLE_AVX2=1) over the SIMD-dispatching tests and the
+#      goldens so the portable kernels stay exercised,
 #   3. perfbench build + its own tests: the benchmark package under
 #      perfbench/ links against src/, so an API change that breaks the
 #      benchmark fails here,
@@ -41,13 +42,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -LE chaos -j "$JOBS")
 
-echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, transform, predictor"
+echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, predictor, goldens"
 # Reruns every test that exercises the SIMD dispatch with the AVX2 tier
 # disabled, so the portable scalar kernels stay a first-class code path
-# (they are the bit-identity oracle and the fallback on older CPUs).
+# (they are the bit-identity oracle and the fallback on older CPUs). The
+# Golden tests rerun the paper benches, whose output must not depend on
+# the tier.
 (cd build && PPC_DISABLE_AVX2=1 \
   ctest --output-on-failure -LE chaos \
-    -R 'Simd|Transform|Zorder|LshHistograms|PlanSynopsis|Predictor|Retune|Generation' \
+    -R 'Simd|Transform|Zorder|LshHistograms|PlanSynopsis|Predictor|Retune|Generation|Golden' \
     -j "$JOBS")
 
 echo "==> perfbench build + tests (the benchmark compiles against src/)"

@@ -128,16 +128,6 @@ double RandomizedTransform::LinearizedPosition(
   return curve_.Linearize(Cell(point));
 }
 
-void RandomizedTransform::LinearizedPositionBatch(const double* points,
-                                                  size_t count,
-                                                  double* out) const {
-  const size_t s = static_cast<size_t>(config_.output_dims);
-  std::vector<double> transformed(count * s);
-  std::vector<uint32_t> cell(s);
-  LinearizedPositionBatch(points, count, out, transformed.data(),
-                          cell.data());
-}
-
 void RandomizedTransform::LinearizedPositionBatch(
     const double* points, size_t count, double* out, double* transformed_ws,
     uint32_t* cell_ws) const {
@@ -177,13 +167,6 @@ void RandomizedTransform::CellBoxFromTransformed(
         Clamp(std::floor(hi_frac * static_cast<double>(cells)), 0.0,
               static_cast<double>(cells - 1)));
   }
-}
-
-void RandomizedTransform::CellBox(const std::vector<double>& point, double d,
-                                  std::vector<uint32_t>* lo,
-                                  std::vector<uint32_t>* hi) const {
-  const std::vector<double> y = Apply(point);
-  CellBoxFromTransformed(y.data(), d, lo, hi);
 }
 
 double RandomizedTransform::RangeHalfWidth(double d) const {

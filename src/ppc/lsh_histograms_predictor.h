@@ -90,6 +90,8 @@ class LshHistogramsPredictor : public PlanPredictor {
   LshHistogramsPredictor& operator=(const LshHistogramsPredictor& other);
   LshHistogramsPredictor& operator=(LshHistogramsPredictor&& other) noexcept;
 
+  /// A batch of one: PredictBatchInto(x.data(), 1, ...). `x` must have
+  /// config().dimensions coordinates.
   Prediction Predict(const std::vector<double>& x) const override;
 
   /// Batched Predict over `count` points stored contiguously row-major
@@ -99,7 +101,9 @@ class LshHistogramsPredictor : public PlanPredictor {
   /// once, applies each randomized transform as one matrix-times-batch
   /// kernel, and walks each plan histogram's buckets once per batch
   /// instead of once per point (range queries grouped per intermediate
-  /// space).
+  /// space). A batch of several points probes exported bucket tables with
+  /// the SIMD kernels; a batch of one counts straight from the histograms,
+  /// since an export only one point reads costs more than it saves.
   std::vector<Prediction> PredictBatch(const double* points,
                                        size_t count) const;
 
@@ -167,22 +171,14 @@ class LshHistogramsPredictor : public PlanPredictor {
   }
 
   /// Curve intervals to query for `x`, one list per transform (a single
-  /// interval in the paper's mode, a decomposition in extension mode).
-  /// All intervals lie within the histogram domain [0, 1]. Public for
-  /// tests and diagnostics.
+  /// interval in the paper's mode, a decomposition in extension mode),
+  /// built by the same range builder as the predict path. All intervals
+  /// lie within the histogram domain [0, 1]. Public for tests and
+  /// diagnostics.
   std::vector<std::vector<ZInterval>> QueryRanges(
       const std::vector<double>& x) const;
 
-  /// Batched QueryRanges over `count` row-major points. Note the
-  /// transform-major layout — result[i][p] is point p's interval list in
-  /// intermediate space i — chosen so downstream histogram queries can be
-  /// grouped per intermediate space. Public for tests and diagnostics.
-  std::vector<std::vector<std::vector<ZInterval>>> QueryRangesBatch(
-      const double* points, size_t count) const;
-
  private:
-  Prediction PredictLocked(const std::vector<double>& x) const;
-
   /// Parses the checksum-verified config and data section payloads. Kept
   /// separate from Restore so envelope validation (magic, version,
   /// section lengths, checksum) and content validation cannot interleave.

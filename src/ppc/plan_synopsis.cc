@@ -21,96 +21,29 @@ void PlanSynopsis::Insert(size_t transform_idx, double position,
   histograms_[transform_idx].Insert(position, cost);
 }
 
-double PlanSynopsis::MedianCount(const std::vector<double>& positions,
-                                 const std::vector<double>& deltas) const {
-  PPC_DCHECK(positions.size() == histograms_.size());
-  PPC_DCHECK(deltas.size() == histograms_.size());
-  std::vector<double> counts;
-  counts.reserve(histograms_.size());
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    counts.push_back(histograms_[i].EstimateCount(positions[i] - deltas[i],
-                                                  positions[i] + deltas[i]));
-  }
-  return Median(std::move(counts));
-}
-
-double PlanSynopsis::MedianAverageCost(
-    const std::vector<double>& positions,
-    const std::vector<double>& deltas) const {
-  std::vector<double> costs;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const double count = histograms_[i].EstimateCount(
-        positions[i] - deltas[i], positions[i] + deltas[i]);
-    if (count <= 0.0) continue;
-    costs.push_back(histograms_[i].EstimateAverageCost(
-        positions[i] - deltas[i], positions[i] + deltas[i]));
-  }
-  return costs.empty() ? 0.0 : Median(std::move(costs));
-}
-
-double PlanSynopsis::MedianCount(
-    const std::vector<std::vector<ZInterval>>& ranges) const {
-  PPC_DCHECK(ranges.size() == histograms_.size());
-  std::vector<double> counts;
-  counts.reserve(histograms_.size());
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    double count = 0.0;
-    for (const ZInterval& interval : ranges[i]) {
-      count += histograms_[i].EstimateCount(interval.lo, interval.hi);
-    }
-    counts.push_back(count);
-  }
-  return Median(std::move(counts));
-}
-
-double PlanSynopsis::MedianAverageCost(
-    const std::vector<std::vector<ZInterval>>& ranges) const {
-  PPC_DCHECK(ranges.size() == histograms_.size());
-  std::vector<double> costs;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    double count = 0.0;
-    double cost_sum = 0.0;
-    for (const ZInterval& interval : ranges[i]) {
-      const double c =
-          histograms_[i].EstimateCount(interval.lo, interval.hi);
-      if (c <= 0.0) continue;
-      count += c;
-      cost_sum +=
-          c * histograms_[i].EstimateAverageCost(interval.lo, interval.hi);
-    }
-    if (count > 0.0) costs.push_back(cost_sum / count);
-  }
-  return costs.empty() ? 0.0 : Median(std::move(costs));
-}
-
-void PlanSynopsis::BatchTransformCounts(
-    const std::vector<std::vector<std::vector<ZInterval>>>&
-        ranges_by_transform,
-    size_t point_count, double* counts_out) const {
-  PPC_DCHECK(ranges_by_transform.size() == histograms_.size());
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const StreamingHistogram& histogram = histograms_[i];
-    PPC_DCHECK(ranges_by_transform[i].size() == point_count);
-    double* row = counts_out + i * point_count;
-    for (size_t p = 0; p < point_count; ++p) {
-      double count = 0.0;
-      for (const ZInterval& interval : ranges_by_transform[i][p]) {
-        count += histogram.EstimateCount(interval.lo, interval.hi);
-      }
-      row[p] = count;
-    }
-  }
-}
-
 void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
                                         double* counts_out,
                                         double* probe_scratch) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
+  if (ranges.point_count == 1) {
+    // A lone point reads each histogram once, so exporting its probe
+    // table would cost more than it saves: count straight from the
+    // buckets (the kernels are bit-identical to EstimateCount).
+    for (size_t i = 0; i < histograms_.size(); ++i) {
+      double total = 0.0;
+      const auto [begin, end] = ranges.Slice(i, 0);
+      for (const ZInterval* interval = begin; interval != end; ++interval) {
+        total += histograms_[i].EstimateCount(interval->lo, interval->hi);
+      }
+      counts_out[i] = total;
+    }
+    return;
+  }
   for (size_t i = 0; i < histograms_.size(); ++i) {
     const StreamingHistogram& histogram = histograms_[i];
-    // One probe export per (histogram, batch): the extent math that the
-    // scalar EstimateCount redoes for every (point, bucket) pair is paid
-    // once here, then the kernel streams the flat arrays.
+    // One probe export per (histogram, batch): the extent math that
+    // EstimateCount redoes for every (point, bucket) pair is paid once
+    // here, then the kernel streams the flat arrays.
     const size_t b = histogram.bucket_count();
     double* left = probe_scratch;
     double* right = probe_scratch + b;
@@ -175,36 +108,6 @@ void PlanSynopsis::ExportCostProbes(size_t stride, double* probes) const {
   }
 }
 
-double PlanSynopsis::MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
-                                                 size_t point, size_t stride,
-                                                 const double* probes,
-                                                 double* scratch) const {
-  PPC_DCHECK(ranges.transform_count == histograms_.size());
-  size_t n = 0;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const size_t b = histograms_[i].bucket_count();
-    const double* base = probes + i * 5 * stride;
-    double count = 0.0;
-    double cost_sum = 0.0;
-    const auto [begin, end] = ranges.Slice(i, point);
-    for (const ZInterval* interval = begin; interval != end; ++interval) {
-      double c, cost;
-      simd::HistogramRangeCountCost(base, base + stride, base + 2 * stride,
-                                    base + 3 * stride, base + 4 * stride, b,
-                                    interval->lo, interval->hi, &c, &cost);
-      if (c <= 0.0) continue;
-      count += c;
-      // c * (cost / c), not cost: the scalar oracle computes
-      // c * EstimateAverageCost(..) and EstimateAverageCost rounds the
-      // quotient before the caller multiplies it back. Collapsing the
-      // pair to `cost` would skip both roundings and break bit-identity.
-      cost_sum += c * (cost / c);
-    }
-    if (count > 0.0) scratch[n++] = cost_sum / count;
-  }
-  return n == 0 ? 0.0 : MedianInPlace(scratch, n);
-}
-
 void PlanSynopsis::BatchAverageCostsFromProbes(
     const FlatQueryRanges& ranges, const uint32_t* point_idx, size_t n,
     size_t stride, const double* probes, double* bounds_ws,
@@ -229,8 +132,11 @@ void PlanSynopsis::BatchAverageCostsFromProbes(
         counts_ws + i * n, costs_ws + i * n);
   }
   for (size_t k = 0; k < n; ++k) {
-    // Same per-transform accumulation as MedianAverageCostFromProbes,
-    // degenerate single-interval form: count = c, cost_sum = c * (cost/c).
+    // Same per-transform accumulation as MedianAverageCost, single-interval
+    // form: count = c, cost_sum = c * (cost / c). Not `cost`: the
+    // reference computes c * EstimateAverageCost(..), and
+    // EstimateAverageCost rounds the quotient before it is multiplied back,
+    // so collapsing the pair would skip both roundings.
     size_t m = 0;
     for (size_t i = 0; i < t; ++i) {
       const double c = counts_ws[i * n + k];

@@ -10,13 +10,11 @@
 
 namespace ppc {
 
-/// The serving fast path's view of a batch's query ranges: all intervals
-/// in one flat array, transform-major (every interval of transform 0, then
-/// transform 1, ...), with slot (i, p) = i * point_count + p addressing
-/// point p's intervals in transform i. Replaces the
-/// vector<vector<vector<ZInterval>>> nesting, whose per-slot allocations
-/// dominated the predict profile. Non-owning — the backing storage lives
-/// in the caller's per-request scratch.
+/// A batch's query ranges: all intervals in one flat array,
+/// transform-major (every interval of transform 0, then transform 1, ...),
+/// with slot (i, p) = i * point_count + p addressing point p's intervals
+/// in transform i. A single point is a batch of one. Non-owning — the
+/// backing storage lives in the caller's per-request scratch.
 struct FlatQueryRanges {
   const ZInterval* intervals = nullptr;
   /// Slot offsets into `intervals`: slot k covers
@@ -50,26 +48,26 @@ class PlanSynopsis {
   /// `transform_idx`'s linearized space, with execution cost `cost`.
   void Insert(size_t transform_idx, double position, double cost);
 
-  /// Density estimate: the median over transforms of the count in
-  /// [positions[i] - deltas[i], positions[i] + deltas[i]].
-  double MedianCount(const std::vector<double>& positions,
-                     const std::vector<double>& deltas) const;
+  /// Per-transform range counts of every point in `ranges`: the summed
+  /// count of slot (i, p)'s intervals lands in
+  /// `counts_out[i * point_count + p]`; the median over i is point p's
+  /// density estimate. Iterates transform-outer / point-inner so one
+  /// histogram's bucket array stays cache-resident across the whole batch
+  /// (the "group range queries per intermediate space" amortization).
+  /// Several points share one probe export per histogram into
+  /// `probe_scratch` (caller-provided, >= 4 * max_buckets doubles) and the
+  /// runtime-dispatched simd::HistogramRangeCount{,Many} kernels; a lone
+  /// point counts with StreamingHistogram::EstimateCount instead. Either
+  /// way each count is bit-identical to summing EstimateCount over the
+  /// slot's intervals.
+  void BatchTransformCounts(const FlatQueryRanges& ranges, double* counts_out,
+                            double* probe_scratch) const;
 
-  /// Median over transforms of the average cost in the same ranges,
-  /// taken over transforms with non-zero local density.
-  double MedianAverageCost(const std::vector<double>& positions,
-                           const std::vector<double>& deltas) const;
-
-  /// Interval-list variants: ranges[i] is the (sorted, disjoint) set of
-  /// curve intervals to query in transform i; the per-transform count is
-  /// the sum over intervals (exact Z-range decomposition mode).
-  double MedianCount(const std::vector<std::vector<ZInterval>>& ranges) const;
-  double MedianAverageCost(
-      const std::vector<std::vector<ZInterval>>& ranges) const;
-
-  /// MedianAverageCost of one point's slots in a flat batch view, writing
-  /// the per-transform costs into `scratch` (>= transform_count doubles)
-  /// instead of allocating. Bit-identical to the vector overload.
+  /// Median over transforms of the average cost in `point`'s ranges, taken
+  /// over transforms with non-zero local density; 0 when none has any.
+  /// Computed with EstimateCount/EstimateAverageCost (a transform's cost
+  /// is the count-weighted mean over its intervals), writing the
+  /// per-transform costs into `scratch` (>= transform_count doubles).
   double MedianAverageCost(const FlatQueryRanges& ranges, size_t point,
                            double* scratch) const;
 
@@ -78,60 +76,25 @@ class PlanSynopsis {
   /// stride doubles, stride >= every histogram's bucket_count()).
   /// Transform i's table starts at probes + i * 5 * stride and holds the
   /// five arrays [left | right | count | cost | centroid], each `stride`
-  /// apart. Pairs with MedianAverageCostFromProbes, which amortizes the
+  /// apart. Pairs with BatchAverageCostsFromProbes, which amortizes the
   /// per-bucket extent math once per (synopsis, batch) instead of once
   /// per (point, bucket, estimate).
   void ExportCostProbes(size_t stride, double* probes) const;
 
-  /// MedianAverageCost of one point's slots computed from a table built by
-  /// ExportCostProbes, via the runtime-dispatched
-  /// simd::HistogramRangeCountCost kernel. Bit-identical to the
-  /// MedianAverageCost overloads above (which remain the oracle): per
-  /// interval the kernel's count matches EstimateCount bit for bit and the
-  /// caller reconstructs c * EstimateAverageCost as c * (cost / c).
-  double MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
-                                     size_t point, size_t stride,
-                                     const double* probes,
-                                     double* scratch) const;
-
-  /// Batched MedianAverageCostFromProbes over the `n` points
-  /// point_idx[0..n) of a single-range batch (ranges.offsets == nullptr;
-  /// callers in interval-decomposition mode use the per-point variant).
-  /// One across-queries kernel call per transform covers every selected
-  /// point; out[k] receives point_idx[k]'s median average cost,
-  /// bit-identical to the per-point form. Caller-provided workspaces:
-  /// bounds_ws >= 2 * n, counts_ws and costs_ws >= transform_count * n,
-  /// median_ws >= transform_count doubles.
+  /// MedianAverageCost of the `n` points point_idx[0..n) of a single-range
+  /// batch (ranges.offsets == nullptr), from a table built by
+  /// ExportCostProbes. One across-queries simd::HistogramRangeCountCostMany
+  /// call per transform covers every selected point; out[k] receives
+  /// point_idx[k]'s median average cost, bit-identical to
+  /// MedianAverageCost. Caller-provided workspaces: bounds_ws >= 2 * n,
+  /// counts_ws and costs_ws >= transform_count * n, median_ws >=
+  /// transform_count doubles.
   void BatchAverageCostsFromProbes(const FlatQueryRanges& ranges,
                                    const uint32_t* point_idx, size_t n,
                                    size_t stride, const double* probes,
                                    double* bounds_ws, double* counts_ws,
                                    double* costs_ws, double* median_ws,
                                    double* out) const;
-
-  /// Batched per-transform counts for the serving fast path:
-  /// `ranges_by_transform[i][p]` is point p's interval list in transform i
-  /// (transform-major layout), and the summed count of that list lands in
-  /// `counts_out[i * point_count + p]`. Iterates transform-outer /
-  /// point-inner so one histogram's bucket array stays cache-resident
-  /// across the whole batch — this is the "group range queries per
-  /// intermediate space" amortization. Each individual interval sum uses
-  /// the same accumulation order as the scalar MedianCount, so a median
-  /// assembled from `counts_out` is bit-identical to the scalar result.
-  void BatchTransformCounts(
-      const std::vector<std::vector<std::vector<ZInterval>>>&
-          ranges_by_transform,
-      size_t point_count, double* counts_out) const;
-
-  /// Flat, allocation-free variant used by the predict hot path: same
-  /// semantics and bit-identical results (the nested overload above is
-  /// the oracle), but ranges come as a FlatQueryRanges view, each
-  /// histogram's bucket extents are exported once per batch into
-  /// `probe_scratch` (caller-provided, >= 4 * max_buckets doubles, e.g.
-  /// arena-backed), and each interval is counted by the runtime-dispatched
-  /// simd::HistogramRangeCount kernel.
-  void BatchTransformCounts(const FlatQueryRanges& ranges, double* counts_out,
-                            double* probe_scratch) const;
 
   /// Samples inserted (identical across transforms; per-transform count).
   size_t SampleCount() const;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -17,18 +18,19 @@ double MicrosSince(Clock::time_point start) {
 }
 
 /// Boundary validation for points arriving from outside the process (the
-/// serving layer): a wrong-arity or non-finite point must fail as
-/// InvalidArgument here, not trip PPC_DCHECKs (or silently corrupt
-/// histograms) inside the LSH transform stack.
-Status ValidatePoint(const QueryTemplate& tmpl,
-                     const std::vector<double>& point) {
-  if (static_cast<int>(point.size()) != tmpl.ParameterDegree()) {
+/// serving layer): `count` row-major points of `dims` coordinates each. A
+/// wrong arity or a non-finite coordinate must fail as InvalidArgument
+/// here, not trip PPC_DCHECKs (or silently corrupt histograms) inside the
+/// LSH transform stack.
+Status ValidatePoints(const QueryTemplate& tmpl, const double* points,
+                      size_t count, size_t dims) {
+  if (static_cast<int>(dims) != tmpl.ParameterDegree()) {
     return Status::InvalidArgument(
-        "point has " + std::to_string(point.size()) + " dimensions; template " +
+        "point has " + std::to_string(dims) + " dimensions; template " +
         tmpl.name + " has degree " + std::to_string(tmpl.ParameterDegree()));
   }
-  for (double v : point) {
-    if (!std::isfinite(v)) {
+  for (size_t i = 0; i < count * dims; ++i) {
+    if (!std::isfinite(points[i])) {
       return Status::InvalidArgument("point coordinate is not finite");
     }
   }
@@ -93,8 +95,7 @@ Status PpcFramework::RegisterTemplate(const QueryTemplate& tmpl) {
   // FNV-1a, not std::hash: the per-template seed must be identical across
   // standard libraries so experiment runs reproduce cross-platform.
   online.seed = config_.seed ^ Fnv1a64(tmpl.name);
-  state->online.store(std::make_shared<OnlinePpcPredictor>(online),
-                      std::memory_order_release);
+  state->online = std::make_shared<OnlinePpcPredictor>(online);
 
   std::unique_lock<std::shared_mutex> lock(templates_mu_);
   if (sealed()) {
@@ -130,27 +131,10 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteInstance(
 
 Result<PpcFramework::PredictReport> PpcFramework::PredictAtPoint(
     const std::string& template_name, const std::vector<double>& point) const {
-  std::shared_lock<std::shared_mutex> lock(templates_mu_);
-  auto it = templates_.find(template_name);
-  if (it == templates_.end()) {
-    return Status::NotFound("template " + template_name +
-                            " is not registered");
-  }
-  const TemplateState* state = it->second.get();
-  PPC_RETURN_NOT_OK(ValidatePoint(state->tmpl, point));
-  // One generation snapshot per request: a concurrent handoff cannot pull
-  // the predictor out from under this read, and
-  // LshHistogramsPredictor::Predict synchronizes internally (shared read
-  // lock) against concurrent EXECUTE-path mutators.
-  const std::shared_ptr<OnlinePpcPredictor> online =
-      state->online.load(std::memory_order_acquire);
-  const Prediction prediction = online->predictor().Predict(point);
-  PredictReport report;
-  report.plan = prediction.plan;
-  report.confidence = prediction.confidence;
-  report.cache_hit =
-      prediction.has_value() && plan_cache_.Contains(prediction.plan);
-  return report;
+  PPC_ASSIGN_OR_RETURN(
+      std::vector<PredictReport> reports,
+      PredictBatch(template_name, point.data(), 1, point.size()));
+  return reports[0];
 }
 
 Result<std::vector<PpcFramework::PredictReport>> PpcFramework::PredictBatch(
@@ -166,19 +150,12 @@ Result<std::vector<PpcFramework::PredictReport>> PpcFramework::PredictBatch(
   if (count == 0) {
     return Status::InvalidArgument("empty prediction batch");
   }
-  if (static_cast<int>(dims) != state->tmpl.ParameterDegree()) {
-    return Status::InvalidArgument(
-        "batch points have " + std::to_string(dims) +
-        " dimensions; template " + state->tmpl.name + " has degree " +
-        std::to_string(state->tmpl.ParameterDegree()));
-  }
-  for (size_t i = 0; i < count * dims; ++i) {
-    if (!std::isfinite(points[i])) {
-      return Status::InvalidArgument("point coordinate is not finite");
-    }
-  }
-  const std::shared_ptr<OnlinePpcPredictor> online =
-      state->online.load(std::memory_order_acquire);
+  PPC_RETURN_NOT_OK(ValidatePoints(state->tmpl, points, count, dims));
+  // One generation snapshot per request: a concurrent handoff cannot pull
+  // the predictor out from under this read, and the predictor
+  // synchronizes internally (shared read lock) against concurrent
+  // EXECUTE-path mutators.
+  const std::shared_ptr<OnlinePpcPredictor> online = state->Online();
   const std::vector<Prediction> predictions =
       online->predictor().PredictBatch(points, count);
   std::vector<PredictReport> reports(count);
@@ -195,7 +172,8 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteAtPoint(
     const std::string& template_name, const std::vector<double>& point) {
   Seal();
   PPC_ASSIGN_OR_RETURN(TemplateState * state, FindTemplate(template_name));
-  PPC_RETURN_NOT_OK(ValidatePoint(state->tmpl, point));
+  PPC_RETURN_NOT_OK(
+      ValidatePoints(state->tmpl, point.data(), 1, point.size()));
   QueryReport report;
   instruments_.queries->Increment();
 
@@ -203,8 +181,7 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteAtPoint(
   // feedback report land on the same predictor even if a refit installs
   // a newer generation mid-query (late feedback to a superseded
   // generation is harmless — it is about to be dropped).
-  const std::shared_ptr<OnlinePpcPredictor> online =
-      state->online.load(std::memory_order_acquire);
+  const std::shared_ptr<OnlinePpcPredictor> online = state->Online();
 
   // --- Predict ---
   auto predict_start = Clock::now();
@@ -334,7 +311,7 @@ std::shared_ptr<const OnlinePpcPredictor> PpcFramework::online_predictor(
   auto it = templates_.find(template_name);
   return it == templates_.end()
              ? nullptr
-             : it->second->online.load(std::memory_order_acquire);
+             : it->second->Online();
 }
 
 std::shared_ptr<OnlinePpcPredictor> PpcFramework::mutable_online_predictor(
@@ -343,7 +320,7 @@ std::shared_ptr<OnlinePpcPredictor> PpcFramework::mutable_online_predictor(
   auto it = templates_.find(template_name);
   return it == templates_.end()
              ? nullptr
-             : it->second->online.load(std::memory_order_acquire);
+             : it->second->Online();
 }
 
 Status PpcFramework::InstallPredictorGeneration(
@@ -367,22 +344,21 @@ Status PpcFramework::InstallPredictorGeneration(
         std::to_string(state->tmpl.ParameterDegree()));
   }
   const uint32_t next_generation = next->predictor().transform_generation();
-  // CAS loop: a concurrent install (refit worker racing a replication
-  // apply) can never regress the serving generation.
-  std::shared_ptr<OnlinePpcPredictor> current =
-      state->online.load(std::memory_order_acquire);
-  for (;;) {
-    if (current != nullptr &&
-        next_generation <= current->predictor().transform_generation()) {
+  // Check and swap under one lock: a concurrent install (refit worker
+  // racing a replication apply) can never regress the serving generation.
+  // The superseded generation is released after the lock, so its
+  // destruction never runs inside the critical section.
+  std::shared_ptr<OnlinePpcPredictor> previous;
+  {
+    std::lock_guard<std::mutex> online_lock(state->online_mu);
+    const uint32_t serving =
+        state->online->predictor().transform_generation();
+    if (next_generation <= serving) {
       return Status::InvalidArgument(
           "predictor generation " + std::to_string(next_generation) +
-          " is not newer than serving generation " +
-          std::to_string(current->predictor().transform_generation()));
+          " is not newer than serving generation " + std::to_string(serving));
     }
-    if (state->online.compare_exchange_strong(current, next,
-                                              std::memory_order_acq_rel)) {
-      break;
-    }
+    previous = std::exchange(state->online, std::move(next));
   }
   metrics_.gauge("drift." + template_name + ".generation")
       .Set(static_cast<double>(next_generation));
@@ -404,8 +380,7 @@ PpcFramework::FrameworkMetrics PpcFramework::MetricsSnapshot() const {
     std::shared_lock<std::shared_mutex> lock(templates_mu_);
     snap.templates.reserve(templates_.size());
     for (const auto& [name, state] : templates_) {
-      const std::shared_ptr<OnlinePpcPredictor> online =
-          state->online.load(std::memory_order_acquire);
+      const std::shared_ptr<OnlinePpcPredictor> online = state->Online();
       snap.templates.push_back(FrameworkMetrics::TemplateMetrics{
           name, online->GetStats(), online->predictor().transform_generation()});
       // Refresh the drift.* gauges from the same signal read, so the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -130,7 +131,7 @@ class PpcFramework {
   /// consuming randomness. This is the serving-layer PREDICT path — safe
   /// to call at any frequency from any thread (it takes only the
   /// predictor's shared read lock) and never perturbs the online learning
-  /// loop the EXECUTE path drives.
+  /// loop the EXECUTE path drives. A one-point PredictBatch.
   Result<PredictReport> PredictAtPoint(const std::string& template_name,
                                        const std::vector<double>& point) const;
 
@@ -208,13 +209,22 @@ class PpcFramework {
     QueryTemplate tmpl;
     PreparedTemplate prepared;
     std::unique_ptr<SelectivityMapper> mapper;
-    /// The serving predictor generation. Readers load one snapshot
-    /// shared_ptr per request and use it throughout; the retune worker
-    /// (and the replication apply path) atomically store a fully built
-    /// replacement — readers never block on a handoff, and the old
-    /// generation is destroyed only after its last in-flight reader
-    /// drops its reference.
-    std::atomic<std::shared_ptr<OnlinePpcPredictor>> online;
+    /// The serving predictor generation, guarded by online_mu. Readers
+    /// copy one snapshot shared_ptr per request (Online()) and use it
+    /// throughout; the retune worker (and the replication apply path)
+    /// swap in a fully built replacement under the same lock. The lock
+    /// covers only the pointer copy or swap, and the old generation is
+    /// destroyed only after its last in-flight reader drops its
+    /// reference. A plain mutex rather than std::atomic<std::shared_ptr>:
+    /// libstdc++'s lock-based atomic shared_ptr is opaque to
+    /// ThreadSanitizer, which reports its load against its
+    /// compare-exchange as a race.
+    std::shared_ptr<OnlinePpcPredictor> Online() const {
+      std::lock_guard<std::mutex> lock(online_mu);
+      return online;
+    }
+    mutable std::mutex online_mu;
+    std::shared_ptr<OnlinePpcPredictor> online;
   };
 
   Result<TemplateState*> FindTemplate(const std::string& name);

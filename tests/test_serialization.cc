@@ -111,10 +111,8 @@ TEST(PlanSynopsisSerdeTest, RoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().transform_count(), 3u);
   EXPECT_EQ(restored.value().SampleCount(), original.SampleCount());
-  const std::vector<double> pos = {0.3, 0.5, 0.7};
-  const std::vector<double> del = {0.1, 0.1, 0.1};
-  EXPECT_EQ(restored.value().MedianCount(pos, del),
-            original.MedianCount(pos, del));
+  EXPECT_EQ(testutil::MedianDensity(restored.value(), {0.3, 0.5, 0.7}, 0.1),
+            testutil::MedianDensity(original, {0.3, 0.5, 0.7}, 0.1));
 }
 
 class PredictorSerdeTest : public ::testing::Test {

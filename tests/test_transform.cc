@@ -76,7 +76,10 @@ TEST(TransformTest, LinearizedPositionBatchMatchesScalar) {
   std::vector<double> flat;
   for (size_t i = 0; i < count * 2; ++i) flat.push_back(points.Uniform());
   std::vector<double> positions(count);
-  t.LinearizedPositionBatch(flat.data(), count, positions.data());
+  std::vector<double> transformed(count * 2);
+  std::vector<uint32_t> cell(2);
+  t.LinearizedPositionBatch(flat.data(), count, positions.data(),
+                            transformed.data(), cell.data());
   for (size_t p = 0; p < count; ++p) {
     EXPECT_EQ(positions[p], t.LinearizedPosition({flat[2 * p],
                                                   flat[2 * p + 1]}))
@@ -85,17 +88,23 @@ TEST(TransformTest, LinearizedPositionBatchMatchesScalar) {
 }
 
 TEST(TransformTest, CellBoxFromTransformedMatchesCellBox) {
+  // A point's cell box from its row of a batched transform equals the box
+  // from the point transformed alone.
   Rng rng(6);
   RandomizedTransform t(Config2D(), &rng);
   Rng points(10);
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> x = {points.Uniform(), points.Uniform()};
-    const std::vector<double> y = t.Apply(x);
+  const size_t count = 50;
+  std::vector<double> flat;
+  for (size_t i = 0; i < count * 2; ++i) flat.push_back(points.Uniform());
+  std::vector<double> batch(count * 2);
+  t.ApplyBatch(flat.data(), count, batch.data());
+  for (size_t p = 0; p < count; ++p) {
+    const std::vector<double> y = t.Apply({flat[2 * p], flat[2 * p + 1]});
     std::vector<uint32_t> lo_a, hi_a, lo_b, hi_b;
-    t.CellBox(x, 0.1, &lo_a, &hi_a);
-    t.CellBoxFromTransformed(y.data(), 0.1, &lo_b, &hi_b);
-    EXPECT_EQ(lo_a, lo_b);
-    EXPECT_EQ(hi_a, hi_b);
+    t.CellBoxFromTransformed(y.data(), 0.1, &lo_a, &hi_a);
+    t.CellBoxFromTransformed(batch.data() + 2 * p, 0.1, &lo_b, &hi_b);
+    EXPECT_EQ(lo_a, lo_b) << "point " << p;
+    EXPECT_EQ(hi_a, hi_b) << "point " << p;
   }
 }
 
@@ -203,7 +212,7 @@ TEST(TransformTest, CellBoxContainsPointCell) {
   for (int i = 0; i < 200; ++i) {
     const std::vector<double> x = {points.Uniform(), points.Uniform()};
     std::vector<uint32_t> lo, hi;
-    t.CellBox(x, 0.05, &lo, &hi);
+    t.CellBoxFromTransformed(t.Apply(x).data(), 0.05, &lo, &hi);
     const auto cell = t.Cell(x);
     for (size_t d = 0; d < cell.size(); ++d) {
       EXPECT_LE(lo[d], cell[d]);
@@ -217,8 +226,9 @@ TEST(TransformTest, CellBoxGrowsWithRadius) {
   RandomizedTransform t(Config2D(), &rng);
   const std::vector<double> x = {0.5, 0.5};
   std::vector<uint32_t> lo_small, hi_small, lo_big, hi_big;
-  t.CellBox(x, 0.02, &lo_small, &hi_small);
-  t.CellBox(x, 0.3, &lo_big, &hi_big);
+  const std::vector<double> y = t.Apply(x);
+  t.CellBoxFromTransformed(y.data(), 0.02, &lo_small, &hi_small);
+  t.CellBoxFromTransformed(y.data(), 0.3, &lo_big, &hi_big);
   uint64_t small_cells = 1, big_cells = 1;
   for (size_t d = 0; d < lo_small.size(); ++d) {
     small_cells *= hi_small[d] - lo_small[d] + 1;
@@ -236,7 +246,7 @@ TEST(TransformTest, CellBoxCoversNearbyPoints) {
   for (int i = 0; i < 100; ++i) {
     const std::vector<double> x = {points.Uniform(), points.Uniform()};
     std::vector<uint32_t> lo, hi;
-    t.CellBox(x, d, &lo, &hi);
+    t.CellBoxFromTransformed(t.Apply(x).data(), d, &lo, &hi);
     for (int j = 0; j < 10; ++j) {
       const double angle = points.Uniform(0.0, 2.0 * M_PI);
       const double radius = d * points.Uniform();

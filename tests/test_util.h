@@ -1,6 +1,7 @@
 #ifndef PPC_TESTS_TEST_UTIL_H_
 #define PPC_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <memory>
@@ -9,7 +10,9 @@
 
 #include "catalog/catalog.h"
 #include "clustering/predictor.h"
+#include "common/math_utils.h"
 #include "common/rng.h"
+#include "ppc/plan_synopsis.h"
 #include "storage/tpch_generator.h"
 
 namespace ppc {
@@ -60,6 +63,24 @@ std::vector<LabeledPoint> SamplePoints(int dims, size_t count, Labeler label,
 /// Distance of `x` to the half-space boundary x0 + x1 = 1.
 inline double HalfSpaceBoundaryDistance(const std::vector<double>& x) {
   return std::abs(x[0] + x[1] - 1.0) / std::sqrt(2.0);
+}
+
+/// A synopsis's density estimate for one point: the median over
+/// transforms of the count in [centers[i] - delta, centers[i] + delta].
+inline double MedianDensity(const PlanSynopsis& synopsis,
+                            const std::vector<double>& centers,
+                            double delta) {
+  std::vector<ZInterval> intervals;
+  for (double c : centers) intervals.push_back({c - delta, c + delta});
+  const FlatQueryRanges ranges{intervals.data(), nullptr, intervals.size(), 1};
+  size_t buckets = 0;
+  for (size_t i = 0; i < synopsis.transform_count(); ++i) {
+    buckets = std::max(buckets, synopsis.histogram(i).bucket_count());
+  }
+  std::vector<double> probes(4 * buckets);
+  std::vector<double> counts(centers.size());
+  synopsis.BatchTransformCounts(ranges, counts.data(), probes.data());
+  return Median(counts);
 }
 
 /// Shared tiny TPC-H catalog (built once per process; tests treat it as
