@@ -49,9 +49,8 @@ double SampleStdDev(const std::vector<double>& xs);
 double Median(std::vector<double> xs);
 
 /// Median over xs[0..n), reordering xs in place (no allocation). Same
-/// algorithm as Median, so the two agree bit for bit — the batched
-/// predict path uses this over arena scratch where the scalar path
-/// builds a vector.
+/// algorithm as Median, so the two agree bit for bit — the histogram
+/// predict path uses this over arena scratch.
 double MedianInPlace(double* xs, size_t n);
 
 /// Lower bound of the one-sided 95% confidence interval for a proportion
