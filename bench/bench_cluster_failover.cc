@@ -34,12 +34,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "loadgen.h"
 #include "proc.h"
 #include "server/client.h"
 #include "server/hash_ring.h"
@@ -50,7 +51,8 @@ namespace ppc {
 namespace bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using loadgen::Clock;
+using loadgen::SecondsSince;
 
 const char* const kTemplates[] = {"Q0", "Q1", "Q2", "Q3", "Q4",
                                   "Q5", "Q6", "Q7", "Q8"};
@@ -72,22 +74,14 @@ constexpr double kPreKillSeconds = 1.5;
 constexpr double kOutageSeconds = 2.0;
 constexpr double kPostRejoinSeconds = 1.5;
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 // ---------------------------------------------------------------------
 // Workload: the zoo's zipf_tenants stream, pre-generated once so every
 // thread (and every run with the same seed) sees the same queries.
 // ---------------------------------------------------------------------
 
 std::vector<ScenarioEvent> MakeStream() {
-  ScenarioConfig cfg;
-  for (const char* name : kTemplates) {
-    cfg.templates.push_back({name, EvaluationTemplate(name).ParameterDegree()});
-  }
-  cfg.seed = kSeed;
-  auto generator = MakeScenario("zipf_tenants", cfg);
+  auto generator =
+      MakeScenario("zipf_tenants", ScenarioOver(kTemplates, kSeed));
   PPC_CHECK_MSG(generator.ok(), generator.status().ToString().c_str());
   return GenerateEvents(generator.value().get(), kStreamEvents);
 }
@@ -261,50 +255,58 @@ void Run() {
   std::atomic<bool> stop{false};
   std::atomic<size_t> wrong_answers{0};
   std::atomic<size_t> failed_over_executes{0};
-  std::vector<Sample> samples;
-  std::mutex samples_mu;
   const auto epoch = Clock::now();
 
-  std::vector<std::thread> load_threads;
+  // Load: closed-loop clients striding the shared stream so no two send
+  // the same query, wrapping past the end (the stream is stationary),
+  // until the controller calls stop.
+  std::vector<Rng> mix;
+  std::vector<std::vector<Sample>> per_thread(kLoadThreads);
   for (int t = 0; t < kLoadThreads; ++t) {
-    load_threads.emplace_back([&, t] {
-      PpcClient client;
-      if (!client.Connect("127.0.0.1", router.port).ok()) return;
-      Rng mix_rng(kSeed + 77 + static_cast<uint64_t>(t));
-      std::vector<Sample> mine;
-      // Stride the shared stream so threads never send the same query,
-      // wrapping past the end (the stream is stationary).
-      size_t i = kWarmEvents + static_cast<size_t>(t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const ScenarioEvent& event = stream[i % kStreamEvents];
-        i += kLoadThreads;
-        const char* name = kTemplates[event.template_index];
-        Sample sample;
-        sample.t = SecondsSince(epoch);
-        sample.victim_owned = owner_of[event.template_index] == victim;
-        if (mix_rng.Uniform() < kPredictFraction) {
-          sample.is_predict = true;
-          auto predicted = client.Predict(name, event.point);
-          sample.ok = predicted.ok();
-          sample.hit =
-              predicted.ok() && predicted.value().plan != kNullPlanId;
-        } else {
-          auto executed = client.Execute(name, event.point);
-          sample.ok = executed.ok();
-          if (executed.ok() && executed.value().failed_over) {
-            failed_over_executes.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        mine.push_back(sample);
-      }
-      std::lock_guard<std::mutex> lock(samples_mu);
-      samples.insert(samples.end(), mine.begin(), mine.end());
-    });
+    mix.emplace_back(kSeed + 77 + static_cast<uint64_t>(t));
   }
+  // A client that cannot connect shows up as failed samples (its calls
+  // redial and fail), never as a missing thread.
+  std::thread load_thread([&] {
+    loadgen::ClosedLoop(
+        router.port, kLoadThreads, PpcClient::Options{},
+        [&](size_t t, size_t i, PpcClient* client) -> loadgen::MaybeCall {
+          if (stop.load(std::memory_order_relaxed)) return std::nullopt;
+          const ScenarioEvent& event =
+              stream[(kWarmEvents + t + i * kLoadThreads) % kStreamEvents];
+          const char* name = kTemplates[event.template_index];
+          Sample sample;
+          sample.t = SecondsSince(epoch);
+          sample.victim_owned = owner_of[event.template_index] == victim;
+          Status status;
+          if (mix[t].Uniform() < kPredictFraction) {
+            sample.is_predict = true;
+            auto predicted = client->Predict(name, event.point);
+            status = predicted.status();
+            sample.hit =
+                predicted.ok() && predicted.value().plan != kNullPlanId;
+          } else {
+            auto executed = client->Execute(name, event.point);
+            status = executed.status();
+            if (executed.ok() && executed.value().failed_over) {
+              failed_over_executes.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          sample.ok = status.ok();
+          per_thread[t].push_back(sample);
+          return loadgen::Call{
+              sample.is_predict ? loadgen::kPredict : loadgen::kExecute,
+              status};
+        });
+  });
 
+  // Ground-truth prober. A prober that cannot connect aborts the bench:
+  // silently skipping it would pass the zero-wrong-answers gate vacuously.
+  size_t probe_rounds = 0;
   std::thread prober([&] {
     PpcClient client;
-    if (!client.Connect("127.0.0.1", router.port).ok()) return;
+    const Status connected = client.Connect("127.0.0.1", router.port);
+    PPC_CHECK_MSG(connected.ok(), connected.ToString().c_str());
     while (!stop.load(std::memory_order_relaxed)) {
       for (const Probe& probe : probes) {
         auto predicted = client.Predict(kTemplates[probe.tmpl], probe.point);
@@ -316,6 +318,7 @@ void Run() {
           wrong_answers.fetch_add(1, std::memory_order_relaxed);
         }
       }
+      ++probe_rounds;
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
   });
@@ -364,9 +367,13 @@ void Run() {
       std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double>(kPostRejoinSeconds)));
   stop.store(true, std::memory_order_relaxed);
-  for (auto& thread : load_threads) thread.join();
+  load_thread.join();
   prober.join();
   PrintRule();
+  std::vector<Sample> samples;
+  for (const std::vector<Sample>& mine : per_thread) {
+    samples.insert(samples.end(), mine.begin(), mine.end());
+  }
 
   // --- Scoring. ---
   const double detection_end = t_open + kDetectionGraceSeconds;
@@ -422,10 +429,16 @@ void Run() {
               auto_rejoined ? t_rejoined - t_respawn : -1.0,
               victim_after.hit_rate(), rejoin_gap,
               others_after.hit_rate());
-  std::printf("wrong answers: %zu\n", wrong_answers.load());
+  std::printf("wrong answers: %zu in %zu probe rounds\n",
+              wrong_answers.load(), probe_rounds);
   PrintRule();
 
-  // The robustness claims, enforced here as well as in check.sh.
+  // The robustness claims, enforced here as well as in check.sh. The
+  // first two keep the others from passing on no evidence: an empty
+  // window's availability is 1.0, and zero wrong answers means nothing
+  // without a probe.
+  PPC_CHECK_MSG(all.total > 0, "the load threads recorded no samples");
+  PPC_CHECK_MSG(probe_rounds >= 1, "the ground-truth prober never probed");
   PPC_CHECK_MSG(wrong_answers.load() == 0,
                 "a failed-over or rejoined shard contradicted ground truth");
   PPC_CHECK_MSG(excluding_detection.availability() >= 0.99,
@@ -464,6 +477,7 @@ void Run() {
   body += ", \"hit_rate_gap\": " + JsonNumber(rejoin_gap);
   body += "}";
   body += ",\n\"probes\": " + std::to_string(probes.size());
+  body += ",\n\"probe_rounds\": " + std::to_string(probe_rounds);
   body += ",\n\"load_threads\": " + std::to_string(kLoadThreads);
   body += ",\n\"scenario\": \"zipf_tenants\"";
   body += ",\n\"seed\": " + std::to_string(kSeed);

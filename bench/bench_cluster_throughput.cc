@@ -32,17 +32,13 @@
 // Prints a table and writes BENCH_cluster_throughput.json (schema in
 // EXPERIMENTS.md); scripts/check.sh runs it and validates the file.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "loadgen.h"
 #include "proc.h"
 #include "server/client.h"
 #include "server/hash_ring.h"
@@ -51,8 +47,6 @@
 namespace ppc {
 namespace bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 const char* const kTemplates[] = {"Q0", "Q1", "Q2", "Q3", "Q4",
                                   "Q5", "Q6", "Q7", "Q8"};
@@ -67,52 +61,6 @@ constexpr size_t kAdoptionProbesPerTemplate = 30;
 /// 70/30 predict/execute mix: predicts measure the hit rate, executes
 /// keep the shards learning like a live system.
 constexpr double kPredictFraction = 0.7;
-const std::vector<double> kCenters = {0.3, 0.5, 0.7};
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// ---------------------------------------------------------------------
-// Workload.
-// ---------------------------------------------------------------------
-
-struct Query {
-  size_t tmpl;  // index into kTemplates
-  std::vector<double> point;
-};
-
-std::vector<int> TemplateDims() {
-  std::vector<int> dims;
-  for (const char* name : kTemplates) {
-    dims.push_back(EvaluationTemplate(name).ParameterDegree());
-  }
-  return dims;
-}
-
-/// Clustered points round-robin across templates — the same shape the
-/// leader was warmed with, so a confident predictor answers most of it.
-std::vector<Query> MakeWorkload(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  const std::vector<int> dims = TemplateDims();
-  std::vector<Query> queries;
-  queries.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    Query q;
-    q.tmpl = i % kTemplateCount;
-    const double center = kCenters[(i / 5) % kCenters.size()];
-    q.point.resize(static_cast<size_t>(dims[q.tmpl]));
-    for (double& v : q.point) {
-      v = std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0);
-    }
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
-// ---------------------------------------------------------------------
-// Measurement.
-// ---------------------------------------------------------------------
 
 /// Per-shard-owner tallies for one phase. `hits` counts predicts the
 /// predictor answered (non-null plan); abstentions and failures miss.
@@ -121,6 +69,11 @@ struct ShardTally {
   size_t hits = 0;
   size_t executes = 0;
 
+  void Add(const ShardTally& other) {
+    predicts += other.predicts;
+    hits += other.hits;
+    executes += other.executes;
+  }
   double hit_rate() const {
     return predicts == 0 ? 0.0
                          : static_cast<double>(hits) /
@@ -129,103 +82,58 @@ struct ShardTally {
 };
 
 struct PhaseStats {
-  double seconds = 0.0;
-  size_t failures = 0;
-  std::vector<double> predict_latencies_us;
+  loadgen::Phase load;
   ShardTally per_shard[2];
   ShardTally per_template[kTemplateCount];
 
-  size_t total() const {
-    return per_shard[0].predicts + per_shard[0].executes +
-           per_shard[1].predicts + per_shard[1].executes;
-  }
-  double qps() const {
-    return seconds > 0.0 ? static_cast<double>(total()) / seconds : 0.0;
-  }
+  /// Every request that was not answered OK, BUSY included.
+  size_t failures() const { return load.failures + load.total_busy(); }
 };
 
-double Percentile(std::vector<double>* values, double p) {
-  if (values->empty()) return 0.0;
-  std::sort(values->begin(), values->end());
-  const size_t index = static_cast<size_t>(
-      p * static_cast<double>(values->size() - 1) + 0.5);
-  return (*values)[std::min(index, values->size() - 1)];
-}
-
 /// Drives `per_client` queries from each of kClientThreads through the
-/// router, attributing each query to its owning shard via `ring` (the
+/// router, attributing each template to its owning shard via `ring` (the
 /// same pure placement function the router uses).
-PhaseStats DrivePhase(uint16_t router_port, const HashRing& ring,
-                      const std::vector<HashRing::Node>& shard_nodes,
-                      size_t per_client, uint64_t seed) {
-  std::vector<PhaseStats> per_thread(kClientThreads);
-  const auto start = Clock::now();
-  std::vector<std::thread> threads;
+PhaseStats DriveRouter(uint16_t router_port, const HashRing& ring,
+                       const std::vector<HashRing::Node>& shard_nodes,
+                       size_t per_client, uint64_t seed) {
+  std::vector<Rng> mix;
+  std::vector<std::vector<Query>> workloads;
+  std::vector<std::vector<ShardTally>> tallies(
+      kClientThreads, std::vector<ShardTally>(kTemplateCount));
   for (int t = 0; t < kClientThreads; ++t) {
-    threads.emplace_back([&, t] {
-      PhaseStats& stats = per_thread[static_cast<size_t>(t)];
-      PpcClient client;
-      if (!client.Connect("127.0.0.1", router_port).ok()) {
-        stats.failures += per_client;
-        return;
-      }
-      Rng mix_rng(seed + static_cast<uint64_t>(t) * 7919);
-      const std::vector<Query> workload = MakeWorkload(
-          per_client, seed + 1000 + static_cast<uint64_t>(t));
-      for (const Query& q : workload) {
-        const char* name = kTemplates[q.tmpl];
-        const auto owner = ring.Owner(name);
-        size_t shard = 0;
-        for (size_t s = 0; s < shard_nodes.size(); ++s) {
-          if (owner.ok() && owner.value() == shard_nodes[s]) {
-            shard = s;
-            break;
-          }
-        }
-        if (mix_rng.Uniform() < kPredictFraction) {
-          const auto begin = Clock::now();
-          auto predicted = client.Predict(name, q.point);
-          const double us = SecondsSince(begin) * 1e6;
-          if (!predicted.ok()) {
-            ++stats.failures;
-            continue;
-          }
-          stats.predict_latencies_us.push_back(us);
-          ++stats.per_shard[shard].predicts;
-          ++stats.per_template[q.tmpl].predicts;
-          if (predicted.value().plan != kNullPlanId) {
-            ++stats.per_shard[shard].hits;
-            ++stats.per_template[q.tmpl].hits;
-          }
-        } else {
-          if (client.Execute(name, q.point).ok()) {
-            ++stats.per_shard[shard].executes;
-            ++stats.per_template[q.tmpl].executes;
-          } else {
-            ++stats.failures;
-          }
-        }
-      }
-    });
+    mix.emplace_back(seed + static_cast<uint64_t>(t) * 7919);
+    workloads.push_back(ClusteredWorkload(
+        kTemplates, per_client, seed + 1000 + static_cast<uint64_t>(t), 5));
   }
-  for (auto& thread : threads) thread.join();
-
   PhaseStats merged;
-  merged.seconds = SecondsSince(start);
-  for (const PhaseStats& stats : per_thread) {
-    merged.failures += stats.failures;
-    merged.predict_latencies_us.insert(merged.predict_latencies_us.end(),
-                                       stats.predict_latencies_us.begin(),
-                                       stats.predict_latencies_us.end());
-    for (int s = 0; s < 2; ++s) {
-      merged.per_shard[s].predicts += stats.per_shard[s].predicts;
-      merged.per_shard[s].hits += stats.per_shard[s].hits;
-      merged.per_shard[s].executes += stats.per_shard[s].executes;
+  merged.load = loadgen::ClosedLoop(
+      router_port, kClientThreads, PpcClient::Options{},
+      [&](size_t t, size_t i, PpcClient* client) -> loadgen::MaybeCall {
+        if (i == per_client) return std::nullopt;
+        const Query& q = workloads[t][i];
+        ShardTally& tally = tallies[t][q.template_index];
+        if (mix[t].Uniform() < kPredictFraction) {
+          auto predicted = client->Predict(q.tmpl, q.point);
+          if (predicted.ok()) {
+            ++tally.predicts;
+            if (predicted.value().plan != kNullPlanId) ++tally.hits;
+          }
+          return loadgen::Call{loadgen::kPredict, predicted.status()};
+        }
+        const Status executed = client->Execute(q.tmpl, q.point).status();
+        if (executed.ok()) ++tally.executes;
+        return loadgen::Call{loadgen::kExecute, executed};
+      });
+  for (size_t t = 0; t < kTemplateCount; ++t) {
+    for (const std::vector<ShardTally>& mine : tallies) {
+      merged.per_template[t].Add(mine[t]);
     }
-    for (size_t t = 0; t < kTemplateCount; ++t) {
-      merged.per_template[t].predicts += stats.per_template[t].predicts;
-      merged.per_template[t].hits += stats.per_template[t].hits;
-      merged.per_template[t].executes += stats.per_template[t].executes;
+    const auto owner = ring.Owner(kTemplates[t]);
+    for (size_t s = 0; s < shard_nodes.size(); ++s) {
+      if (owner.ok() && owner.value() == shard_nodes[s]) {
+        merged.per_shard[s].Add(merged.per_template[t]);
+        break;
+      }
     }
   }
   return merged;
@@ -243,12 +151,12 @@ size_t AdoptionMismatches(uint16_t leader_port, uint16_t joiner_port,
   PPC_CHECK(leader.Connect("127.0.0.1", leader_port).ok());
   PPC_CHECK(joiner.Connect("127.0.0.1", joiner_port).ok());
   const std::vector<Query> probes =
-      MakeWorkload(kAdoptionProbesPerTemplate * kTemplateCount, 59);
+      ClusteredWorkload(kTemplates, kAdoptionProbesPerTemplate * kTemplateCount,
+                        59, 5);
   size_t mismatches = 0;
   for (const Query& q : probes) {
-    const char* name = kTemplates[q.tmpl];
-    const auto from_leader = leader.Predict(name, q.point);
-    const auto from_joiner = joiner.Predict(name, q.point);
+    const auto from_leader = leader.Predict(q.tmpl, q.point);
+    const auto from_joiner = joiner.Predict(q.tmpl, q.point);
     PPC_CHECK_MSG(from_leader.ok() && from_joiner.ok(),
                   "adoption probe PREDICT failed");
     if (from_leader.value().plan != from_joiner.value().plan) ++mismatches;
@@ -266,21 +174,21 @@ std::string TallyJson(const ShardTally& tally) {
   return out;
 }
 
-std::string PhaseJson(PhaseStats* phase) {
-  std::string out = "{\"seconds\": " + JsonNumber(phase->seconds);
-  out += ", \"requests\": " + std::to_string(phase->total());
-  out += ", \"qps\": " + JsonNumber(phase->qps());
-  out += ", \"failures\": " + std::to_string(phase->failures);
+std::string PhaseJson(const PhaseStats& phase) {
+  std::string out = "{\"seconds\": " + JsonNumber(phase.load.seconds);
+  out += ", \"requests\": " + std::to_string(phase.load.total());
+  out += ", \"qps\": " + JsonNumber(phase.load.qps());
+  out += ", \"failures\": " + std::to_string(phase.failures());
   out += ", \"predict_p50_us\": " +
-         JsonNumber(Percentile(&phase->predict_latencies_us, 0.50));
+         JsonNumber(phase.load.LatencyUs(loadgen::kPredict, 0.50));
   out += ", \"predict_p95_us\": " +
-         JsonNumber(Percentile(&phase->predict_latencies_us, 0.95));
-  out += ", \"per_shard\": {\"leader\": " + TallyJson(phase->per_shard[0]);
-  out += ", \"joiner\": " + TallyJson(phase->per_shard[1]);
+         JsonNumber(phase.load.LatencyUs(loadgen::kPredict, 0.95));
+  out += ", \"per_shard\": {\"leader\": " + TallyJson(phase.per_shard[0]);
+  out += ", \"joiner\": " + TallyJson(phase.per_shard[1]);
   out += "}, \"per_template_hit_rate\": [";
   for (size_t t = 0; t < kTemplateCount; ++t) {
     if (t > 0) out += ", ";
-    out += JsonNumber(phase->per_template[t].hit_rate());
+    out += JsonNumber(phase.per_template[t].hit_rate());
   }
   out += "]}";
   return out;
@@ -301,9 +209,10 @@ void Run() {
     PpcClient warm;
     PPC_CHECK(warm.Connect("127.0.0.1", leader.port).ok());
     const std::vector<Query> warmup =
-        MakeWorkload(kWarmupPerTemplate * kTemplateCount, 17);
+        ClusteredWorkload(kTemplates, kWarmupPerTemplate * kTemplateCount, 17,
+                          5);
     for (const Query& q : warmup) {
-      const auto executed = warm.Execute(kTemplates[q.tmpl], q.point);
+      const auto executed = warm.Execute(q.tmpl, q.point);
       PPC_CHECK_MSG(executed.ok(), executed.status().ToString().c_str());
     }
     std::printf("warmed leader with %zu executes over %zu templates\n",
@@ -322,23 +231,23 @@ void Run() {
   HashRing single_ring;
   single_ring.Add(leader_node);
   PhaseStats steady =
-      DrivePhase(router.port, single_ring, {leader_node, leader_node},
-                 kSteadyPerClient, 23);
+      DriveRouter(router.port, single_ring, {leader_node, leader_node},
+                  kSteadyPerClient, 23);
   std::printf("steady (1 shard): %.2fs, %zu requests, %.0f qps, "
               "hit rate %.3f, %zu failures\n",
-              steady.seconds, steady.total(), steady.qps(),
-              steady.per_shard[0].hit_rate(), steady.failures);
+              steady.load.seconds, steady.load.total(), steady.load.qps(),
+              steady.per_shard[0].hit_rate(), steady.failures());
 
   // Shard B: warm-started from A over the wire. Its readiness line is
   // printed only after the snapshot is fetched, validated, and applied,
   // so LISTENING-time IS the warm-up-to-steady time.
-  const auto join_start = Clock::now();
+  const auto join_start = loadgen::Clock::now();
   ChildProcess joiner;
   Spawn(server_bin,
         {"--port=0",
          "--warm-start-from=127.0.0.1:" + std::to_string(leader.port)},
         &joiner);
-  const double warmup_seconds = SecondsSince(join_start);
+  const double warmup_seconds = loadgen::SecondsSince(join_start);
   std::printf("joiner shard on :%u (warm start + ready in %.3fs)\n",
               joiner.port, warmup_seconds);
 
@@ -367,21 +276,21 @@ void Run() {
   joined_ring.Add(leader_node);
   joined_ring.Add(joiner_node);
   PhaseStats joined =
-      DrivePhase(router.port, joined_ring, {leader_node, joiner_node},
-                 kJoinedPerClient, 41);
+      DriveRouter(router.port, joined_ring, {leader_node, joiner_node},
+                  kJoinedPerClient, 41);
   const double leader_rate = joined.per_shard[0].hit_rate();
   const double joiner_rate = joined.per_shard[1].hit_rate();
   std::printf("joined (2 shards): %.2fs, %zu requests, %.0f qps, "
               "%zu failures\n",
-              joined.seconds, joined.total(), joined.qps(),
-              joined.failures);
+              joined.load.seconds, joined.load.total(), joined.load.qps(),
+              joined.failures());
   std::printf("  leader: %zu predicts, hit rate %.3f\n",
               joined.per_shard[0].predicts, leader_rate);
   std::printf("  joiner: %zu predicts, hit rate %.3f\n",
               joined.per_shard[1].predicts, joiner_rate);
   PrintRule();
 
-  PPC_CHECK_MSG(joined.failures == 0, "joined phase had failures");
+  PPC_CHECK_MSG(joined.failures() == 0, "joined phase had failures");
   PPC_CHECK_MSG(joined.per_shard[1].predicts > 0,
                 "ring placement sent the joiner no predicts");
   // The scale-out claim: a warm-started joiner serves its templates at
@@ -417,8 +326,8 @@ void Run() {
                 "own templates by more than 5 points — warm start is not "
                 "working");
 
-  std::string body = "\"steady\": " + PhaseJson(&steady);
-  body += ",\n\"joined\": " + PhaseJson(&joined);
+  std::string body = "\"steady\": " + PhaseJson(steady);
+  body += ",\n\"joined\": " + PhaseJson(joined);
   body += ",\n\"warmup_seconds\": " + JsonNumber(warmup_seconds);
   body += ",\n\"adoption\": {\"probes\": " +
           std::to_string(adoption_probes) +

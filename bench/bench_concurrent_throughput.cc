@@ -12,7 +12,6 @@
 // to track the machine's core count: on a single hardware thread the runs
 // only demonstrate that concurrency adds no correctness cost.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -34,49 +33,6 @@ constexpr size_t kWarmupQueries = 1000;
 constexpr size_t kTimedQueries = 8000;
 const char* const kTemplates[] = {"Q1", "Q3", "Q5", "Q8"};
 
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
-}
-
-struct Query {
-  const char* tmpl;
-  std::vector<double> point;
-};
-
-/// Clustered points per template (a few optimality regions each), round-
-/// robin across templates, pre-generated so workload generation is not on
-/// the timed path.
-std::vector<Query> MakeWorkload(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Query> queries;
-  queries.reserve(count);
-  std::vector<int> dims;
-  for (const char* name : kTemplates) {
-    dims.push_back(EvaluationTemplate(name).ParameterDegree());
-  }
-  const std::vector<double> centers = {0.3, 0.5, 0.7};
-  for (size_t i = 0; i < count; ++i) {
-    const size_t t = i % (sizeof(kTemplates) / sizeof(kTemplates[0]));
-    const double center = centers[(i / 7) % centers.size()];
-    Query q;
-    q.tmpl = kTemplates[t];
-    q.point.resize(static_cast<size_t>(dims[t]));
-    for (double& v : q.point) {
-      v = std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0);
-    }
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
 struct RunResult {
   int threads = 0;
   double seconds = 0.0;
@@ -89,21 +45,10 @@ struct RunResult {
   std::string metrics_json;
 };
 
-double Percentile(std::vector<double>* sorted_in_place, double p) {
-  if (sorted_in_place->empty()) return 0.0;
-  std::sort(sorted_in_place->begin(), sorted_in_place->end());
-  const double idx = p * static_cast<double>(sorted_in_place->size() - 1);
-  return (*sorted_in_place)[static_cast<size_t>(idx + 0.5)];
-}
-
 RunResult RunAtThreadCount(int threads, const std::vector<Query>& warmup,
                            const std::vector<Query>& timed) {
   PpcFramework framework(&BenchCatalog(), ServingConfig());
-  for (const char* name : kTemplates) {
-    const Status s = framework.RegisterTemplate(EvaluationTemplate(name));
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-  framework.Seal();
+  RegisterAndSeal(&framework, kTemplates);
 
   for (const Query& q : warmup) {
     auto report = framework.ExecuteAtPoint(q.tmpl, q.point);
@@ -153,8 +98,8 @@ RunResult RunAtThreadCount(int threads, const std::vector<Query>& warmup,
                    ? static_cast<double>(hits) /
                          static_cast<double>(hits + misses)
                    : 0.0;
-  r.predict_p50_us = Percentile(&all, 0.50);
-  r.predict_p99_us = Percentile(&all, 0.99);
+  r.predict_p50_us = Percentile(all, 0.50);
+  r.predict_p99_us = Percentile(all, 0.99);
   r.metrics_json = framework.MetricsSnapshot().ToJson();
   return r;
 }
@@ -168,8 +113,11 @@ void Run() {
   std::printf("%8s %12s %10s %10s %14s %14s\n", "threads", "qps", "speedup",
               "hit rate", "predict p50us", "predict p99us");
 
-  const std::vector<Query> warmup = MakeWorkload(kWarmupQueries, 11);
-  const std::vector<Query> timed = MakeWorkload(kTimedQueries, 13);
+  // Pre-generated, so workload generation is not on the timed path.
+  const std::vector<Query> warmup =
+      ClusteredWorkload(kTemplates, kWarmupQueries, 11, 7);
+  const std::vector<Query> timed =
+      ClusteredWorkload(kTemplates, kTimedQueries, 13, 7);
 
   std::vector<RunResult> results;
   for (int threads : {1, 2, 4, 8}) {
@@ -181,31 +129,25 @@ void Run() {
   }
   PrintRule();
 
-  FILE* json = std::fopen("BENCH_concurrent_throughput.json", "w");
-  if (json == nullptr) {
-    std::printf("warning: could not write BENCH_concurrent_throughput.json\n");
-    return;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"concurrent_throughput\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"simd_tier\": \"%s\",\n"
-               "  \"timed_queries\": %zu,\n  \"runs\": [\n",
-               std::thread::hardware_concurrency(),
-               simd::TierName(simd::ActiveTier()), kTimedQueries);
+  std::string body = "  \"hardware_threads\": " +
+                     std::to_string(std::thread::hardware_concurrency());
+  body += ",\n  \"simd_tier\": \"";
+  body += simd::TierName(simd::ActiveTier());
+  body += "\",\n  \"timed_queries\": " + std::to_string(kTimedQueries);
+  body += ",\n  \"runs\": [";
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
-    std::fprintf(json,
-                 "    {\"threads\": %d, \"qps\": %.1f, \"speedup\": %.3f, "
-                 "\"hit_rate\": %.4f, \"predict_p50_us\": %.3f, "
-                 "\"predict_p99_us\": %.3f,\n     \"metrics\": %s}%s\n",
-                 r.threads, r.qps, r.qps / results.front().qps, r.hit_rate,
-                 r.predict_p50_us, r.predict_p99_us, r.metrics_json.c_str(),
-                 i + 1 < results.size() ? "," : "");
+    body += i == 0 ? "\n" : ",\n";
+    body += "    {\"threads\": " + std::to_string(r.threads);
+    body += ", \"qps\": " + JsonNumber(r.qps);
+    body += ", \"speedup\": " + JsonNumber(r.qps / results.front().qps);
+    body += ", \"hit_rate\": " + JsonNumber(r.hit_rate);
+    body += ", \"predict_p50_us\": " + JsonNumber(r.predict_p50_us);
+    body += ", \"predict_p99_us\": " + JsonNumber(r.predict_p99_us);
+    body += ",\n     \"metrics\": " + r.metrics_json + "}";
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_concurrent_throughput.json\n");
+  body += "\n  ]";
+  WriteBenchJson("concurrent_throughput", body);
 }
 
 }  // namespace

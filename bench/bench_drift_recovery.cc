@@ -44,36 +44,6 @@ constexpr size_t kPhase2 = 1600;
 constexpr size_t kWindow = 100;
 constexpr double kBoxHalfWidth = 0.05;
 
-PpcFramework::Config ArmConfig(bool retune) {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.2;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.0005;
-  cfg.online.negative_feedback = true;
-  cfg.online.cost_error_bound = 0.25;
-  cfg.online.estimator_window = kWindow;
-  cfg.plan_cache_capacity = 64;
-  cfg.retune.enabled = retune;
-  cfg.retune.precision_trigger = 0.75;
-  cfg.retune.recall_trigger = 0.6;
-  // A small reservoir turns over fast after the concentration drift, and
-  // the aggressive quantile shaves the old regime's stragglers off the
-  // fitted ranges — both keep the first post-drift refit from landing on
-  // a home-cluster/box mixture and producing a blurry in-between
-  // generation.
-  cfg.retune.reservoir_capacity = 128;
-  cfg.retune.min_reservoir_points = 64;
-  // The warm-up phases have intrinsically low windowed recall (uniform
-  // scatter) which would trip the trigger before there is any drift to
-  // respond to. The cooldown covers them, so the first refit the
-  // controller can possibly schedule is a genuine post-drift one.
-  cfg.retune.cooldown_observations = kPhase1 - kWindow;
-  cfg.retune.range_fit_quantile = 0.15;
-  return cfg;
-}
-
 struct WindowPoint {
   double hit_rate = 0.0;
   uint32_t generation = 0;
@@ -95,11 +65,8 @@ struct ArmOutcome {
 
 ArmOutcome RunArm(const std::string& tmpl_name, double home_center,
                   double box_center, bool retune) {
-  PpcFramework framework(&BenchCatalog(), ArmConfig(retune));
-  const Status registered =
-      framework.RegisterTemplate(EvaluationTemplate(tmpl_name));
-  PPC_CHECK_MSG(registered.ok(), registered.ToString().c_str());
-  framework.Seal();
+  PpcFramework framework(&BenchCatalog(), DriftArmConfig(retune, kPhase1));
+  RegisterAndSeal(&framework, std::vector<std::string>{tmpl_name});
   const size_t dims =
       static_cast<size_t>(EvaluationTemplate(tmpl_name).ParameterDegree());
 

@@ -9,25 +9,27 @@
 //     previous one completes, so concurrency is fixed at the client
 //     count and the measured qps is the sustainable serving rate at
 //     that concurrency;
-//   * open loop — requests are paced at a fixed fraction of the
-//     closed-loop rate using the pipelined client API, independent of
-//     response times; BUSY answers (queue overflow backpressure) are
-//     counted rather than retried.
+//   * open loop — requests go out on the zipf_tenants scenario's
+//     arrival clock at a fixed fraction of the closed-loop rate,
+//     independent of response times, and latency runs from each
+//     request's scheduled arrival; BUSY answers (queue overflow
+//     backpressure) are counted rather than retried.
+//
+// Both loops are bench/loadgen.h's drivers.
 //
 // Prints a table and writes BENCH_server_throughput.json (schema in
 // EXPERIMENTS.md); scripts/check.sh runs it and validates the file.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <deque>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/alloc_counter.h"
+#include "loadgen.h"
 #include "lsh/simd.h"
 #include "ppc/lsh_histograms_predictor.h"
 #include "ppc/ppc_framework.h"
@@ -40,15 +42,12 @@ namespace ppc {
 namespace bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr size_t kWarmupQueries = 800;
 constexpr int kClientThreads = 4;
 constexpr int kServerWorkers = 4;
 constexpr size_t kClosedPerClient = 1200;
 constexpr size_t kOpenPerClient = 800;
 constexpr double kOpenLoopFraction = 0.8;
-constexpr size_t kOpenLoopWindow = 64;  // max outstanding pipelined ids
 const char* const kTemplates[] = {"Q1", "Q3", "Q5", "Q8"};
 /// Batch-comparison phase: the same PREDICT points, once as single-point
 /// round trips and once as PREDICT_BATCH frames of this many points.
@@ -65,342 +64,83 @@ constexpr size_t kDegradedPerClient = 300;
 constexpr uint32_t kDegradedShortIoPermille = 10;  // 1% of sends
 constexpr int64_t kDegradedCallDeadlineMs = 2000;
 
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
-}
-
-struct Query {
-  const char* tmpl;
-  std::vector<double> point;
-};
-
-/// Clustered points per template, round-robin across templates (same
-/// workload shape as bench_concurrent_throughput).
-std::vector<Query> MakeWorkload(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Query> queries;
-  queries.reserve(count);
-  std::vector<int> dims;
-  for (const char* name : kTemplates) {
-    dims.push_back(EvaluationTemplate(name).ParameterDegree());
-  }
-  const std::vector<double> centers = {0.3, 0.5, 0.7};
-  for (size_t i = 0; i < count; ++i) {
-    const size_t t = i % (sizeof(kTemplates) / sizeof(kTemplates[0]));
-    const double center = centers[(i / 7) % centers.size()];
-    Query q;
-    q.tmpl = kTemplates[t];
-    q.point.resize(static_cast<size_t>(dims[t]));
-    for (double& v : q.point) {
-      v = std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0);
-    }
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
-enum RequestKind { kKindPredict = 0, kKindExecute = 1, kKindPing = 2 };
-const char* const kKindNames[] = {"predict", "execute", "ping"};
-
 /// The 70/25/5 request mix.
-RequestKind PickKind(Rng* rng) {
+loadgen::Kind PickKind(Rng* rng) {
   const double u = rng->Uniform();
-  if (u < 0.70) return kKindPredict;
-  if (u < 0.95) return kKindExecute;
-  return kKindPing;
+  if (u < 0.70) return loadgen::kPredict;
+  if (u < 0.95) return loadgen::kExecute;
+  return loadgen::kPing;
 }
 
-/// Per-client-thread tally, merged after the phase.
-struct ClientStats {
-  std::vector<double> latencies_us[3];
-  size_t busy[3] = {0, 0, 0};
-  size_t failures = 0;
-};
-
-/// Merged per-type summary of one phase.
-struct PhaseStats {
-  double seconds = 0.0;
-  size_t count[3] = {0, 0, 0};
-  size_t busy[3] = {0, 0, 0};
-  size_t failures = 0;
-  double p50_us[3] = {0, 0, 0};
-  double p95_us[3] = {0, 0, 0};
-  double p99_us[3] = {0, 0, 0};
-
-  size_t total() const { return count[0] + count[1] + count[2]; }
-  size_t total_busy() const { return busy[0] + busy[1] + busy[2]; }
-  double qps() const {
-    return seconds > 0.0 ? static_cast<double>(total()) / seconds : 0.0;
-  }
-};
-
-double Percentile(std::vector<double>* sorted_in_place, double p) {
-  if (sorted_in_place->empty()) return 0.0;
-  std::sort(sorted_in_place->begin(), sorted_in_place->end());
-  const double idx = p * static_cast<double>(sorted_in_place->size() - 1);
-  return (*sorted_in_place)[static_cast<size_t>(idx + 0.5)];
-}
-
-PhaseStats Merge(std::vector<ClientStats>* clients, double seconds) {
-  PhaseStats phase;
-  phase.seconds = seconds;
-  for (int kind = 0; kind < 3; ++kind) {
-    std::vector<double> all;
-    for (ClientStats& c : *clients) {
-      all.insert(all.end(), c.latencies_us[kind].begin(),
-                 c.latencies_us[kind].end());
-      phase.busy[static_cast<size_t>(kind)] += c.busy[kind];
-    }
-    phase.count[kind] = all.size();
-    phase.p50_us[kind] = Percentile(&all, 0.50);
-    phase.p95_us[kind] = Percentile(&all, 0.95);
-    phase.p99_us[kind] = Percentile(&all, 0.99);
-  }
-  for (const ClientStats& c : *clients) phase.failures += c.failures;
-  return phase;
-}
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
-
-/// One synchronous request; records latency (or a busy/failure tally).
-void RunOne(PpcClient* client, const Query& q, RequestKind kind,
-            ClientStats* stats) {
-  const auto start = Clock::now();
-  Status status;
+/// One synchronous request of `kind` for `q`.
+Status Issue(PpcClient* client, const Query& q, loadgen::Kind kind) {
   switch (kind) {
-    case kKindPredict:
-      status = client->Predict(q.tmpl, q.point).status();
-      break;
-    case kKindExecute:
-      status = client->Execute(q.tmpl, q.point).status();
-      break;
-    case kKindPing:
-      status = client->Ping();
-      break;
+    case loadgen::kPredict:
+      return client->Predict(q.tmpl, q.point).status();
+    case loadgen::kExecute:
+      return client->Execute(q.tmpl, q.point).status();
+    case loadgen::kPing:
+      return client->Ping();
   }
-  if (status.ok()) {
-    stats->latencies_us[kind].push_back(MicrosSince(start));
-  } else if (status.code() == StatusCode::kResourceExhausted) {
-    ++stats->busy[kind];
-  } else {
-    ++stats->failures;
-  }
+  return Status::Internal("unreachable");
 }
 
-PhaseStats RunClosedLoop(uint16_t port, const std::vector<Query>& workload) {
-  std::vector<ClientStats> stats(kClientThreads);
-  std::vector<std::thread> clients;
-  const auto start = Clock::now();
-  for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([port, t, &workload, &stats] {
-      PpcClient client;
-      const Status s = client.Connect("127.0.0.1", port);
-      if (!s.ok()) {
-        stats[static_cast<size_t>(t)].failures += kClosedPerClient;
-        return;
-      }
-      Rng rng(1000 + static_cast<uint64_t>(t));
-      for (size_t i = 0; i < kClosedPerClient; ++i) {
-        const Query& q =
-            workload[(static_cast<size_t>(t) * kClosedPerClient + i) %
-                     workload.size()];
-        RunOne(&client, q, PickKind(&rng), &stats[static_cast<size_t>(t)]);
-      }
-    });
+/// Closed loop: client t sends `per_client` requests of its contiguous
+/// workload slice, with kinds drawn from Rng(`mix_seed` + t).
+loadgen::Phase MixedClosedLoop(uint16_t port, int threads,
+                               const PpcClient::Options& options,
+                               const std::vector<Query>& workload,
+                               size_t per_client, uint64_t mix_seed) {
+  std::vector<Rng> mix;
+  for (int t = 0; t < threads; ++t) {
+    mix.emplace_back(mix_seed + static_cast<uint64_t>(t));
   }
-  for (auto& c : clients) c.join();
-  return Merge(&stats, std::chrono::duration<double>(Clock::now() - start)
-                           .count());
+  return loadgen::ClosedLoop(
+      port, threads, options,
+      [&](size_t t, size_t i, PpcClient* client) -> loadgen::MaybeCall {
+        if (i == per_client) return std::nullopt;
+        const Query& q = workload[(t * per_client + i) % workload.size()];
+        const loadgen::Kind kind = PickKind(&mix[t]);
+        return loadgen::Call{kind, Issue(client, q, kind)};
+      });
 }
 
 /// Open loop driven by the workload zoo's zipf_tenants scenario
-/// (docs/WORKLOADS.md): each client paces its pipelined sends by the
-/// scenario's own Poisson arrival clock (at target_qps split evenly
-/// across clients) instead of a fixed metronome, and draws
-/// (template, point) from the Zipf-skewed tenant distribution instead
-/// of round-robin — so the open-loop numbers cover skewed per-template
+/// (docs/WORKLOADS.md): each connection is paced by the scenario's own
+/// Poisson arrival clock (at target_qps split evenly across
+/// connections) instead of a fixed metronome, and draws (template,
+/// point) from the Zipf-skewed tenant distribution instead of
+/// round-robin — so the open-loop numbers cover skewed per-template
 /// popularity, not just the uniform happy path.
-PhaseStats RunOpenLoop(uint16_t port, double target_qps) {
-  std::vector<ClientStats> stats(kClientThreads);
-  std::vector<std::thread> clients;
+loadgen::Phase ZipfTenantsOpenLoop(uint16_t port, double target_qps) {
   const double per_client_rate =
       target_qps / static_cast<double>(kClientThreads);
-  const auto start = Clock::now();
+  std::vector<std::vector<loadgen::Scheduled>> schedules(kClientThreads);
   for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([port, t, &stats, per_client_rate] {
-      ClientStats& mine = stats[static_cast<size_t>(t)];
-      PpcClient client;
-      if (!client.Connect("127.0.0.1", port).ok()) {
-        mine.failures += kOpenPerClient;
-        return;
-      }
-      ScenarioConfig scenario_config;
-      for (const char* name : kTemplates) {
-        scenario_config.templates.push_back(
-            {name, EvaluationTemplate(name).ParameterDegree()});
-      }
-      scenario_config.seed = 2000 + static_cast<uint64_t>(t);
-      scenario_config.events_per_second = per_client_rate;
-      auto scenario = MakeScenario("zipf_tenants", scenario_config);
-      PPC_CHECK_MSG(scenario.ok(), scenario.status().ToString().c_str());
-      Rng rng(2600 + static_cast<uint64_t>(t));
-      struct InFlight {
-        uint64_t id;
-        RequestKind kind;
-        Clock::time_point sent;
-      };
-      std::deque<InFlight> outstanding;
-      auto collect = [&mine, &client](const InFlight& flight) {
-        auto response = client.Wait(flight.id);
-        if (!response.ok()) {
-          ++mine.failures;
-        } else if (response.value().status == wire::WireStatus::kBusy) {
-          ++mine.busy[flight.kind];
-        } else if (!response.value().ok()) {
-          ++mine.failures;
-        } else {
-          // Latency includes queueing delay behind the pacing schedule,
-          // which is the open-loop (coordinated-omission-free) measure.
-          mine.latencies_us[flight.kind].push_back(MicrosSince(flight.sent));
-        }
-      };
-      const auto pace_start = Clock::now();
-      for (size_t i = 0; i < kOpenPerClient; ++i) {
-        const ScenarioEvent event = scenario.value()->Next();
-        std::this_thread::sleep_until(
-            pace_start +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(event.arrival_seconds)));
-        while (outstanding.size() >= kOpenLoopWindow) {
-          collect(outstanding.front());
-          outstanding.pop_front();
-        }
-        const std::string& tmpl =
-            scenario.value()->config().templates[event.template_index].name;
-        const RequestKind kind = PickKind(&rng);
-        const Result<uint64_t> id = [&]() -> Result<uint64_t> {
-          switch (kind) {
-            case kKindPredict:
-              return client.SendPredict(tmpl, event.point);
-            case kKindExecute:
-              return client.SendExecute(tmpl, event.point);
-            case kKindPing:
-              return client.SendPing();
-          }
-          return Status::Internal("unreachable");
-        }();
-        if (!id.ok()) {
-          ++mine.failures;
-          continue;
-        }
-        outstanding.push_back({id.value(), kind, Clock::now()});
-      }
-      while (!outstanding.empty()) {
-        collect(outstanding.front());
-        outstanding.pop_front();
-      }
-    });
+    ScenarioConfig scenario_config =
+        ScenarioOver(kTemplates, 2000 + static_cast<uint64_t>(t));
+    scenario_config.events_per_second = per_client_rate;
+    auto scenario = MakeScenario("zipf_tenants", scenario_config);
+    PPC_CHECK_MSG(scenario.ok(), scenario.status().ToString().c_str());
+    Rng rng(2600 + static_cast<uint64_t>(t));
+    for (size_t i = 0; i < kOpenPerClient; ++i) {
+      const ScenarioEvent event = scenario.value()->Next();
+      schedules[static_cast<size_t>(t)].push_back(
+          {event.arrival_seconds, PickKind(&rng),
+           scenario_config.templates[event.template_index].name,
+           event.point});
+    }
   }
-  for (auto& c : clients) c.join();
-  return Merge(&stats, std::chrono::duration<double>(Clock::now() - start)
-                           .count());
+  return loadgen::OpenLoop(port, schedules);
 }
-
-/// Summed PpcClient::TransportStats across the degraded phase's clients.
-struct TransportTotals {
-  uint64_t busy_retries = 0;
-  uint64_t connect_retries = 0;
-  uint64_t reconnects = 0;
-  uint64_t deadlines_exceeded = 0;
-};
-
-/// Closed loop against the degraded server: every client runs with a
-/// per-call deadline and a retry policy, so BUSY answers are absorbed by
-/// backoff instead of being dropped on the floor.
-PhaseStats RunDegradedClosedLoop(uint16_t port,
-                                 const std::vector<Query>& workload,
-                                 const PpcClient::Options& options,
-                                 TransportTotals* transport) {
-  std::vector<ClientStats> stats(kDegradedClientThreads);
-  std::vector<TransportTotals> per_client(kDegradedClientThreads);
-  std::vector<std::thread> clients;
-  const auto start = Clock::now();
-  for (int t = 0; t < kDegradedClientThreads; ++t) {
-    clients.emplace_back([port, t, &workload, &stats, &per_client,
-                          &options] {
-      ClientStats& mine = stats[static_cast<size_t>(t)];
-      PpcClient::Options my_options = options;
-      // Distinct backoff streams, so the retrying clients do not march in
-      // lockstep into the same queue-full window.
-      my_options.retry.seed = options.retry.seed + static_cast<uint64_t>(t);
-      PpcClient client(my_options);
-      if (!client.Connect("127.0.0.1", port).ok()) {
-        mine.failures += kDegradedPerClient;
-        return;
-      }
-      Rng rng(3000 + static_cast<uint64_t>(t));
-      for (size_t i = 0; i < kDegradedPerClient; ++i) {
-        const Query& q =
-            workload[(static_cast<size_t>(t) * kDegradedPerClient + i) %
-                     workload.size()];
-        RunOne(&client, q, PickKind(&rng), &mine);
-      }
-      const PpcClient::TransportStats& ts = client.transport_stats();
-      per_client[static_cast<size_t>(t)] = {ts.busy_retries,
-                                            ts.connect_retries,
-                                            ts.reconnects,
-                                            ts.deadlines_exceeded};
-    });
-  }
-  for (auto& c : clients) c.join();
-  for (const TransportTotals& ts : per_client) {
-    transport->busy_retries += ts.busy_retries;
-    transport->connect_retries += ts.connect_retries;
-    transport->reconnects += ts.reconnects;
-    transport->deadlines_exceeded += ts.deadlines_exceeded;
-  }
-  return Merge(&stats, std::chrono::duration<double>(Clock::now() - start)
-                           .count());
-}
-
-/// One side of the scalar-vs-batch comparison: the same predictions,
-/// measured as completed points per second plus request-latency tails.
-struct BatchPhaseStats {
-  double seconds = 0.0;
-  size_t points = 0;
-  size_t requests = 0;
-  size_t failures = 0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-
-  double points_per_second() const {
-    return seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
-  }
-};
 
 /// Clustered 2-dim Q1 points, flattened row-major (the PREDICT_BATCH
 /// wire layout), so both comparison phases predict the exact same set.
 std::vector<double> MakeQ1Points(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  const std::vector<double> centers = {0.3, 0.5, 0.7};
+  const char* const kQ1[] = {"Q1"};
   std::vector<double> flat;
-  flat.reserve(count * 2);
-  for (size_t i = 0; i < count; ++i) {
-    const double center = centers[(i / 7) % centers.size()];
-    flat.push_back(std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0));
-    flat.push_back(std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0));
+  for (const Query& q : ClusteredWorkload(kQ1, count, seed, 7)) {
+    flat.insert(flat.end(), q.point.begin(), q.point.end());
   }
   return flat;
 }
@@ -431,71 +171,48 @@ uint64_t MeasureWarmBatchPredictAllocations() {
   return ThreadAllocationCount() - before;
 }
 
+/// One side of the scalar-vs-batch comparison: the same predictions,
+/// measured as completed points per second plus request-latency tails.
+struct BatchPhase {
+  loadgen::Phase load;
+  size_t points = 0;
+
+  /// Every request that was not answered OK, BUSY included.
+  size_t failures() const { return load.failures + load.total_busy(); }
+  size_t requests() const { return load.total() + failures(); }
+  double points_per_second() const {
+    return load.seconds > 0.0 ? static_cast<double>(points) / load.seconds
+                              : 0.0;
+  }
+};
+
 /// Runs the same per-client point slice either as single-point PREDICTs
 /// (`batch_size` == 1) or as PREDICT_BATCH frames of `batch_size` points.
-BatchPhaseStats RunPredictComparisonPhase(uint16_t port,
-                                          const std::vector<double>& flat,
-                                          uint32_t batch_size) {
-  struct Tally {
-    std::vector<double> latencies_us;
-    size_t points = 0;
-    size_t requests = 0;
-    size_t failures = 0;
-  };
-  std::vector<Tally> tallies(kClientThreads);
-  std::vector<std::thread> clients;
-  const auto start = Clock::now();
-  for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([port, t, batch_size, &flat, &tallies] {
-      Tally& mine = tallies[static_cast<size_t>(t)];
-      PpcClient client;
-      if (!client.Connect("127.0.0.1", port).ok()) {
-        mine.failures += kBatchPointsPerClient;
-        return;
-      }
-      // Each client owns a contiguous slice of the shared point set.
-      const size_t begin = static_cast<size_t>(t) * kBatchPointsPerClient;
-      for (size_t i = 0; i < kBatchPointsPerClient; i += batch_size) {
+BatchPhase RunPredictComparison(uint16_t port, const std::vector<double>& flat,
+                                uint32_t batch_size) {
+  std::vector<size_t> points(kClientThreads, 0);
+  BatchPhase phase;
+  phase.load = loadgen::ClosedLoop(
+      port, kClientThreads, PpcClient::Options{},
+      [&](size_t t, size_t step, PpcClient* client) -> loadgen::MaybeCall {
+        const size_t i = step * batch_size;
+        if (i >= kBatchPointsPerClient) return std::nullopt;
+        // Each client owns a contiguous slice of the shared point set.
+        const size_t begin = t * kBatchPointsPerClient;
         const size_t n =
             std::min<size_t>(batch_size, kBatchPointsPerClient - i);
         const double* p = flat.data() + (begin + i) * 2;
-        const auto sent = Clock::now();
-        Status status;
-        size_t answered = 0;
         if (batch_size == 1) {
-          status = client.Predict("Q1", {p[0], p[1]}).status();
-          answered = 1;
-        } else {
-          auto result = client.PredictBatch(
-              "Q1", std::vector<double>(p, p + n * 2), 2);
-          status = result.status();
-          if (result.ok()) answered = result.value().size();
+          const Status status = client->Predict("Q1", {p[0], p[1]}).status();
+          if (status.ok()) ++points[t];
+          return loadgen::Call{loadgen::kPredict, status};
         }
-        ++mine.requests;
-        if (status.ok()) {
-          mine.points += answered;
-          mine.latencies_us.push_back(MicrosSince(sent));
-        } else {
-          ++mine.failures;
-        }
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  BatchPhaseStats phase;
-  phase.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  std::vector<double> all;
-  for (Tally& tally : tallies) {
-    all.insert(all.end(), tally.latencies_us.begin(),
-               tally.latencies_us.end());
-    phase.points += tally.points;
-    phase.requests += tally.requests;
-    phase.failures += tally.failures;
-  }
-  phase.p50_us = Percentile(&all, 0.50);
-  phase.p95_us = Percentile(&all, 0.95);
-  phase.p99_us = Percentile(&all, 0.99);
+        auto result =
+            client->PredictBatch("Q1", std::vector<double>(p, p + n * 2), 2);
+        if (result.ok()) points[t] += result.value().size();
+        return loadgen::Call{loadgen::kPredict, result.status()};
+      });
+  for (size_t answered : points) phase.points += answered;
   return phase;
 }
 
@@ -519,61 +236,79 @@ bool VerifyBatchBitIdentity(uint16_t port, const std::vector<double>& flat,
   return true;
 }
 
-void PrintBatchPhase(const char* name, const BatchPhaseStats& phase) {
+/// The server's METRICS payload, fetched just before an orderly remote
+/// shutdown.
+std::string MetricsThenShutdown(uint16_t port) {
+  PpcClient client;
+  const Status connected = client.Connect("127.0.0.1", port);
+  PPC_CHECK_MSG(connected.ok(), connected.ToString().c_str());
+  auto metrics = client.Metrics();
+  PPC_CHECK_MSG(metrics.ok(), metrics.status().ToString().c_str());
+  const Status down = client.Shutdown();
+  PPC_CHECK_MSG(down.ok(), down.ToString().c_str());
+  return std::move(metrics).value();
+}
+
+void PrintBatchPhase(const char* name, const BatchPhase& phase) {
   std::printf(
       "%s: %.2fs, %zu points in %zu requests, %.0f points/s, "
       "%zu failures\n    p50 %.1f us  p95 %.1f us  p99 %.1f us\n",
-      name, phase.seconds, phase.points, phase.requests,
-      phase.points_per_second(), phase.failures, phase.p50_us, phase.p95_us,
-      phase.p99_us);
+      name, phase.load.seconds, phase.points, phase.requests(),
+      phase.points_per_second(), phase.failures(),
+      phase.load.LatencyUs(loadgen::kPredict, 0.50),
+      phase.load.LatencyUs(loadgen::kPredict, 0.95),
+      phase.load.LatencyUs(loadgen::kPredict, 0.99));
 }
 
-std::string BatchPhaseJson(const BatchPhaseStats& phase) {
-  std::string out = "{\"seconds\": " + JsonNumber(phase.seconds);
+std::string BatchPhaseJson(const BatchPhase& phase) {
+  std::string out = "{\"seconds\": " + JsonNumber(phase.load.seconds);
   out += ", \"points\": " + std::to_string(phase.points);
-  out += ", \"requests\": " + std::to_string(phase.requests);
+  out += ", \"requests\": " + std::to_string(phase.requests());
   out += ", \"points_per_second\": " + JsonNumber(phase.points_per_second());
-  out += ", \"failures\": " + std::to_string(phase.failures);
-  out += ", \"p50_us\": " + JsonNumber(phase.p50_us);
-  out += ", \"p95_us\": " + JsonNumber(phase.p95_us);
-  out += ", \"p99_us\": " + JsonNumber(phase.p99_us);
+  out += ", \"failures\": " + std::to_string(phase.failures());
+  const loadgen::Phase& load = phase.load;
+  out += ", \"p50_us\": " + JsonNumber(load.LatencyUs(loadgen::kPredict, 0.50));
+  out += ", \"p95_us\": " + JsonNumber(load.LatencyUs(loadgen::kPredict, 0.95));
+  out += ", \"p99_us\": " + JsonNumber(load.LatencyUs(loadgen::kPredict, 0.99));
   out += "}";
   return out;
 }
 
-void PrintPhase(const char* name, const PhaseStats& phase) {
+void PrintPhase(const char* name, const loadgen::Phase& phase) {
   std::printf("%s: %.2fs, %zu requests, %.0f qps, %zu busy, %zu failures\n",
               name, phase.seconds, phase.total(), phase.qps(),
               phase.total_busy(), phase.failures);
   std::printf("%10s %8s %8s %10s %10s %10s\n", "type", "count", "busy",
               "p50 us", "p95 us", "p99 us");
-  for (int kind = 0; kind < 3; ++kind) {
-    std::printf("%10s %8zu %8zu %10.1f %10.1f %10.1f\n", kKindNames[kind],
-                phase.count[kind], phase.busy[kind], phase.p50_us[kind],
-                phase.p95_us[kind], phase.p99_us[kind]);
+  for (int kind = 0; kind < loadgen::kKinds; ++kind) {
+    std::printf("%10s %8zu %8zu %10.1f %10.1f %10.1f\n",
+                loadgen::kKindNames[kind], phase.count(kind), phase.busy[kind],
+                phase.LatencyUs(kind, 0.50), phase.LatencyUs(kind, 0.95),
+                phase.LatencyUs(kind, 0.99));
   }
   PrintRule();
 }
 
-std::string PhaseJson(const PhaseStats& phase) {
+std::string PhaseJson(const loadgen::Phase& phase) {
   std::string out = "{\"seconds\": " + JsonNumber(phase.seconds);
   out += ", \"total_requests\": " + std::to_string(phase.total());
   out += ", \"qps\": " + JsonNumber(phase.qps());
   out += ", \"busy\": " + std::to_string(phase.total_busy());
   out += ", \"failures\": " + std::to_string(phase.failures);
   out += ", \"per_type\": {";
-  for (int kind = 0; kind < 3; ++kind) {
+  for (int kind = 0; kind < loadgen::kKinds; ++kind) {
     const double type_qps =
         phase.seconds > 0.0
-            ? static_cast<double>(phase.count[kind]) / phase.seconds
+            ? static_cast<double>(phase.count(kind)) / phase.seconds
             : 0.0;
-    out += std::string(kind == 0 ? "" : ", ") + "\"" + kKindNames[kind] +
-           "\": {\"count\": " + std::to_string(phase.count[kind]) +
+    out += std::string(kind == 0 ? "" : ", ") + "\"" +
+           loadgen::kKindNames[kind] +
+           "\": {\"count\": " + std::to_string(phase.count(kind)) +
            ", \"qps\": " + JsonNumber(type_qps) +
            ", \"busy\": " + std::to_string(phase.busy[kind]) +
-           ", \"p50_us\": " + JsonNumber(phase.p50_us[kind]) +
-           ", \"p95_us\": " + JsonNumber(phase.p95_us[kind]) +
-           ", \"p99_us\": " + JsonNumber(phase.p99_us[kind]) + "}";
+           ", \"p50_us\": " + JsonNumber(phase.LatencyUs(kind, 0.50)) +
+           ", \"p95_us\": " + JsonNumber(phase.LatencyUs(kind, 0.95)) +
+           ", \"p99_us\": " + JsonNumber(phase.LatencyUs(kind, 0.99)) + "}";
   }
   out += "}}";
   return out;
@@ -588,12 +323,8 @@ void Run() {
   PrintRule();
 
   PpcFramework framework(&BenchCatalog(), ServingConfig());
-  for (const char* name : kTemplates) {
-    const Status s = framework.RegisterTemplate(EvaluationTemplate(name));
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-  framework.Seal();
-  for (const Query& q : MakeWorkload(kWarmupQueries, 11)) {
+  RegisterAndSeal(&framework, kTemplates);
+  for (const Query& q : ClusteredWorkload(kTemplates, kWarmupQueries, 11, 7)) {
     auto report = framework.ExecuteAtPoint(q.tmpl, q.point);
     PPC_CHECK_MSG(report.ok(), report.status().ToString().c_str());
   }
@@ -607,15 +338,19 @@ void Run() {
   }
   std::printf("server listening on 127.0.0.1:%u\n\n", server.port());
 
-  const std::vector<Query> workload = MakeWorkload(4096, 13);
-  const PhaseStats closed = RunClosedLoop(server.port(), workload);
+  const std::vector<Query> workload =
+      ClusteredWorkload(kTemplates, 4096, 13, 7);
+  const loadgen::Phase closed =
+      MixedClosedLoop(server.port(), kClientThreads, PpcClient::Options{},
+                      workload, kClosedPerClient, 1000);
   PrintPhase("closed loop", closed);
 
   const double target_qps = kOpenLoopFraction * closed.qps();
   std::printf("open loop target: %.0f qps (%.0f%% of closed loop), "
               "zipf_tenants scenario arrivals\n",
               target_qps, 100.0 * kOpenLoopFraction);
-  const PhaseStats open = RunOpenLoop(server.port(), target_qps);
+  const loadgen::Phase open =
+      ZipfTenantsOpenLoop(server.port(), target_qps);
   PrintPhase("open loop", open);
 
   PPC_CHECK(closed.failures == 0);
@@ -631,11 +366,11 @@ void Run() {
   const bool bit_identical =
       VerifyBatchBitIdentity(server.port(), q1_points, 256);
   PPC_CHECK_MSG(bit_identical, "batch answers diverge from scalar answers");
-  const BatchPhaseStats scalar_phase =
-      RunPredictComparisonPhase(server.port(), q1_points, 1);
+  const BatchPhase scalar_phase =
+      RunPredictComparison(server.port(), q1_points, 1);
   PrintBatchPhase("scalar predicts", scalar_phase);
-  const BatchPhaseStats batch_phase =
-      RunPredictComparisonPhase(server.port(), q1_points, kBatchSize);
+  const BatchPhase batch_phase =
+      RunPredictComparison(server.port(), q1_points, kBatchSize);
   PrintBatchPhase("batch predicts", batch_phase);
   const double batch_speedup =
       scalar_phase.points_per_second() > 0.0
@@ -644,21 +379,11 @@ void Run() {
   std::printf("batch size %u speedup over scalar: %.2fx (bit-identical)\n",
               kBatchSize, batch_speedup);
   PrintRule();
-  PPC_CHECK(scalar_phase.failures == 0);
-  PPC_CHECK(batch_phase.failures == 0);
+  PPC_CHECK(scalar_phase.failures() == 0);
+  PPC_CHECK(batch_phase.failures() == 0);
 
   // Final server-side view, then an orderly remote shutdown.
-  std::string metrics_json = "{}";
-  {
-    PpcClient client;
-    const Status s = client.Connect("127.0.0.1", server.port());
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-    auto metrics = client.Metrics();
-    PPC_CHECK_MSG(metrics.ok(), metrics.status().ToString().c_str());
-    metrics_json = std::move(metrics).value();
-    const Status down = client.Shutdown();
-    PPC_CHECK_MSG(down.ok(), down.ToString().c_str());
-  }
+  const std::string metrics_json = MetricsThenShutdown(server.port());
   server.Wait();
 
   // Degraded-mode phase (DESIGN.md §14): a fresh server with a small
@@ -693,9 +418,12 @@ void Run() {
   degraded_options.retry.initial_backoff_ms = 1;
   degraded_options.retry.max_backoff_ms = 50;
 
-  TransportTotals transport;
-  const PhaseStats degraded = RunDegradedClosedLoop(
-      degraded_server.port(), workload, degraded_options, &transport);
+  // Clients retry BUSY under the policy, with a per-call deadline, so
+  // backpressure is absorbed by backoff instead of dropped on the floor.
+  const loadgen::Phase degraded = MixedClosedLoop(
+      degraded_server.port(), kDegradedClientThreads, degraded_options,
+      workload, kDegradedPerClient, 3000);
+  const PpcClient::TransportStats& transport = degraded.transport;
   failpoints::DisarmAll();
   PrintPhase("degraded loop", degraded);
   std::printf(
@@ -709,17 +437,8 @@ void Run() {
   // Degradation must not become outage: the phase has to make progress.
   PPC_CHECK_MSG(degraded.total() > 0, "degraded phase made no progress");
 
-  std::string degraded_metrics_json = "{}";
-  {
-    PpcClient client;
-    const Status s = client.Connect("127.0.0.1", degraded_server.port());
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-    auto metrics = client.Metrics();
-    PPC_CHECK_MSG(metrics.ok(), metrics.status().ToString().c_str());
-    degraded_metrics_json = std::move(metrics).value();
-    const Status down = client.Shutdown();
-    PPC_CHECK_MSG(down.ok(), down.ToString().c_str());
-  }
+  const std::string degraded_metrics_json =
+      MetricsThenShutdown(degraded_server.port());
   degraded_server.Wait();
 
   std::string body = "  \"hardware_threads\": " +

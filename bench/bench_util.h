@@ -1,6 +1,7 @@
 #ifndef PPC_BENCH_BENCH_UTIL_H_
 #define PPC_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -13,11 +14,13 @@
 #include "common/math_utils.h"
 #include "ppc/metrics_registry.h"
 #include "ppc/online_predictor.h"
+#include "ppc/ppc_framework.h"
 #include "common/rng.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_evaluator.h"
 #include "ppc/metrics.h"
 #include "storage/tpch_generator.h"
+#include "workload/scenarios.h"
 #include "workload/templates.h"
 #include "workload/workload_generator.h"
 
@@ -313,6 +316,121 @@ inline double FindHomeCenter(const Experiment& exp, double box_center,
     if (probe.pure && probe.ring_other_fraction < 0.3) return c;
   }
   return Clamp(box_center + 0.35, 0.05, 0.95);
+}
+
+/// The p-quantile (p in [0, 1]) of `values` by nearest rank; 0 for an
+/// empty input.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double index = p * static_cast<double>(values.size() - 1);
+  return values[static_cast<size_t>(index + 0.5)];
+}
+
+/// The framework configuration the serving benches run: 5 transforms of
+/// 40 buckets, radius 0.05, an 80% confidence gate and a 64-plan cache.
+inline PpcFramework::Config ServingConfig() {
+  PpcFramework::Config cfg;
+  cfg.online.predictor.transform_count = 5;
+  cfg.online.predictor.histogram_buckets = 40;
+  cfg.online.predictor.radius = 0.05;
+  cfg.online.predictor.confidence_threshold = 0.8;
+  cfg.online.predictor.noise_fraction = 0.002;
+  cfg.online.estimator_window = 100;
+  cfg.plan_cache_capacity = 64;
+  return cfg;
+}
+
+/// The adversarial-drift arm (DESIGN.md §17) shared by
+/// bench_drift_recovery and the workload zoo: ServingConfig with a wide
+/// 0.2 query radius and negative feedback, plus the retuner when
+/// `retune` is on. `warmup_queries` is the length of the warm-up phases
+/// that precede the drift.
+inline PpcFramework::Config DriftArmConfig(bool retune, size_t warmup_queries) {
+  PpcFramework::Config cfg = ServingConfig();
+  cfg.online.predictor.radius = 0.2;
+  cfg.online.predictor.noise_fraction = 0.0005;
+  cfg.online.negative_feedback = true;
+  cfg.online.cost_error_bound = 0.25;
+  cfg.retune.enabled = retune;
+  cfg.retune.precision_trigger = 0.75;
+  cfg.retune.recall_trigger = 0.6;
+  // A small reservoir turns over fast after the concentration drift, and
+  // the aggressive quantile shaves the old regime's stragglers off the
+  // fitted ranges — both keep the first post-drift refit from landing on
+  // a home-cluster/box mixture and producing a blurry in-between
+  // generation.
+  cfg.retune.reservoir_capacity = 128;
+  cfg.retune.min_reservoir_points = 64;
+  cfg.retune.range_fit_quantile = 0.15;
+  // The warm-up phases have intrinsically low windowed recall (uniform
+  // scatter) which would trip the trigger before there is any drift to
+  // respond to. The cooldown covers them, so the first refit the
+  // controller can possibly schedule is a genuine post-drift one.
+  cfg.retune.cooldown_observations =
+      warmup_queries - cfg.online.estimator_window;
+  return cfg;
+}
+
+/// Registers the evaluation templates named in `names` on `framework`,
+/// then seals it.
+template <typename Names>
+void RegisterAndSeal(PpcFramework* framework, const Names& names) {
+  for (const auto& name : names) {
+    const Status s = framework->RegisterTemplate(EvaluationTemplate(name));
+    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
+  }
+  framework->Seal();
+}
+
+/// One query of a clustered serving workload.
+struct Query {
+  size_t template_index = 0;  // into the list the workload was drawn from
+  const char* tmpl = "";
+  std::vector<double> point;
+};
+
+/// Clustered points round-robin across `templates`: each run of
+/// `run_length` consecutive queries draws around one of the centers 0.3,
+/// 0.5 and 0.7, ±0.02 per coordinate. Pre-generated, so workload
+/// generation stays off the timed path.
+template <size_t N>
+std::vector<Query> ClusteredWorkload(const char* const (&templates)[N],
+                                     size_t count, uint64_t seed,
+                                     size_t run_length) {
+  Rng rng(seed);
+  std::vector<int> dims;
+  for (const char* name : templates) {
+    dims.push_back(EvaluationTemplate(name).ParameterDegree());
+  }
+  const std::vector<double> centers = {0.3, 0.5, 0.7};
+  std::vector<Query> queries;
+  queries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    Query q;
+    q.template_index = i % N;
+    q.tmpl = templates[q.template_index];
+    const double center = centers[(i / run_length) % centers.size()];
+    q.point.resize(static_cast<size_t>(dims[q.template_index]));
+    for (double& v : q.point) {
+      v = std::clamp(center + rng.Uniform(-0.02, 0.02), 0.0, 1.0);
+    }
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+/// A workload-zoo scenario configuration (docs/WORKLOADS.md) over
+/// `templates`, seeded with `seed`; every other knob at its default.
+template <size_t N>
+ScenarioConfig ScenarioOver(const char* const (&templates)[N],
+                            uint64_t seed) {
+  ScenarioConfig cfg;
+  for (const char* name : templates) {
+    cfg.templates.push_back({name, EvaluationTemplate(name).ParameterDegree()});
+  }
+  cfg.seed = seed;
+  return cfg;
 }
 
 /// Prints a header in the format the harnesses share.

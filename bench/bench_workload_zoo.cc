@@ -23,17 +23,18 @@
 // Prints a table and writes BENCH_workload_zoo.json (schema in
 // EXPERIMENTS.md); scripts/check.sh runs it and validates the file.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "loadgen.h"
 #include "ppc/ppc_framework.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -42,8 +43,6 @@
 namespace ppc {
 namespace bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 const char* const kZooTemplates[] = {"Q1", "Q3", "Q5", "Q8"};
 
@@ -60,7 +59,6 @@ constexpr size_t kDiurnalMeasured = 4000;
 constexpr double kDiurnalBaseRate = 800.0;
 constexpr size_t kDiurnalQueueCapacity = 8;
 constexpr auto kWorkerDelay = std::chrono::microseconds(150);
-constexpr size_t kOpenWindow = 256;  // max outstanding pipelined ids
 
 // adversarial_drift phase sizes, mirroring bench_drift_recovery: the
 // retune cooldown spans the warm-up phases so the first refit the
@@ -69,51 +67,6 @@ constexpr size_t kDriftUniform = 600;
 constexpr size_t kDriftHome = 800;
 constexpr size_t kDriftBox = 1600;
 constexpr double kDriftBoxHalfWidth = 0.05;
-
-PpcFramework::Config ZooServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
-}
-
-/// The retune-enabled arm of bench_drift_recovery, reused verbatim so
-/// the zoo's drift scenario measures the same machinery.
-PpcFramework::Config DriftServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.2;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.0005;
-  cfg.online.negative_feedback = true;
-  cfg.online.cost_error_bound = 0.25;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  cfg.retune.enabled = true;
-  cfg.retune.precision_trigger = 0.75;
-  cfg.retune.recall_trigger = 0.6;
-  cfg.retune.reservoir_capacity = 128;
-  cfg.retune.min_reservoir_points = 64;
-  cfg.retune.cooldown_observations = kDriftUniform + kDriftHome - 100;
-  cfg.retune.range_fit_quantile = 0.15;
-  return cfg;
-}
-
-ScenarioConfig BaseScenarioConfig(uint64_t seed) {
-  ScenarioConfig cfg;
-  for (const char* name : kZooTemplates) {
-    cfg.templates.push_back(
-        {name, EvaluationTemplate(name).ParameterDegree()});
-  }
-  cfg.seed = seed;
-  return cfg;
-}
 
 /// Bit-exact stream equality — the determinism contract the zoo (and
 /// the check.sh smoke) advertises.
@@ -149,24 +102,17 @@ struct ScenarioOutcome {
   size_t warmup_events = 0;
   size_t measured_events = 0;
   bool deterministic = false;
-  double seconds = 0.0;
-  size_t predicts = 0;
-  size_t executes = 0;
-  size_t busy = 0;
-  size_t failures = 0;
+  loadgen::Phase load;
   /// EXECUTEs whose served prediction stuck (used_prediction and no
   /// negative-feedback overturn), over all measured EXECUTEs.
   size_t hits = 0;
   PpcFramework::FrameworkMetrics snapshot;
 
-  double qps() const {
-    const double total = static_cast<double>(predicts + executes);
-    return seconds > 0.0 ? total / seconds : 0.0;
-  }
+  size_t executes() const { return load.count(loadgen::kExecute); }
   double hit_rate() const {
-    return executes == 0
+    return executes() == 0
                ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(executes);
+               : static_cast<double>(hits) / static_cast<double>(executes());
   }
 };
 
@@ -182,115 +128,58 @@ void WarmUp(PpcFramework* framework, const ScenarioConfig& config,
   }
 }
 
-/// Closed loop over TCP: one synchronous request per event. Every 4th
-/// event EXECUTEs (carrying feedback), the rest PREDICT —
-/// `execute_all` turns the mix into pure EXECUTE (adversarial_drift
-/// needs every event to feed the drift window).
-void DriveClosedLoop(uint16_t port, const ScenarioConfig& config,
-                     const std::vector<ScenarioEvent>& events, size_t begin,
-                     bool execute_all, ScenarioOutcome* out) {
-  PpcClient client;
-  const Status connected = client.Connect("127.0.0.1", port);
-  PPC_CHECK_MSG(connected.ok(), connected.ToString().c_str());
-  const auto start = Clock::now();
-  for (size_t i = begin; i < events.size(); ++i) {
-    const ScenarioEvent& e = events[i];
-    const std::string& tmpl = config.templates[e.template_index].name;
-    if (execute_all || (i - begin) % 4 == 0) {
-      auto result = client.Execute(tmpl, e.point);
-      if (!result.ok()) {
-        if (result.status().code() == StatusCode::kResourceExhausted) {
-          ++out->busy;
-        } else {
-          ++out->failures;
-        }
-        continue;
-      }
-      ++out->executes;
-      if (result.value().used_prediction &&
-          !result.value().negative_feedback_triggered) {
-        ++out->hits;
-      }
-    } else {
-      auto result = client.Predict(tmpl, e.point);
-      if (!result.ok()) {
-        if (result.status().code() == StatusCode::kResourceExhausted) {
-          ++out->busy;
-        } else {
-          ++out->failures;
-        }
-        continue;
-      }
-      ++out->predicts;
-    }
-  }
-  out->seconds = std::chrono::duration<double>(Clock::now() - start).count();
+/// Whether an EXECUTE answer counts as a hit: the served prediction
+/// stuck (used, and not overturned by negative feedback).
+bool IsHit(const wire::Response::Execute& execute) {
+  return execute.used_prediction && !execute.negative_feedback_triggered;
 }
 
-/// Open loop over TCP, paced by the scenario's own arrival clock with
-/// the pipelined client API (sends never wait for responses, so a
-/// flash crowd's arrival rate actually reaches the server). BUSY
+/// Closed loop over TCP: one connection, one synchronous request per
+/// event. Every 4th event EXECUTEs (carrying feedback), the rest PREDICT
+/// — `execute_all` turns the mix into pure EXECUTE (adversarial_drift
+/// needs every event to feed the drift window).
+void ReplayClosed(uint16_t port, const ScenarioConfig& config,
+                  const std::vector<ScenarioEvent>& events, size_t begin,
+                  bool execute_all, ScenarioOutcome* out) {
+  out->load = loadgen::ClosedLoop(
+      port, 1, PpcClient::Options{},
+      [&](size_t, size_t i, PpcClient* client) -> loadgen::MaybeCall {
+        if (begin + i >= events.size()) return std::nullopt;
+        const ScenarioEvent& e = events[begin + i];
+        const std::string& tmpl = config.templates[e.template_index].name;
+        if (execute_all || i % 4 == 0) {
+          auto result = client->Execute(tmpl, e.point);
+          if (result.ok() && IsHit(result.value())) ++out->hits;
+          return loadgen::Call{loadgen::kExecute, result.status()};
+        }
+        return loadgen::Call{loadgen::kPredict,
+                             client->Predict(tmpl, e.point).status()};
+      });
+}
+
+/// Open loop over TCP, paced by the scenario's own arrival clock (sends
+/// never wait for responses, so a flash crowd's arrival rate actually
+/// reaches the server); even events EXECUTE, odd ones PREDICT. BUSY
 /// answers are counted, not retried — they are the ladder's last rung
 /// doing its job.
-void DriveOpenLoop(uint16_t port, const ScenarioConfig& config,
-                   const std::vector<ScenarioEvent>& events, size_t begin,
-                   ScenarioOutcome* out) {
-  PpcClient client;
-  const Status connected = client.Connect("127.0.0.1", port);
-  PPC_CHECK_MSG(connected.ok(), connected.ToString().c_str());
-
-  struct InFlight {
-    uint64_t id;
-    bool is_execute;
-  };
-  std::deque<InFlight> outstanding;
-  auto collect = [out, &client](const InFlight& flight) {
-    auto response = client.Wait(flight.id);
-    if (!response.ok()) {
-      ++out->failures;
-    } else if (response.value().status == wire::WireStatus::kBusy) {
-      ++out->busy;
-    } else if (!response.value().ok()) {
-      ++out->failures;
-    } else if (flight.is_execute) {
-      ++out->executes;
-      if (response.value().execute.used_prediction &&
-          !response.value().execute.negative_feedback_triggered) {
-        ++out->hits;
-      }
-    } else {
-      ++out->predicts;
-    }
-  };
-
-  const double time_base = events[begin].arrival_seconds;
-  const auto start = Clock::now();
+void ReplayOpen(uint16_t port, const ScenarioConfig& config,
+                const std::vector<ScenarioEvent>& events, size_t begin,
+                ScenarioOutcome* out) {
+  std::vector<loadgen::Scheduled> schedule;
   for (size_t i = begin; i < events.size(); ++i) {
     const ScenarioEvent& e = events[i];
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(e.arrival_seconds -
-                                                  time_base)));
-    while (outstanding.size() >= kOpenWindow) {
-      collect(outstanding.front());
-      outstanding.pop_front();
-    }
-    const std::string& tmpl = config.templates[e.template_index].name;
-    const bool is_execute = (i - begin) % 2 == 0;
-    const Result<uint64_t> id = is_execute
-                                    ? client.SendExecute(tmpl, e.point)
-                                    : client.SendPredict(tmpl, e.point);
-    if (!id.ok()) {
-      ++out->failures;
-      continue;
-    }
-    outstanding.push_back({id.value(), is_execute});
+    schedule.push_back(
+        {e.arrival_seconds - events[begin].arrival_seconds,
+         (i - begin) % 2 == 0 ? loadgen::kExecute : loadgen::kPredict,
+         config.templates[e.template_index].name, e.point});
   }
-  while (!outstanding.empty()) {
-    collect(outstanding.front());
-    outstanding.pop_front();
-  }
-  out->seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  out->load = loadgen::OpenLoop(
+      port, {schedule},
+      [&](const loadgen::Scheduled& request, const wire::Response& response) {
+        if (request.kind == loadgen::kExecute && IsHit(response.execute)) {
+          ++out->hits;
+        }
+      });
 }
 
 /// Stops the server through the wire (orderly remote shutdown), then
@@ -319,7 +208,7 @@ ScenarioOutcome RunClosedScenario(const std::string& name, uint64_t seed) {
   out.warmup_events = kClosedWarmup;
   out.measured_events = kClosedMeasured;
 
-  const ScenarioConfig config = BaseScenarioConfig(seed);
+  const ScenarioConfig config = ScenarioOver(kZooTemplates, seed);
   out.deterministic =
       StreamsIdentical(name, config, kClosedWarmup + kClosedMeasured);
   auto generator = MakeScenario(name, config);
@@ -327,12 +216,8 @@ ScenarioOutcome RunClosedScenario(const std::string& name, uint64_t seed) {
   const std::vector<ScenarioEvent> events =
       GenerateEvents(generator.value().get(), kClosedWarmup + kClosedMeasured);
 
-  PpcFramework framework(&BenchCatalog(), ZooServingConfig());
-  for (const char* tmpl : kZooTemplates) {
-    const Status s = framework.RegisterTemplate(EvaluationTemplate(tmpl));
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-  framework.Seal();
+  PpcFramework framework(&BenchCatalog(), ServingConfig());
+  RegisterAndSeal(&framework, kZooTemplates);
   WarmUp(&framework, config, events, kClosedWarmup);
 
   PlanServer::Config server_config;
@@ -341,8 +226,8 @@ ScenarioOutcome RunClosedScenario(const std::string& name, uint64_t seed) {
   const Status started = server.Start();
   PPC_CHECK_MSG(started.ok(), started.ToString().c_str());
 
-  DriveClosedLoop(server.port(), config, events, kClosedWarmup,
-                  /*execute_all=*/false, &out);
+  ReplayClosed(server.port(), config, events, kClosedWarmup,
+               /*execute_all=*/false, &out);
   FinishScenario(&framework, &server, &out);
   return out;
 }
@@ -355,7 +240,7 @@ ScenarioOutcome RunDiurnalScenario(uint64_t seed) {
   out.warmup_events = kDiurnalWarmup;
   out.measured_events = kDiurnalMeasured;
 
-  ScenarioConfig config = BaseScenarioConfig(seed);
+  ScenarioConfig config = ScenarioOver(kZooTemplates, seed);
   config.events_per_second = kDiurnalBaseRate;
   config.diurnal_flash.period_seconds = 2.0;
   config.diurnal_flash.amplitude = 0.6;
@@ -370,12 +255,8 @@ ScenarioOutcome RunDiurnalScenario(uint64_t seed) {
   const std::vector<ScenarioEvent> events = GenerateEvents(
       generator.value().get(), kDiurnalWarmup + kDiurnalMeasured);
 
-  PpcFramework framework(&BenchCatalog(), ZooServingConfig());
-  for (const char* tmpl : kZooTemplates) {
-    const Status s = framework.RegisterTemplate(EvaluationTemplate(tmpl));
-    PPC_CHECK_MSG(s.ok(), s.ToString().c_str());
-  }
-  framework.Seal();
+  PpcFramework framework(&BenchCatalog(), ServingConfig());
+  RegisterAndSeal(&framework, kZooTemplates);
   WarmUp(&framework, config, events, kDiurnalWarmup);
 
   // A deliberately small server: one worker slowed by the dispatch
@@ -391,7 +272,7 @@ ScenarioOutcome RunDiurnalScenario(uint64_t seed) {
   const Status started = server.Start();
   PPC_CHECK_MSG(started.ok(), started.ToString().c_str());
 
-  DriveOpenLoop(server.port(), config, events, kDiurnalWarmup, &out);
+  ReplayOpen(server.port(), config, events, kDiurnalWarmup, &out);
   FinishScenario(&framework, &server, &out);
   return out;
 }
@@ -412,10 +293,8 @@ ScenarioOutcome RunDriftScenario(uint64_t seed) {
   const double home_center =
       FindHomeCenter(probe, box_center, kDriftBoxHalfWidth);
 
-  ScenarioConfig config;
-  config.templates.push_back(
-      {"Q5", EvaluationTemplate("Q5").ParameterDegree()});
-  config.seed = seed;
+  const char* const kDriftTemplate[] = {"Q5"};
+  ScenarioConfig config = ScenarioOver(kDriftTemplate, seed);
   config.adversarial_drift.phases = {
       {kDriftUniform, 0.5, 0.48},
       {kDriftHome, home_center, kDriftBoxHalfWidth},
@@ -428,11 +307,10 @@ ScenarioOutcome RunDriftScenario(uint64_t seed) {
   const std::vector<ScenarioEvent> events =
       GenerateEvents(generator.value().get(), out.measured_events);
 
-  PpcFramework framework(&BenchCatalog(), DriftServingConfig());
-  const Status registered =
-      framework.RegisterTemplate(EvaluationTemplate("Q5"));
-  PPC_CHECK_MSG(registered.ok(), registered.ToString().c_str());
-  framework.Seal();
+  PpcFramework framework(
+      &BenchCatalog(),
+      DriftArmConfig(/*retune=*/true, kDriftUniform + kDriftHome));
+  RegisterAndSeal(&framework, kDriftTemplate);
 
   PlanServer::Config server_config;
   server_config.worker_threads = 2;
@@ -440,44 +318,24 @@ ScenarioOutcome RunDriftScenario(uint64_t seed) {
   const Status started = server.Start();
   PPC_CHECK_MSG(started.ok(), started.ToString().c_str());
 
-  DriveClosedLoop(server.port(), config, events, 0, /*execute_all=*/true,
-                  &out);
+  ReplayClosed(server.port(), config, events, 0, /*execute_all=*/true,
+               &out);
   FinishScenario(&framework, &server, &out);
   return out;
 }
 
-std::string ShedJson(const MetricsRegistry::Snapshot& snap) {
-  std::string out = "{\"enter_no_microbatch\": " +
-                    std::to_string(CounterValue(
-                        snap, "server.shed.enter_no_microbatch"));
-  out += ", \"enter_abstain\": " +
-         std::to_string(CounterValue(snap, "server.shed.enter_abstain"));
-  out += ", \"recovered\": " +
-         std::to_string(CounterValue(snap, "server.shed.recovered"));
-  out += ", \"abstained_predicts\": " +
-         std::to_string(CounterValue(snap, "server.shed.abstained_predicts"));
-  out += ", \"responses_busy\": " +
-         std::to_string(CounterValue(snap, "server.responses.busy"));
-  out += "}";
-  return out;
-}
-
-std::string RetuneJson(const MetricsRegistry::Snapshot& snap) {
-  std::string out = "{\"triggers\": " +
-                    std::to_string(CounterValue(snap, "server.retune.triggers"));
-  out += ", \"refits\": " +
-         std::to_string(CounterValue(snap, "server.retune.refits"));
-  out += ", \"skipped\": " +
-         std::to_string(CounterValue(snap, "server.retune.skipped"));
-  out += ", \"aborted\": " +
-         std::to_string(CounterValue(snap, "server.retune.aborted"));
-  out += ", \"points_backfilled\": " +
-         std::to_string(
-             CounterValue(snap, "server.retune.points_backfilled"));
-  out += ", \"generations\": " +
-         std::to_string(CounterValue(snap, "server.retune.generations"));
-  out += "}";
-  return out;
+/// A JSON object of registry counters, one `"key": value` per
+/// (key, counter name) pair.
+std::string CountersJson(
+    const MetricsRegistry::Snapshot& snap,
+    const std::vector<std::pair<const char*, const char*>>& fields) {
+  std::string out = "{";
+  for (const auto& [key, counter] : fields) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + std::string(key) +
+           "\": " + std::to_string(CounterValue(snap, counter));
+  }
+  return out + "}";
 }
 
 std::string OutcomeJson(const ScenarioOutcome& out) {
@@ -488,12 +346,13 @@ std::string OutcomeJson(const ScenarioOutcome& out) {
   json += out.deterministic ? "true" : "false";
   json += ", \"warmup_events\": " + std::to_string(out.warmup_events);
   json += ", \"measured_events\": " + std::to_string(out.measured_events);
-  json += ", \"seconds\": " + JsonNumber(out.seconds);
-  json += ", \"qps\": " + JsonNumber(out.qps());
-  json += ", \"predicts\": " + std::to_string(out.predicts);
-  json += ", \"executes\": " + std::to_string(out.executes);
-  json += ", \"busy\": " + std::to_string(out.busy);
-  json += ", \"failures\": " + std::to_string(out.failures);
+  json += ", \"seconds\": " + JsonNumber(out.load.seconds);
+  json += ", \"qps\": " + JsonNumber(out.load.qps());
+  json += ", \"predicts\": " +
+          std::to_string(out.load.count(loadgen::kPredict));
+  json += ", \"executes\": " + std::to_string(out.executes());
+  json += ", \"busy\": " + std::to_string(out.load.total_busy());
+  json += ", \"failures\": " + std::to_string(out.load.failures);
   json += ", \"hit_rate\": " + JsonNumber(out.hit_rate());
   json += ", \"templates\": [";
   for (size_t i = 0; i < out.snapshot.templates.size(); ++i) {
@@ -507,8 +366,22 @@ std::string OutcomeJson(const ScenarioOutcome& out) {
     json += "}";
   }
   json += "]";
-  json += ", \"shed\": " + ShedJson(out.snapshot.registry);
-  json += ", \"retune\": " + RetuneJson(out.snapshot.registry);
+  const MetricsRegistry::Snapshot& snap = out.snapshot.registry;
+  json += ", \"shed\": " +
+          CountersJson(
+              snap, {{"enter_no_microbatch", "server.shed.enter_no_microbatch"},
+                     {"enter_abstain", "server.shed.enter_abstain"},
+                     {"recovered", "server.shed.recovered"},
+                     {"abstained_predicts", "server.shed.abstained_predicts"},
+                     {"responses_busy", "server.responses.busy"}});
+  json += ", \"retune\": " +
+          CountersJson(
+              snap, {{"triggers", "server.retune.triggers"},
+                     {"refits", "server.retune.refits"},
+                     {"skipped", "server.retune.skipped"},
+                     {"aborted", "server.retune.aborted"},
+                     {"points_backfilled", "server.retune.points_backfilled"},
+                     {"generations", "server.retune.generations"}});
   json += "}";
   return json;
 }
@@ -516,8 +389,9 @@ std::string OutcomeJson(const ScenarioOutcome& out) {
 void PrintOutcome(const ScenarioOutcome& out) {
   std::printf("%-22s %8.2fs %9.0f qps  %6zu pred %6zu exec %5zu busy "
               "%3zu fail  hit %.3f  det %s\n",
-              out.scenario.c_str(), out.seconds, out.qps(), out.predicts,
-              out.executes, out.busy, out.failures, out.hit_rate(),
+              out.scenario.c_str(), out.load.seconds, out.load.qps(),
+              out.load.count(loadgen::kPredict), out.executes(),
+              out.load.total_busy(), out.load.failures, out.hit_rate(),
               out.deterministic ? "yes" : "no");
 }
 
@@ -543,7 +417,7 @@ void Run() {
 
   for (const ScenarioOutcome& out : outcomes) {
     PPC_CHECK_MSG(out.deterministic, "scenario stream not deterministic");
-    PPC_CHECK_MSG(out.failures == 0, "scenario had request failures");
+    PPC_CHECK_MSG(out.load.failures == 0, "scenario had request failures");
   }
   // The stress assertions of the zoo: diurnal_flash must climb the shed
   // ladder, adversarial_drift must force at least one retune refit.
@@ -558,7 +432,7 @@ void Run() {
               static_cast<unsigned long long>(CounterValue(
                   diurnal.snapshot.registry,
                   "server.shed.abstained_predicts")),
-              diurnal.busy);
+              diurnal.load.total_busy());
   PPC_CHECK_MSG(shed_entries >= 1,
                 "diurnal_flash did not engage the shed ladder");
   const ScenarioOutcome& drift = outcomes[3];

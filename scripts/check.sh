@@ -19,6 +19,7 @@
 #      out of a 3-shard cluster mid-load and asserts availability,
 #      zero wrong answers and an automatic warm rejoin,
 #   8. the JSON-emitting benches + validation of every BENCH_*.json,
+#      plus the open-loop fidelity gate on bench_server_throughput,
 #   9. server smoke test (live TCP round-trips + clean shutdown),
 #  10. ASan build + the entire test suite,
 #  11. TSan build + the concurrency, metrics, server and router tests,
@@ -127,6 +128,8 @@ assert d['wrong_answers'] == 0, 'a shard contradicted ground truth'
 assert d['failed_over_executes'] >= 1, 'no EXECUTE was FAILED_OVER-flagged'
 assert d['rejoin']['auto_rejoined'] is True, 'shard never rejoined'
 assert d['rejoin']['hit_rate_gap'] <= 0.05, 'rejoined shard came back cold'
+assert d['samples'] > 0, 'the load threads recorded no samples'
+assert d['probe_rounds'] >= 1, 'the ground-truth prober never probed'
 ")
 echo "    failover availability + zero wrong answers + warm rejoin ok"
 
@@ -148,6 +151,19 @@ echo "==> machine-readable bench output (BENCH_*.json) is valid JSON"
     fi
     echo "    $f ok"
   done
+  # The open loop reads responses as they arrive and times from the
+  # scheduled arrival, so at 80% of the closed-loop rate its PREDICT p50
+  # stays within a small factor of the closed loop's. A driver that
+  # leaves responses unread behind its send window lands near 100x.
+  python3 -c "
+import json
+d = json.load(open('BENCH_server_throughput.json'))
+closed = d['closed_loop']['per_type']['predict']['p50_us']
+opened = d['open_loop']['per_type']['predict']['p50_us']
+message = 'open-loop PREDICT p50 %.1f us > 10x closed loop %.1f us'
+assert opened <= 10 * closed, message % (opened, closed)
+"
+  echo "    open-loop PREDICT p50 within 10x of closed loop"
 )
 
 echo "==> server smoke test (ephemeral port, PREDICT/EXECUTE/METRICS over TCP)"
@@ -179,7 +195,7 @@ cmake -B build-tsan -S . -DPPC_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS"
 (cd build-tsan && \
   ctest --output-on-failure -LE chaos \
-    -R 'Concurrent|MetricsRegistry|FrameworkMetrics|Server|Router|HashRing|ClientReconnect|CircuitBreaker|ClusterFailover|Simd|Retune|Generation|DriftRecovery|Scenario|WorkloadZoo' \
+    -R 'Concurrent|MetricsRegistry|FrameworkMetrics|Server|Router|HashRing|ClientReconnect|CircuitBreaker|ClusterFailover|Simd|Retune|Generation|DriftRecovery|Scenario|WorkloadZoo|Loadgen' \
     -j "$JOBS")
 
 # Chaos stage: randomized mixed traffic against a live server while a

@@ -48,8 +48,8 @@ struct RetryPolicy {
 /// longer be matched to ids), synchronous calls retry BUSY answers under
 /// the RetryPolicy, and Connect retries transient failures the same way.
 ///
-/// Not thread-safe: use one PpcClient per thread (the load generator in
-/// bench/bench_server_throughput.cc does exactly that).
+/// Not thread-safe: use one PpcClient per thread (the closed loop of the
+/// benches' load generator, bench/loadgen.h, does exactly that).
 class PpcClient {
  public:
   struct Options {
@@ -80,7 +80,7 @@ class PpcClient {
   bool PeerClosed() const;
 
   /// Cumulative resilience accounting (reset by neither Close nor
-  /// Connect), surfaced in the bench load generator's output.
+  /// Connect); bench/loadgen.h sums it over a closed loop's clients.
   struct TransportStats {
     uint64_t busy_retries = 0;
     uint64_t connect_retries = 0;
