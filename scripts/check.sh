@@ -47,12 +47,11 @@ echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, predictor, goldens"
 # Reruns every test that exercises the SIMD dispatch with the AVX2 tier
 # disabled, so the portable scalar kernels stay a first-class code path
 # (they are the bit-identity oracle and the fallback on older CPUs). The
-# Golden tests rerun the paper benches, whose output must not depend on
-# the tier.
+# set is the ctest label `simd`, declared where the tests are (see
+# tests/CMakeLists.txt); it includes the Golden tests, which rerun the
+# paper benches, whose output must not depend on the tier.
 (cd build && PPC_DISABLE_AVX2=1 \
-  ctest --output-on-failure -LE chaos \
-    -R 'Simd|Transform|Zorder|LshHistograms|PlanSynopsis|Predictor|Retune|Generation|Golden' \
-    -j "$JOBS")
+  ctest --output-on-failure -L simd -LE chaos -j "$JOBS")
 
 echo "==> perfbench build + tests (the benchmark compiles against src/)"
 # perfbench/ is a CMake package of its own that builds src/ and links its
@@ -187,7 +186,7 @@ cmake --build build-asan -j "$JOBS"
 # The AVX2 kernels and the forced-scalar fallback both run under ASan:
 # once in the full suite above, once with the dispatch pinned to scalar.
 (cd build-asan && PPC_DISABLE_AVX2=1 \
-  ctest --output-on-failure -LE chaos -R 'Simd|Transform|Zorder' -j "$JOBS")
+  ctest --output-on-failure -L simd -LE chaos -j "$JOBS")
 
 echo "==> ThreadSanitizer build + concurrency, metrics and server tests"
 cmake -B build-tsan -S . -DPPC_SANITIZE=thread \

@@ -7,6 +7,12 @@
 2. Doc-presence check: every class/struct declared at namespace scope in
    the public headers of src/ppc/, src/server/ and src/workload/ must
    carry a Doxygen `///` comment immediately above it.
+3. Symbol check: every backticked CamelCase identifier or `Type::member`
+   name in the reference docs (README.md, DESIGN.md, EXPERIMENTS.md and
+   docs/) must occur as a word somewhere in the code (src/, bench/,
+   tests/, perfbench/, examples/), so docs cannot keep naming a symbol
+   that was renamed or deleted. History and planning files name removed
+   symbols on purpose and are not checked.
 
 Exits non-zero with one line per violation.
 """
@@ -24,6 +30,16 @@ DECL_RE = re.compile(r"^(?:class|struct)\s+([A-Za-z_]\w*)\s*(?::|\{|$)")
 
 # Fenced code blocks may contain example links / declarations; skip them.
 FENCE_RE = re.compile(r"^\s*```")
+
+# Inline code spans; a span is checked when it is one identifier, possibly
+# qualified (`a::B::c`) and possibly followed by `()`.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"^((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\(\))?$")
+# Two or more capitalized humps: PlanSynopsis, EstimateCount, ZInterval.
+CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]*[A-Z]\w*$")
+WORD_RE = re.compile(r"\w+")
+CODE_DIRS = ("src", "bench", "tests", "perfbench", "examples")
+REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 
 # Verbatim retrieval artifacts (paper text / exemplar snippets) carry
@@ -99,8 +115,49 @@ def check_doc_presence():
     return errors
 
 
+def code_words():
+    words = set()
+    for top in CODE_DIRS:
+        for root, _, files in os.walk(os.path.join(REPO, top)):
+            for name in files:
+                with open(os.path.join(root, name), encoding="utf-8",
+                          errors="ignore") as f:
+                    words.update(WORD_RE.findall(f.read()))
+    return words
+
+
+def check_doc_symbols():
+    words = code_words()
+    errors = []
+    for rel in markdown_files():
+        if rel not in REFERENCE_DOCS and not rel.startswith("docs"):
+            continue
+        in_fence = False
+        with open(os.path.join(REPO, rel), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if FENCE_RE.match(line):
+                    in_fence = not in_fence
+                    continue
+                if in_fence:
+                    continue
+                for span in CODE_SPAN_RE.findall(line):
+                    match = QUALIFIED_RE.match(span.strip())
+                    if not match:
+                        continue
+                    parts = match.group(1).split("::")
+                    if len(parts) == 1 and not CAMEL_RE.match(parts[0]):
+                        continue
+                    missing = [p for p in parts if p not in words]
+                    if missing:
+                        errors.append(f"{rel}:{lineno}: `{span}` names "
+                                      f"{', '.join(missing)}, which no "
+                                      "code file contains")
+    return errors
+
+
 def main():
-    errors = check_markdown_links() + check_doc_presence()
+    errors = (check_markdown_links() + check_doc_presence() +
+              check_doc_symbols())
     for error in errors:
         print(error)
     if errors:

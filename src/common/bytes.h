@@ -78,6 +78,7 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == buffer_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return buffer_.size() - pos_; }
 
  private:
   // PPC_RETURN_NOT_OK propagates into Result<T> returns via the implicit

@@ -80,73 +80,67 @@ void ApplyBatchScalar(const double* projections, const double* shifts,
   }
 }
 
-double HistogramRangeCountScalar(const double* left, const double* right,
-                                 const double* count, const double* centroid,
-                                 size_t buckets, double lo, double hi) {
-  if (buckets == 0 || lo > hi) return 0.0;
-  double total = 0.0;
-  for (size_t i = 0; i < buckets; ++i) {
-    const double width = right[i] - left[i];
-    if (width <= 0.0) {
-      // Point mass: counted iff inside the range.
-      if (centroid[i] >= lo && centroid[i] <= hi) total += count[i];
+void HistogramRangeCountManyScalar(const HistogramBucket* buckets,
+                                   size_t bucket_count, const ZInterval* ranges,
+                                   size_t queries, double* out) {
+  for (size_t q = 0; q < queries; ++q) {
+    const double lo = ranges[q].lo;
+    const double hi = ranges[q].hi;
+    if (lo > hi) {
+      out[q] = 0.0;
       continue;
     }
-    const double overlap =
-        std::max(0.0, std::min(hi, right[i]) - std::max(lo, left[i]));
-    total += count[i] * (overlap / width);
-  }
-  return total;
-}
-
-void HistogramRangeCountCostScalar(const double* left, const double* right,
-                                   const double* count, const double* cost,
-                                   const double* centroid, size_t buckets,
-                                   double lo, double hi, double* count_out,
-                                   double* cost_out) {
-  double total_count = 0.0;
-  double total_cost = 0.0;
-  if (buckets > 0 && !(lo > hi)) {
-    for (size_t i = 0; i < buckets; ++i) {
-      const double width = right[i] - left[i];
-      double frac;
+    double total = 0.0;
+    for (size_t i = 0; i < bucket_count; ++i) {
+      double left, right;
+      BucketExtent(buckets, bucket_count, i, &left, &right);
+      const double width = right - left;
       if (width <= 0.0) {
-        frac = (centroid[i] >= lo && centroid[i] <= hi) ? 1.0 : 0.0;
-      } else {
-        const double overlap =
-            std::max(0.0, std::min(hi, right[i]) - std::max(lo, left[i]));
-        frac = overlap / width;
+        // Point mass: counted iff inside the range.
+        const double c = buckets[i].centroid;
+        if (c >= lo && c <= hi) total += buckets[i].count;
+        continue;
       }
-      total_count += count[i] * frac;
-      total_cost += cost[i] * frac;
+      const double overlap =
+          std::max(0.0, std::min(hi, right) - std::max(lo, left));
+      total += buckets[i].count * (overlap / width);
     }
-  }
-  *count_out = total_count;
-  *cost_out = total_cost;
-}
-
-void HistogramRangeCountManyScalar(const double* left, const double* right,
-                                   const double* count,
-                                   const double* centroid, size_t buckets,
-                                   const double* bounds, size_t queries,
-                                   double* out) {
-  for (size_t q = 0; q < queries; ++q) {
-    out[q] = HistogramRangeCountScalar(left, right, count, centroid, buckets,
-                                       bounds[2 * q], bounds[2 * q + 1]);
+    out[q] = total;
   }
 }
 
-void HistogramRangeCountCostManyScalar(const double* left,
-                                       const double* right,
-                                       const double* count,
-                                       const double* cost,
-                                       const double* centroid, size_t buckets,
-                                       const double* bounds, size_t queries,
+void HistogramRangeCountCostManyScalar(const HistogramBucket* buckets,
+                                       size_t bucket_count,
+                                       const ZInterval* ranges, size_t queries,
                                        double* counts_out, double* costs_out) {
   for (size_t q = 0; q < queries; ++q) {
-    HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                  bounds[2 * q], bounds[2 * q + 1],
-                                  counts_out + q, costs_out + q);
+    const double lo = ranges[q].lo;
+    const double hi = ranges[q].hi;
+    if (lo > hi) {
+      counts_out[q] = 0.0;
+      costs_out[q] = 0.0;
+      continue;
+    }
+    double total_count = 0.0;
+    double total_cost = 0.0;
+    for (size_t i = 0; i < bucket_count; ++i) {
+      double left, right;
+      BucketExtent(buckets, bucket_count, i, &left, &right);
+      const double width = right - left;
+      double frac;
+      if (width <= 0.0) {
+        const double c = buckets[i].centroid;
+        frac = (c >= lo && c <= hi) ? 1.0 : 0.0;
+      } else {
+        const double overlap =
+            std::max(0.0, std::min(hi, right) - std::max(lo, left));
+        frac = overlap / width;
+      }
+      total_count += buckets[i].count * frac;
+      total_cost += buckets[i].cost_sum * frac;
+    }
+    counts_out[q] = total_count;
+    costs_out[q] = total_cost;
   }
 }
 
@@ -215,164 +209,34 @@ __attribute__((target("avx2,fma"))) void ApplyBatchAvx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) double HistogramRangeCountAvx2(
-    const double* left, const double* right, const double* count,
-    const double* centroid, size_t buckets, double lo, double hi) {
-  // !(lo <= hi) also catches NaN bounds; the scalar path's `lo > hi` lets
-  // NaN through but every per-bucket contribution then evaluates to +0.0,
-  // so both tiers return exactly 0.0.
-  if (buckets == 0 || !(lo <= hi)) return 0.0;
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  const __m256d zero = _mm256_setzero_pd();
-  double total = 0.0;
-  double contrib[4];
-  size_t i = 0;
-  for (; i + 4 <= buckets; i += 4) {
-    // Four buckets per iteration. Per-lane arithmetic matches the scalar
-    // expressions exactly; the only differences are sign-of-zero cases
-    // (minpd/maxpd pick the second operand on equality where std::min/
-    // std::max pick the first), and adding a -0.0 instead of skipping or
-    // adding +0.0 cannot change a non-negative running sum.
-    const __m256d l = _mm256_loadu_pd(left + i);
-    const __m256d r = _mm256_loadu_pd(right + i);
-    const __m256d c = _mm256_loadu_pd(count + i);
-    const __m256d width = _mm256_sub_pd(r, l);
-    const __m256d overlap = _mm256_max_pd(
-        zero, _mm256_sub_pd(_mm256_min_pd(vhi, r), _mm256_max_pd(vlo, l)));
-    // Lanes with width <= 0 divide by a non-positive width; the quotient
-    // is blended away below before it can reach the sum.
-    const __m256d spread = _mm256_mul_pd(c, _mm256_div_pd(overlap, width));
-    const __m256d cen = _mm256_loadu_pd(centroid + i);
-    const __m256d in_range =
-        _mm256_and_pd(_mm256_cmp_pd(cen, vlo, _CMP_GE_OQ),
-                      _mm256_cmp_pd(cen, vhi, _CMP_LE_OQ));
-    const __m256d point_mass = _mm256_and_pd(c, in_range);
-    const __m256d is_point = _mm256_cmp_pd(width, zero, _CMP_LE_OQ);
-    _mm256_storeu_pd(contrib, _mm256_blendv_pd(spread, point_mass, is_point));
-    // The scalar oracle accumulates bucket by bucket; preserving that
-    // summation order is what keeps the total bit-identical.
-    total += contrib[0];
-    total += contrib[1];
-    total += contrib[2];
-    total += contrib[3];
-  }
-  for (; i < buckets; ++i) {
-    const double width = right[i] - left[i];
-    if (width <= 0.0) {
-      if (centroid[i] >= lo && centroid[i] <= hi) total += count[i];
-      continue;
-    }
-    const double overlap =
-        std::max(0.0, std::min(hi, right[i]) - std::max(lo, left[i]));
-    total += count[i] * (overlap / width);
-  }
-  return total;
-}
-
-__attribute__((target("avx2,fma"))) void HistogramRangeCountCostAvx2(
-    const double* left, const double* right, const double* count,
-    const double* cost, const double* centroid, size_t buckets, double lo,
-    double hi, double* count_out, double* cost_out) {
-  // !(lo <= hi) also catches NaN bounds; the scalar path's `lo > hi`
-  // guard lets NaN through, but every per-bucket frac then evaluates to
-  // +0.0 (NaN comparisons are false, max(0.0, NaN) picks 0.0), so both
-  // tiers produce exactly (0.0, 0.0). The vector min/max lanes would NOT
-  // reproduce that — minpd(NaN, r) yields r, not NaN — so the early-out
-  // must reject NaN here.
-  if (buckets == 0 || !(lo <= hi)) {
-    *count_out = 0.0;
-    *cost_out = 0.0;
-    return;
-  }
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  double total_count = 0.0;
-  double total_cost = 0.0;
-  double count_contrib[4];
-  double cost_contrib[4];
-  size_t i = 0;
-  for (; i + 4 <= buckets; i += 4) {
-    // Four buckets per iteration; each lane computes the scalar frac
-    // expression exactly. As in HistogramRangeCountAvx2, minpd/maxpd
-    // disagree with std::min/std::max only on the sign of zero, and a
-    // count[i] * -0.0 = -0.0 term cannot change a sum that is never
-    // negative (+0.0 + -0.0 = +0.0).
-    const __m256d l = _mm256_loadu_pd(left + i);
-    const __m256d r = _mm256_loadu_pd(right + i);
-    const __m256d width = _mm256_sub_pd(r, l);
-    const __m256d overlap = _mm256_max_pd(
-        zero, _mm256_sub_pd(_mm256_min_pd(vhi, r), _mm256_max_pd(vlo, l)));
-    // Lanes with width <= 0 divide by a non-positive width; the quotient
-    // is blended away below before it can reach either sum.
-    const __m256d frac_spread = _mm256_div_pd(overlap, width);
-    const __m256d cen = _mm256_loadu_pd(centroid + i);
-    const __m256d in_range =
-        _mm256_and_pd(_mm256_cmp_pd(cen, vlo, _CMP_GE_OQ),
-                      _mm256_cmp_pd(cen, vhi, _CMP_LE_OQ));
-    const __m256d frac_point = _mm256_and_pd(one, in_range);
-    const __m256d is_point = _mm256_cmp_pd(width, zero, _CMP_LE_OQ);
-    const __m256d frac = _mm256_blendv_pd(frac_spread, frac_point, is_point);
-    _mm256_storeu_pd(count_contrib,
-                     _mm256_mul_pd(_mm256_loadu_pd(count + i), frac));
-    _mm256_storeu_pd(cost_contrib,
-                     _mm256_mul_pd(_mm256_loadu_pd(cost + i), frac));
-    // The scalar oracle accumulates bucket by bucket; preserving that
-    // summation order is what keeps both totals bit-identical.
-    total_count += count_contrib[0];
-    total_cost += cost_contrib[0];
-    total_count += count_contrib[1];
-    total_cost += cost_contrib[1];
-    total_count += count_contrib[2];
-    total_cost += cost_contrib[2];
-    total_count += count_contrib[3];
-    total_cost += cost_contrib[3];
-  }
-  for (; i < buckets; ++i) {
-    const double width = right[i] - left[i];
-    double frac;
-    if (width <= 0.0) {
-      frac = (centroid[i] >= lo && centroid[i] <= hi) ? 1.0 : 0.0;
-    } else {
-      const double overlap =
-          std::max(0.0, std::min(hi, right[i]) - std::max(lo, left[i]));
-      frac = overlap / width;
-    }
-    total_count += count[i] * frac;
-    total_cost += cost[i] * frac;
-  }
-  *count_out = total_count;
-  *cost_out = total_cost;
-}
-
 __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
-    const double* left, const double* right, const double* count,
-    const double* centroid, size_t buckets, const double* bounds,
-    size_t queries, double* out) {
+    const HistogramBucket* buckets, size_t bucket_count,
+    const ZInterval* ranges, size_t queries, double* out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
   for (; q + 4 <= queries; q += 4) {
     // One query per lane; every lane sweeps the buckets in order, running
     // the exact scalar accumulation sequence, so bit-identity needs no
-    // per-bucket summation tricks. The probe values are bucket-uniform
-    // broadcasts, which also lets the point-mass branch stay a scalar
-    // branch instead of a blend.
-    const __m256d vlo = _mm256_set_pd(bounds[2 * q + 6], bounds[2 * q + 4],
-                                      bounds[2 * q + 2], bounds[2 * q]);
-    const __m256d vhi = _mm256_set_pd(bounds[2 * q + 7], bounds[2 * q + 5],
-                                      bounds[2 * q + 3], bounds[2 * q + 1]);
+    // per-bucket summation tricks. The extent is computed once per bucket
+    // in scalar code (the scalar tier's own BucketExtent) and broadcast
+    // with the bucket's count and centroid; being bucket-uniform, it also
+    // lets the point-mass branch stay a scalar branch instead of a blend.
+    const __m256d vlo = _mm256_set_pd(ranges[q + 3].lo, ranges[q + 2].lo,
+                                      ranges[q + 1].lo, ranges[q].lo);
+    const __m256d vhi = _mm256_set_pd(ranges[q + 3].hi, ranges[q + 2].hi,
+                                      ranges[q + 1].hi, ranges[q].hi);
     __m256d acc = zero;
-    for (size_t i = 0; i < buckets; ++i) {
-      const double width = right[i] - left[i];
+    for (size_t i = 0; i < bucket_count; ++i) {
+      double left, right;
+      BucketExtent(buckets, bucket_count, i, &left, &right);
+      const double width = right - left;
       __m256d contrib;
       if (width <= 0.0) {
-        const __m256d cen = _mm256_set1_pd(centroid[i]);
+        const __m256d cen = _mm256_set1_pd(buckets[i].centroid);
         const __m256d in_range =
             _mm256_and_pd(_mm256_cmp_pd(cen, vlo, _CMP_GE_OQ),
                           _mm256_cmp_pd(cen, vhi, _CMP_LE_OQ));
-        contrib = _mm256_and_pd(_mm256_set1_pd(count[i]), in_range);
+        contrib = _mm256_and_pd(_mm256_set1_pd(buckets[i].count), in_range);
       } else {
         // minpd(r, vhi) and maxpd(l, vlo) return their SECOND operand on
         // equality and NaN, matching std::min(hi, right) / std::max(lo,
@@ -380,10 +244,10 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
         // handled by the non-negative-sum argument and the validity mask
         // below.
         const __m256d overlap = _mm256_max_pd(
-            zero, _mm256_sub_pd(_mm256_min_pd(_mm256_set1_pd(right[i]), vhi),
-                                _mm256_max_pd(_mm256_set1_pd(left[i]), vlo)));
+            zero, _mm256_sub_pd(_mm256_min_pd(_mm256_set1_pd(right), vhi),
+                                _mm256_max_pd(_mm256_set1_pd(left), vlo)));
         contrib = _mm256_mul_pd(
-            _mm256_set1_pd(count[i]),
+            _mm256_set1_pd(buckets[i].count),
             _mm256_div_pd(overlap, _mm256_set1_pd(width)));
       }
       acc = _mm256_add_pd(acc, contrib);
@@ -395,47 +259,48 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
     _mm256_storeu_pd(out + q, acc);
   }
   if (q < queries) {
-    HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                  bounds + 2 * q, queries - q, out + q);
+    HistogramRangeCountManyScalar(buckets, bucket_count, ranges + q,
+                                  queries - q, out + q);
   }
 }
 
 __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
-    const double* left, const double* right, const double* count,
-    const double* cost, const double* centroid, size_t buckets,
-    const double* bounds, size_t queries, double* counts_out,
+    const HistogramBucket* buckets, size_t bucket_count,
+    const ZInterval* ranges, size_t queries, double* counts_out,
     double* costs_out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
   for (; q + 4 <= queries; q += 4) {
     // One query per lane, both accumulators swept in bucket order — the
     // same structural bit-identity argument as HistogramRangeCountManyAvx2
-    // applied to the frac formulation of HistogramRangeCountCostScalar.
-    const __m256d vlo = _mm256_set_pd(bounds[2 * q + 6], bounds[2 * q + 4],
-                                      bounds[2 * q + 2], bounds[2 * q]);
-    const __m256d vhi = _mm256_set_pd(bounds[2 * q + 7], bounds[2 * q + 5],
-                                      bounds[2 * q + 3], bounds[2 * q + 1]);
+    // applied to the frac formulation of the scalar tier.
+    const __m256d vlo = _mm256_set_pd(ranges[q + 3].lo, ranges[q + 2].lo,
+                                      ranges[q + 1].lo, ranges[q].lo);
+    const __m256d vhi = _mm256_set_pd(ranges[q + 3].hi, ranges[q + 2].hi,
+                                      ranges[q + 1].hi, ranges[q].hi);
     __m256d acc_count = zero;
     __m256d acc_cost = zero;
-    for (size_t i = 0; i < buckets; ++i) {
-      const double width = right[i] - left[i];
+    for (size_t i = 0; i < bucket_count; ++i) {
+      double left, right;
+      BucketExtent(buckets, bucket_count, i, &left, &right);
+      const double width = right - left;
       __m256d frac;
       if (width <= 0.0) {
-        const __m256d cen = _mm256_set1_pd(centroid[i]);
+        const __m256d cen = _mm256_set1_pd(buckets[i].centroid);
         const __m256d in_range =
             _mm256_and_pd(_mm256_cmp_pd(cen, vlo, _CMP_GE_OQ),
                           _mm256_cmp_pd(cen, vhi, _CMP_LE_OQ));
         frac = _mm256_and_pd(_mm256_set1_pd(1.0), in_range);
       } else {
         const __m256d overlap = _mm256_max_pd(
-            zero, _mm256_sub_pd(_mm256_min_pd(_mm256_set1_pd(right[i]), vhi),
-                                _mm256_max_pd(_mm256_set1_pd(left[i]), vlo)));
+            zero, _mm256_sub_pd(_mm256_min_pd(_mm256_set1_pd(right), vhi),
+                                _mm256_max_pd(_mm256_set1_pd(left), vlo)));
         frac = _mm256_div_pd(overlap, _mm256_set1_pd(width));
       }
-      acc_count =
-          _mm256_add_pd(acc_count, _mm256_mul_pd(_mm256_set1_pd(count[i]), frac));
-      acc_cost =
-          _mm256_add_pd(acc_cost, _mm256_mul_pd(_mm256_set1_pd(cost[i]), frac));
+      acc_count = _mm256_add_pd(
+          acc_count, _mm256_mul_pd(_mm256_set1_pd(buckets[i].count), frac));
+      acc_cost = _mm256_add_pd(
+          acc_cost, _mm256_mul_pd(_mm256_set1_pd(buckets[i].cost_sum), frac));
     }
     // Mask !(lo <= hi) lanes to the scalar's (0.0, 0.0) — see
     // HistogramRangeCountManyAvx2 for why NaN lanes need this.
@@ -444,9 +309,9 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
     _mm256_storeu_pd(costs_out + q, _mm256_and_pd(acc_cost, valid));
   }
   if (q < queries) {
-    HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                      buckets, bounds + 2 * q, queries - q,
-                                      counts_out + q, costs_out + q);
+    HistogramRangeCountCostManyScalar(buckets, bucket_count, ranges + q,
+                                      queries - q, counts_out + q,
+                                      costs_out + q);
   }
 }
 
@@ -497,38 +362,18 @@ void ApplyBatchAvx2(const double* projections, const double* shifts,
                    points, count, out);
 }
 
-double HistogramRangeCountAvx2(const double* left, const double* right,
-                               const double* count, const double* centroid,
-                               size_t buckets, double lo, double hi) {
-  return HistogramRangeCountScalar(left, right, count, centroid, buckets, lo,
-                                   hi);
-}
-
-void HistogramRangeCountCostAvx2(const double* left, const double* right,
-                                 const double* count, const double* cost,
-                                 const double* centroid, size_t buckets,
-                                 double lo, double hi, double* count_out,
-                                 double* cost_out) {
-  HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                lo, hi, count_out, cost_out);
-}
-
-void HistogramRangeCountManyAvx2(const double* left, const double* right,
-                                 const double* count, const double* centroid,
-                                 size_t buckets, const double* bounds,
+void HistogramRangeCountManyAvx2(const HistogramBucket* buckets,
+                                 size_t bucket_count, const ZInterval* ranges,
                                  size_t queries, double* out) {
-  HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                bounds, queries, out);
+  HistogramRangeCountManyScalar(buckets, bucket_count, ranges, queries, out);
 }
 
-void HistogramRangeCountCostManyAvx2(const double* left, const double* right,
-                                     const double* count, const double* cost,
-                                     const double* centroid, size_t buckets,
-                                     const double* bounds, size_t queries,
+void HistogramRangeCountCostManyAvx2(const HistogramBucket* buckets,
+                                     size_t bucket_count,
+                                     const ZInterval* ranges, size_t queries,
                                      double* counts_out, double* costs_out) {
-  HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                    buckets, bounds, queries, counts_out,
-                                    costs_out);
+  HistogramRangeCountCostManyScalar(buckets, bucket_count, ranges, queries,
+                                    counts_out, costs_out);
 }
 
 void CellIndexBatchAvx2(const double* y, size_t n, double grid_lo,
@@ -564,57 +409,27 @@ void ApplyBatch(const double* projections, const double* shifts, double scale,
   }
 }
 
-double HistogramRangeCount(const double* left, const double* right,
-                           const double* count, const double* centroid,
-                           size_t buckets, double lo, double hi) {
-  if (ActiveTier() == Tier::kAvx2) {
-    return HistogramRangeCountAvx2(left, right, count, centroid, buckets, lo,
-                                   hi);
-  }
-  return HistogramRangeCountScalar(left, right, count, centroid, buckets, lo,
-                                   hi);
-}
-
-void HistogramRangeCountCost(const double* left, const double* right,
-                             const double* count, const double* cost,
-                             const double* centroid, size_t buckets,
-                             double lo, double hi, double* count_out,
-                             double* cost_out) {
-  if (ActiveTier() == Tier::kAvx2) {
-    HistogramRangeCountCostAvx2(left, right, count, cost, centroid, buckets,
-                                lo, hi, count_out, cost_out);
-  } else {
-    HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                  lo, hi, count_out, cost_out);
-  }
-}
-
-void HistogramRangeCountMany(const double* left, const double* right,
-                             const double* count, const double* centroid,
-                             size_t buckets, const double* bounds,
+void HistogramRangeCountMany(const HistogramBucket* buckets,
+                             size_t bucket_count, const ZInterval* ranges,
                              size_t queries, double* out) {
   if (ActiveTier() == Tier::kAvx2) {
-    HistogramRangeCountManyAvx2(left, right, count, centroid, buckets,
-                                bounds, queries, out);
+    HistogramRangeCountManyAvx2(buckets, bucket_count, ranges, queries, out);
   } else {
-    HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                  bounds, queries, out);
+    HistogramRangeCountManyScalar(buckets, bucket_count, ranges, queries,
+                                  out);
   }
 }
 
-void HistogramRangeCountCostMany(const double* left, const double* right,
-                                 const double* count, const double* cost,
-                                 const double* centroid, size_t buckets,
-                                 const double* bounds, size_t queries,
-                                 double* counts_out, double* costs_out) {
+void HistogramRangeCountCostMany(const HistogramBucket* buckets,
+                                 size_t bucket_count, const ZInterval* ranges,
+                                 size_t queries, double* counts_out,
+                                 double* costs_out) {
   if (ActiveTier() == Tier::kAvx2) {
-    HistogramRangeCountCostManyAvx2(left, right, count, cost, centroid,
-                                    buckets, bounds, queries, counts_out,
-                                    costs_out);
+    HistogramRangeCountCostManyAvx2(buckets, bucket_count, ranges, queries,
+                                    counts_out, costs_out);
   } else {
-    HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                      buckets, bounds, queries, counts_out,
-                                      costs_out);
+    HistogramRangeCountCostManyScalar(buckets, bucket_count, ranges, queries,
+                                      counts_out, costs_out);
   }
 }
 

@@ -1,19 +1,25 @@
 #ifndef PPC_LSH_SIMD_H_
 #define PPC_LSH_SIMD_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+
+#include "lsh/zorder.h"
 
 namespace ppc {
 namespace simd {
 
 /// Runtime-dispatched vector kernels for the two measured hot spots of the
 /// serving path: the LSH projection (RandomizedTransform::ApplyBatch) and
-/// the histogram range-count probe (PlanSynopsis::BatchTransformCounts).
+/// the histogram range probe. Every histogram range query — a lone
+/// EstimateCount, a served batch, a cost estimate — runs one of the two
+/// many-query range kernels over the histogram's own bucket array.
 ///
 /// Contract: every AVX2 kernel is BIT-IDENTICAL to its scalar counterpart
 /// on all inputs, including NaNs and signed zeros. The AVX2 kernels get
-/// there by vectorizing ACROSS points/buckets — each SIMD lane performs
+/// there by vectorizing ACROSS points or queries — each SIMD lane performs
 /// exactly the scalar operation sequence, in the scalar order — and by
 /// never using FMA in an accumulation (a fused multiply-add rounds once
 /// where the scalar code rounds twice). The scalar kernels are both the
@@ -65,72 +71,85 @@ void ApplyBatchAvx2(const double* projections, const double* shifts,
                     double scale, size_t input_dims, size_t output_dims,
                     const double* points, size_t count, double* out);
 
-/// The histogram range-count probe kernel behind grouped batch counting:
-/// StreamingHistogram::EstimateCount(lo, hi) recomputed from flat probe
-/// arrays (see StreamingHistogram::ExportProbe) instead of the bucket
-/// structs, summing per-bucket contributions in bucket order. `left`,
-/// `right`, `count`, `centroid` each hold `buckets` entries.
-double HistogramRangeCount(const double* left, const double* right,
-                           const double* count, const double* centroid,
-                           size_t buckets, double lo, double hi);
-double HistogramRangeCountScalar(const double* left, const double* right,
-                                 const double* count, const double* centroid,
-                                 size_t buckets, double lo, double hi);
-/// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
-double HistogramRangeCountAvx2(const double* left, const double* right,
-                               const double* count, const double* centroid,
-                               size_t buckets, double lo, double hi);
+/// One bucket of a StreamingHistogram, in the layout the range kernels
+/// sweep: the histogram's own bucket array is their probe table.
+struct HistogramBucket {
+  double centroid = 0.0;
+  double count = 0.0;
+  double cost_sum = 0.0;
+};
 
-/// The combined count + cost probe kernel behind the batched cost pass:
-/// StreamingHistogram::EstimateCount(lo, hi) and the cost-sum side of
-/// EstimateAverageCost(lo, hi) in one sweep over the flat probe arrays
-/// (ExportProbe + ExportProbeCosts). Per bucket the coverage fraction is
+/// Extent [*left, *right) over which bucket i of the `n` centroid-sorted
+/// `buckets` spreads its mass: midpoints to the neighbouring centroids,
+/// the outer edges mirroring the gap to the single neighbour and clamped
+/// to [0, 1]. A lone bucket is a point mass (left == right == centroid);
+/// spreading it over the domain would fabricate support far from any
+/// observation. Both tiers of both range kernels and the equi-width merge
+/// policy share this one copy of the rule.
+inline void BucketExtent(const HistogramBucket* buckets, size_t n, size_t i,
+                         double* left, double* right) {
+  const double c = buckets[i].centroid;
+  if (n == 1) {
+    *left = *right = c;
+    return;
+  }
+  *left = (i == 0) ? std::max(0.0, c - 0.5 * (buckets[1].centroid - c))
+                   : 0.5 * (buckets[i - 1].centroid + c);
+  *right = (i + 1 == n)
+               ? std::min(1.0, c + 0.5 * (c - buckets[i - 1].centroid))
+               : 0.5 * (c + buckets[i + 1].centroid);
+  if (*right < *left) std::swap(*left, *right);
+}
+
+/// The histogram range-count kernel: StreamingHistogram::EstimateCount
+/// for the `queries` ranges in `ranges` against one bucket array; out[q]
+/// receives the estimated count in [ranges[q].lo, ranges[q].hi]. Per
+/// bucket, with its extent from BucketExtent,
+///   width <= 0 ? (centroid in [lo, hi] ? count : skipped)
+///              : count * (max(0, min(hi, right) - max(lo, left)) / width)
+/// summed in bucket order; an empty table or lo > hi gives 0.0. One
+/// query is EstimateCount itself; a batch of any size runs the same
+/// per-query sequence. The AVX2 tier vectorizes ACROSS QUERIES — one query
+/// per lane, buckets swept in order with the extent computed in scalar
+/// code and broadcast — so every lane runs the exact scalar accumulation
+/// sequence and bit-identity is structural. Lanes with inverted or NaN
+/// bounds are masked to the scalar's 0.0.
+void HistogramRangeCountMany(const HistogramBucket* buckets,
+                             size_t bucket_count, const ZInterval* ranges,
+                             size_t queries, double* out);
+void HistogramRangeCountManyScalar(const HistogramBucket* buckets,
+                                   size_t bucket_count, const ZInterval* ranges,
+                                   size_t queries, double* out);
+/// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
+void HistogramRangeCountManyAvx2(const HistogramBucket* buckets,
+                                 size_t bucket_count, const ZInterval* ranges,
+                                 size_t queries, double* out);
+
+/// The combined count + cost kernel behind cost estimation: per query,
+/// EstimateCount(lo, hi) into counts_out[q] and the cost-sum side of
+/// EstimateAverageCost(lo, hi) into costs_out[q], in one bucket sweep.
+/// Per bucket the coverage fraction is
 ///   frac = width <= 0 ? (centroid in [lo,hi] ? 1.0 : 0.0)
 ///                     : max(0, min(hi,right) - max(lo,left)) / width
-/// and the kernel accumulates count[i]*frac into *count_out and
-/// cost[i]*frac into *cost_out, both in bucket order. *count_out is
-/// bit-identical to EstimateCount (x*1.0 is exact; the out-of-range
+/// and the kernel accumulates count*frac and cost_sum*frac, both in
+/// bucket order. counts_out[q] is bit-identical to
+/// HistogramRangeCountMany's answer (x*1.0 is exact; the out-of-range
 /// x*0.0 = +0.0 terms the frac form adds cannot change a non-negative
-/// sum) and cost_out/count_out is bit-identical to EstimateAverageCost.
-void HistogramRangeCountCost(const double* left, const double* right,
-                             const double* count, const double* cost,
-                             const double* centroid, size_t buckets,
-                             double lo, double hi, double* count_out,
-                             double* cost_out);
-void HistogramRangeCountCostScalar(const double* left, const double* right,
-                                   const double* count, const double* cost,
-                                   const double* centroid, size_t buckets,
-                                   double lo, double hi, double* count_out,
-                                   double* cost_out);
+/// sum) and costs_out[q]/counts_out[q] is EstimateAverageCost.
+/// Vectorized across queries like HistogramRangeCountMany.
+void HistogramRangeCountCostMany(const HistogramBucket* buckets,
+                                 size_t bucket_count, const ZInterval* ranges,
+                                 size_t queries, double* counts_out,
+                                 double* costs_out);
+void HistogramRangeCountCostManyScalar(const HistogramBucket* buckets,
+                                       size_t bucket_count,
+                                       const ZInterval* ranges, size_t queries,
+                                       double* counts_out, double* costs_out);
 /// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
-void HistogramRangeCountCostAvx2(const double* left, const double* right,
-                                 const double* count, const double* cost,
-                                 const double* centroid, size_t buckets,
-                                 double lo, double hi, double* count_out,
-                                 double* cost_out);
-
-/// Many-query variant of HistogramRangeCount for the serving batch path:
-/// `bounds` holds `queries` (lo, hi) pairs (bounds[2q], bounds[2q + 1] —
-/// the in-memory layout of a ZInterval array) and out[q] receives the
-/// range count of query q against one shared probe table. The AVX2 tier
-/// vectorizes ACROSS QUERIES — one query per lane, buckets swept
-/// sequentially with broadcast probe values — so every lane runs the
-/// exact scalar accumulation sequence and bit-identity is structural.
-/// Lanes with inverted or NaN bounds are masked to the scalar's 0.0.
-void HistogramRangeCountMany(const double* left, const double* right,
-                             const double* count, const double* centroid,
-                             size_t buckets, const double* bounds,
-                             size_t queries, double* out);
-void HistogramRangeCountManyScalar(const double* left, const double* right,
-                                   const double* count,
-                                   const double* centroid, size_t buckets,
-                                   const double* bounds, size_t queries,
-                                   double* out);
-/// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
-void HistogramRangeCountManyAvx2(const double* left, const double* right,
-                                 const double* count, const double* centroid,
-                                 size_t buckets, const double* bounds,
-                                 size_t queries, double* out);
+void HistogramRangeCountCostManyAvx2(const HistogramBucket* buckets,
+                                     size_t bucket_count,
+                                     const ZInterval* ranges, size_t queries,
+                                     double* counts_out, double* costs_out);
 
 /// Elementwise grid-cell bucketing behind
 /// RandomizedTransform::LinearizedPositionBatch:
@@ -150,30 +169,6 @@ void CellIndexBatchScalar(const double* y, size_t n, double grid_lo,
 void CellIndexBatchAvx2(const double* y, size_t n, double grid_lo,
                         double grid_extent, double cells, double max_index,
                         double* out);
-
-/// Many-query variant of HistogramRangeCountCost: `bounds` holds
-/// `queries` (lo, hi) pairs and query q's count-sum and cost-sum land in
-/// counts_out[q] / costs_out[q]. Vectorized across queries like
-/// HistogramRangeCountMany, with the same per-lane bit-identity to the
-/// single-query scalar kernel.
-void HistogramRangeCountCostMany(const double* left, const double* right,
-                                 const double* count, const double* cost,
-                                 const double* centroid, size_t buckets,
-                                 const double* bounds, size_t queries,
-                                 double* counts_out, double* costs_out);
-void HistogramRangeCountCostManyScalar(const double* left,
-                                       const double* right,
-                                       const double* count,
-                                       const double* cost,
-                                       const double* centroid, size_t buckets,
-                                       const double* bounds, size_t queries,
-                                       double* counts_out, double* costs_out);
-/// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
-void HistogramRangeCountCostManyAvx2(const double* left, const double* right,
-                                     const double* count, const double* cost,
-                                     const double* centroid, size_t buckets,
-                                     const double* bounds, size_t queries,
-                                     double* counts_out, double* costs_out);
 
 /// True iff the CPU supports the BMI2 pdep Morton-interleave fast path.
 bool CpuSupportsBmi2();

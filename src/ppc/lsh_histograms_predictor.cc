@@ -272,12 +272,12 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   std::fill(max_plans, max_plans + count, kNullPlanId);
   double* per_transform = arena.Array<double>(t * count);
   double* median_scratch = arena.Array<double>(t);
-  double* probe_scratch = arena.Array<double>(4 * config_.histogram_buckets);
+  double* interval_counts =
+      arena.Array<double>(ranges.MaxTransformIntervals());
   for (const auto& [plan, synopsis] : synopses_) {
-    // All of this plan's histograms are walked batch-at-a-time: probe
-    // tables and bucket arrays stay cache-hot across the count points of
-    // each transform.
-    synopsis.BatchTransformCounts(ranges, per_transform, probe_scratch);
+    // All of this plan's histograms are walked batch-at-a-time: each bucket
+    // array stays cache-hot across the count points of its transform.
+    synopsis.BatchTransformCounts(ranges, interval_counts, per_transform);
     for (size_t p = 0; p < count; ++p) {
       // The median over transforms of the point's range count.
       for (size_t i = 0; i < t; ++i) {
@@ -309,18 +309,9 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   }
 
   // Cost estimation runs only for the winning plan of a confident point,
-  // grouped by plan. A single-range batch of several points exports each
-  // winning synopsis's count+cost probe tables once and runs one
-  // across-queries kernel call per transform. A lone point, and every
-  // point in decomposition mode, is costed straight from the histograms:
-  // a whole-table export that one point reads costs more than it saves.
-  const bool use_probes = ranges.offsets == nullptr && count > 1;
-  const size_t stride = config_.histogram_buckets;
-  double* cost_probes = arena.Array<double>(5 * t * stride);
+  // grouped by plan: one grouped call per winning synopsis, whatever the
+  // group size.
   uint32_t* group_idx = arena.Array<uint32_t>(count);
-  double* bounds_ws = arena.Array<double>(2 * count);
-  double* counts_ws = arena.Array<double>(t * count);
-  double* costs_ws = arena.Array<double>(t * count);
   double* group_costs = arena.Array<double>(count);
   for (const auto& [plan, synopsis] : synopses_) {
     size_t group = 0;
@@ -330,18 +321,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
       }
     }
     if (group == 0) continue;
-    if (!use_probes) {
-      for (size_t k = 0; k < group; ++k) {
-        out[group_idx[k]].estimated_cost =
-            synopsis.MedianAverageCost(ranges, group_idx[k], median_scratch);
-      }
-      continue;
-    }
-    synopsis.ExportCostProbes(stride, cost_probes);
-    synopsis.BatchAverageCostsFromProbes(ranges, group_idx, group, stride,
-                                         cost_probes, bounds_ws, counts_ws,
-                                         costs_ws, median_scratch,
-                                         group_costs);
+    synopsis.MedianAverageCosts(ranges, group_idx, group, &arena,
+                                group_costs);
     for (size_t k = 0; k < group; ++k) {
       out[group_idx[k]].estimated_cost = group_costs[k];
     }
@@ -358,8 +339,10 @@ double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
   scratch.arena.Reset();
   const FlatQueryRanges ranges =
       BuildQueryRanges(config_, transforms_, x.data(), 1, &scratch);
-  return it->second.MedianAverageCost(
-      ranges, 0, scratch.arena.Array<double>(ranges.transform_count));
+  const uint32_t point = 0;
+  double cost;
+  it->second.MedianAverageCosts(ranges, &point, 1, &scratch.arena, &cost);
+  return cost;
 }
 
 uint64_t LshHistogramsPredictor::SpaceBytes() const {
@@ -587,6 +570,14 @@ Result<LshHistogramsPredictor> LshHistogramsPredictor::RestoreParsed(
     if (synopsis.transform_count() != predictor.transforms_.size()) {
       return Status::InvalidArgument(
           "synopsis transform count mismatches configuration");
+    }
+    // Insert sizes every histogram from the config, so a data section
+    // stitched to another predictor's config section is malformed.
+    for (size_t t = 0; t < synopsis.transform_count(); ++t) {
+      if (synopsis.histogram(t).max_buckets() != config.histogram_buckets) {
+        return Status::InvalidArgument(
+            "synopsis bucket budget mismatches configuration");
+      }
     }
     predictor.synopses_.emplace(plan, std::move(synopsis));
   }

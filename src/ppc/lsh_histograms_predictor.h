@@ -99,11 +99,11 @@ class LshHistogramsPredictor : public PlanPredictor {
   /// Returns one Prediction per point, in order, bit-identical to calling
   /// Predict on each point separately. The batch pays the shared lock
   /// once, applies each randomized transform as one matrix-times-batch
-  /// kernel, and walks each plan histogram's buckets once per batch
-  /// instead of once per point (range queries grouped per intermediate
-  /// space). A batch of several points probes exported bucket tables with
-  /// the SIMD kernels; a batch of one counts straight from the histograms,
-  /// since an export only one point reads costs more than it saves.
+  /// kernel, and probes each plan histogram with one SIMD range-kernel
+  /// call over the whole batch (range queries grouped per intermediate
+  /// space; the AVX2 tier sweeps the buckets once per four points). The
+  /// kernels read the histogram's own bucket array, so every batch size,
+  /// one included, takes this same path.
   std::vector<Prediction> PredictBatch(const double* points,
                                        size_t count) const;
 

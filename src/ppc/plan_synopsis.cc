@@ -1,5 +1,8 @@
 #include "ppc/plan_synopsis.h"
 
+#include <algorithm>
+
+#include "common/arena.h"
 #include "common/macros.h"
 #include "common/math_utils.h"
 #include "lsh/simd.h"
@@ -22,129 +25,90 @@ void PlanSynopsis::Insert(size_t transform_idx, double position,
 }
 
 void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
-                                        double* counts_out,
-                                        double* probe_scratch) const {
+                                        double* interval_counts,
+                                        double* counts_out) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
-  if (ranges.point_count == 1) {
-    // A lone point reads each histogram once, so exporting its probe
-    // table would cost more than it saves: count straight from the
-    // buckets (the kernels are bit-identical to EstimateCount).
-    for (size_t i = 0; i < histograms_.size(); ++i) {
-      double total = 0.0;
-      const auto [begin, end] = ranges.Slice(i, 0);
-      for (const ZInterval* interval = begin; interval != end; ++interval) {
-        total += histograms_[i].EstimateCount(interval->lo, interval->hi);
-      }
-      counts_out[i] = total;
-    }
-    return;
-  }
+  const size_t n = ranges.point_count;
   for (size_t i = 0; i < histograms_.size(); ++i) {
     const StreamingHistogram& histogram = histograms_[i];
-    // One probe export per (histogram, batch): the extent math that
-    // EstimateCount redoes for every (point, bucket) pair is paid once
-    // here, then the kernel streams the flat arrays.
-    const size_t b = histogram.bucket_count();
-    double* left = probe_scratch;
-    double* right = probe_scratch + b;
-    double* count = probe_scratch + 2 * b;
-    double* centroid = probe_scratch + 3 * b;
-    histogram.ExportProbe(left, right, count, centroid);
-    double* row = counts_out + i * ranges.point_count;
-    if (ranges.offsets == nullptr) {
-      // Single-range mode: transform i's intervals are one contiguous
-      // (lo, hi) pair per point, exactly the bounds layout the
-      // across-queries kernel consumes — one call counts the whole batch
-      // with each lane running the scalar accumulation sequence.
-      static_assert(sizeof(ZInterval) == 2 * sizeof(double));
-      simd::HistogramRangeCountMany(
-          left, right, count, centroid, b,
-          reinterpret_cast<const double*>(ranges.intervals +
-                                          i * ranges.point_count),
-          ranges.point_count, row);
-      continue;
-    }
-    for (size_t p = 0; p < ranges.point_count; ++p) {
+    // Transform i's intervals are contiguous across its slots: one call
+    // counts them all, each lane running the scalar accumulation sequence.
+    const size_t first = ranges.SlotBegin(i * n);
+    simd::HistogramRangeCountMany(histogram.buckets(),
+                                  histogram.bucket_count(),
+                                  ranges.intervals + first,
+                                  ranges.SlotBegin((i + 1) * n) - first,
+                                  interval_counts);
+    for (size_t k = i * n; k < (i + 1) * n; ++k) {
       double total = 0.0;
-      const auto [begin, end] = ranges.Slice(i, p);
-      for (const ZInterval* interval = begin; interval != end; ++interval) {
-        total += simd::HistogramRangeCount(left, right, count, centroid, b,
-                                           interval->lo, interval->hi);
+      for (size_t j = ranges.SlotBegin(k); j < ranges.SlotBegin(k + 1); ++j) {
+        total += interval_counts[j - first];
       }
-      row[p] = total;
+      counts_out[k] = total;
     }
   }
 }
 
-double PlanSynopsis::MedianAverageCost(const FlatQueryRanges& ranges,
-                                       size_t point, double* scratch) const {
-  PPC_DCHECK(ranges.transform_count == histograms_.size());
-  size_t n = 0;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    double count = 0.0;
-    double cost_sum = 0.0;
-    const auto [begin, end] = ranges.Slice(i, point);
-    for (const ZInterval* interval = begin; interval != end; ++interval) {
-      const double c =
-          histograms_[i].EstimateCount(interval->lo, interval->hi);
-      if (c <= 0.0) continue;
-      count += c;
-      cost_sum +=
-          c * histograms_[i].EstimateAverageCost(interval->lo, interval->hi);
-    }
-    if (count > 0.0) scratch[n++] = cost_sum / count;
-  }
-  return n == 0 ? 0.0 : MedianInPlace(scratch, n);
-}
-
-void PlanSynopsis::ExportCostProbes(size_t stride, double* probes) const {
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const StreamingHistogram& histogram = histograms_[i];
-    PPC_DCHECK(histogram.bucket_count() <= stride);
-    double* base = probes + i * 5 * stride;
-    histogram.ExportProbe(base, base + stride, base + 2 * stride,
-                          base + 4 * stride);
-    histogram.ExportProbeCosts(base + 3 * stride);
-  }
-}
-
-void PlanSynopsis::BatchAverageCostsFromProbes(
-    const FlatQueryRanges& ranges, const uint32_t* point_idx, size_t n,
-    size_t stride, const double* probes, double* bounds_ws,
-    double* counts_ws, double* costs_ws, double* median_ws,
-    double* out) const {
-  PPC_DCHECK(ranges.offsets == nullptr);
+void PlanSynopsis::MedianAverageCosts(const FlatQueryRanges& ranges,
+                                      const uint32_t* point_idx, size_t n,
+                                      Arena* arena, double* out) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
   const size_t t = histograms_.size();
+  const size_t points = ranges.point_count;
+  size_t most = 0;  // the selected points' intervals in the busiest transform
   for (size_t i = 0; i < t; ++i) {
-    // Gather the selected points' single intervals for this transform into
-    // a dense bounds array, then count+cost all of them in one sweep.
-    const ZInterval* row = ranges.intervals + i * ranges.point_count;
+    size_t m = 0;
     for (size_t k = 0; k < n; ++k) {
-      const ZInterval& interval = row[point_idx[k]];
-      bounds_ws[2 * k] = interval.lo;
-      bounds_ws[2 * k + 1] = interval.hi;
+      const size_t slot = i * points + point_idx[k];
+      m += ranges.SlotBegin(slot + 1) - ranges.SlotBegin(slot);
     }
-    const double* base = probes + i * 5 * stride;
-    simd::HistogramRangeCountCostMany(
-        base, base + stride, base + 2 * stride, base + 3 * stride,
-        base + 4 * stride, histograms_[i].bucket_count(), bounds_ws, n,
-        counts_ws + i * n, costs_ws + i * n);
+    most = std::max(most, m);
+  }
+  ZInterval* gathered = arena->Array<ZInterval>(most);
+  double* counts = arena->Array<double>(most);
+  double* costs = arena->Array<double>(most);
+  double* count_sums = arena->Array<double>(t * n);
+  double* cost_sums = arena->Array<double>(t * n);
+  double* medians = arena->Array<double>(t);
+  for (size_t i = 0; i < t; ++i) {
+    // Gather the selected points' intervals for this transform, then
+    // count+cost all of them in one sweep.
+    size_t m = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const auto [begin, end] = ranges.Slice(i, point_idx[k]);
+      std::copy(begin, end, gathered + m);
+      m += static_cast<size_t>(end - begin);
+    }
+    const StreamingHistogram& histogram = histograms_[i];
+    simd::HistogramRangeCountCostMany(histogram.buckets(),
+                                      histogram.bucket_count(), gathered, m,
+                                      counts, costs);
+    size_t j = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const auto [begin, end] = ranges.Slice(i, point_idx[k]);
+      double count = 0.0;
+      double cost_sum = 0.0;
+      for (const size_t last = j + static_cast<size_t>(end - begin); j < last;
+           ++j) {
+        // c * (cost / c), not cost: the estimate is the interval's
+        // EstimateAverageCost weighted back by its count, and the quotient
+        // is rounded before it is multiplied back.
+        const double c = counts[j];
+        if (c <= 0.0) continue;
+        count += c;
+        cost_sum += c * (costs[j] / c);
+      }
+      count_sums[i * n + k] = count;
+      cost_sums[i * n + k] = cost_sum;
+    }
   }
   for (size_t k = 0; k < n; ++k) {
-    // Same per-transform accumulation as MedianAverageCost, single-interval
-    // form: count = c, cost_sum = c * (cost / c). Not `cost`: the
-    // reference computes c * EstimateAverageCost(..), and
-    // EstimateAverageCost rounds the quotient before it is multiplied back,
-    // so collapsing the pair would skip both roundings.
     size_t m = 0;
     for (size_t i = 0; i < t; ++i) {
-      const double c = counts_ws[i * n + k];
-      if (c <= 0.0) continue;
-      const double cost_sum = c * (costs_ws[i * n + k] / c);
-      median_ws[m++] = cost_sum / c;
+      const double count = count_sums[i * n + k];
+      if (count > 0.0) medians[m++] = cost_sums[i * n + k] / count;
     }
-    out[k] = m == 0 ? 0.0 : MedianInPlace(median_ws, m);
+    out[k] = m == 0 ? 0.0 : MedianInPlace(medians, m);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef PPC_PPC_PLAN_SYNOPSIS_H_
 #define PPC_PPC_PLAN_SYNOPSIS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -9,6 +10,8 @@
 #include "stats/streaming_histogram.h"
 
 namespace ppc {
+
+class Arena;
 
 /// A batch's query ranges: all intervals in one flat array,
 /// transform-major (every interval of transform 0, then transform 1, ...),
@@ -25,12 +28,26 @@ struct FlatQueryRanges {
   size_t transform_count = 0;
   size_t point_count = 0;
 
+  /// Offset of slot k's first interval; slot k ends where k + 1 starts.
+  size_t SlotBegin(size_t k) const {
+    return offsets == nullptr ? k : offsets[k];
+  }
+
   /// [begin, end) of slot (transform i, point p)'s intervals.
   std::pair<const ZInterval*, const ZInterval*> Slice(size_t i,
                                                       size_t p) const {
     const size_t k = i * point_count + p;
-    if (offsets == nullptr) return {intervals + k, intervals + k + 1};
-    return {intervals + offsets[k], intervals + offsets[k + 1]};
+    return {intervals + SlotBegin(k), intervals + SlotBegin(k + 1)};
+  }
+
+  /// The most intervals any one transform holds across all points.
+  size_t MaxTransformIntervals() const {
+    size_t most = 0;
+    for (size_t i = 0; i < transform_count; ++i) {
+      most = std::max(most, SlotBegin((i + 1) * point_count) -
+                                SlotBegin(i * point_count));
+    }
+    return most;
   }
 };
 
@@ -51,50 +68,30 @@ class PlanSynopsis {
   /// Per-transform range counts of every point in `ranges`: the summed
   /// count of slot (i, p)'s intervals lands in
   /// `counts_out[i * point_count + p]`; the median over i is point p's
-  /// density estimate. Iterates transform-outer / point-inner so one
-  /// histogram's bucket array stays cache-resident across the whole batch
-  /// (the "group range queries per intermediate space" amortization).
-  /// Several points share one probe export per histogram into
-  /// `probe_scratch` (caller-provided, >= 4 * max_buckets doubles) and the
-  /// runtime-dispatched simd::HistogramRangeCount{,Many} kernels; a lone
-  /// point counts with StreamingHistogram::EstimateCount instead. Either
-  /// way each count is bit-identical to summing EstimateCount over the
-  /// slot's intervals.
-  void BatchTransformCounts(const FlatQueryRanges& ranges, double* counts_out,
-                            double* probe_scratch) const;
+  /// density estimate. One path for every batch size and both range
+  /// modes: per transform, one simd::HistogramRangeCountMany call counts
+  /// all of that transform's intervals (contiguous in `ranges`) into
+  /// `interval_counts` (caller scratch, >= ranges.MaxTransformIntervals()
+  /// doubles), then each slot sums its intervals' counts in order. Each
+  /// count is bit-identical to summing EstimateCount over the slot's
+  /// intervals.
+  void BatchTransformCounts(const FlatQueryRanges& ranges,
+                            double* interval_counts,
+                            double* counts_out) const;
 
-  /// Median over transforms of the average cost in `point`'s ranges, taken
-  /// over transforms with non-zero local density; 0 when none has any.
-  /// Computed with EstimateCount/EstimateAverageCost (a transform's cost
-  /// is the count-weighted mean over its intervals), writing the
-  /// per-transform costs into `scratch` (>= transform_count doubles).
-  double MedianAverageCost(const FlatQueryRanges& ranges, size_t point,
-                           double* scratch) const;
-
-  /// Exports every transform's probe table for the combined count+cost
-  /// kernel into `probes` (caller-provided, >= transform_count * 5 *
-  /// stride doubles, stride >= every histogram's bucket_count()).
-  /// Transform i's table starts at probes + i * 5 * stride and holds the
-  /// five arrays [left | right | count | cost | centroid], each `stride`
-  /// apart. Pairs with BatchAverageCostsFromProbes, which amortizes the
-  /// per-bucket extent math once per (synopsis, batch) instead of once
-  /// per (point, bucket, estimate).
-  void ExportCostProbes(size_t stride, double* probes) const;
-
-  /// MedianAverageCost of the `n` points point_idx[0..n) of a single-range
-  /// batch (ranges.offsets == nullptr), from a table built by
-  /// ExportCostProbes. One across-queries simd::HistogramRangeCountCostMany
-  /// call per transform covers every selected point; out[k] receives
-  /// point_idx[k]'s median average cost, bit-identical to
-  /// MedianAverageCost. Caller-provided workspaces: bounds_ws >= 2 * n,
-  /// counts_ws and costs_ws >= transform_count * n, median_ws >=
-  /// transform_count doubles.
-  void BatchAverageCostsFromProbes(const FlatQueryRanges& ranges,
-                                   const uint32_t* point_idx, size_t n,
-                                   size_t stride, const double* probes,
-                                   double* bounds_ws, double* counts_ws,
-                                   double* costs_ws, double* median_ws,
-                                   double* out) const;
+  /// Median over transforms of the average cost in each of the `n` points
+  /// point_idx[0..n)'s ranges, into out[k]; a transform counts only where
+  /// the point has non-zero density, and a point with none anywhere gets
+  /// 0. A transform's cost is the count-weighted mean over the point's
+  /// intervals, c * (cost / c) summed over the intervals with count c > 0
+  /// and divided by their count sum — the same arithmetic as summing
+  /// c * EstimateAverageCost. Per transform, one
+  /// simd::HistogramRangeCountCostMany call covers every interval of the
+  /// selected points. Workspace comes from `arena`, sized by the selected
+  /// points' intervals.
+  void MedianAverageCosts(const FlatQueryRanges& ranges,
+                          const uint32_t* point_idx, size_t n, Arena* arena,
+                          double* out) const;
 
   /// Samples inserted (identical across transforms; per-transform count).
   size_t SampleCount() const;

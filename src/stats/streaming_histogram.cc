@@ -55,8 +55,8 @@ size_t StreamingHistogram::PickMergeIndex() const {
         // Prefer merges that keep bucket extents near-uniform: merge the
         // pair whose combined extent is smallest.
         double la, ra, lb, rb;
-        BucketExtent(i, &la, &ra);
-        BucketExtent(i + 1, &lb, &rb);
+        simd::BucketExtent(buckets_.data(), buckets_.size(), i, &la, &ra);
+        simd::BucketExtent(buckets_.data(), buckets_.size(), i + 1, &lb, &rb);
         score = rb - la;
         break;
     }
@@ -79,83 +79,19 @@ void StreamingHistogram::MergeAt(size_t i) {
   buckets_.erase(buckets_.begin() + static_cast<ptrdiff_t>(i) + 1);
 }
 
-void StreamingHistogram::BucketExtent(size_t i, double* left,
-                                      double* right) const {
-  PPC_DCHECK(i < buckets_.size());
-  const double c = buckets_[i].centroid;
-  if (buckets_.size() == 1) {
-    // A lone bucket is a point mass; spreading it over the domain would
-    // fabricate support far from any observation.
-    *left = *right = c;
-    return;
-  }
-  // Interior edges at centroid midpoints; outer edges mirror the gap to
-  // the single neighbour, clamped to the domain.
-  *left = (i == 0)
-              ? std::max(0.0, c - 0.5 * (buckets_[1].centroid - c))
-              : 0.5 * (buckets_[i - 1].centroid + c);
-  *right = (i + 1 == buckets_.size())
-               ? std::min(1.0, c + 0.5 * (c - buckets_[i - 1].centroid))
-               : 0.5 * (c + buckets_[i + 1].centroid);
-  if (*right < *left) std::swap(*left, *right);
-}
-
-void StreamingHistogram::ExportProbe(double* left, double* right,
-                                     double* count, double* centroid) const {
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    BucketExtent(i, left + i, right + i);
-    count[i] = buckets_[i].count;
-    centroid[i] = buckets_[i].centroid;
-  }
-}
-
-void StreamingHistogram::ExportProbeCosts(double* cost) const {
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    cost[i] = buckets_[i].cost_sum;
-  }
-}
-
 double StreamingHistogram::EstimateCount(double lo, double hi) const {
-  if (buckets_.empty() || lo > hi) return 0.0;
-  double count = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    double left, right;
-    BucketExtent(i, &left, &right);
-    const double width = right - left;
-    if (width <= 0.0) {
-      // Point mass: counted iff inside the range.
-      if (buckets_[i].centroid >= lo && buckets_[i].centroid <= hi) {
-        count += buckets_[i].count;
-      }
-      continue;
-    }
-    const double overlap =
-        std::max(0.0, std::min(hi, right) - std::max(lo, left));
-    count += buckets_[i].count * (overlap / width);
-  }
+  const ZInterval range{lo, hi};
+  double count;
+  simd::HistogramRangeCountMany(buckets_.data(), buckets_.size(), &range, 1,
+                                &count);
   return count;
 }
 
 double StreamingHistogram::EstimateAverageCost(double lo, double hi) const {
-  if (buckets_.empty() || lo > hi) return 0.0;
-  double count = 0.0;
-  double cost = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    double left, right;
-    BucketExtent(i, &left, &right);
-    const double width = right - left;
-    double frac = 0.0;
-    if (width <= 0.0) {
-      frac = (buckets_[i].centroid >= lo && buckets_[i].centroid <= hi) ? 1.0
-                                                                        : 0.0;
-    } else {
-      const double overlap =
-          std::max(0.0, std::min(hi, right) - std::max(lo, left));
-      frac = overlap / width;
-    }
-    count += buckets_[i].count * frac;
-    cost += buckets_[i].cost_sum * frac;
-  }
+  const ZInterval range{lo, hi};
+  double count, cost;
+  simd::HistogramRangeCountCostMany(buckets_.data(), buckets_.size(), &range,
+                                    1, &count, &cost);
   return count > 0.0 ? cost / count : 0.0;
 }
 
@@ -193,15 +129,26 @@ Result<StreamingHistogram> StreamingHistogram::Deserialize(
   if (bucket_count > max_buckets) {
     return Status::InvalidArgument("bucket count exceeds budget");
   }
+  // Each bucket is three doubles; a count the remaining bytes cannot hold
+  // is rejected before it sizes an allocation.
+  if (bucket_count > reader->remaining() / (3 * sizeof(double))) {
+    return Status::InvalidArgument("bucket count exceeds snapshot size");
+  }
   histogram.total_count_ = total;
   histogram.buckets_.reserve(bucket_count);
-  double prev_centroid = -1.0;
+  double prev_centroid = 0.0;
   for (uint32_t i = 0; i < bucket_count; ++i) {
     Bucket bucket;
     PPC_ASSIGN_OR_RETURN(bucket.centroid, reader->GetDouble());
     PPC_ASSIGN_OR_RETURN(bucket.count, reader->GetDouble());
     PPC_ASSIGN_OR_RETURN(bucket.cost_sum, reader->GetDouble());
-    if (bucket.centroid < prev_centroid || bucket.count < 0.0) {
+    // Insert keeps centroids sorted inside [0, 1] and counts and cost
+    // sums finite; NaN fails every comparison here.
+    const bool valid = bucket.centroid >= prev_centroid &&
+                       bucket.centroid <= 1.0 && bucket.count >= 0.0 &&
+                       std::isfinite(bucket.count) &&
+                       std::isfinite(bucket.cost_sum);
+    if (!valid) {
       return Status::InvalidArgument("malformed histogram bucket");
     }
     prev_centroid = bucket.centroid;

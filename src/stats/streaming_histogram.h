@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "lsh/simd.h"
 
 namespace ppc {
 
@@ -42,28 +43,17 @@ class StreamingHistogram {
   void Insert(double position, double cost);
 
   /// Estimated number of observations with position in [lo, hi], with linear
-  /// interpolation across partially-covered buckets.
+  /// interpolation across partially-covered buckets: a one-query call of
+  /// simd::HistogramRangeCountMany over buckets().
   double EstimateCount(double lo, double hi) const;
 
-  /// Exports the per-bucket probe table the vectorized range-count kernel
-  /// (simd::HistogramRangeCount) consumes: bucket extents via
-  /// BucketExtent, raw counts and centroids, one entry per bucket in
-  /// bucket order. Each output array must hold bucket_count() doubles.
-  /// The values are exactly what EstimateCount computes internally, so a
-  /// kernel fed this table reproduces EstimateCount bit for bit — the
-  /// batched path amortizes the extent computation once per (histogram,
-  /// batch) instead of once per (point, bucket).
-  void ExportProbe(double* left, double* right, double* count,
-                   double* centroid) const;
-
-  /// Companion to ExportProbe for the cost-estimating kernel
-  /// (simd::HistogramRangeCountCost): per-bucket cost sums, one entry per
-  /// bucket in bucket order. `cost` must hold bucket_count() doubles.
-  void ExportProbeCosts(double* cost) const;
-
   /// Count-weighted average cost of observations in [lo, hi]. Returns 0
-  /// when the estimated count is 0.
+  /// when the estimated count is 0. A one-query call of
+  /// simd::HistogramRangeCountCostMany over buckets().
   double EstimateAverageCost(double lo, double hi) const;
+
+  /// The buckets, sorted by centroid: the table the range kernels sweep.
+  const simd::HistogramBucket* buckets() const { return buckets_.data(); }
 
   /// Total number of inserted observations.
   size_t TotalCount() const { return total_count_; }
@@ -85,22 +75,17 @@ class StreamingHistogram {
   void SerializeTo(ByteWriter* writer) const;
 
   /// Reconstructs a histogram from a snapshot. Fails with OutOfRange on
-  /// truncation and InvalidArgument on malformed content.
+  /// truncation and InvalidArgument on malformed content: a bucket count
+  /// above the budget or the bytes left, unsorted centroids, a centroid
+  /// outside [0, 1], a negative count or a non-finite field.
   static Result<StreamingHistogram> Deserialize(ByteReader* reader);
 
  private:
-  struct Bucket {
-    double centroid = 0.0;
-    double count = 0.0;
-    double cost_sum = 0.0;
-  };
+  using Bucket = simd::HistogramBucket;
 
   /// Index of the best adjacent pair (i, i+1) to merge under the policy.
   size_t PickMergeIndex() const;
   void MergeAt(size_t i);
-  /// Extent [left, right) over which bucket i's mass is assumed spread:
-  /// midpoints to neighbouring centroids, clamped to [0, 1] at the ends.
-  void BucketExtent(size_t i, double* left, double* right) const;
 
   size_t max_buckets_;
   MergePolicy policy_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/alloc_counter.h"
+#include "common/arena.h"
 #include "ppc/metrics.h"
 #include "ppc/plan_synopsis.h"
 #include "test_util.h"
@@ -53,16 +54,42 @@ TEST(PlanSynopsisTest, MedianAverageCostSkipsEmptyTransforms) {
   const std::vector<ZInterval> intervals = {
       {0.15, 0.25}, {0.15, 0.25}, {0.15, 0.25}};
   const FlatQueryRanges ranges{intervals.data(), nullptr, 3, 1};
-  double scratch[3];
-  EXPECT_NEAR(synopsis.MedianAverageCost(ranges, 0, scratch), 100.0, 1e-6);
+  const uint32_t point = 0;
+  Arena arena;
+  double cost = 0.0;
+  synopsis.MedianAverageCosts(ranges, &point, 1, &arena, &cost);
+  EXPECT_NEAR(cost, 100.0, 1e-6);
+}
+
+/// The per-interval cost arithmetic MedianAverageCosts must reproduce: per
+/// transform, c * EstimateAverageCost summed over the point's intervals
+/// with EstimateCount c > 0, over their count sum; then the median over
+/// the transforms that found any count.
+double ReferenceMedianAverageCost(const PlanSynopsis& synopsis,
+                                  const FlatQueryRanges& ranges, size_t p) {
+  std::vector<double> per_transform;
+  for (size_t i = 0; i < synopsis.transform_count(); ++i) {
+    const StreamingHistogram& h = synopsis.histogram(i);
+    double count = 0.0;
+    double cost_sum = 0.0;
+    const auto [begin, end] = ranges.Slice(i, p);
+    for (const ZInterval* interval = begin; interval != end; ++interval) {
+      const double c = h.EstimateCount(interval->lo, interval->hi);
+      if (c <= 0.0) continue;
+      count += c;
+      cost_sum += c * h.EstimateAverageCost(interval->lo, interval->hi);
+    }
+    if (count > 0.0) per_transform.push_back(cost_sum / count);
+  }
+  return per_transform.empty() ? 0.0 : Median(per_transform);
 }
 
 TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
-  // A batch of one counts with EstimateCount and costs with
-  // MedianAverageCost; a larger single-range batch runs the probe
-  // kernels. A point's per-transform counts and median average cost must
-  // not depend on which side it lands on: EXPECT_EQ, no tolerance, in
-  // both range modes.
+  // A point alone runs in the kernels' scalar tail; inside a batch it
+  // may sit in an AVX2 lane. Its per-transform counts and median average
+  // cost must not depend on which, and must equal the per-interval
+  // EstimateCount / EstimateAverageCost arithmetic: EXPECT_EQ, no
+  // tolerance, in both range modes.
   for (bool decomposition : {false, true}) {
     auto cfg = BaseConfig();
     cfg.interval_decomposition = decomposition;
@@ -103,24 +130,16 @@ TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
     std::vector<uint32_t> batch_offsets;
     const FlatQueryRanges batch =
         flatten(0, count, &batch_intervals, &batch_offsets);
-    std::vector<double> probes(5 * t * cfg.histogram_buckets);
+    std::vector<double> interval_counts(batch.MaxTransformIntervals());
     std::vector<double> batch_counts(t * count);
-    synopsis.BatchTransformCounts(batch, batch_counts.data(), probes.data());
+    synopsis.BatchTransformCounts(batch, interval_counts.data(),
+                                  batch_counts.data());
     std::vector<uint32_t> all(count);
     for (size_t p = 0; p < count; ++p) all[p] = static_cast<uint32_t>(p);
-    std::vector<double> bounds_ws(2 * count), counts_ws(t * count),
-        costs_ws(t * count), median_ws(t), batch_costs(count);
-    if (!decomposition) {
-      synopsis.ExportCostProbes(cfg.histogram_buckets, probes.data());
-      synopsis.BatchAverageCostsFromProbes(
-          batch, all.data(), count, cfg.histogram_buckets, probes.data(),
-          bounds_ws.data(), counts_ws.data(), costs_ws.data(),
-          median_ws.data(), batch_costs.data());
-    } else {
-      for (size_t p = 0; p < count; ++p) {
-        batch_costs[p] = synopsis.MedianAverageCost(batch, p, median_ws.data());
-      }
-    }
+    Arena arena;
+    std::vector<double> batch_costs(count);
+    synopsis.MedianAverageCosts(batch, all.data(), count, &arena,
+                                batch_costs.data());
 
     size_t costed = 0;
     for (size_t p = 0; p < count; ++p) {
@@ -129,15 +148,28 @@ TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
       const FlatQueryRanges alone =
           flatten(p, 1, &alone_intervals, &alone_offsets);
       std::vector<double> alone_counts(t);
-      synopsis.BatchTransformCounts(alone, alone_counts.data(), probes.data());
+      synopsis.BatchTransformCounts(alone, interval_counts.data(),
+                                    alone_counts.data());
       for (size_t i = 0; i < t; ++i) {
+        double reference = 0.0;
+        const auto [begin, end] = alone.Slice(i, 0);
+        for (const ZInterval* interval = begin; interval != end; ++interval) {
+          reference +=
+              synopsis.histogram(i).EstimateCount(interval->lo, interval->hi);
+        }
         EXPECT_EQ(alone_counts[i], batch_counts[i * count + p])
             << "decomposition " << decomposition << " point " << p
             << " transform " << i;
+        EXPECT_EQ(alone_counts[i], reference)
+            << "decomposition " << decomposition << " point " << p
+            << " transform " << i;
       }
-      const double alone_cost =
-          synopsis.MedianAverageCost(alone, 0, median_ws.data());
+      const uint32_t only = 0;
+      double alone_cost = 0.0;
+      synopsis.MedianAverageCosts(alone, &only, 1, &arena, &alone_cost);
       EXPECT_EQ(alone_cost, batch_costs[p])
+          << "decomposition " << decomposition << " point " << p;
+      EXPECT_EQ(alone_cost, ReferenceMedianAverageCost(synopsis, alone, 0))
           << "decomposition " << decomposition << " point " << p;
       costed += alone_cost > 0.0 ? 1 : 0;
     }

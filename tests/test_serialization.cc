@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -93,6 +95,73 @@ TEST(StreamingHistogramSerdeTest, RejectsMalformedContent) {
   ByteReader reader(writer.buffer());
   EXPECT_EQ(StreamingHistogram::Deserialize(&reader).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Appends the header of a serialized histogram: max_buckets | policy |
+// total | bucket_count.
+void PutHistogramHeader(ByteWriter* writer, uint32_t max_buckets,
+                        uint32_t bucket_count) {
+  writer->PutU32(max_buckets);
+  writer->PutU8(0);
+  writer->PutU64(bucket_count);
+  writer->PutU32(bucket_count);
+}
+
+TEST(StreamingHistogramSerdeTest, RejectsBucketCountBeyondSnapshotSize) {
+  // A count the bytes cannot hold must fail before it sizes an
+  // allocation: 0xFFFFFFFF buckets would otherwise throw bad_alloc.
+  ByteWriter huge;
+  PutHistogramHeader(&huge, 0xFFFFFFFFu, 0xFFFFFFFFu);
+  ByteReader huge_reader(huge.buffer());
+  EXPECT_EQ(StreamingHistogram::Deserialize(&huge_reader).status().code(),
+            StatusCode::kInvalidArgument);
+  // Two buckets claimed, one present.
+  ByteWriter short_list;
+  PutHistogramHeader(&short_list, 8, 2);
+  short_list.PutDouble(0.5);
+  short_list.PutDouble(1.0);
+  short_list.PutDouble(10.0);
+  ByteReader short_reader(short_list.buffer());
+  EXPECT_EQ(StreamingHistogram::Deserialize(&short_reader).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(StreamingHistogramSerdeTest, RejectsNonFiniteAndOutOfDomainBuckets) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    double centroid, count, cost_sum;
+  };
+  const Case cases[] = {
+      {"NaN centroid", nan, 1.0, 1.0},
+      {"NaN count", 0.5, nan, 1.0},
+      {"NaN cost", 0.5, 1.0, nan},
+      {"infinite count", 0.5, inf, 1.0},
+      {"infinite cost", 0.5, 1.0, -inf},
+      {"negative count", 0.5, -1.0, 1.0},
+      {"centroid below 0", -0.25, 1.0, 1.0},
+      {"centroid above 1", 1.25, 1.0, 1.0},
+  };
+  for (const Case& c : cases) {
+    // The bad bucket follows a good one, so it is also checked against
+    // the sortedness test.
+    ByteWriter writer;
+    PutHistogramHeader(&writer, 8, 2);
+    for (const double v : {0.1, 1.0, 5.0, c.centroid, c.count, c.cost_sum}) {
+      writer.PutDouble(v);
+    }
+    ByteReader reader(writer.buffer());
+    EXPECT_EQ(StreamingHistogram::Deserialize(&reader).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+  }
+  // The domain's end points themselves are valid centroids.
+  ByteWriter writer;
+  PutHistogramHeader(&writer, 8, 2);
+  for (const double v : {0.0, 1.0, 5.0, 1.0, 2.0, 7.0}) writer.PutDouble(v);
+  ByteReader reader(writer.buffer());
+  EXPECT_TRUE(StreamingHistogram::Deserialize(&reader).ok());
 }
 
 TEST(PlanSynopsisSerdeTest, RoundTrip) {
@@ -461,6 +530,54 @@ TEST_F(SnapshotFuzzTest, SectionLengthCorruptionFailsWithInvalidArgument) {
           << "offset " << m.offset << ": " << restored.status().ToString();
     }
   }
+}
+
+// The config and data sections of a serialized predictor.
+std::pair<std::string, std::string> SnapshotSections(const std::string& blob) {
+  ByteReader reader(blob);
+  EXPECT_TRUE(reader.GetU32().ok());  // magic
+  EXPECT_TRUE(reader.GetU32().ok());  // version
+  return {reader.GetString().value(), reader.GetString().value()};
+}
+
+TEST_F(PredictorSerdeTest, RejectsDataStitchedToAnotherBucketBudget) {
+  // A 40-bucket config section over the data section of a 1000-bucket
+  // predictor, with a valid checksum: every histogram exceeds the budget
+  // the predict scratch is sized from, so Restore must refuse it.
+  Rng rng(41);
+  const std::vector<LabeledPoint> sample =
+      SamplePoints(2, 300, HalfSpacePlan, &rng);
+  LshHistogramsPredictor::Config wide = Config();
+  wide.histogram_buckets = 1000;
+  const std::string config_section =
+      SnapshotSections(LshHistogramsPredictor(Config()).Serialize()).first;
+  const std::string data_section =
+      SnapshotSections(LshHistogramsPredictor(wide, sample).Serialize())
+          .second;
+  auto restored = LshHistogramsPredictor::Restore(SnapshotEnvelope(
+      kSnapshotMagic, kSnapshotVersion, config_section, data_section));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PredictorSerdeTest, RejectsHistogramClaimingMoreBucketsThanBytes) {
+  // A checksum-valid snapshot whose one histogram is a 17-byte header
+  // claiming 0xFFFFFFFF buckets: InvalidArgument, not a bad_alloc abort.
+  LshHistogramsPredictor::Config cfg = Config();
+  cfg.transform_count = 1;
+  const std::string config_section =
+      SnapshotSections(LshHistogramsPredictor(cfg).Serialize()).first;
+  ByteWriter data_section;
+  data_section.PutU64(1);  // total_samples
+  data_section.PutU32(1);  // plan_count
+  data_section.PutU64(7);  // plan id
+  data_section.PutU32(1);  // histograms in the synopsis
+  PutHistogramHeader(&data_section, 0xFFFFFFFFu, 0xFFFFFFFFu);
+  auto restored = LshHistogramsPredictor::Restore(
+      SnapshotEnvelope(kSnapshotMagic, kSnapshotVersion, config_section,
+                       data_section.buffer()));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(PredictorSerdeTest, AdoptStateTransplantsLearnedState) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -116,50 +117,143 @@ TEST(SimdKernelTest, ApplyBatchTiersAgreeOnNonFiniteInputs) {
             0);
 }
 
-/// Builds a randomized probe table with a mix of spread buckets and
-/// zero-width point masses, in ascending position order.
-struct ProbeTable {
-  std::vector<double> left, right, count, centroid;
-  size_t size() const { return left.size(); }
-};
-
-ProbeTable RandomProbe(size_t buckets, Rng* rng) {
-  ProbeTable t;
-  double pos = 0.0;
-  for (size_t i = 0; i < buckets; ++i) {
-    const bool point_mass = rng->Uniform() < 0.3;
-    const double width = point_mass ? 0.0 : rng->Uniform(0.001, 0.05);
-    t.left.push_back(pos);
-    t.right.push_back(pos + width);
-    t.count.push_back(rng->Uniform(0.0, 50.0));
-    t.centroid.push_back(pos + width * 0.5);
-    pos += width + rng->Uniform(0.0, 0.02);
+/// The struct loops StreamingHistogram::EstimateCount and
+/// EstimateAverageCost ran before the range kernels took over, restated
+/// here, extent rule included, as the independent oracle the kernels must
+/// match bit for bit.
+void ReferenceExtent(const std::vector<HistogramBucket>& b, size_t i,
+                     double* left, double* right) {
+  const double c = b[i].centroid;
+  if (b.size() == 1) {
+    *left = *right = c;
+    return;
   }
-  return t;
+  *left = (i == 0) ? std::max(0.0, c - 0.5 * (b[1].centroid - c))
+                   : 0.5 * (b[i - 1].centroid + c);
+  *right = (i + 1 == b.size())
+               ? std::min(1.0, c + 0.5 * (c - b[i - 1].centroid))
+               : 0.5 * (c + b[i + 1].centroid);
+  if (*right < *left) std::swap(*left, *right);
 }
 
-TEST(SimdKernelTest, HistogramRangeCountTiersBitIdentical) {
+double ReferenceCount(const std::vector<HistogramBucket>& b, double lo,
+                      double hi) {
+  if (b.empty() || lo > hi) return 0.0;
+  double count = 0.0;
+  for (size_t i = 0; i < b.size(); ++i) {
+    double left, right;
+    ReferenceExtent(b, i, &left, &right);
+    const double width = right - left;
+    if (width <= 0.0) {
+      if (b[i].centroid >= lo && b[i].centroid <= hi) count += b[i].count;
+      continue;
+    }
+    const double overlap =
+        std::max(0.0, std::min(hi, right) - std::max(lo, left));
+    count += b[i].count * (overlap / width);
+  }
+  return count;
+}
+
+/// The frac-form loop of EstimateAverageCost: its count and cost sums.
+void ReferenceCountCost(const std::vector<HistogramBucket>& b, double lo,
+                        double hi, double* count_out, double* cost_out) {
+  double count = 0.0;
+  double cost = 0.0;
+  for (size_t i = 0; i < b.size() && !(lo > hi); ++i) {
+    double left, right;
+    ReferenceExtent(b, i, &left, &right);
+    const double width = right - left;
+    double frac = 0.0;
+    if (width <= 0.0) {
+      frac = (b[i].centroid >= lo && b[i].centroid <= hi) ? 1.0 : 0.0;
+    } else {
+      const double overlap =
+          std::max(0.0, std::min(hi, right) - std::max(lo, left));
+      frac = overlap / width;
+    }
+    count += b[i].count * frac;
+    cost += b[i].cost_sum * frac;
+  }
+  *count_out = count;
+  *cost_out = cost;
+}
+
+/// A random bucket array in centroid order. Runs of repeated centroids
+/// make zero-width point masses, a lone bucket is one too, and the walk
+/// may end past 1.0, where the clamped right edge falls below the left
+/// one and the extent rule swaps them.
+std::vector<HistogramBucket> RandomBuckets(size_t n, Rng* rng) {
+  std::vector<HistogramBucket> buckets;
+  double pos = rng->Uniform(0.0, 0.1);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng->Uniform() < 0.5) pos += rng->Uniform(0.0, 2.4 / n);
+    buckets.push_back(HistogramBucket{pos, rng->Uniform(0.0, 50.0),
+                                      rng->Uniform(0.0, 200.0)});
+  }
+  return buckets;
+}
+
+/// Query ranges for the across-queries kernels: mostly ordinary ranges,
+/// with inverted and NaN-bound lanes mixed in so the lane masking is
+/// exercised at every position in a 4-lane block.
+std::vector<ZInterval> RandomRanges(size_t queries, Rng* rng) {
+  std::vector<ZInterval> ranges(queries);
+  for (size_t q = 0; q < queries; ++q) {
+    double lo = rng->Uniform(-0.1, 1.1);
+    double hi = lo + rng->Uniform(0.0, 0.4);
+    if (q % 5 == 3) std::swap(lo, hi);
+    if (q % 7 == 2) lo = std::numeric_limits<double>::quiet_NaN();
+    if (q % 11 == 6) hi = std::numeric_limits<double>::quiet_NaN();
+    ranges[q] = {lo, hi};
+  }
+  return ranges;
+}
+
+/// Every lane of these ranges is inverted or has a NaN bound, in a
+/// rotation that puts each kind in every lane position.
+std::vector<ZInterval> DegenerateRanges(size_t queries) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ZInterval kinds[4] = {{nan, 0.5}, {0.1, nan}, {nan, nan}, {0.6, 0.2}};
+  std::vector<ZInterval> ranges(queries);
+  for (size_t q = 0; q < queries; ++q) ranges[q] = kinds[q % 4];
+  return ranges;
+}
+
+/// Ordinary ranges around the unit interval, as the predictor issues them.
+std::vector<ZInterval> PredictorRanges(size_t queries, Rng* rng) {
+  std::vector<ZInterval> ranges(queries);
+  for (ZInterval& range : ranges) {
+    range.lo = rng->Uniform(-0.05, 1.0);
+    range.hi = range.lo + rng->Uniform(0.0, 0.3);
+  }
+  return ranges;
+}
+
+constexpr size_t kBucketCounts[] = {1, 2, 3, 4, 5, 7, 8, 13, 40};
+constexpr size_t kQueryCounts[] = {1, 2, 3, 4, 5, 6, 7, 32, 33};
+
+TEST(SimdKernelTest, HistogramRangeCountManyTiersBitIdentical) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(777);
-  for (const size_t buckets : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 40u}) {
-    ProbeTable t = RandomProbe(buckets, &rng);
-    for (int q = 0; q < 50; ++q) {
-      double lo = rng.Uniform(-0.1, 1.1);
-      double hi = lo + rng.Uniform(0.0, 0.4);
-      if (q % 7 == 0) std::swap(lo, hi);  // inverted → both return 0
-      const double scalar =
-          HistogramRangeCountScalar(t.left.data(), t.right.data(),
-                                    t.count.data(), t.centroid.data(),
-                                    t.size(), lo, hi);
-      const double avx2 =
-          HistogramRangeCountAvx2(t.left.data(), t.right.data(),
-                                  t.count.data(), t.centroid.data(),
-                                  t.size(), lo, hi);
-      uint64_t sbits, abits;
-      std::memcpy(&sbits, &scalar, sizeof(sbits));
-      std::memcpy(&abits, &avx2, sizeof(abits));
-      EXPECT_EQ(sbits, abits) << "buckets=" << buckets << " lo=" << lo
-                              << " hi=" << hi;
+  Rng rng(808);
+  for (const size_t n : kBucketCounts) {
+    const std::vector<HistogramBucket> b = RandomBuckets(n, &rng);
+    for (const size_t queries : kQueryCounts) {
+      const std::vector<ZInterval> ranges = RandomRanges(queries, &rng);
+      std::vector<double> scalar(queries, -1.0), avx2(queries, -2.0);
+      HistogramRangeCountManyScalar(b.data(), n, ranges.data(), queries,
+                                    scalar.data());
+      HistogramRangeCountManyAvx2(b.data(), n, ranges.data(), queries,
+                                  avx2.data());
+      ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(),
+                            queries * sizeof(double)),
+                0)
+          << "buckets=" << n << " queries=" << queries;
+      for (size_t q = 0; q < queries; ++q) {
+        EXPECT_EQ(scalar[q],
+                  ReferenceCount(b, ranges[q].lo, ranges[q].hi))
+            << "buckets=" << n << " query " << q;
+      }
     }
   }
 }
@@ -167,50 +261,48 @@ TEST(SimdKernelTest, HistogramRangeCountTiersBitIdentical) {
 TEST(SimdKernelTest, HistogramRangeCountTiersAgreeOnNaNBounds) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   Rng rng(31);
-  ProbeTable t = RandomProbe(9, &rng);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
-           {nan, 0.5}, {0.1, nan}, {nan, nan}}) {
-    EXPECT_EQ(HistogramRangeCountScalar(t.left.data(), t.right.data(),
-                                        t.count.data(), t.centroid.data(),
-                                        t.size(), lo, hi),
-              0.0);
-    EXPECT_EQ(HistogramRangeCountAvx2(t.left.data(), t.right.data(),
-                                      t.count.data(), t.centroid.data(),
-                                      t.size(), lo, hi),
-              0.0);
+  const std::vector<HistogramBucket> b = RandomBuckets(9, &rng);
+  for (size_t queries = 1; queries <= 7; ++queries) {
+    const std::vector<ZInterval> ranges = DegenerateRanges(queries);
+    std::vector<double> scalar(queries, -1.0), avx2(queries, -2.0);
+    HistogramRangeCountManyScalar(b.data(), b.size(), ranges.data(), queries,
+                                  scalar.data());
+    HistogramRangeCountManyAvx2(b.data(), b.size(), ranges.data(), queries,
+                                avx2.data());
+    ASSERT_EQ(
+        std::memcmp(scalar.data(), avx2.data(), queries * sizeof(double)), 0)
+        << "queries=" << queries;
+    for (size_t q = 0; q < queries; ++q) EXPECT_EQ(scalar[q], 0.0);
   }
 }
 
-TEST(SimdKernelTest, HistogramRangeCountCostTiersBitIdentical) {
+TEST(SimdKernelTest, HistogramRangeCountCostManyTiersBitIdentical) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(4041);
-  for (const size_t buckets : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 40u}) {
-    ProbeTable t = RandomProbe(buckets, &rng);
-    std::vector<double> cost(buckets);
-    for (double& v : cost) v = rng.Uniform(0.0, 200.0);
-    for (int q = 0; q < 50; ++q) {
-      double lo = rng.Uniform(-0.1, 1.1);
-      double hi = lo + rng.Uniform(0.0, 0.4);
-      if (q % 7 == 0) std::swap(lo, hi);  // inverted → both return (0, 0)
-      double sc, scost, ac, acost;
-      HistogramRangeCountCostScalar(t.left.data(), t.right.data(),
-                                    t.count.data(), cost.data(),
-                                    t.centroid.data(), t.size(), lo, hi, &sc,
-                                    &scost);
-      HistogramRangeCountCostAvx2(t.left.data(), t.right.data(),
-                                  t.count.data(), cost.data(),
-                                  t.centroid.data(), t.size(), lo, hi, &ac,
-                                  &acost);
-      uint64_t a, b;
-      std::memcpy(&a, &sc, sizeof(a));
-      std::memcpy(&b, &ac, sizeof(b));
-      EXPECT_EQ(a, b) << "count: buckets=" << buckets << " lo=" << lo
-                      << " hi=" << hi;
-      std::memcpy(&a, &scost, sizeof(a));
-      std::memcpy(&b, &acost, sizeof(b));
-      EXPECT_EQ(a, b) << "cost: buckets=" << buckets << " lo=" << lo
-                      << " hi=" << hi;
+  Rng rng(909);
+  for (const size_t n : kBucketCounts) {
+    const std::vector<HistogramBucket> b = RandomBuckets(n, &rng);
+    for (const size_t queries : kQueryCounts) {
+      const std::vector<ZInterval> ranges = RandomRanges(queries, &rng);
+      std::vector<double> sc(queries), scost(queries), ac(queries),
+          acost(queries);
+      HistogramRangeCountCostManyScalar(b.data(), n, ranges.data(), queries,
+                                        sc.data(), scost.data());
+      HistogramRangeCountCostManyAvx2(b.data(), n, ranges.data(), queries,
+                                      ac.data(), acost.data());
+      ASSERT_EQ(std::memcmp(sc.data(), ac.data(), queries * sizeof(double)),
+                0)
+          << "counts: buckets=" << n << " queries=" << queries;
+      ASSERT_EQ(
+          std::memcmp(scost.data(), acost.data(), queries * sizeof(double)),
+          0)
+          << "costs: buckets=" << n << " queries=" << queries;
+      for (size_t q = 0; q < queries; ++q) {
+        double count, cost;
+        ReferenceCountCost(b, ranges[q].lo, ranges[q].hi, &count,
+                           &cost);
+        EXPECT_EQ(sc[q], count) << "buckets=" << n << " query " << q;
+        EXPECT_EQ(scost[q], cost) << "buckets=" << n << " query " << q;
+      }
     }
   }
 }
@@ -218,140 +310,65 @@ TEST(SimdKernelTest, HistogramRangeCountCostTiersBitIdentical) {
 TEST(SimdKernelTest, HistogramRangeCountCostTiersAgreeOnNaNBounds) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   Rng rng(67);
-  ProbeTable t = RandomProbe(9, &rng);
-  std::vector<double> cost(t.size(), 3.5);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
-           {nan, 0.5}, {0.1, nan}, {nan, nan}}) {
-    double sc, scost, ac, acost;
-    HistogramRangeCountCostScalar(t.left.data(), t.right.data(),
-                                  t.count.data(), cost.data(),
-                                  t.centroid.data(), t.size(), lo, hi, &sc,
-                                  &scost);
-    HistogramRangeCountCostAvx2(t.left.data(), t.right.data(), t.count.data(),
-                                cost.data(), t.centroid.data(), t.size(), lo,
-                                hi, &ac, &acost);
-    EXPECT_EQ(sc, 0.0);
-    EXPECT_EQ(scost, 0.0);
-    EXPECT_EQ(ac, 0.0);
-    EXPECT_EQ(acost, 0.0);
+  const std::vector<HistogramBucket> b = RandomBuckets(9, &rng);
+  for (size_t queries = 1; queries <= 7; ++queries) {
+    const std::vector<ZInterval> ranges = DegenerateRanges(queries);
+    std::vector<double> sc(queries, -1.0), scost(queries, -1.0),
+        ac(queries, -2.0), acost(queries, -2.0);
+    HistogramRangeCountCostManyScalar(b.data(), b.size(), ranges.data(),
+                                      queries, sc.data(), scost.data());
+    HistogramRangeCountCostManyAvx2(b.data(), b.size(), ranges.data(),
+                                    queries, ac.data(), acost.data());
+    ASSERT_EQ(std::memcmp(sc.data(), ac.data(), queries * sizeof(double)), 0)
+        << "queries=" << queries;
+    ASSERT_EQ(
+        std::memcmp(scost.data(), acost.data(), queries * sizeof(double)), 0)
+        << "queries=" << queries;
+    for (size_t q = 0; q < queries; ++q) {
+      EXPECT_EQ(sc[q], 0.0);
+      EXPECT_EQ(scost[q], 0.0);
+    }
   }
+}
+
+/// A histogram filled the way the predictor fills it, plus a copy of its
+/// buckets for the reference loops.
+std::vector<HistogramBucket> FilledHistogram(uint64_t seed,
+                                             StreamingHistogram* hist) {
+  Rng rng(seed);
+  for (int i = 0; i < 500; ++i) {
+    hist->Insert(rng.Uniform(), rng.Uniform(0.0, 10.0));
+  }
+  return std::vector<HistogramBucket>(
+      hist->buckets(), hist->buckets() + hist->bucket_count());
 }
 
 TEST(SimdKernelTest, CostKernelReproducesHistogramEstimates) {
-  // The combined kernel replaces the per-interval EstimateCount +
-  // EstimateAverageCost pair on the cost path; feeding it ExportProbe +
-  // ExportProbeCosts tables must reproduce both estimates bit for bit on
-  // both tiers (count directly, average cost as cost/count).
-  Rng rng(19);
+  // The cost path reads a transform's count and average cost from one
+  // HistogramRangeCountCostMany sweep; on both tiers its count must be
+  // EstimateCount and its cost / count EstimateAverageCost, bit for bit,
+  // and both must match the struct loops the kernels replaced.
   StreamingHistogram hist(16);
-  for (int i = 0; i < 500; ++i) {
-    hist.Insert(rng.Uniform(), rng.Uniform(0.0, 10.0));
-  }
-  const size_t b = hist.bucket_count();
-  std::vector<double> probe(5 * b);
-  hist.ExportProbe(probe.data(), probe.data() + b, probe.data() + 2 * b,
-                   probe.data() + 4 * b);
-  hist.ExportProbeCosts(probe.data() + 3 * b);
-  for (int q = 0; q < 200; ++q) {
-    const double lo = rng.Uniform(-0.05, 1.0);
-    const double hi = lo + rng.Uniform(0.0, 0.3);
-    const double oracle_count = hist.EstimateCount(lo, hi);
-    const double oracle_avg = hist.EstimateAverageCost(lo, hi);
-    for (const bool scalar : {true, false}) {
-      double c, cost;
-      if (scalar) {
-        HistogramRangeCountCostScalar(probe.data(), probe.data() + b,
-                                      probe.data() + 2 * b,
-                                      probe.data() + 3 * b,
-                                      probe.data() + 4 * b, b, lo, hi, &c,
-                                      &cost);
-      } else {
-        HistogramRangeCountCost(probe.data(), probe.data() + b,
-                                probe.data() + 2 * b, probe.data() + 3 * b,
-                                probe.data() + 4 * b, b, lo, hi, &c, &cost);
-      }
-      EXPECT_EQ(oracle_count, c);
-      EXPECT_EQ(oracle_avg, c > 0.0 ? cost / c : 0.0);
-    }
-  }
-}
-
-/// Query bounds for the across-queries kernels: mostly ordinary ranges,
-/// with inverted and NaN-bound lanes mixed in so the lane masking is
-/// exercised at every position in a 4-lane block.
-std::vector<double> RandomBounds(size_t queries, Rng* rng) {
-  std::vector<double> bounds(2 * queries);
-  for (size_t q = 0; q < queries; ++q) {
-    double lo = rng->Uniform(-0.1, 1.1);
-    double hi = lo + rng->Uniform(0.0, 0.4);
-    if (q % 5 == 3) std::swap(lo, hi);
-    if (q % 7 == 2) lo = std::numeric_limits<double>::quiet_NaN();
-    if (q % 11 == 6) hi = std::numeric_limits<double>::quiet_NaN();
-    bounds[2 * q] = lo;
-    bounds[2 * q + 1] = hi;
-  }
-  return bounds;
-}
-
-TEST(SimdKernelTest, HistogramRangeCountManyTiersBitIdentical) {
-  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(808);
-  for (const size_t buckets : {1u, 3u, 8u, 40u}) {
-    ProbeTable t = RandomProbe(buckets, &rng);
-    for (const size_t queries : {1u, 3u, 4u, 5u, 7u, 32u, 33u}) {
-      const std::vector<double> bounds = RandomBounds(queries, &rng);
-      std::vector<double> scalar(queries, -1.0), avx2(queries, -2.0);
-      HistogramRangeCountManyScalar(t.left.data(), t.right.data(),
-                                    t.count.data(), t.centroid.data(),
-                                    t.size(), bounds.data(), queries,
-                                    scalar.data());
-      HistogramRangeCountManyAvx2(t.left.data(), t.right.data(),
-                                  t.count.data(), t.centroid.data(), t.size(),
-                                  bounds.data(), queries, avx2.data());
-      ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(),
-                            queries * sizeof(double)),
-                0)
-          << "buckets=" << buckets << " queries=" << queries;
-      // The many-query scalar tier must itself match the single-query
-      // kernel, query by query.
-      for (size_t q = 0; q < queries; ++q) {
-        EXPECT_EQ(scalar[q],
-                  HistogramRangeCountScalar(
-                      t.left.data(), t.right.data(), t.count.data(),
-                      t.centroid.data(), t.size(), bounds[2 * q],
-                      bounds[2 * q + 1]));
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, HistogramRangeCountCostManyTiersBitIdentical) {
-  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(909);
-  for (const size_t buckets : {1u, 3u, 8u, 40u}) {
-    ProbeTable t = RandomProbe(buckets, &rng);
-    std::vector<double> cost(buckets);
-    for (double& v : cost) v = rng.Uniform(0.0, 200.0);
-    for (const size_t queries : {1u, 4u, 5u, 32u, 33u}) {
-      const std::vector<double> bounds = RandomBounds(queries, &rng);
-      std::vector<double> sc(queries), scost(queries), ac(queries),
-          acost(queries);
-      HistogramRangeCountCostManyScalar(
-          t.left.data(), t.right.data(), t.count.data(), cost.data(),
-          t.centroid.data(), t.size(), bounds.data(), queries, sc.data(),
-          scost.data());
-      HistogramRangeCountCostManyAvx2(
-          t.left.data(), t.right.data(), t.count.data(), cost.data(),
-          t.centroid.data(), t.size(), bounds.data(), queries, ac.data(),
-          acost.data());
-      ASSERT_EQ(std::memcmp(sc.data(), ac.data(), queries * sizeof(double)),
-                0)
-          << "counts: buckets=" << buckets << " queries=" << queries;
-      ASSERT_EQ(
-          std::memcmp(scost.data(), acost.data(), queries * sizeof(double)),
-          0)
-          << "costs: buckets=" << buckets << " queries=" << queries;
+  const std::vector<HistogramBucket> b = FilledHistogram(19, &hist);
+  Rng rng(20);
+  const size_t queries = 200;
+  const std::vector<ZInterval> ranges = PredictorRanges(queries, &rng);
+  for (const bool force_scalar : {true, false}) {
+    ScopedTier tier(force_scalar);
+    std::vector<double> counts(queries), costs(queries);
+    HistogramRangeCountCostMany(hist.buckets(), hist.bucket_count(),
+                                ranges.data(), queries, counts.data(),
+                                costs.data());
+    for (size_t q = 0; q < queries; ++q) {
+      const double lo = ranges[q].lo;
+      const double hi = ranges[q].hi;
+      double ref_count, ref_cost;
+      ReferenceCountCost(b, lo, hi, &ref_count, &ref_cost);
+      const double ref_avg = ref_count > 0.0 ? ref_cost / ref_count : 0.0;
+      EXPECT_EQ(counts[q], ReferenceCount(b, lo, hi));
+      EXPECT_EQ(counts[q], hist.EstimateCount(lo, hi));
+      EXPECT_EQ(counts[q] > 0.0 ? costs[q] / counts[q] : 0.0, ref_avg);
+      EXPECT_EQ(hist.EstimateAverageCost(lo, hi), ref_avg);
     }
   }
 }
@@ -407,30 +424,24 @@ TEST(SimdKernelTest, InterleavePdepMatchesScalarBitLoop) {
 }
 
 TEST(SimdKernelTest, KernelReproducesStreamingHistogramEstimateCount) {
-  // The probe-table kernel exists to replace per-point EstimateCount
-  // calls; feeding it ExportProbe's table must reproduce EstimateCount
-  // bit for bit on both tiers.
-  Rng rng(9);
+  // EstimateCount is a one-query kernel call and a served batch is a
+  // many-query call over the same buckets: on both tiers, both must
+  // reproduce the struct loop the kernels replaced, bit for bit.
   StreamingHistogram hist(16);
-  for (int i = 0; i < 500; ++i) {
-    hist.Insert(rng.Uniform(), rng.Uniform(0.0, 10.0));
-  }
-  const size_t b = hist.bucket_count();
-  std::vector<double> probe(4 * b);
-  hist.ExportProbe(probe.data(), probe.data() + b, probe.data() + 2 * b,
-                   probe.data() + 3 * b);
-  for (int q = 0; q < 200; ++q) {
-    const double lo = rng.Uniform(-0.05, 1.0);
-    const double hi = lo + rng.Uniform(0.0, 0.3);
-    const double oracle = hist.EstimateCount(lo, hi);
-    const double scalar = HistogramRangeCountScalar(
-        probe.data(), probe.data() + b, probe.data() + 2 * b,
-        probe.data() + 3 * b, b, lo, hi);
-    const double dispatched = HistogramRangeCount(
-        probe.data(), probe.data() + b, probe.data() + 2 * b,
-        probe.data() + 3 * b, b, lo, hi);
-    EXPECT_EQ(oracle, scalar);
-    EXPECT_EQ(oracle, dispatched);
+  const std::vector<HistogramBucket> b = FilledHistogram(9, &hist);
+  Rng rng(10);
+  const size_t queries = 200;
+  const std::vector<ZInterval> ranges = PredictorRanges(queries, &rng);
+  for (const bool force_scalar : {true, false}) {
+    ScopedTier tier(force_scalar);
+    std::vector<double> batch(queries);
+    HistogramRangeCountMany(hist.buckets(), hist.bucket_count(),
+                            ranges.data(), queries, batch.data());
+    for (size_t q = 0; q < queries; ++q) {
+      const double oracle = ReferenceCount(b, ranges[q].lo, ranges[q].hi);
+      EXPECT_EQ(hist.EstimateCount(ranges[q].lo, ranges[q].hi), oracle);
+      EXPECT_EQ(batch[q], oracle);
+    }
   }
 }
 

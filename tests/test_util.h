@@ -73,13 +73,10 @@ inline double MedianDensity(const PlanSynopsis& synopsis,
   std::vector<ZInterval> intervals;
   for (double c : centers) intervals.push_back({c - delta, c + delta});
   const FlatQueryRanges ranges{intervals.data(), nullptr, intervals.size(), 1};
-  size_t buckets = 0;
-  for (size_t i = 0; i < synopsis.transform_count(); ++i) {
-    buckets = std::max(buckets, synopsis.histogram(i).bucket_count());
-  }
-  std::vector<double> probes(4 * buckets);
+  std::vector<double> interval_counts(ranges.MaxTransformIntervals());
   std::vector<double> counts(centers.size());
-  synopsis.BatchTransformCounts(ranges, counts.data(), probes.data());
+  synopsis.BatchTransformCounts(ranges, interval_counts.data(),
+                                counts.data());
   return Median(counts);
 }
 
