@@ -198,9 +198,10 @@ cmake --build build-tsan -j "$JOBS"
     -j "$JOBS")
 
 # Chaos stage: randomized mixed traffic against a live server while a
-# saboteur thread arms and disarms failpoints (tests/test_server.cc,
-# *Chaos*). Runs serially — the chaos test owns the process-global
-# failpoint registry. PPC_CHAOS_SECONDS / PPC_CHAOS_SEED tune the run.
+# saboteur thread arms and disarms failpoints, plus the tests that stall
+# one flush with an armed failpoint (tests/test_server.cc, *Chaos*). Runs
+# serially — each chaos test owns the process-global failpoint registry.
+# PPC_CHAOS_SECONDS / PPC_CHAOS_SEED tune the randomized run.
 echo "==> chaos stage (fault injection under ASan + TSan, label 'chaos')"
 (cd build-asan && ctest --output-on-failure -L chaos)
 (cd build-tsan && ctest --output-on-failure -L chaos)

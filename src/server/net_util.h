@@ -93,19 +93,17 @@ Status SetNonBlocking(int fd);
 Status WriteAll(int fd, const char* data, size_t size,
                 const Deadline& deadline);
 
-/// Upper bound on iovecs per WritevAll call (the server sends two: length
-/// prefix + payload).
+/// Upper bound on iovecs per WritevAll call.
 inline constexpr int kMaxWriteIovecs = 8;
 
-/// Scatter/gather WriteAll: writes every byte of `iov[0..iovcnt)` in
-/// order via sendmsg (writev cannot suppress SIGPIPE), with the same
-/// deadline, EINTR/EAGAIN, and failpoint semantics as WriteAll. This is
-/// the zero-copy send path: the frame's length prefix and its payload go
-/// out as two iovecs without being assembled into a contiguous buffer
-/// first. A partial write — including one that ends inside the length
-/// prefix — resumes exactly where it stopped, mid-iovec, never re-sending
-/// bytes; the iovec array itself is not modified (the resume state lives
-/// in a local copy). iovcnt must be in (0, kMaxWriteIovecs].
+/// Scatter/gather WriteAll, and the loop WriteAll runs on (one iovec):
+/// writes every byte of `iov[0..iovcnt)` in order via sendmsg (writev
+/// cannot suppress SIGPIPE), with the same deadline, EINTR/EAGAIN, and
+/// failpoint semantics as WriteAll. The server's flushes come through
+/// here, one contiguous outbox per write. A partial write resumes exactly
+/// where it stopped, mid-iovec, never re-sending bytes; the iovec array
+/// itself is not modified (the resume state lives in a local copy).
+/// iovcnt must be in (0, kMaxWriteIovecs].
 Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
                  const Deadline& deadline);
 

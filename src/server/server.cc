@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <condition_variable>
 #include <mutex>
 
 #include "ppc/predictor_state.h"
@@ -93,60 +93,134 @@ class FrameworkHandler final : public RequestHandler {
 }  // namespace
 
 /// Per-connection state. The IO thread owns reading (FrameBuffer) and the
-/// deadline bookkeeping; any thread may write a response frame under
-/// write_mu. The fd is closed only by the destructor, i.e. after the last
-/// in-flight work item released its reference — so a worker never writes
-/// to a recycled fd.
+/// deadline bookkeeping. Replies go through the outbox (DESIGN.md §16):
+/// any thread appends complete frames under a short mutex, and the thread
+/// that finds no flush in progress becomes the connection's one flusher,
+/// writing the outbox out until it is empty. No thread queues behind
+/// another's socket write. The fd is closed only by the destructor, i.e.
+/// after the last in-flight work item released its reference — so a
+/// flusher never writes to a recycled fd.
 struct PlanServer::Connection {
-  Connection(int fd_in, size_t max_frame_bytes, int64_t write_deadline_ms_in,
-             MetricsCounter* timeouts_write_in)
-      : fd(fd_in),
-        frames(max_frame_bytes),
-        write_deadline_ms(write_deadline_ms_in),
-        timeouts_write(timeouts_write_in) {}
+  /// What Append does when the outbox is full (holds max_frame_bytes or
+  /// more while a flush is running).
+  enum class WhenFull {
+    kWait,    ///< A worker: wait for the flush to make room.
+    kAppend,  ///< A worker holding an unflushed connection: append anyway.
+    kDrop,    ///< The IO thread: never wait; drop if it would pass the cap.
+  };
+
+  /// What an Append left the caller to do.
+  enum class Queued {
+    kFlush,    ///< No flush was running: the caller now owns it; Flush().
+    kQueued,   ///< The running flush writes the frames.
+    kDropped,  ///< Closed, or dropped under WhenFull::kDrop.
+  };
+
+  Connection(int fd_in, PlanServer* server_in)
+      : fd(fd_in), frames(server_in->config_.max_frame_bytes),
+        server(server_in) {}
   ~Connection() { ::close(fd); }
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Writes one frame — `payload` prefixed by its u32 length — within the
-  /// configured write deadline; returns false (and poisons the
-  /// connection) on any transport error or on deadline expiry — a
-  /// partially written frame can never be completed coherently, so the
-  /// stream is done either way. The prefix and the payload go out as two
-  /// iovecs (net::WritevAll), so the frame is never copied into a
-  /// contiguous buffer.
-  bool WriteFrame(const std::string& payload) {
-    const uint32_t length = static_cast<uint32_t>(payload.size());
-    char prefix[sizeof(length)];
-    std::memcpy(prefix, &length, sizeof(length));
-    struct iovec iov[2];
-    iov[0].iov_base = prefix;
-    iov[0].iov_len = sizeof(length);
-    iov[1].iov_base = const_cast<char*>(payload.data());
-    iov[1].iov_len = payload.size();
-    std::lock_guard<std::mutex> lock(write_mu);
-    if (closed.load(std::memory_order_relaxed)) return false;
-    const Status st =
-        net::WritevAll(fd, iov, 2,
-                       net::Deadline::AfterMsOrInfinite(write_deadline_ms));
-    if (!st.ok()) {
-      if (st.code() == StatusCode::kDeadlineExceeded &&
-          timeouts_write != nullptr) {
-        timeouts_write->Increment();
-      }
-      closed.store(true, std::memory_order_relaxed);
-      return false;
+  /// Moves complete frames (length prefixes included) onto the outbox,
+  /// leaving `*frames_in` empty. Waiting workers make a peer that reads
+  /// slowly slow down only its own repliers, and keep the outbox within
+  /// the cap plus one append. The IO thread never waits: frames that would
+  /// take the outbox past the cap come back kDropped, and it closes the
+  /// connection instead of stalling every other one.
+  Queued Append(std::string* frames_in, WhenFull when_full) {
+    const size_t cap = server->config_.max_frame_bytes;
+    std::unique_lock<std::mutex> lock(mu);
+    if (when_full == WhenFull::kWait) {
+      room.wait(lock,
+                [&] { return closed || !flushing || outbox.size() < cap; });
+    } else if (when_full == WhenFull::kDrop &&
+               outbox.size() + frames_in->size() > cap) {
+      return Queued::kDropped;
     }
-    return true;
+    if (closed) return Queued::kDropped;
+    if (outbox.empty()) {
+      outbox.swap(*frames_in);
+    } else {
+      outbox.append(*frames_in);
+    }
+    server->ObserveOutbox(outbox.size());
+    if (flushing) return Queued::kQueued;
+    flushing = true;
+    return Queued::kFlush;
+  }
+
+  /// Run by the thread Append handed kFlush. Each round swaps the outbox
+  /// out under the mutex and writes it without the mutex, within the
+  /// write deadline, until a round finds the outbox empty. A failed or
+  /// timed-out write poisons the connection: a partly written frame can
+  /// never be completed coherently, so the outbox is dropped and waiting
+  /// appenders wake to find the connection closed. False when it is closed.
+  bool Flush() {
+    std::string batch;
+    std::unique_lock<std::mutex> lock(mu);
+    while (!outbox.empty()) {
+      batch.swap(outbox);
+      lock.unlock();
+      room.notify_all();
+      const Status st = net::WriteAll(
+          fd, batch.data(), batch.size(),
+          net::Deadline::AfterMsOrInfinite(server->config_.write_deadline_ms));
+      server->instruments_.flushes->Increment();
+      batch.clear();
+      lock.lock();
+      if (!st.ok()) {
+        if (st.code() == StatusCode::kDeadlineExceeded) {
+          server->instruments_.timeouts_write->Increment();
+        }
+        closed = true;
+        outbox.clear();
+      }
+    }
+    flushing = false;
+    const bool open = !closed;
+    lock.unlock();
+    room.notify_all();
+    return open;
+  }
+
+  /// Append, then Flush when handed the flush. False when the frames were
+  /// dropped or the flush left the connection closed.
+  bool Send(std::string* frames_in, WhenFull when_full) {
+    switch (Append(frames_in, when_full)) {
+      case Queued::kFlush:
+        return Flush();
+      case Queued::kQueued:
+        return true;
+      case Queued::kDropped:
+        break;
+    }
+    return false;
+  }
+
+  /// Refuses every later append. A flush already running still writes
+  /// what was appended before, so an explanatory frame survives the close.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    room.notify_all();
   }
 
   const int fd;
   wire::FrameBuffer frames;
-  const int64_t write_deadline_ms;
-  MetricsCounter* const timeouts_write;
-  std::mutex write_mu;
-  std::atomic<bool> closed{false};
+  PlanServer* const server;
+
+  std::mutex mu;
+  /// Signalled whenever the outbox is swapped out or the flush ends.
+  std::condition_variable room;
+  /// Guarded by mu. Invariant: a non-empty outbox has a flusher.
+  std::string outbox;
+  bool flushing = false;
+  bool closed = false;
 
   /// Deadline state, IO thread only. idle_deadline advances on every
   /// inbound byte; frame_deadline is armed when a frame sits incomplete
@@ -232,6 +306,10 @@ Status PlanServer::Start() {
   instruments_.timeouts_idle = &metrics.counter("server.timeouts.idle");
   instruments_.timeouts_read = &metrics.counter("server.timeouts.read");
   instruments_.timeouts_write = &metrics.counter("server.timeouts.write");
+  instruments_.flushes = &metrics.counter("server.flushes");
+  instruments_.outbox_peak_bytes = &metrics.gauge("server.outbox_peak_bytes");
+  outbox_peak_bytes_.store(0, std::memory_order_relaxed);
+  instruments_.outbox_peak_bytes->Set(0.0);
   instruments_.shed_enter_no_microbatch =
       &metrics.counter("server.shed.enter_no_microbatch");
   instruments_.shed_enter_abstain =
@@ -451,9 +529,7 @@ void PlanServer::AcceptConnections(net::TimerWheel* wheel) {
       ::close(cfd);
       continue;
     }
-    auto conn = std::make_shared<Connection>(cfd, config_.max_frame_bytes,
-                                             config_.write_deadline_ms,
-                                             instruments_.timeouts_write);
+    auto conn = std::make_shared<Connection>(cfd, this);
     if (config_.idle_timeout_ms > 0) {
       conn->idle_deadline =
           Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
@@ -513,7 +589,7 @@ bool PlanServer::ProcessFrames(const std::shared_ptr<Connection>& conn) {
     const net::ShedController::Level level = UpdateShedLevel();
     if (level >= net::ShedController::kAbstainPredict &&
         type == wire::MessageType::kPredict) {
-      SendShedAbstain(conn, id);
+      if (!SendShedAbstain(conn, id)) return false;
       continue;
     }
     const bool enqueue_fault =
@@ -523,10 +599,12 @@ bool PlanServer::ProcessFrames(const std::shared_ptr<Connection>& conn) {
       // Backpressure: reject now rather than buffer without bound.
       const bool draining = draining_.load(std::memory_order_acquire);
       instruments_.responses_busy->Increment();
-      SendError(conn, type, id,
-                draining ? wire::WireStatus::kShuttingDown
-                         : wire::WireStatus::kBusy,
-                draining ? "server shutting down" : "request queue full");
+      const bool sent =
+          SendError(conn, type, id,
+                    draining ? wire::WireStatus::kShuttingDown
+                             : wire::WireStatus::kBusy,
+                    draining ? "server shutting down" : "request queue full");
+      if (!sent) return false;
     }
   }
 }
@@ -556,20 +634,20 @@ net::ShedController::Level PlanServer::UpdateShedLevel() {
   return level;
 }
 
-void PlanServer::SendShedAbstain(const std::shared_ptr<Connection>& conn,
+bool PlanServer::SendShedAbstain(const std::shared_ptr<Connection>& conn,
                                  uint64_t id) {
   wire::Response response;
   response.type = wire::MessageType::kPredict;
   response.id = id;
   // Identical on the wire to a genuine predictor abstention: NULL plan,
   // zero confidence, OK status.
-  std::string payload;
-  wire::EncodeResponsePayload(response, &payload);
+  std::string frame;
+  wire::EncodeResponse(response, &frame);
   // Count before the write: an observer who has seen the response (a
   // test polling the counter, an operator correlating with client logs)
   // must also see it counted.
   instruments_.shed_abstained_predicts->Increment();
-  conn->WriteFrame(payload);
+  return conn->Send(&frame, Connection::WhenFull::kDrop);
 }
 
 void PlanServer::SweepUnansweredOnShutdown() {
@@ -610,13 +688,13 @@ void PlanServer::CloseConnection(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  it->second->closed.store(true, std::memory_order_relaxed);
+  it->second->Close();
   // The fd itself closes in ~Connection, once in-flight work items drop
   // their references.
   connections_.erase(it);
 }
 
-void PlanServer::SendError(const std::shared_ptr<Connection>& conn,
+bool PlanServer::SendError(const std::shared_ptr<Connection>& conn,
                            wire::MessageType type, uint64_t id,
                            wire::WireStatus status,
                            const std::string& message) {
@@ -625,9 +703,17 @@ void PlanServer::SendError(const std::shared_ptr<Connection>& conn,
   response.id = id;
   response.status = status;
   response.error = message;
-  std::string payload;
-  wire::EncodeResponsePayload(response, &payload);
-  conn->WriteFrame(payload);
+  std::string frame;
+  wire::EncodeResponse(response, &frame);
+  return conn->Send(&frame, Connection::WhenFull::kDrop);
+}
+
+void PlanServer::ObserveOutbox(size_t bytes) {
+  if (bytes <= outbox_peak_bytes_.load(std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> lock(outbox_peak_mu_);
+  if (bytes <= outbox_peak_bytes_.load(std::memory_order_relaxed)) return;
+  outbox_peak_bytes_.store(bytes, std::memory_order_relaxed);
+  instruments_.outbox_peak_bytes->Set(static_cast<double>(bytes));
 }
 
 wire::Response FrameworkHandler::Handle(const wire::Request& request,
@@ -748,8 +834,9 @@ void PlanServer::ProcessSingle(WorkItem* item, size_t worker_index) {
       handler_->Handle(item->request, worker_index);
   Reply(item, response);
   if (response.type == wire::MessageType::kShutdown && response.ok()) {
-    // Ack already written; now start the drain. Everything admitted
-    // before this point still completes.
+    // Ack already on the outbox; now start the drain. Everything admitted
+    // before this point still completes, and every flush finishes before
+    // its worker exits.
     Shutdown();
   }
 }
@@ -786,6 +873,13 @@ void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
     }
     return;
   }
+  // Append every reply first, then flush each connection this worker was
+  // handed once, so a run's replies to one connection leave in one write.
+  // While it holds an unflushed connection the worker must not wait for
+  // outbox room: the flush it would wait on might be its own, or held by
+  // a worker waiting on one of this worker's connections.
+  std::vector<Connection*> to_flush;
+  std::string frame;
   for (size_t p = 0; p < count; ++p) {
     wire::Response response;
     response.type = wire::MessageType::kPredict;
@@ -796,18 +890,32 @@ void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
       response.status = answer.status;
       response.error = answer.error;
     }
-    Reply(&items[p], response);
+    frame.clear();
+    wire::EncodeResponse(response, &frame);
+    Connection* conn = items[p].conn.get();
+    const Connection::WhenFull when_full =
+        to_flush.empty() ? Connection::WhenFull::kWait
+                         : Connection::WhenFull::kAppend;
+    if (conn->Append(&frame, when_full) == Connection::Queued::kFlush) {
+      to_flush.push_back(conn);
+    }
   }
+  for (Connection* conn : to_flush) conn->Flush();
+  for (size_t p = 0; p < count; ++p) Account(items[p], answer.ok());
   instruments_.microbatches->Increment();
   instruments_.microbatched_predicts->Increment(count);
 }
 
 void PlanServer::Reply(WorkItem* item, const wire::Response& response) {
-  std::string payload;
-  wire::EncodeResponsePayload(response, &payload);
-  item->conn->WriteFrame(payload);
-  const double micros = MicrosSince(item->admitted);
-  switch (item->request.type) {
+  std::string frame;
+  wire::EncodeResponse(response, &frame);
+  item->conn->Send(&frame, Connection::WhenFull::kWait);
+  Account(*item, response.ok());
+}
+
+void PlanServer::Account(const WorkItem& item, bool ok) {
+  const double micros = MicrosSince(item.admitted);
+  switch (item.request.type) {
     case wire::MessageType::kPredict:
       instruments_.requests_predict->Increment();
       instruments_.predict_us->Record(micros);
@@ -843,13 +951,12 @@ void PlanServer::Reply(WorkItem* item, const wire::Response& response) {
     case wire::MessageType::kInvalid:
       break;
   }
-  if (!response.ok()) instruments_.responses_error->Increment();
+  if (!ok) instruments_.responses_error->Increment();
 }
 
 void PlanServer::WorkerLoop(size_t worker_index) {
   std::vector<WorkItem> run;
   while (std::optional<WorkItem> item = queue_.Pop()) {
-    run.clear();
     run.push_back(std::move(*item));
     // Opportunistic micro-batch: after popping a single-point PREDICT,
     // take the same-(template, arity) PREDICTs queued right behind it
@@ -880,6 +987,10 @@ void PlanServer::WorkerLoop(size_t worker_index) {
     } else {
       ProcessSingle(&run.front(), worker_index);
     }
+    // Drop the connection references before blocking in Pop: the last
+    // one closes the fd of a connection the IO thread already closed, and
+    // its peer is waiting for that EOF.
+    run.clear();
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -45,9 +46,10 @@ class RequestHandler {
 ///     bytes, deframes and decodes requests, and enqueues work items onto
 ///     a bounded MPMC queue. It never executes a query.
 ///   * `worker_threads` workers drain the queue, pass each request to the
-///     handler, and write the response frame directly to the connection
-///     (a per-connection write mutex serializes writers, so pipelined
-///     responses interleave safely).
+///     handler, and append the response frame to the connection's outbox.
+///     The thread that finds no flush running writes the outbox out until
+///     it is empty; the others return to work at once, so pipelined
+///     responses never queue on each other's socket writes.
 ///
 /// Robustness semantics:
 ///
@@ -68,7 +70,8 @@ class RequestHandler {
 ///   * Deadlines (DESIGN.md §14): a timer wheel in the epoll loop closes
 ///     connections that sit idle past `idle_timeout_ms` or dribble a
 ///     frame slower than `read_deadline_ms` (slow-loris protection);
-///     response writes are bounded by `write_deadline_ms`.
+///     each flush of a connection's outbox is bounded by
+///     `write_deadline_ms`.
 ///   * Graceful degradation: under sustained queue pressure a shedding
 ///     ladder first disables worker micro-batching, then answers PREDICT
 ///     with the predictor's abstain shape instead of queueing, and
@@ -91,8 +94,8 @@ class PlanServer {
     /// behind it (without blocking, up to this many in all) and hands
     /// them to the handler as one PREDICT_BATCH, so even non-batching
     /// clients amortize the lock/transform/histogram costs under load
-    /// (DESIGN.md §13). 1 (or 0) disables it; each answer is still written
-    /// per request, so clients observe identical frames either way.
+    /// (DESIGN.md §13). 1 (or 0) disables it; each answer is still its own
+    /// frame, so clients observe identical frames either way.
     size_t max_microbatch = 16;
     /// A connection with no inbound bytes for this long is closed
     /// (slow-loris / leaked-peer protection). 0 disables.
@@ -102,9 +105,11 @@ class PlanServer {
     /// peer dribbling one byte per poll can otherwise hold a connection
     /// forever). 0 disables.
     int64_t read_deadline_ms = 5000;
-    /// Bound on writing one response frame; a peer that stops reading
-    /// long enough to exceed it gets its connection poisoned and closed.
-    /// 0 means wait forever (the pre-PR-5 behavior was a hard-coded 10 s).
+    /// Bound on one flush: one write of everything a connection's outbox
+    /// held when the flush took it. A peer that stops reading long enough
+    /// to exceed it gets its connection poisoned and closed. 0 means wait
+    /// forever. max_frame_bytes also caps the outbox: workers wait while it
+    /// is full, and the IO thread closes the connection instead.
     int64_t write_deadline_ms = 10000;
     /// Degradation-ladder thresholds (EWMA queue occupancy; DESIGN.md
     /// §14). Rungs: disable micro-batching, then abstain on PREDICT.
@@ -177,8 +182,9 @@ class PlanServer {
   /// transitions (IO thread only).
   net::ShedController::Level UpdateShedLevel();
   /// Answers a single-point PREDICT with the predictor's abstain shape
-  /// (NULL plan, confidence 0) straight from the IO thread.
-  void SendShedAbstain(const std::shared_ptr<Connection>& conn, uint64_t id);
+  /// (NULL plan, confidence 0) straight from the IO thread. False when the
+  /// connection must be closed: the frame was dropped or its write failed.
+  bool SendShedAbstain(const std::shared_ptr<Connection>& conn, uint64_t id);
   /// Post-drain pass over the surviving connections: any request bytes
   /// that arrived after the IO loop stopped reading are answered with a
   /// SHUTTING_DOWN error instead of being silently dropped.
@@ -191,12 +197,19 @@ class PlanServer {
   /// grouping never changes which requests succeed. Any other failure
   /// answers every item with the batch's error.
   void ProcessPredictRun(WorkItem* items, size_t count, size_t worker_index);
-  /// Writes `response` to the item's connection and records its request
-  /// counter and latency.
+  /// Sends `response` to the item's connection, then Account()s it.
   void Reply(WorkItem* item, const wire::Response& response);
-  void SendError(const std::shared_ptr<Connection>& conn,
+  /// Records the item's request counter and latency (admission to reply
+  /// handed off), and the error counter when `ok` is false.
+  void Account(const WorkItem& item, bool ok);
+  /// Sends one error frame without waiting (IO thread, shutdown sweep).
+  /// False when the connection must be closed: the frame was dropped or
+  /// its write failed.
+  bool SendError(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, uint64_t id, wire::WireStatus status,
                  const std::string& message);
+  /// Raises `server.outbox_peak_bytes` to `bytes` if that is a new peak.
+  void ObserveOutbox(size_t bytes);
 
   /// Set only when this server built its own framework handler.
   std::unique_ptr<RequestHandler> owned_handler_;
@@ -227,6 +240,10 @@ class PlanServer {
   /// shared_ptr copies inside work items).
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
+  /// Largest outbox seen since Start(); raised under outbox_peak_mu_.
+  std::atomic<size_t> outbox_peak_bytes_{0};
+  std::mutex outbox_peak_mu_;
+
   /// Serving-layer instruments, resolved once at Start() from the
   /// registry (DESIGN.md §11 naming scheme).
   struct {
@@ -246,10 +263,14 @@ class PlanServer {
     MetricsCounter* connections_accepted = nullptr;
     MetricsCounter* connections_rejected = nullptr;
     /// Deadline enforcement (server.timeouts.*): connections closed for
-    /// inactivity / slow frames, and response writes cut off mid-frame.
+    /// inactivity / slow frames, and flushes cut off mid-write.
     MetricsCounter* timeouts_idle = nullptr;
     MetricsCounter* timeouts_read = nullptr;
     MetricsCounter* timeouts_write = nullptr;
+    /// Outbox writes (responses ÷ flushes = frames per write), and the
+    /// largest outbox any connection held, in bytes.
+    MetricsCounter* flushes = nullptr;
+    MetricsGauge* outbox_peak_bytes = nullptr;
     /// Degradation ladder (server.shed.*): rung transitions, PREDICTs
     /// answered via the abstain path, and requests swept with a
     /// SHUTTING_DOWN reply during the final drain.

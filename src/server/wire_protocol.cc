@@ -154,7 +154,10 @@ void EncodeRequest(const Request& request, std::string* out) {
   AppendFrame(writer.buffer(), out);
 }
 
-void EncodeResponsePayload(const Response& response, std::string* out) {
+namespace {
+
+/// The response payload: everything after the length prefix.
+std::string ResponsePayload(const Response& response) {
   ByteWriter writer;
   writer.PutU8(static_cast<uint8_t>(response.type));
   writer.PutU64(response.id);
@@ -212,17 +215,13 @@ void EncodeResponsePayload(const Response& response, std::string* out) {
         break;
     }
   }
-  if (out->empty()) {
-    *out = writer.Take();
-  } else {
-    out->append(writer.buffer());
-  }
+  return writer.Take();
 }
 
+}  // namespace
+
 void EncodeResponse(const Response& response, std::string* out) {
-  std::string payload;
-  EncodeResponsePayload(response, &payload);
-  AppendFrame(payload, out);
+  AppendFrame(ResponsePayload(response), out);
 }
 
 Result<Request> DecodeRequest(const std::string& payload) {

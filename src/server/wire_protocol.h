@@ -166,12 +166,6 @@ struct Response {
 void EncodeRequest(const Request& request, std::string* out);
 void EncodeResponse(const Response& response, std::string* out);
 
-/// Appends the response *payload only* — no length prefix. The server's
-/// zero-copy send path uses this: the 4-byte prefix goes out as its own
-/// iovec alongside the payload (net::WritevAll), so the frame is never
-/// assembled contiguously.
-void EncodeResponsePayload(const Response& response, std::string* out);
-
 /// Decodes one frame *payload* (the bytes after the length prefix).
 /// Returns InvalidArgument on any malformed input.
 Result<Request> DecodeRequest(const std::string& payload);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -28,6 +30,54 @@ namespace {
 
 using testutil::JsonValidator;
 using testutil::SmallTpch;
+
+/// Reads the next response frame off a raw socket; NotFound at EOF.
+Result<wire::Response> ReadResponse(int fd, wire::FrameBuffer* frames,
+                                    const net::Deadline& deadline) {
+  std::string payload;
+  while (true) {
+    PPC_ASSIGN_OR_RETURN(const bool complete, frames->Next(&payload));
+    if (complete) return wire::DecodeResponse(payload);
+    char buffer[4096];
+    PPC_ASSIGN_OR_RETURN(const size_t received,
+                         net::RecvSome(fd, buffer, sizeof(buffer), deadline));
+    if (received == 0) return Status::NotFound("end of stream");
+    frames->Append(buffer, received);
+  }
+}
+
+/// One request frame without a body (PING, METRICS), appended to `out`.
+void AppendBodylessRequest(wire::MessageType type, uint64_t id,
+                           std::string* out) {
+  wire::Request request;
+  request.type = type;
+  request.id = id;
+  wire::EncodeRequest(request, out);
+}
+
+/// Polls `done` every millisecond until it holds or `ms` elapse.
+template <typename Predicate>
+bool WaitFor(Predicate done, int64_t ms = 5000) {
+  const net::Deadline deadline = net::Deadline::AfterMs(ms);
+  while (!done()) {
+    if (deadline.expired()) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+int64_t MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Runs `fn` when it goes out of scope.
+template <typename Fn>
+struct AtScopeExit {
+  Fn fn;
+  ~AtScopeExit() { fn(); }
+};
 
 PpcFramework::Config ServingConfig() {
   PpcFramework::Config cfg;
@@ -335,7 +385,8 @@ TEST_F(ServerTest, PipelinedRequestsResolveOutOfOrder) {
   PpcClient client;
   ASSERT_TRUE(ConnectClient(&client).ok());
   std::vector<uint64_t> ids;
-  for (int i = 0; i < 32; ++i) {
+  constexpr uint64_t kRequests = 32;
+  for (uint64_t i = 0; i < kRequests; ++i) {
     auto id = (i % 2 == 0) ? client.SendPing()
                            : client.SendPredict("Q1", {0.5, 0.5});
     ASSERT_TRUE(id.ok());
@@ -348,6 +399,11 @@ TEST_F(ServerTest, PipelinedRequestsResolveOutOfOrder) {
     EXPECT_EQ(response.value().id, *it);
     EXPECT_TRUE(response.value().ok());
   }
+  // Every reply left in some flush, and a flush carries one reply or more.
+  // Stop first: a flush counts itself after its write returns.
+  server_->Stop();
+  EXPECT_GE(Counter("server.flushes"), 1u);
+  EXPECT_LE(Counter("server.flushes"), kRequests);
 }
 
 TEST_F(ServerTest, ConcurrentClientsEachGetTheirOwnAnswers) {
@@ -730,6 +786,198 @@ TEST_F(ServerTest, WriteDeadlineCutsOffAStuckResponse) {
   PpcClient fresh;
   ASSERT_TRUE(ConnectClient(&fresh).ok());
   EXPECT_TRUE(fresh.Ping().ok());
+}
+
+/// Two workers answer two pipelined PINGs of one connection. The first
+/// reply's flush stalls inside its socket write; the second request must
+/// still be answered at once, its reply queued behind that flush, instead
+/// of its worker waiting on the connection until the stall ends.
+TEST_F(ServerTest, ChaosRepliesQueueBehindAStalledFlush) {
+  constexpr uint32_t kStallMs = 400;
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> stalled{false};
+  // The hook reads these locals: free and stop the workers before they go
+  // out of scope, also when an assertion returns early.
+  AtScopeExit stop{[&] {
+    release.store(true);
+    stalled.store(true);
+    if (server_ != nullptr) server_->Stop();
+  }};
+  PlanServer::Config config;
+  config.worker_threads = 2;
+  config.pre_dispatch_hook = [&](wire::MessageType) {
+    // The first worker in waits for the stall to be armed, so its reply's
+    // flush is the one that stalls; the second waits for that stall.
+    std::atomic<bool>& go = entered.fetch_add(1) == 0 ? release : stalled;
+    while (!go.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  StartServer(config);
+
+  auto fd = net::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok());
+  std::string frames;
+  AppendBodylessRequest(wire::MessageType::kPing, 1, &frames);
+  AppendBodylessRequest(wire::MessageType::kPing, 2, &frames);
+  ASSERT_TRUE(net::SendAll(fd.value(), frames.data(), frames.size()));
+  ASSERT_TRUE(WaitFor([&] { return entered.load() == 2; }));
+
+  failpoints::Config stall;
+  stall.kind = failpoints::Kind::kStallMs;
+  stall.arg = kStallMs;
+  stall.budget = 1;
+  failpoints::Arm(failpoints::Site::kSend, stall);
+  release.store(true);
+  ASSERT_TRUE(WaitFor(
+      [] { return failpoints::FiredCount(failpoints::Site::kSend) >= 1; }));
+  const auto stalled_at = std::chrono::steady_clock::now();
+  stalled.store(true);
+
+  ASSERT_TRUE(WaitFor([&] { return Counter("server.requests.ping") >= 1; }));
+  EXPECT_LT(MillisSince(stalled_at), kStallMs / 2)
+      << "the second reply waited for the stalled flush";
+
+  // Both answers arrive once the stall ends, each exactly once.
+  wire::FrameBuffer replies;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    auto response =
+        ReadResponse(fd.value(), &replies, net::Deadline::AfterMs(5000));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response.value().ok());
+    ids.push_back(response.value().id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2}));
+  auto extra = ReadResponse(fd.value(), &replies, net::Deadline::AfterMs(100));
+  EXPECT_EQ(extra.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(Counter("server.requests.ping"), 2u);
+  ::close(fd.value());
+}
+
+/// The IO thread's own frames never wait for a worker's flush. Connection
+/// A's reply is stalled mid-flush when A sends a malformed frame; the IO
+/// thread queues BAD_REQUEST behind the flush, closes A and goes back to
+/// serving, so client B's PING completes long before the stall ends. A
+/// then reads its reply, the BAD_REQUEST, and EOF.
+TEST_F(ServerTest, ChaosIoThreadNeverWaitsOnAStalledFlush) {
+  constexpr uint32_t kStallMs = 1000;
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  // The hook reads these locals: free and stop the workers before they go
+  // out of scope, also when an assertion returns early.
+  AtScopeExit stop{[&] {
+    release.store(true);
+    if (server_ != nullptr) server_->Stop();
+  }};
+  PlanServer::Config config;
+  config.worker_threads = 2;
+  config.pre_dispatch_hook = [&](wire::MessageType) {
+    if (entered.fetch_add(1) != 0) return;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  StartServer(config);
+
+  auto a = net::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(a.ok());
+  std::string ping;
+  AppendBodylessRequest(wire::MessageType::kPing, 7, &ping);
+  ASSERT_TRUE(net::SendAll(a.value(), ping.data(), ping.size()));
+  ASSERT_TRUE(WaitFor([&] { return entered.load() == 1; }));
+
+  failpoints::Config stall;
+  stall.kind = failpoints::Kind::kStallMs;
+  stall.arg = kStallMs;
+  stall.budget = 1;
+  failpoints::Arm(failpoints::Site::kSend, stall);
+  release.store(true);
+  ASSERT_TRUE(WaitFor(
+      [] { return failpoints::FiredCount(failpoints::Site::kSend) >= 1; }));
+  const auto stalled_at = std::chrono::steady_clock::now();
+
+  // A well-framed payload that decodes to nothing: unknown type 0xEE.
+  const std::string payload = "\xEE garbage";
+  const uint32_t length = static_cast<uint32_t>(payload.size());
+  std::string malformed(reinterpret_cast<const char*>(&length),
+                        sizeof(length));
+  malformed += payload;
+  ASSERT_TRUE(net::SendAll(a.value(), malformed.data(), malformed.size()));
+  ASSERT_TRUE(WaitFor([&] { return Counter("server.frames.malformed") >= 1; }));
+
+  PpcClient b;
+  ASSERT_TRUE(ConnectClient(&b).ok());
+  EXPECT_TRUE(b.Ping().ok());
+  EXPECT_LT(MillisSince(stalled_at), kStallMs / 2)
+      << "the IO thread waited for connection A's flush";
+
+  wire::FrameBuffer replies;
+  auto reply = ReadResponse(a.value(), &replies, net::Deadline::AfterMs(5000));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().type, wire::MessageType::kPing);
+  EXPECT_EQ(reply.value().id, 7u);
+  EXPECT_TRUE(reply.value().ok());
+  auto rejection =
+      ReadResponse(a.value(), &replies, net::Deadline::AfterMs(5000));
+  ASSERT_TRUE(rejection.ok()) << rejection.status().ToString();
+  EXPECT_EQ(rejection.value().type, wire::MessageType::kInvalid);
+  EXPECT_EQ(rejection.value().status, wire::WireStatus::kBadRequest);
+  auto eof = ReadResponse(a.value(), &replies, net::Deadline::AfterMs(5000));
+  EXPECT_EQ(eof.status().code(), StatusCode::kNotFound)
+      << eof.status().ToString();
+  ::close(a.value());
+}
+
+/// A client pipelines METRICS, whose replies are large, and never reads.
+/// The flush blocks, workers wait for outbox room, and the outbox stays
+/// within the cap (max_frame_bytes) plus one frame. The flush then times
+/// out, and the next client is served.
+TEST_F(ServerTest, OutboxStaysBoundedForAPeerThatNeverReads) {
+  constexpr size_t kCap = 64 * 1024;
+  PlanServer::Config config;
+  config.worker_threads = 2;
+  config.max_frame_bytes = kCap;
+  config.write_deadline_ms = 300;
+  StartServer(config);
+
+  auto fd = net::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok());
+  // A small fixed receive buffer (no autotuning) fills after a few
+  // replies instead of after megabytes.
+  const int rcvbuf = 16 * 1024;
+  ::setsockopt(fd.value(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  std::string burst;
+  for (uint64_t id = 1; id <= 32; ++id) {
+    AppendBodylessRequest(wire::MessageType::kMetrics, id, &burst);
+  }
+  const net::Deadline give_up = net::Deadline::AfterMs(20000);
+  while (Counter("server.timeouts.write") == 0 && !give_up.expired()) {
+    // The write fails or times out once the server stopped reading.
+    if (!net::WriteAll(fd.value(), burst.data(), burst.size(),
+                       net::Deadline::AfterMs(1000))
+             .ok()) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(WaitFor([&] { return Counter("server.timeouts.write") >= 1; }));
+  ::close(fd.value());
+
+  PpcClient fresh;
+  ASSERT_TRUE(ConnectClient(&fresh).ok());
+  EXPECT_TRUE(fresh.Ping().ok());
+  auto metrics = fresh.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  // One METRICS frame: the JSON plus its header, with slack for the
+  // counters that grew since the flooded replies were encoded.
+  const double frame_bound = static_cast<double>(metrics.value().size()) + 1024;
+  const double peak =
+      framework_->metrics().gauge("server.outbox_peak_bytes").value();
+  EXPECT_GT(peak, static_cast<double>(kCap) / 2);
+  EXPECT_LE(peak, static_cast<double>(kCap) + frame_bound);
 }
 
 TEST_F(ServerTest, ShedLadderAbstainsUnderPressureThenRecovers) {
