@@ -1,21 +1,22 @@
-// End-to-end throughput of the sharded serving tier (DESIGN.md §15).
+// Behaviour gates of the sharded serving tier (DESIGN.md §15).
+// Throughput is measured by perfbench/, not here.
 //
 // Spawns real processes — two ppc_server shards and one ppc_router —
 // and drives the router over TCP, exercising the full scale-out story:
 //
 //   1. shard A starts and is warmed shard-direct with a clustered
 //      workload over Q0..Q8;
-//   2. a steady phase measures routed throughput with A alone on the
-//      ring;
+//   2. a steady phase records routed per-template hit rates with A
+//      alone on the ring;
 //   3. shard B starts with --warm-start-from=A, pulling A's predictor
 //      snapshot over the wire before it reports ready; an adoption
 //      probe predicts the same points shard-direct against A and B and
 //      requires byte-identical answers (B holds A's exact state), then
 //      B joins the ring via a TOPOLOGY add;
-//   4. a joined phase measures aggregate throughput and the per-shard
-//      predict hit rate. Because B adopted A's state, the templates the
-//      ring moved to B must predict as well as they did *on A in the
-//      steady phase* — the bench fails if the joiner's hit rate trails
+//   4. a joined phase records the per-shard predict hit rate. Because
+//      B adopted A's state, the templates the ring moved to B must
+//      predict as well as they did *on A in the steady phase* — the
+//      bench fails if the joiner's hit rate trails
 //      the steady-phase rate on its own templates by more than five
 //      points (cold-learning would trail by far more).
 //
@@ -175,14 +176,8 @@ std::string TallyJson(const ShardTally& tally) {
 }
 
 std::string PhaseJson(const PhaseStats& phase) {
-  std::string out = "{\"seconds\": " + JsonNumber(phase.load.seconds);
-  out += ", \"requests\": " + std::to_string(phase.load.total());
-  out += ", \"qps\": " + JsonNumber(phase.load.qps());
+  std::string out = "{\"requests\": " + std::to_string(phase.load.total());
   out += ", \"failures\": " + std::to_string(phase.failures());
-  out += ", \"predict_p50_us\": " +
-         JsonNumber(phase.load.LatencyUs(loadgen::kPredict, 0.50));
-  out += ", \"predict_p95_us\": " +
-         JsonNumber(phase.load.LatencyUs(loadgen::kPredict, 0.95));
   out += ", \"per_shard\": {\"leader\": " + TallyJson(phase.per_shard[0]);
   out += ", \"joiner\": " + TallyJson(phase.per_shard[1]);
   out += "}, \"per_template_hit_rate\": [";
@@ -195,7 +190,7 @@ std::string PhaseJson(const PhaseStats& phase) {
 }
 
 void Run() {
-  PrintHeader("Sharded cluster throughput (router + 2 ppc_server shards)");
+  PrintHeader("Sharded cluster warm start (router + 2 ppc_server shards)");
   const std::string server_bin = BinaryPath("PPC_SERVER_BIN",
                                             "/../src/ppc_server");
   const std::string router_bin = BinaryPath("PPC_ROUTER_BIN",
@@ -233,10 +228,9 @@ void Run() {
   PhaseStats steady =
       DriveRouter(router.port, single_ring, {leader_node, leader_node},
                   kSteadyPerClient, 23);
-  std::printf("steady (1 shard): %.2fs, %zu requests, %.0f qps, "
-              "hit rate %.3f, %zu failures\n",
-              steady.load.seconds, steady.load.total(), steady.load.qps(),
-              steady.per_shard[0].hit_rate(), steady.failures());
+  std::printf("steady (1 shard): %zu requests, hit rate %.3f, %zu failures\n",
+              steady.load.total(), steady.per_shard[0].hit_rate(),
+              steady.failures());
 
   // Shard B: warm-started from A over the wire. Its readiness line is
   // printed only after the snapshot is fetched, validated, and applied,
@@ -280,10 +274,8 @@ void Run() {
                   kJoinedPerClient, 41);
   const double leader_rate = joined.per_shard[0].hit_rate();
   const double joiner_rate = joined.per_shard[1].hit_rate();
-  std::printf("joined (2 shards): %.2fs, %zu requests, %.0f qps, "
-              "%zu failures\n",
-              joined.load.seconds, joined.load.total(), joined.load.qps(),
-              joined.failures());
+  std::printf("joined (2 shards): %zu requests, %zu failures\n",
+              joined.load.total(), joined.failures());
   std::printf("  leader: %zu predicts, hit rate %.3f\n",
               joined.per_shard[0].predicts, leader_rate);
   std::printf("  joiner: %zu predicts, hit rate %.3f\n",

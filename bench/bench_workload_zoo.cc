@@ -1,6 +1,6 @@
 // The workload zoo (docs/WORKLOADS.md): every named scenario of
 // src/workload/scenarios.h driven end to end against a live PlanServer
-// over TCP, so the perf trajectory covers more than the happy path.
+// over TCP, so the serving gates cover more than the happy path.
 //
 // Per scenario: a fresh framework + server pair, a determinism check
 // (two generators from the same config must emit byte-identical
@@ -346,8 +346,6 @@ std::string OutcomeJson(const ScenarioOutcome& out) {
   json += out.deterministic ? "true" : "false";
   json += ", \"warmup_events\": " + std::to_string(out.warmup_events);
   json += ", \"measured_events\": " + std::to_string(out.measured_events);
-  json += ", \"seconds\": " + JsonNumber(out.load.seconds);
-  json += ", \"qps\": " + JsonNumber(out.load.qps());
   json += ", \"predicts\": " +
           std::to_string(out.load.count(loadgen::kPredict));
   json += ", \"executes\": " + std::to_string(out.executes());
@@ -387,10 +385,10 @@ std::string OutcomeJson(const ScenarioOutcome& out) {
 }
 
 void PrintOutcome(const ScenarioOutcome& out) {
-  std::printf("%-22s %8.2fs %9.0f qps  %6zu pred %6zu exec %5zu busy "
-              "%3zu fail  hit %.3f  det %s\n",
-              out.scenario.c_str(), out.load.seconds, out.load.qps(),
-              out.load.count(loadgen::kPredict), out.executes(),
+  std::printf("%-22s %6zu pred %6zu exec %5zu busy %3zu fail  hit %.3f  "
+              "det %s\n",
+              out.scenario.c_str(), out.load.count(loadgen::kPredict),
+              out.executes(),
               out.load.total_busy(), out.load.failures, out.hit_rate(),
               out.deterministic ? "yes" : "no");
 }

@@ -1,6 +1,5 @@
 #include "ppc/predictor_state.h"
 
-#include <algorithm>
 #include <cstring>
 #include <string_view>
 
@@ -22,6 +21,9 @@ namespace {
 /// cross-generation mixing the field exists to prevent.
 constexpr uint32_t kStateMagic = 0x50504352;  // "PPCR"
 constexpr uint32_t kStateVersion = 2;
+/// The v2 layout carries a flag byte after the version. Every blob is a
+/// full snapshot, so the byte is always 0; anything else is rejected.
+constexpr uint8_t kFullSnapshotFlag = 0;
 constexpr size_t kChecksumBytes = sizeof(uint64_t);
 /// An adversarial count field must not drive allocation; real
 /// deployments register a handful of templates.
@@ -46,15 +48,14 @@ PredictorState PredictorState::Capture(const PpcFramework& framework) {
   return state;
 }
 
-std::string PredictorState::SerializeEntries(
-    const std::vector<TemplateEntry>& entries, bool is_delta) const {
+std::string PredictorState::Serialize() const {
   ByteWriter writer;
   writer.PutU32(kStateMagic);
   writer.PutU32(kStateVersion);
-  writer.PutU8(is_delta ? 1 : 0);
+  writer.PutU8(kFullSnapshotFlag);
   writer.PutU64(sequence_);
-  writer.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const TemplateEntry& entry : entries) {
+  writer.PutU32(static_cast<uint32_t>(entries_.size()));
+  for (const TemplateEntry& entry : entries_) {
     writer.PutString(entry.name);
     writer.PutU32(entry.generation);
     writer.PutU64(entry.content_hash);
@@ -62,23 +63,6 @@ std::string PredictorState::SerializeEntries(
   }
   writer.PutU64(Fnv1a64(writer.buffer()));
   return writer.Take();
-}
-
-std::string PredictorState::Serialize() const {
-  return SerializeEntries(entries_, /*is_delta=*/false);
-}
-
-std::string PredictorState::SerializeDelta(const PredictorState& base) const {
-  std::vector<TemplateEntry> changed;
-  for (const TemplateEntry& entry : entries_) {
-    const auto it = std::find_if(
-        base.entries_.begin(), base.entries_.end(),
-        [&](const TemplateEntry& b) { return b.name == entry.name; });
-    if (it == base.entries_.end() || it->content_hash != entry.content_hash) {
-      changed.push_back(entry);
-    }
-  }
-  return SerializeEntries(changed, /*is_delta=*/true);
 }
 
 PredictorState PredictorState::Filtered(
@@ -91,19 +75,9 @@ PredictorState PredictorState::Filtered(
   return subset;
 }
 
-namespace {
-
-/// Envelope + payload parse shared by Restore and RestoreDelta; returns
-/// the parsed fields without merge semantics.
-struct ParsedState {
-  bool is_delta = false;
-  uint64_t sequence = 0;
-  std::vector<PredictorState::TemplateEntry> entries;
-};
-
-Result<ParsedState> ParseState(const std::string& bytes) {
+Result<PredictorState> PredictorState::Restore(const std::string& bytes) {
   constexpr size_t kEnvelopeBytes =
-      4 /* magic */ + 4 /* version */ + 1 /* is_delta */ + 8 /* sequence */ +
+      4 /* magic */ + 4 /* version */ + 1 /* flag */ + 8 /* sequence */ +
       4 /* count */ + kChecksumBytes;
   if (bytes.size() < kEnvelopeBytes) {
     return Status::InvalidArgument("state snapshot shorter than its envelope");
@@ -127,20 +101,21 @@ Result<ParsedState> ParseState(const std::string& bytes) {
     return Status::InvalidArgument(
         "state snapshot checksum mismatch (truncated or corrupted)");
   }
-  auto parse = [&]() -> Result<ParsedState> {
-    ParsedState parsed;
-    PPC_ASSIGN_OR_RETURN(uint8_t delta_byte, reader.GetU8());
-    if (delta_byte > 1) {
-      return Status::InvalidArgument("state snapshot delta flag out of range");
+  auto parse = [&]() -> Result<PredictorState> {
+    PredictorState parsed;
+    PPC_ASSIGN_OR_RETURN(uint8_t flag, reader.GetU8());
+    if (flag != kFullSnapshotFlag) {
+      return Status::InvalidArgument(
+          "state snapshot flag byte " + std::to_string(flag) +
+          " is not a full snapshot");
     }
-    parsed.is_delta = delta_byte != 0;
-    PPC_ASSIGN_OR_RETURN(parsed.sequence, reader.GetU64());
+    PPC_ASSIGN_OR_RETURN(parsed.sequence_, reader.GetU64());
     PPC_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
     if (count > kMaxTemplates) {
       return Status::InvalidArgument("state snapshot template count " +
                                      std::to_string(count) + " exceeds limit");
     }
-    parsed.entries.reserve(count);
+    parsed.entries_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       PredictorState::TemplateEntry entry;
       PPC_ASSIGN_OR_RETURN(entry.name, reader.GetString());
@@ -151,11 +126,12 @@ Result<ParsedState> ParseState(const std::string& bytes) {
         return Status::InvalidArgument("template '" + entry.name +
                                        "' content hash mismatch");
       }
-      if (!parsed.entries.empty() && entry.name <= parsed.entries.back().name) {
+      if (!parsed.entries_.empty() &&
+          entry.name <= parsed.entries_.back().name) {
         return Status::InvalidArgument(
             "state snapshot template names not strictly increasing");
       }
-      parsed.entries.push_back(std::move(entry));
+      parsed.entries_.push_back(std::move(entry));
     }
     PPC_ASSIGN_OR_RETURN(uint64_t checksum, reader.GetU64());
     (void)checksum;  // verified above
@@ -170,47 +146,6 @@ Result<ParsedState> ParseState(const std::string& bytes) {
     return Status::InvalidArgument(parse.status().message());
   }
   return parse;
-}
-
-}  // namespace
-
-Result<PredictorState> PredictorState::Restore(const std::string& bytes) {
-  PPC_ASSIGN_OR_RETURN(ParsedState parsed, ParseState(bytes));
-  if (parsed.is_delta) {
-    return Status::InvalidArgument(
-        "delta state snapshot requires a base (use RestoreDelta)");
-  }
-  PredictorState state;
-  state.sequence_ = parsed.sequence;
-  state.entries_ = std::move(parsed.entries);
-  return state;
-}
-
-Result<PredictorState> PredictorState::RestoreDelta(
-    const std::string& bytes, const PredictorState& base) {
-  PPC_ASSIGN_OR_RETURN(ParsedState parsed, ParseState(bytes));
-  if (!parsed.is_delta) {
-    return Status::InvalidArgument(
-        "full state snapshot passed where a delta was expected");
-  }
-  PredictorState merged;
-  merged.sequence_ = parsed.sequence;
-  merged.entries_ = base.entries_;
-  for (auto& entry : parsed.entries) {
-    const auto it = std::find_if(
-        merged.entries_.begin(), merged.entries_.end(),
-        [&](const TemplateEntry& e) { return e.name == entry.name; });
-    if (it != merged.entries_.end()) {
-      *it = std::move(entry);
-    } else {
-      merged.entries_.push_back(std::move(entry));
-    }
-  }
-  std::sort(merged.entries_.begin(), merged.entries_.end(),
-            [](const TemplateEntry& a, const TemplateEntry& b) {
-              return a.name < b.name;
-            });
-  return merged;
 }
 
 Result<PredictorState::ApplyReport> PredictorState::ApplyTo(
@@ -266,15 +201,6 @@ Result<PredictorState::ApplyReport> PredictorState::ApplyTo(
     ++report.templates_applied;
   }
   return report;
-}
-
-uint64_t PredictorState::ContentHash() const {
-  ByteWriter writer;
-  for (const TemplateEntry& entry : entries_) {
-    writer.PutString(entry.name);
-    writer.PutU64(entry.content_hash);
-  }
-  return Fnv1a64(writer.buffer());
 }
 
 }  // namespace ppc

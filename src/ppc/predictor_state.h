@@ -25,9 +25,9 @@ class PpcFramework;
 /// estimator windows must measure the replica's serving quality.
 ///
 /// Each per-template predictor blob is itself the predictor's versioned
-/// snapshot format, carried opaquely here with a content hash — so delta
-/// snapshots (templates changed since a base) fall out of hash
-/// comparison, and a replica can cheaply tell whether anything changed.
+/// snapshot format, carried opaquely here with a content hash, so a
+/// shipper can tell which templates changed since its last ship by hash
+/// comparison and send only those as a Filtered subset.
 class PredictorState {
  public:
   struct TemplateEntry {
@@ -38,7 +38,7 @@ class PredictorState {
     /// and the two must agree (ApplyTo verifies).
     uint32_t generation = 0;
     /// FNV-1a of `blob`; doubles as per-entry integrity check and the
-    /// change detector for delta serialization.
+    /// change detector for the router's replication ships.
     uint64_t content_hash = 0;
     /// LshHistogramsPredictor::Serialize() output (opaque here).
     std::string blob;
@@ -69,20 +69,10 @@ class PredictorState {
   /// checksum).
   std::string Serialize() const;
 
-  /// Serializes only the templates whose content hash differs from (or
-  /// is absent in) `base`, flagged as a delta. Applying requires the
-  /// base: see RestoreDelta.
-  std::string SerializeDelta(const PredictorState& base) const;
-
   /// Parses a full snapshot. Fails with InvalidArgument on bad magic,
   /// unsupported version, checksum mismatch, structural corruption, or a
-  /// delta blob (which needs RestoreDelta).
+  /// non-zero flag byte (v2 reserves it; no writer sets it).
   static Result<PredictorState> Restore(const std::string& bytes);
-
-  /// Parses a delta blob and overlays it on `base`, returning the merged
-  /// state stamped with the delta's sequence.
-  static Result<PredictorState> RestoreDelta(const std::string& bytes,
-                                             const PredictorState& base);
 
   /// Subset copy holding only the entries `keep` accepts, carrying the
   /// same capture sequence. This is how the router's replica
@@ -111,14 +101,7 @@ class PredictorState {
   /// Entries sorted by template name.
   const std::vector<TemplateEntry>& entries() const { return entries_; }
 
-  /// Order-sensitive hash over (name, content_hash) pairs: equal hashes
-  /// mean the two states carry identical predictor bytes.
-  uint64_t ContentHash() const;
-
  private:
-  std::string SerializeEntries(const std::vector<TemplateEntry>& entries,
-                               bool is_delta) const;
-
   uint64_t sequence_ = 0;
   std::vector<TemplateEntry> entries_;
 };

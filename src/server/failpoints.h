@@ -25,7 +25,7 @@ namespace failpoints {
 /// means extending this enum (keep kSiteCount last).
 enum class Site : uint32_t {
   kRecv = 0,   ///< net_util receive paths (client + IO-thread reads).
-  kSend,       ///< net_util WriteAll / SendAll.
+  kSend,       ///< net_util WriteAll.
   kAccept,     ///< PlanServer::AcceptConnections.
   kEnqueue,    ///< IO-thread admission (forces the BUSY path).
   kDispatch,   ///< worker-side dispatch (artificial worker stalls).

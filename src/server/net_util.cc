@@ -189,56 +189,15 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-namespace {
-
-/// Copies a prefix of iov[idx..iovcnt) totaling at most `budget` bytes
-/// into `dst` (at least one byte when budget > 0 and anything remains).
-/// Returns the number of iovecs written. Used by the kShortIo and
-/// kTruncate failpoints, which cap one send() by *bytes* regardless of
-/// how those bytes straddle iovec boundaries — that is exactly the case
-/// the mid-header resume test exercises.
-int CappedView(const struct iovec* iov, int idx, int iovcnt, size_t budget,
-               struct iovec* dst) {
-  int out = 0;
-  for (int i = idx; i < iovcnt && budget > 0; ++i) {
-    if (iov[i].iov_len == 0) continue;
-    dst[out].iov_base = iov[i].iov_base;
-    dst[out].iov_len = std::min<size_t>(iov[i].iov_len, budget);
-    budget -= dst[out].iov_len;
-    ++out;
-  }
-  return out;
-}
-
-}  // namespace
-
-Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
-                 const Deadline& deadline) {
-  if (iovcnt <= 0 || iovcnt > kMaxWriteIovecs) {
-    return Status::InvalidArgument("WritevAll: iovcnt out of range: " +
-                                   std::to_string(iovcnt));
-  }
-  // Resume state lives in this local copy: a partial write advances
-  // iov_base/iov_len here (possibly mid-iovec), never the caller's array.
-  struct iovec local[kMaxWriteIovecs];
-  size_t remaining = 0;
-  for (int i = 0; i < iovcnt; ++i) {
-    local[i] = iov[i];
-    remaining += iov[i].iov_len;
-  }
-  int idx = 0;
-  while (remaining > 0) {
-    while (local[idx].iov_len == 0) ++idx;
-    struct iovec capped[kMaxWriteIovecs];
-    msghdr msg{};
-    msg.msg_iov = local + idx;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt - idx);
+Status WriteAll(int fd, const char* data, size_t size,
+                const Deadline& deadline) {
+  size_t sent = 0;
+  while (sent < size) {
+    size_t chunk = size - sent;
     const failpoints::Action fault = failpoints::Hit(failpoints::Site::kSend);
     switch (fault.kind) {
       case failpoints::Kind::kShortIo:
-        msg.msg_iovlen = static_cast<size_t>(CappedView(
-            local, idx, iovcnt, std::max<uint32_t>(fault.arg, 1), capped));
-        msg.msg_iov = capped;
+        chunk = std::min<size_t>(chunk, std::max<uint32_t>(fault.arg, 1));
         break;
       case failpoints::Kind::kEagain: {
         // A real EAGAIN means the kernel buffer is full; the socket here
@@ -257,14 +216,10 @@ Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
       case failpoints::Kind::kTruncate: {
         // Deliver a prefix of the remaining bytes, then fail hard — the
         // peer sees a frame truncated mid-body.
-        const size_t prefix =
-            std::min<size_t>(remaining, std::max<uint32_t>(fault.arg, 0));
+        const size_t prefix = std::min<size_t>(chunk, fault.arg);
         if (prefix > 0) {
-          msg.msg_iovlen = static_cast<size_t>(
-              CappedView(local, idx, iovcnt, prefix, capped));
-          msg.msg_iov = capped;
-          [[maybe_unused]] const ssize_t n =
-              ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+          [[maybe_unused]] const ssize_t n = ::send(
+              fd, data + sent, prefix, MSG_NOSIGNAL | MSG_DONTWAIT);
         }
         return Status::Unavailable("injected frame truncation");
       }
@@ -274,26 +229,13 @@ Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
       case failpoints::Kind::kNone:
         break;
     }
-    // sendmsg, not writev: writev cannot suppress SIGPIPE. MSG_DONTWAIT
+    // MSG_NOSIGNAL so a gone peer is a status, not SIGPIPE. MSG_DONTWAIT
     // so a *blocking* fd (the client's) cannot park inside the syscall
     // past the deadline; EAGAIN routes through PollFor below.
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    const ssize_t n =
+        ::send(fd, data + sent, chunk, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
-      // Advance through the local copy, stopping mid-iovec on a short
-      // write so the next round resumes at the first unsent byte.
-      size_t left = static_cast<size_t>(n);
-      remaining -= left;
-      while (left > 0) {
-        if (local[idx].iov_len <= left) {
-          left -= local[idx].iov_len;
-          local[idx].iov_len = 0;
-          ++idx;
-        } else {
-          local[idx].iov_base = static_cast<char*>(local[idx].iov_base) + left;
-          local[idx].iov_len -= left;
-          left = 0;
-        }
-      }
+      sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -307,19 +249,6 @@ Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
     return Errno("send");
   }
   return Status::OK();
-}
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const Deadline& deadline) {
-  if (size == 0) return Status::OK();
-  struct iovec iov;
-  iov.iov_base = const_cast<char*>(data);
-  iov.iov_len = size;
-  return WritevAll(fd, &iov, 1, deadline);
-}
-
-bool SendAll(int fd, const char* data, size_t size, const Deadline& deadline) {
-  return WriteAll(fd, data, size, deadline).ok();
 }
 
 Status ReadFull(int fd, char* buffer, size_t size, const Deadline& deadline) {

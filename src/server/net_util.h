@@ -1,8 +1,6 @@
 #ifndef PPC_SERVER_NET_UTIL_H_
 #define PPC_SERVER_NET_UTIL_H_
 
-#include <sys/uio.h>
-
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -92,25 +90,6 @@ Status SetNonBlocking(int fd);
 /// closed), Unavailable when the peer is gone.
 Status WriteAll(int fd, const char* data, size_t size,
                 const Deadline& deadline);
-
-/// Upper bound on iovecs per WritevAll call.
-inline constexpr int kMaxWriteIovecs = 8;
-
-/// Scatter/gather WriteAll, and the loop WriteAll runs on (one iovec):
-/// writes every byte of `iov[0..iovcnt)` in order via sendmsg (writev
-/// cannot suppress SIGPIPE), with the same deadline, EINTR/EAGAIN, and
-/// failpoint semantics as WriteAll. The server's flushes come through
-/// here, one contiguous outbox per write. A partial write resumes exactly
-/// where it stopped, mid-iovec, never re-sending bytes; the iovec array
-/// itself is not modified (the resume state lives in a local copy).
-/// iovcnt must be in (0, kMaxWriteIovecs].
-Status WritevAll(int fd, const struct iovec* iov, int iovcnt,
-                 const Deadline& deadline);
-
-/// Compatibility shim over WriteAll: true iff every byte was written
-/// before the (default infinite) deadline.
-bool SendAll(int fd, const char* data, size_t size,
-             const Deadline& deadline = Deadline::Infinite());
 
 /// Reads exactly `size` bytes. DeadlineExceeded when the deadline expires
 /// first, Unavailable when the peer closes before `size` bytes arrived.

@@ -700,10 +700,9 @@ void PlanRouter::ReplicateOnce(HealthClients* clients,
       const std::string replica_address = replica.Address();
       auto& pair_hashes = (*shipped)[primary_address][replica_address];
       // Ship only this primary's authoritative templates whose replica is
-      // this shard, and only when their content changed since the last
-      // ship — the delta semantics of SerializeDelta, expressed as a
-      // full-format subset because kSnapshotApply only accepts full
-      // snapshots (the receiving shard keeps no base to merge against).
+      // this shard, and only when their content hash changed since the
+      // last ship: a delta, sent as a full-format Filtered subset, since
+      // the receiving shard keeps no base to merge one against.
       const PredictorState subset = full.value().Filtered(
           [&](const PredictorState::TemplateEntry& entry) {
             Result<HashRing::Placement> placement =

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,156 +231,6 @@ TEST_F(SocketPairTest, EintrFailpointOnlyBurnsALoop) {
   ASSERT_TRUE(
       ReadFull(right(), buffer, 2, Deadline::AfterMs(1000)).ok());
   EXPECT_EQ(failpoints::FiredCount(failpoints::Site::kRecv), 5u);
-}
-
-TEST_F(SocketPairTest, WritevAllDeliversIovecsInOrder) {
-  std::string header = "HDR:";
-  std::string body = "body-bytes";
-  std::string tail = "!";
-  struct iovec iov[3];
-  iov[0] = {header.data(), header.size()};
-  iov[1] = {body.data(), body.size()};
-  iov[2] = {tail.data(), tail.size()};
-  ASSERT_TRUE(WritevAll(left(), iov, 3, Deadline::AfterMs(1000)).ok());
-  std::string read(header.size() + body.size() + tail.size(), '\0');
-  ASSERT_TRUE(
-      ReadFull(right(), read.data(), read.size(), Deadline::AfterMs(1000))
-          .ok());
-  EXPECT_EQ(read, "HDR:body-bytes!");
-  // The caller's iovec array was not consumed by the partial-write
-  // bookkeeping (the resume state is a local copy).
-  EXPECT_EQ(iov[0].iov_len, header.size());
-  EXPECT_EQ(iov[1].iov_len, body.size());
-}
-
-TEST_F(SocketPairTest, WritevAllRejectsBadIovecCounts) {
-  struct iovec iov{};
-  EXPECT_EQ(WritevAll(left(), &iov, 0, Deadline::Infinite()).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      WritevAll(left(), &iov, kMaxWriteIovecs + 1, Deadline::Infinite())
-          .code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST_F(SocketPairTest, WritevAllSkipsEmptyIovecs) {
-  std::string a = "left";
-  std::string b = "right";
-  struct iovec iov[4];
-  iov[0] = {nullptr, 0};
-  iov[1] = {a.data(), a.size()};
-  iov[2] = {nullptr, 0};
-  iov[3] = {b.data(), b.size()};
-  ASSERT_TRUE(WritevAll(left(), iov, 4, Deadline::AfterMs(1000)).ok());
-  std::string read(a.size() + b.size(), '\0');
-  ASSERT_TRUE(
-      ReadFull(right(), read.data(), read.size(), Deadline::AfterMs(1000))
-          .ok());
-  EXPECT_EQ(read, "leftright");
-}
-
-/// The regression this PR's writev conversion guards against: a short
-/// write that stops *inside the 4-byte length prefix* must resume at the
-/// next unsent byte — mid-iovec — without re-sending or skipping anything,
-/// or the peer's deframer desynchronizes permanently.
-TEST_F(SocketPairTest, WritevAllShortWriteInsideHeaderResumesMidIovec) {
-  for (const uint32_t short_bytes : {1u, 2u, 3u}) {
-    failpoints::Config config;
-    config.kind = failpoints::Kind::kShortIo;
-    config.arg = short_bytes;
-    failpoints::Arm(failpoints::Site::kSend, config);
-
-    const std::string payload = "mid-header resume payload";
-    const uint32_t length = static_cast<uint32_t>(payload.size());
-    char prefix[sizeof(length)];
-    std::memcpy(prefix, &length, sizeof(length));
-    struct iovec iov[2];
-    iov[0] = {prefix, sizeof(prefix)};
-    iov[1] = {const_cast<char*>(payload.data()), payload.size()};
-    std::string read(sizeof(prefix) + payload.size(), '\0');
-    std::thread reader([this, &read]() {
-      ASSERT_TRUE(
-          ReadFull(right(), read.data(), read.size(), Deadline::AfterMs(5000))
-              .ok());
-    });
-    ASSERT_TRUE(WritevAll(left(), iov, 2, Deadline::AfterMs(5000)).ok());
-    reader.join();
-    failpoints::DisarmAll();
-
-    // Every send call was clamped below the header size, so at least one
-    // boundary fell inside the prefix; the reassembled bytes must still
-    // be exact.
-    uint32_t read_length = 0;
-    std::memcpy(&read_length, read.data(), sizeof(read_length));
-    EXPECT_EQ(read_length, length) << "short_bytes=" << short_bytes;
-    EXPECT_EQ(read.substr(sizeof(read_length)), payload)
-        << "short_bytes=" << short_bytes;
-  }
-}
-
-TEST_F(SocketPairTest, WritevAllIntermittentShortWritesStayCoherent) {
-  // Clamp only every 3rd send: the write path alternates between full
-  // sends and mid-iovec resumes, crossing the header/payload boundary in
-  // different phases each round.
-  failpoints::Config config;
-  config.kind = failpoints::Kind::kShortIo;
-  config.arg = 2;
-  config.every = 3;
-  failpoints::Arm(failpoints::Site::kSend, config);
-  std::thread writer([this]() {
-    for (int frame = 0; frame < 16; ++frame) {
-      const std::string payload(static_cast<size_t>(frame + 1),
-                                static_cast<char>('a' + frame));
-      const uint32_t length = static_cast<uint32_t>(payload.size());
-      char prefix[sizeof(length)];
-      std::memcpy(prefix, &length, sizeof(length));
-      struct iovec iov[2];
-      iov[0] = {prefix, sizeof(prefix)};
-      iov[1] = {const_cast<char*>(payload.data()), payload.size()};
-      ASSERT_TRUE(WritevAll(left(), iov, 2, Deadline::AfterMs(5000)).ok());
-    }
-  });
-  std::string read;
-  char buffer[64];
-  for (int frame = 0; frame < 16; ++frame) {
-    const size_t payload_size = static_cast<size_t>(frame + 1);
-    const size_t need = sizeof(uint32_t) + payload_size;
-    ASSERT_TRUE(
-        ReadFull(right(), buffer, need, Deadline::AfterMs(5000)).ok());
-    uint32_t length = 0;
-    std::memcpy(&length, buffer, sizeof(length));
-    ASSERT_EQ(length, payload_size) << "frame " << frame;
-    read.assign(buffer + sizeof(length), payload_size);
-    EXPECT_EQ(read,
-              std::string(payload_size, static_cast<char>('a' + frame)));
-  }
-  writer.join();
-}
-
-TEST_F(SocketPairTest, WritevAllTruncateFailpointDeliversCrossIovecPrefix) {
-  failpoints::Config config;
-  config.kind = failpoints::Kind::kTruncate;
-  config.arg = 6;  // 4-byte header + 2 payload bytes
-  failpoints::Arm(failpoints::Site::kSend, config);
-  const std::string payload = "doomed";
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  char prefix[sizeof(length)];
-  std::memcpy(prefix, &length, sizeof(length));
-  struct iovec iov[2];
-  iov[0] = {prefix, sizeof(prefix)};
-  iov[1] = {const_cast<char*>(payload.data()), payload.size()};
-  EXPECT_EQ(WritevAll(left(), iov, 2, Deadline::AfterMs(1000)).code(),
-            StatusCode::kUnavailable);
-  failpoints::DisarmAll();
-  char buffer[32];
-  Result<size_t> received =
-      RecvSome(right(), buffer, sizeof(buffer), Deadline::AfterMs(200));
-  ASSERT_TRUE(received.ok());
-  ASSERT_EQ(received.value(), 6u);
-  uint32_t read_length = 0;
-  std::memcpy(&read_length, buffer, sizeof(read_length));
-  EXPECT_EQ(read_length, length);
-  EXPECT_EQ(std::string(buffer + 4, 2), "do");
 }
 
 TEST_F(SocketPairTest, RecvNonBlockingReportsAllOutcomes) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "ppc/ppc_framework.h"
 #include "test_util.h"
@@ -65,7 +68,15 @@ TEST_F(PredictorStateTest, CaptureSerializeRestoreIsBitStable) {
   auto restored = PredictorState::Restore(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().sequence(), state.sequence());
-  EXPECT_EQ(restored.value().ContentHash(), state.ContentHash());
+  ASSERT_EQ(restored.value().entries().size(), state.entries().size());
+  for (size_t i = 0; i < state.entries().size(); ++i) {
+    const PredictorState::TemplateEntry& got = restored.value().entries()[i];
+    const PredictorState::TemplateEntry& want = state.entries()[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.generation, want.generation);
+    EXPECT_EQ(got.content_hash, want.content_hash);
+    EXPECT_EQ(got.blob, want.blob);
+  }
   EXPECT_EQ(restored.value().Serialize(), bytes);
 }
 
@@ -125,38 +136,21 @@ TEST_F(PredictorStateTest, ApplyRejectsConfigMismatch) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(PredictorStateTest, DeltaCarriesOnlyChangedTemplates) {
-  const PredictorState base = PredictorState::Capture(*framework_);
-  Train(framework_.get(), "Q1", 2, 50, 11);  // Q3 untouched
-  const PredictorState next = PredictorState::Capture(*framework_);
-
-  const std::string delta_bytes = next.SerializeDelta(base);
-  EXPECT_LT(delta_bytes.size(), next.Serialize().size());
-  auto merged = PredictorState::RestoreDelta(delta_bytes, base);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.value().ContentHash(), next.ContentHash());
-  EXPECT_EQ(merged.value().sequence(), next.sequence());
-}
-
-TEST_F(PredictorStateTest, UnchangedDeltaIsEmpty) {
-  const PredictorState base = PredictorState::Capture(*framework_);
-  const PredictorState next = PredictorState::Capture(*framework_);
-  auto merged =
-      PredictorState::RestoreDelta(next.SerializeDelta(base), base);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().ContentHash(), base.ContentHash());
-}
-
-TEST_F(PredictorStateTest, RestoreRejectsMixedUpBlobKinds) {
-  const PredictorState base = PredictorState::Capture(*framework_);
-  // A delta blob needs a base.
-  auto as_full = PredictorState::Restore(base.SerializeDelta(base));
-  ASSERT_FALSE(as_full.ok());
-  EXPECT_EQ(as_full.status().code(), StatusCode::kInvalidArgument);
-  // A full blob is not a delta.
-  auto as_delta = PredictorState::RestoreDelta(base.Serialize(), base);
-  ASSERT_FALSE(as_delta.ok());
-  EXPECT_EQ(as_delta.status().code(), StatusCode::kInvalidArgument);
+// PPCR v2 keeps a flag byte after the version, and every writer sets it
+// to 0. A blob with the byte set is refused even when its checksum is
+// consistent, so no reader takes a partial snapshot for a full one.
+TEST_F(PredictorStateTest, RestoreRejectsNonZeroFlagByte) {
+  std::string bytes = PredictorState::Capture(*framework_).Serialize();
+  constexpr size_t kFlagOffset = 4 /* magic */ + 4 /* version */;
+  ASSERT_EQ(bytes[kFlagOffset], 0);
+  bytes[kFlagOffset] = 1;
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  const uint64_t checksum = Fnv1a64(std::string_view(bytes).substr(0, body));
+  std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
+  auto restored = PredictorState::Restore(bytes);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("flag byte"), std::string::npos);
 }
 
 // Generation threading across the replication path (DESIGN.md §17): a

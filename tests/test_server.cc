@@ -568,7 +568,9 @@ TEST_F(ServerTest, MalformedPayloadGetsErrorFrameThenClose) {
   const uint32_t length = static_cast<uint32_t>(payload.size());
   std::string frame(reinterpret_cast<const char*>(&length), sizeof(length));
   frame += payload;
-  ASSERT_TRUE(net::SendAll(fd.value(), frame.data(), frame.size()));
+  ASSERT_TRUE(net::WriteAll(fd.value(), frame.data(), frame.size(),
+                            net::Deadline::AfterMs(5000))
+                  .ok());
 
   // Expect exactly one error frame (kInvalid / id 0 / BAD_REQUEST)…
   wire::FrameBuffer frames;
@@ -609,8 +611,9 @@ TEST_F(ServerTest, FramingViolationClosesTheConnection) {
   auto fd = net::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
   const uint32_t huge = 1u << 30;  // above max_frame_bytes
-  ASSERT_TRUE(net::SendAll(fd.value(), reinterpret_cast<const char*>(&huge),
-                           sizeof(huge)));
+  ASSERT_TRUE(net::WriteAll(fd.value(), reinterpret_cast<const char*>(&huge),
+                            sizeof(huge), net::Deadline::AfterMs(5000))
+                  .ok());
   // Drain until EOF; the server answers with one error frame and closes.
   char buffer[512];
   while (true) {
@@ -716,7 +719,9 @@ TEST_F(ServerTest, ReadDeadlineClosesSlowLorisFrames) {
   std::string partial(reinterpret_cast<const char*>(&declared),
                       sizeof(declared));
   partial += "abc";
-  ASSERT_TRUE(net::SendAll(fd.value(), partial.data(), partial.size()));
+  ASSERT_TRUE(net::WriteAll(fd.value(), partial.data(), partial.size(),
+                            net::Deadline::AfterMs(5000))
+                  .ok());
 
   bool got_eof = false;
   char buffer[512];
@@ -821,7 +826,9 @@ TEST_F(ServerTest, ChaosRepliesQueueBehindAStalledFlush) {
   std::string frames;
   AppendBodylessRequest(wire::MessageType::kPing, 1, &frames);
   AppendBodylessRequest(wire::MessageType::kPing, 2, &frames);
-  ASSERT_TRUE(net::SendAll(fd.value(), frames.data(), frames.size()));
+  ASSERT_TRUE(net::WriteAll(fd.value(), frames.data(), frames.size(),
+                            net::Deadline::AfterMs(5000))
+                  .ok());
   ASSERT_TRUE(WaitFor([&] { return entered.load() == 2; }));
 
   failpoints::Config stall;
@@ -886,7 +893,9 @@ TEST_F(ServerTest, ChaosIoThreadNeverWaitsOnAStalledFlush) {
   ASSERT_TRUE(a.ok());
   std::string ping;
   AppendBodylessRequest(wire::MessageType::kPing, 7, &ping);
-  ASSERT_TRUE(net::SendAll(a.value(), ping.data(), ping.size()));
+  ASSERT_TRUE(net::WriteAll(a.value(), ping.data(), ping.size(),
+                            net::Deadline::AfterMs(5000))
+                  .ok());
   ASSERT_TRUE(WaitFor([&] { return entered.load() == 1; }));
 
   failpoints::Config stall;
@@ -905,7 +914,9 @@ TEST_F(ServerTest, ChaosIoThreadNeverWaitsOnAStalledFlush) {
   std::string malformed(reinterpret_cast<const char*>(&length),
                         sizeof(length));
   malformed += payload;
-  ASSERT_TRUE(net::SendAll(a.value(), malformed.data(), malformed.size()));
+  ASSERT_TRUE(net::WriteAll(a.value(), malformed.data(), malformed.size(),
+                            net::Deadline::AfterMs(5000))
+                  .ok());
   ASSERT_TRUE(WaitFor([&] { return Counter("server.frames.malformed") >= 1; }));
 
   PpcClient b;
