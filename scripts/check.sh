@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep:
 #   1. documentation checks (markdown links, header doc presence),
-#   2. plain build + the entire test suite (the tier-1 gate, including
+#   2. plain build, a static check that every *Avx2 kernel clears the
+#      upper YMM halves before it leaves (objdump; skipped without it),
+#      then the entire test suite (the tier-1 gate, including
 #      the Golden.* paper-output locks), then a forced-scalar leg
 #      (PPC_DISABLE_AVX2=1) over the SIMD-dispatching tests and the
 #      goldens so the portable kernels stay exercised,
@@ -43,6 +45,17 @@ python3 scripts/check_docs.py
 echo "==> plain build + full test suite"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
+
+echo "==> AVX->SSE transitions: vzeroupper before every exit of an *Avx2 kernel"
+# Static check of the compiled kernels (scripts/check_vzeroupper.py): no
+# call or jmp out of an *Avx2 function may run with dirty upper YMM
+# halves, or the scalar code it reaches stalls on every instruction.
+if command -v objdump >/dev/null; then
+  python3 scripts/check_vzeroupper.py build/src/CMakeFiles/ppc.dir/lsh/simd.cc.o
+else
+  echo "    objdump not found; vzeroupper check skipped"
+fi
+
 (cd build && ctest --output-on-failure -LE chaos -j "$JOBS")
 
 echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, predictor, goldens"

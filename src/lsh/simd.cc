@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define PPC_SIMD_X86 1
@@ -23,6 +24,62 @@ std::atomic<int> g_tier{kTierUnresolved};
 /// take the scalar path (plan spaces are <= 62-dimensional by the Z-order
 /// bit budget, so this is not a practical limit).
 constexpr size_t kMaxAvx2InputDims = 64;
+
+/// Points, queries or elements per AVX2 lane group. The dispatchers send
+/// anything smaller straight to the scalar kernel: an AVX2 kernel would
+/// only set up its broadcasts and hand the whole call to that kernel.
+constexpr size_t kLaneGroup = 4;
+
+/// The first bucket a range sweep over [lo, hi] has to visit; *stop is
+/// the left edge past which it may break. Sorted centroids inside [0, 1]
+/// (the StreamingHistogram invariant) give contiguous, non-decreasing
+/// extents with every point mass at its centroid, so a bucket whose right
+/// edge lies below lo or whose left edge lies above hi adds exactly +0.0
+/// or -0.0 (counts and cost sums are finite), and skipping it keeps the
+/// sum's bits. The sweep starts one bucket before the first centroid
+/// >= lo: every earlier bucket ends at a midpoint <= a centroid < lo.
+/// Centroids outside [0, 1] clamp and swap an edge bucket's extent out of
+/// order; such tables are swept whole. Always inlined: a call from an
+/// AVX2 kernel's loop into this (SSE-compiled) function would run it with
+/// dirty upper YMM halves.
+__attribute__((always_inline)) inline size_t SweepStart(
+    const HistogramBucket* buckets, size_t n, double lo, double hi,
+    double* stop) {
+  if (n == 0 || !(buckets[0].centroid >= 0.0) ||
+      !(buckets[n - 1].centroid <= 1.0)) {
+    *stop = std::numeric_limits<double>::infinity();
+    return 0;
+  }
+  *stop = hi;
+  size_t first = 0;
+  size_t last = n;
+  while (first < last) {
+    const size_t mid = first + (last - first) / 2;
+    if (buckets[mid].centroid < lo) {
+      first = mid + 1;
+    } else {
+      last = mid;
+    }
+  }
+  return first == 0 ? 0 : first - 1;
+}
+
+/// SweepStart for the union of one lane group's valid ranges: a bucket
+/// outside every lane's window adds +-0.0 in each lane, so the AVX2 tier
+/// sweeps the union once per group. Lanes with inverted or NaN bounds are
+/// masked to 0.0 afterwards and do not widen the window.
+__attribute__((always_inline)) inline size_t LaneGroupSweepStart(
+    const HistogramBucket* buckets, size_t n, const ZInterval* ranges,
+    double* stop) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < kLaneGroup; ++k) {
+    if (!(ranges[k].lo <= ranges[k].hi)) continue;
+    lo = std::min(lo, ranges[k].lo);
+    hi = std::max(hi, ranges[k].hi);
+  }
+  return SweepStart(buckets, n, lo, hi, stop);
+}
 
 Tier ResolveTier() {
   const char* env = std::getenv("PPC_DISABLE_AVX2");
@@ -86,14 +143,18 @@ void HistogramRangeCountManyScalar(const HistogramBucket* buckets,
   for (size_t q = 0; q < queries; ++q) {
     const double lo = ranges[q].lo;
     const double hi = ranges[q].hi;
-    if (lo > hi) {
+    // NaN bounds sum only +0.0 terms; answer them like inverted ones.
+    if (!(lo <= hi)) {
       out[q] = 0.0;
       continue;
     }
+    double stop;
     double total = 0.0;
-    for (size_t i = 0; i < bucket_count; ++i) {
+    for (size_t i = SweepStart(buckets, bucket_count, lo, hi, &stop);
+         i < bucket_count; ++i) {
       double left, right;
       BucketExtent(buckets, bucket_count, i, &left, &right);
+      if (left > stop) break;
       const double width = right - left;
       if (width <= 0.0) {
         // Point mass: counted iff inside the range.
@@ -116,16 +177,19 @@ void HistogramRangeCountCostManyScalar(const HistogramBucket* buckets,
   for (size_t q = 0; q < queries; ++q) {
     const double lo = ranges[q].lo;
     const double hi = ranges[q].hi;
-    if (lo > hi) {
+    if (!(lo <= hi)) {
       counts_out[q] = 0.0;
       costs_out[q] = 0.0;
       continue;
     }
+    double stop;
     double total_count = 0.0;
     double total_cost = 0.0;
-    for (size_t i = 0; i < bucket_count; ++i) {
+    for (size_t i = SweepStart(buckets, bucket_count, lo, hi, &stop);
+         i < bucket_count; ++i) {
       double left, right;
       BucketExtent(buckets, bucket_count, i, &left, &right);
+      if (left > stop) break;
       const double width = right - left;
       double frac;
       if (width <= 0.0) {
@@ -162,6 +226,10 @@ __attribute__((target("avx2,fma"))) void ApplyBatchAvx2(
   const size_t r = input_dims;
   const size_t s = output_dims;
   if (r > kMaxAvx2InputDims) {
+    // Every hand-off to a scalar kernel clears the upper YMM halves
+    // first: the compiler may hoist a broadcast above any early exit, and
+    // SSE code run with dirty upper halves stalls on every instruction.
+    _mm256_zeroupper();
     ApplyBatchScalar(projections, shifts, scale, r, s, points, count, out);
     return;
   }
@@ -169,7 +237,7 @@ __attribute__((target("avx2,fma"))) void ApplyBatchAvx2(
   const __m256d vscale = _mm256_set1_pd(scale);
   __m256d centered[kMaxAvx2InputDims];
   size_t p = 0;
-  for (; p + 4 <= count; p += 4) {
+  for (; p + kLaneGroup <= count; p += kLaneGroup) {
     // Four points per iteration, one per lane. Each lane runs the exact
     // scalar operation sequence — subtract, multiply, multiply, add, in
     // the same i order — so the lanes are bit-identical to four scalar
@@ -204,6 +272,7 @@ __attribute__((target("avx2,fma"))) void ApplyBatchAvx2(
     }
   }
   if (p < count) {
+    _mm256_zeroupper();
     ApplyBatchScalar(projections, shifts, scale, r, s, points + p * r,
                      count - p, out + p * s);
   }
@@ -214,7 +283,7 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
     const ZInterval* ranges, size_t queries, double* out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
-  for (; q + 4 <= queries; q += 4) {
+  for (; q + kLaneGroup <= queries; q += kLaneGroup) {
     // One query per lane; every lane sweeps the buckets in order, running
     // the exact scalar accumulation sequence, so bit-identity needs no
     // per-bucket summation tricks. The extent is computed once per bucket
@@ -225,10 +294,14 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
                                       ranges[q + 1].lo, ranges[q].lo);
     const __m256d vhi = _mm256_set_pd(ranges[q + 3].hi, ranges[q + 2].hi,
                                       ranges[q + 1].hi, ranges[q].hi);
+    double stop;
+    const size_t start = LaneGroupSweepStart(buckets, bucket_count,
+                                             ranges + q, &stop);
     __m256d acc = zero;
-    for (size_t i = 0; i < bucket_count; ++i) {
+    for (size_t i = start; i < bucket_count; ++i) {
       double left, right;
       BucketExtent(buckets, bucket_count, i, &left, &right);
+      if (left > stop) break;
       const double width = right - left;
       __m256d contrib;
       if (width <= 0.0) {
@@ -259,6 +332,7 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
     _mm256_storeu_pd(out + q, acc);
   }
   if (q < queries) {
+    _mm256_zeroupper();
     HistogramRangeCountManyScalar(buckets, bucket_count, ranges + q,
                                   queries - q, out + q);
   }
@@ -270,7 +344,7 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
     double* costs_out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
-  for (; q + 4 <= queries; q += 4) {
+  for (; q + kLaneGroup <= queries; q += kLaneGroup) {
     // One query per lane, both accumulators swept in bucket order — the
     // same structural bit-identity argument as HistogramRangeCountManyAvx2
     // applied to the frac formulation of the scalar tier.
@@ -278,11 +352,15 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
                                       ranges[q + 1].lo, ranges[q].lo);
     const __m256d vhi = _mm256_set_pd(ranges[q + 3].hi, ranges[q + 2].hi,
                                       ranges[q + 1].hi, ranges[q].hi);
+    double stop;
+    const size_t start = LaneGroupSweepStart(buckets, bucket_count,
+                                             ranges + q, &stop);
     __m256d acc_count = zero;
     __m256d acc_cost = zero;
-    for (size_t i = 0; i < bucket_count; ++i) {
+    for (size_t i = start; i < bucket_count; ++i) {
       double left, right;
       BucketExtent(buckets, bucket_count, i, &left, &right);
+      if (left > stop) break;
       const double width = right - left;
       __m256d frac;
       if (width <= 0.0) {
@@ -309,6 +387,7 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
     _mm256_storeu_pd(costs_out + q, _mm256_and_pd(acc_cost, valid));
   }
   if (q < queries) {
+    _mm256_zeroupper();
     HistogramRangeCountCostManyScalar(buckets, bucket_count, ranges + q,
                                       queries - q, counts_out + q,
                                       costs_out + q);
@@ -324,7 +403,7 @@ __attribute__((target("avx2,fma"))) void CellIndexBatchAvx2(
   const __m256d vmax = _mm256_set1_pd(max_index);
   const __m256d zero = _mm256_setzero_pd();
   size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
+  for (; k + kLaneGroup <= n; k += kLaneGroup) {
     const __m256d frac =
         _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(y + k), vlo), vextent);
     const __m256d idx = _mm256_floor_pd(_mm256_mul_pd(frac, vcells));
@@ -336,6 +415,7 @@ __attribute__((target("avx2,fma"))) void CellIndexBatchAvx2(
     _mm256_storeu_pd(out + k, clamped);
   }
   if (k < n) {
+    _mm256_zeroupper();
     CellIndexBatchScalar(y + k, n - k, grid_lo, grid_extent, cells,
                          max_index, out + k);
   }
@@ -400,7 +480,7 @@ uint64_t InterleavePdep(const uint32_t* cells, int dims, uint32_t mask,
 void ApplyBatch(const double* projections, const double* shifts, double scale,
                 size_t input_dims, size_t output_dims, const double* points,
                 size_t count, double* out) {
-  if (ActiveTier() == Tier::kAvx2) {
+  if (count >= kLaneGroup && ActiveTier() == Tier::kAvx2) {
     ApplyBatchAvx2(projections, shifts, scale, input_dims, output_dims,
                    points, count, out);
   } else {
@@ -412,7 +492,7 @@ void ApplyBatch(const double* projections, const double* shifts, double scale,
 void HistogramRangeCountMany(const HistogramBucket* buckets,
                              size_t bucket_count, const ZInterval* ranges,
                              size_t queries, double* out) {
-  if (ActiveTier() == Tier::kAvx2) {
+  if (queries >= kLaneGroup && ActiveTier() == Tier::kAvx2) {
     HistogramRangeCountManyAvx2(buckets, bucket_count, ranges, queries, out);
   } else {
     HistogramRangeCountManyScalar(buckets, bucket_count, ranges, queries,
@@ -424,7 +504,7 @@ void HistogramRangeCountCostMany(const HistogramBucket* buckets,
                                  size_t bucket_count, const ZInterval* ranges,
                                  size_t queries, double* counts_out,
                                  double* costs_out) {
-  if (ActiveTier() == Tier::kAvx2) {
+  if (queries >= kLaneGroup && ActiveTier() == Tier::kAvx2) {
     HistogramRangeCountCostManyAvx2(buckets, bucket_count, ranges, queries,
                                     counts_out, costs_out);
   } else {
@@ -436,7 +516,7 @@ void HistogramRangeCountCostMany(const HistogramBucket* buckets,
 void CellIndexBatch(const double* y, size_t n, double grid_lo,
                     double grid_extent, double cells, double max_index,
                     double* out) {
-  if (ActiveTier() == Tier::kAvx2) {
+  if (n >= kLaneGroup && ActiveTier() == Tier::kAvx2) {
     CellIndexBatchAvx2(y, n, grid_lo, grid_extent, cells, max_index, out);
   } else {
     CellIndexBatchScalar(y, n, grid_lo, grid_extent, cells, max_index, out);

@@ -31,6 +31,17 @@ namespace simd {
 /// variable PPC_DISABLE_AVX2 is unset (or "0"); anything else falls back
 /// to scalar. The choice is made once and cached in an atomic; tests that
 /// change the environment mid-process call ReinitializeDispatchForTest().
+///
+/// Two rules keep the AVX2 tier from being slower than scalar on small
+/// calls (a one-point prediction makes several with a count of 1):
+///   - Small counts: each dispatcher sends a count below one lane group
+///     (4 points, queries or elements) straight to the scalar kernel.
+///   - vzeroupper: every *Avx2 kernel calls _mm256_zeroupper() before it
+///     hands a remainder (or an over-wide input) to a scalar kernel, and
+///     calls no out-of-line SSE helper in between. SSE code that runs
+///     while the upper YMM halves are dirty stalls on every instruction;
+///     the compiler's own vzeroupper insertion missed tail calls.
+///     scripts/check_vzeroupper.py checks the compiled object for this.
 
 enum class Tier {
   kScalar = 0,
@@ -107,13 +118,21 @@ inline void BucketExtent(const HistogramBucket* buckets, size_t n, size_t i,
 /// bucket, with its extent from BucketExtent,
 ///   width <= 0 ? (centroid in [lo, hi] ? count : skipped)
 ///              : count * (max(0, min(hi, right) - max(lo, left)) / width)
-/// summed in bucket order; an empty table or lo > hi gives 0.0. One
-/// query is EstimateCount itself; a batch of any size runs the same
-/// per-query sequence. The AVX2 tier vectorizes ACROSS QUERIES — one query
-/// per lane, buckets swept in order with the extent computed in scalar
-/// code and broadcast — so every lane runs the exact scalar accumulation
-/// sequence and bit-identity is structural. Lanes with inverted or NaN
-/// bounds are masked to the scalar's 0.0.
+/// summed in bucket order; an empty table, lo > hi or a NaN bound gives
+/// 0.0. One query is EstimateCount itself; a batch of any size runs the
+/// same per-query sequence. The AVX2 tier vectorizes ACROSS QUERIES — one
+/// query per lane, buckets swept in order with the extent computed in
+/// scalar code and broadcast — so every lane runs the exact scalar
+/// accumulation sequence and bit-identity is structural. Lanes with
+/// inverted or NaN bounds are masked to the scalar's 0.0.
+///
+/// Bucket skip: the sweep binary-searches the centroids for lo, starts
+/// one bucket before the first centroid >= lo and stops at the first
+/// bucket whose left edge is past hi (the AVX2 tier uses the union of its
+/// four lanes' windows). With centroids sorted inside [0, 1] and finite
+/// counts, every skipped bucket adds exactly +-0.0, so answers keep the
+/// bits of the full sweep; tables with centroids outside [0, 1] are swept
+/// whole.
 void HistogramRangeCountMany(const HistogramBucket* buckets,
                              size_t bucket_count, const ZInterval* ranges,
                              size_t queries, double* out);
@@ -136,7 +155,8 @@ void HistogramRangeCountManyAvx2(const HistogramBucket* buckets,
 /// HistogramRangeCountMany's answer (x*1.0 is exact; the out-of-range
 /// x*0.0 = +0.0 terms the frac form adds cannot change a non-negative
 /// sum) and costs_out[q]/counts_out[q] is EstimateAverageCost.
-/// Vectorized across queries like HistogramRangeCountMany.
+/// Vectorized across queries, and skipping disjoint buckets, like
+/// HistogramRangeCountMany.
 void HistogramRangeCountCostMany(const HistogramBucket* buckets,
                                  size_t bucket_count, const ZInterval* ranges,
                                  size_t queries, double* counts_out,

@@ -75,12 +75,32 @@ ZInterval SlideClampInterval(double position, double delta) {
   return ZInterval{lo, hi};
 }
 
+/// Per transform, the half-width of the paper's single query range: the
+/// hypersphere-volume rule, floored at half a grid cell's share of the
+/// curve so the range never degenerates below the Z-order resolution. It
+/// depends only on the transform and the radius, so the predictor
+/// computes it once, at construction.
+std::vector<double> RangeHalfWidths(
+    const LshHistogramsPredictor::Config& config,
+    const TransformEnsemble& transforms) {
+  std::vector<double> half_widths(transforms.size());
+  for (size_t i = 0; i < transforms.size(); ++i) {
+    const RandomizedTransform& transform = transforms[i];
+    const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
+    half_widths[i] =
+        std::max(transform.RangeHalfWidth(config.radius), 0.5 * cell_z);
+  }
+  return half_widths;
+}
+
 /// The one range builder: the flat, transform-major query ranges of
 /// `count` row-major points, backed by `scratch` (whose arena the caller
 /// has reset). Predict, PredictBatch, EstimateCost and QueryRanges all
-/// query through it.
+/// query through it. `half_widths` holds RangeHalfWidths(config,
+/// transforms).
 FlatQueryRanges BuildQueryRanges(const LshHistogramsPredictor::Config& config,
                                  const TransformEnsemble& transforms,
+                                 const std::vector<double>& half_widths,
                                  const double* points, size_t count,
                                  PredictScratch* scratch) {
   const size_t t = transforms.size();
@@ -101,16 +121,9 @@ FlatQueryRanges BuildQueryRanges(const LshHistogramsPredictor::Config& config,
       const RandomizedTransform& transform = transforms[i];
       transform.LinearizedPositionBatch(points, count, positions, transformed,
                                         cell);
-      // Half-width from the hypersphere-volume rule, floored at half a
-      // grid cell's share of the curve so the range never degenerates
-      // below the Z-order resolution. It depends only on the transform and
-      // the radius, so it is computed once per batch.
-      const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
-      const double delta =
-          std::max(transform.RangeHalfWidth(config.radius), 0.5 * cell_z);
       for (size_t p = 0; p < count; ++p) {
         scratch->intervals[i * count + p] =
-            SlideClampInterval(positions[p], delta);
+            SlideClampInterval(positions[p], half_widths[i]);
       }
     }
     ranges.intervals = scratch->intervals.data();
@@ -147,7 +160,8 @@ FlatQueryRanges BuildQueryRanges(const LshHistogramsPredictor::Config& config,
 LshHistogramsPredictor::LshHistogramsPredictor(Config config)
     : config_(config),
       transforms_(MakeTransformConfig(config), config.transform_count,
-                  EnsembleSeed(config)) {}
+                  EnsembleSeed(config)),
+      half_widths_(RangeHalfWidths(config_, transforms_)) {}
 
 LshHistogramsPredictor::LshHistogramsPredictor(
     Config config, const std::vector<LabeledPoint>& sample)
@@ -159,6 +173,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     const LshHistogramsPredictor& other)
     : config_(other.config_),
       transforms_(other.transforms_),
+      half_widths_(other.half_widths_),
       synopses_(other.synopses_),
       total_samples_(other.total_samples_) {}
 
@@ -166,6 +181,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     LshHistogramsPredictor&& other) noexcept
     : config_(std::move(other.config_)),
       transforms_(std::move(other.transforms_)),
+      half_widths_(std::move(other.half_widths_)),
       synopses_(std::move(other.synopses_)),
       total_samples_(other.total_samples_) {}
 
@@ -174,6 +190,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
   if (this != &other) {
     config_ = other.config_;
     transforms_ = other.transforms_;
+    half_widths_ = other.half_widths_;
     synopses_ = other.synopses_;
     total_samples_ = other.total_samples_;
   }
@@ -185,6 +202,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
   if (this != &other) {
     config_ = std::move(other.config_);
     transforms_ = std::move(other.transforms_);
+    half_widths_ = std::move(other.half_widths_);
     synopses_ = std::move(other.synopses_);
     total_samples_ = other.total_samples_;
   }
@@ -215,7 +233,8 @@ std::vector<std::vector<ZInterval>> LshHistogramsPredictor::QueryRanges(
   PredictScratch& scratch = ThreadScratch();
   scratch.arena.Reset();
   const FlatQueryRanges flat =
-      BuildQueryRanges(config_, transforms_, x.data(), 1, &scratch);
+      BuildQueryRanges(config_, transforms_, half_widths_, x.data(), 1,
+                       &scratch);
   std::vector<std::vector<ZInterval>> ranges(flat.transform_count);
   for (size_t i = 0; i < ranges.size(); ++i) {
     const auto [begin, end] = flat.Slice(i, 0);
@@ -251,7 +270,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   Arena& arena = scratch.arena;
   arena.Reset();
   const FlatQueryRanges ranges =
-      BuildQueryRanges(config_, transforms_, points, count, &scratch);
+      BuildQueryRanges(config_, transforms_, half_widths_, points, count,
+                       &scratch);
   const size_t t = ranges.transform_count;
 
   // Noise elimination (Sec. IV-C): a fixed fraction of all samples is
@@ -338,7 +358,8 @@ double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
   PredictScratch& scratch = ThreadScratch();
   scratch.arena.Reset();
   const FlatQueryRanges ranges =
-      BuildQueryRanges(config_, transforms_, x.data(), 1, &scratch);
+      BuildQueryRanges(config_, transforms_, half_widths_, x.data(), 1,
+                       &scratch);
   const uint32_t point = 0;
   double cost;
   it->second.MedianAverageCosts(ranges, &point, 1, &scratch.arena, &cost);

@@ -187,10 +187,13 @@ class LshHistogramsPredictor : public PlanPredictor {
 
   Config config_;
   TransformEnsemble transforms_;
+  /// Per transform, the half-width of the single query range (fixed by
+  /// the transform and the radius, so computed once at construction).
+  std::vector<double> half_widths_;
   std::map<PlanId, PlanSynopsis> synopses_;
   size_t total_samples_ = 0;
-  /// Guards synopses_ and total_samples_ (config_ and transforms_ are
-  /// immutable after construction).
+  /// Guards synopses_ and total_samples_ (config_, transforms_ and
+  /// half_widths_ are immutable after construction).
   mutable std::shared_mutex mu_;
 };
 

@@ -34,8 +34,13 @@ class ClientReconnectTest : public ::testing::Test {
     framework_ = std::make_unique<PpcFramework>(&SmallTpch(),
                                                 PpcFramework::Config{});
     ASSERT_TRUE(framework_->RegisterTemplate(EvaluationTemplate("Q1")).ok());
-    server_ = std::make_unique<PlanServer>(framework_.get(),
-                                           PlanServer::Config{});
+    StartServer(PlanServer::Config{});
+  }
+
+  /// (Re)starts the server under test with `config`.
+  void StartServer(const PlanServer::Config& config) {
+    if (server_ != nullptr) server_->Stop();
+    server_ = std::make_unique<PlanServer>(framework_.get(), config);
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -178,6 +183,13 @@ TEST_F(ClientReconnectTest, WaitOnANeverSentIdIsAnError) {
 }
 
 TEST_F(ClientReconnectTest, ParkedResponsesSurviveConnectionLoss) {
+  // Parking the first response needs it to arrive before the second.
+  // Several workers may answer two pipelined requests in either order
+  // (the wire promises none), and then nothing is parked; one worker
+  // answers in arrival order.
+  PlanServer::Config one_worker;
+  one_worker.worker_threads = 1;
+  StartServer(one_worker);
   PpcClient client;
   ASSERT_TRUE(Connect(&client).ok());
   auto first = client.SendPing();

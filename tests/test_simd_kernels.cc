@@ -445,6 +445,255 @@ TEST(SimdKernelTest, KernelReproducesStreamingHistogramEstimateCount) {
   }
 }
 
+/// Runs `kernel` under the native and the forced-scalar dispatch tier and
+/// returns both outputs.
+template <typename Kernel>
+std::pair<std::vector<double>, std::vector<double>> BothTiers(
+    size_t out_size, Kernel kernel) {
+  std::vector<double> native(out_size, -1.0), scalar(out_size, -2.0);
+  {
+    ScopedTier tier(/*force_scalar=*/false);
+    kernel(native.data());
+  }
+  {
+    ScopedTier tier(/*force_scalar=*/true);
+    kernel(scalar.data());
+  }
+  return {native, scalar};
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SimdDispatchTest, DispatchersBitIdenticalAcrossTiersAtSmallCounts) {
+  // Counts below one lane group (4) go straight to the scalar kernel;
+  // 4..7 take one AVX2 group plus a scalar remainder. Through the public
+  // entry points, every count must answer with the same bits on both
+  // tiers (and on a CPU without AVX2 both legs run scalar).
+  Rng rng(1907);
+  const size_t r = 3, s = 2;
+  std::vector<double> projections(s * r), shifts(s);
+  for (double& v : projections) v = rng.Gaussian();
+  for (double& v : shifts) v = rng.Uniform(-1.0, 1.0);
+  StreamingHistogram hist(12);
+  FilledHistogram(1908, &hist);
+  for (size_t count = 1; count <= 7; ++count) {
+    std::vector<double> points(count * r);
+    for (double& v : points) v = rng.Uniform();
+    const auto apply = BothTiers(count * s, [&](double* out) {
+      ApplyBatch(projections.data(), shifts.data(), 0.6, r, s, points.data(),
+                 count, out);
+    });
+    EXPECT_TRUE(SameBits(apply.first, apply.second)) << "count=" << count;
+
+    std::vector<double> y(count);
+    for (double& v : y) v = rng.Uniform(-2.0, 2.0);
+    y[0] = std::numeric_limits<double>::quiet_NaN();
+    const auto cells = BothTiers(count, [&](double* out) {
+      CellIndexBatch(y.data(), count, -1.0, 2.0, 32.0, 31.0, out);
+    });
+    EXPECT_TRUE(SameBits(cells.first, cells.second)) << "count=" << count;
+
+    const std::vector<ZInterval> ranges = RandomRanges(count, &rng);
+    const auto counts = BothTiers(count, [&](double* out) {
+      HistogramRangeCountMany(hist.buckets(), hist.bucket_count(),
+                              ranges.data(), count, out);
+    });
+    EXPECT_TRUE(SameBits(counts.first, counts.second)) << "count=" << count;
+
+    const auto count_cost = BothTiers(2 * count, [&](double* out) {
+      HistogramRangeCountCostMany(hist.buckets(), hist.bucket_count(),
+                                  ranges.data(), count, out, out + count);
+    });
+    EXPECT_TRUE(SameBits(count_cost.first, count_cost.second))
+        << "count=" << count;
+  }
+}
+
+/// Bucket tables whose sweep window has edge cases: a lone point mass,
+/// runs of equal centroids (interior and edge point masses), centroids
+/// exactly at 0 and 1, an ordinary spread, and centroids outside [0, 1],
+/// whose clamped edge buckets swap their extents out of bucket order (no
+/// histogram holds such a table; the kernels must still sweep it right).
+std::vector<std::vector<HistogramBucket>> BucketSkipTables() {
+  return {
+      {{0.4, 3.0, 7.0}},
+      {{0.0, 2.0, 1.0}, {1.0, 5.0, 3.0}},
+      {{0.2, 1.0, 2.0}, {0.2, 4.0, 1.0}, {0.2, 2.0, 2.0}, {0.5, 3.0, 9.0},
+       {0.5, 1.5, 0.5}, {0.9, 6.0, 3.0}},
+      {{0.0, 1.0, 1.0}, {0.0, 2.0, 2.0}, {0.3, 3.0, 3.0}, {0.7, 4.0, 4.0},
+       {1.0, 5.0, 5.0}, {1.0, 6.0, 6.0}},
+      {{0.05, 1.0, 1.0}, {0.15, 2.0, 4.0}, {0.35, 3.0, 9.0},
+       {0.40, 4.0, 16.0}, {0.62, 5.0, 25.0}, {0.80, 6.0, 36.0},
+       {0.97, 7.0, 49.0}},
+      {{0.5, 1.0, 2.0}, {1.2, 2.0, 3.0}, {1.3, 3.0, 4.0}, {1.4, 4.0, 5.0}},
+      {{-0.4, 1.0, 2.0}, {-0.3, 2.0, 3.0}, {0.2, 3.0, 4.0}},
+  };
+}
+
+/// Ranges that start or end exactly on every bucket edge and centroid,
+/// degenerate [x, x] ranges there, short ranges between neighbouring
+/// marks, ranges beside and around the table, and inverted or NaN bounds
+/// in every lane position.
+std::vector<ZInterval> BucketSkipRanges(const std::vector<HistogramBucket>& b) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> marks = {0.0, 1.0};
+  for (size_t i = 0; i < b.size(); ++i) {
+    double left, right;
+    BucketExtent(b.data(), b.size(), i, &left, &right);
+    marks.insert(marks.end(), {left, right, b[i].centroid});
+  }
+  std::vector<ZInterval> ranges;
+  for (const double x : marks) {
+    ranges.push_back({x, x});
+    ranges.push_back({x, x + 0.05});
+    ranges.push_back({x - 0.05, x});
+    ranges.push_back({x, 1.0});
+    ranges.push_back({0.0, x});
+    ranges.push_back({x + 0.01, x});
+    ranges.push_back({nan, x});
+    ranges.push_back({x, nan});
+  }
+  std::sort(marks.begin(), marks.end());
+  for (size_t i = 0; i + 1 < marks.size(); ++i) {
+    const double mid = 0.5 * (marks[i] + marks[i + 1]);
+    ranges.push_back({mid, mid + 0.02});
+    ranges.push_back({mid - 0.02, mid});
+  }
+  ranges.push_back({-1.0, 2.0});
+  ranges.push_back({1.0001, 2.0});
+  ranges.push_back({-1.0, -0.0001});
+  return ranges;
+}
+
+TEST(SimdBucketSkipTest, RangeKernelsMatchTheFullSweepBitForBit) {
+  // The kernels visit only the buckets a range can overlap; the skipped
+  // terms are +-0.0, so each answer must carry the bits of the full
+  // sweep (the reference loops) on both tiers, as one batch and query by
+  // query. Lane groups mix valid, inverted and NaN ranges, so the AVX2
+  // tier's union window is exercised with masked lanes.
+  for (const std::vector<HistogramBucket>& b : BucketSkipTables()) {
+    const std::vector<ZInterval> ranges = BucketSkipRanges(b);
+    const size_t queries = ranges.size();
+    std::vector<double> want(queries), want_count(queries),
+        want_cost(queries);
+    for (size_t q = 0; q < queries; ++q) {
+      want[q] = ReferenceCount(b, ranges[q].lo, ranges[q].hi);
+      ReferenceCountCost(b, ranges[q].lo, ranges[q].hi, &want_count[q],
+                         &want_cost[q]);
+    }
+    for (const bool force_scalar : {true, false}) {
+      ScopedTier tier(force_scalar);
+      std::vector<double> got(queries), got_count(queries),
+          got_cost(queries);
+      HistogramRangeCountMany(b.data(), b.size(), ranges.data(), queries,
+                              got.data());
+      HistogramRangeCountCostMany(b.data(), b.size(), ranges.data(),
+                                  queries, got_count.data(), got_cost.data());
+      EXPECT_TRUE(SameBits(got, want))
+          << "buckets=" << b.size() << " scalar=" << force_scalar;
+      EXPECT_TRUE(SameBits(got_count, want_count))
+          << "buckets=" << b.size() << " scalar=" << force_scalar;
+      EXPECT_TRUE(SameBits(got_cost, want_cost))
+          << "buckets=" << b.size() << " scalar=" << force_scalar;
+      for (size_t q = 0; q < queries; ++q) {
+        double one;
+        HistogramRangeCountMany(b.data(), b.size(), &ranges[q], 1, &one);
+        EXPECT_EQ(std::memcmp(&one, &want[q], sizeof(double)), 0)
+            << "buckets=" << b.size() << " query " << q;
+      }
+    }
+    if (CpuSupportsAvx2()) {
+      std::vector<double> avx2(queries);
+      HistogramRangeCountManyAvx2(b.data(), b.size(), ranges.data(), queries,
+                                  avx2.data());
+      EXPECT_TRUE(SameBits(avx2, want)) << "buckets=" << b.size();
+    }
+  }
+}
+
+TEST(SimdBucketSkipTest, PointMassAtARangeEdgeCounts) {
+  // A zero-width bucket exactly on lo or hi lies inside [lo, hi], so the
+  // window must not start after it or stop before it.
+  const std::vector<HistogramBucket> b = {
+      {0.1, 1.0, 1.0}, {0.3, 2.0, 2.0}, {0.3, 4.0, 4.0}, {0.3, 8.0, 8.0},
+      {0.6, 16.0, 16.0}};
+  double left, right;
+  BucketExtent(b.data(), b.size(), 2, &left, &right);
+  ASSERT_EQ(left, 0.3);
+  ASSERT_EQ(right, 0.3);
+  const std::vector<ZInterval> ranges = {
+      {0.3, 0.3}, {0.25, 0.3}, {0.3, 0.35}, {0.3, 0.3}};
+  for (const bool force_scalar : {true, false}) {
+    ScopedTier tier(force_scalar);
+    std::vector<double> got(ranges.size());
+    HistogramRangeCountMany(b.data(), b.size(), ranges.data(), ranges.size(),
+                            got.data());
+    for (size_t q = 0; q < ranges.size(); ++q) {
+      EXPECT_EQ(got[q], ReferenceCount(b, ranges[q].lo, ranges[q].hi));
+      EXPECT_GE(got[q], 4.0) << "query " << q;
+    }
+  }
+}
+
+TEST(LshHistogramsPredictorCopyTest, CopiesAndMovesAnswerBitIdentically) {
+  // Copy, move and both assignments carry every piece of state the
+  // predict path reads, the per-transform range half-widths included: the
+  // assignment targets start with a different radius, so a stale
+  // half-width would move their answers.
+  LshHistogramsPredictor::Config config;
+  config.dimensions = 3;
+  config.seed = 77;
+  config.radius = 0.12;
+  LshHistogramsPredictor original(config);
+  Rng rng(78);
+  for (int i = 0; i < 600; ++i) {
+    LabeledPoint point;
+    point.coords = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+    point.plan = 1 + (point.coords[0] > 0.5) + 2 * (point.coords[1] > 0.6);
+    point.cost = rng.Uniform(1.0, 9.0);
+    original.Insert(point);
+  }
+  const size_t count = 41;
+  std::vector<double> queries(count * 3);
+  for (double& v : queries) v = rng.Uniform();
+  const std::vector<Prediction> want =
+      original.PredictBatch(queries.data(), count);
+
+  LshHistogramsPredictor::Config other_config = config;
+  other_config.radius = 0.3;
+  LshHistogramsPredictor copied(original);
+  LshHistogramsPredictor copy_assigned(other_config);
+  copy_assigned = original;
+  LshHistogramsPredictor moved_from(original);
+  LshHistogramsPredictor moved(std::move(moved_from));
+  LshHistogramsPredictor move_source(original);
+  LshHistogramsPredictor move_assigned(other_config);
+  move_assigned = std::move(move_source);
+
+  size_t answered = 0;
+  for (const LshHistogramsPredictor* p :
+       {&copied, &copy_assigned, &moved, &move_assigned}) {
+    const std::vector<Prediction> got = p->PredictBatch(queries.data(), count);
+    ASSERT_EQ(got.size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(got[i].plan, want[i].plan) << "point " << i;
+      EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence,
+                            sizeof(double)),
+                0)
+          << "point " << i;
+      EXPECT_EQ(std::memcmp(&got[i].estimated_cost, &want[i].estimated_cost,
+                            sizeof(double)),
+                0)
+          << "point " << i;
+      if (got[i].has_value()) ++answered;
+    }
+  }
+  EXPECT_GT(answered, 0u);
+}
+
 TEST(SimdKernelTest, PredictorAnswersIdenticallyUnderForcedScalar) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   // End-to-end gate: the full predictor — transforms, Z-order, histogram
