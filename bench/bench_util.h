@@ -19,6 +19,7 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_evaluator.h"
 #include "ppc/metrics.h"
+#include "server/server.h"
 #include "storage/tpch_generator.h"
 #include "workload/scenarios.h"
 #include "workload/templates.h"
@@ -316,29 +317,6 @@ inline double FindHomeCenter(const Experiment& exp, double box_center,
     if (probe.pure && probe.ring_other_fraction < 0.3) return c;
   }
   return Clamp(box_center + 0.35, 0.05, 0.95);
-}
-
-/// The p-quantile (p in [0, 1]) of `values` by nearest rank; 0 for an
-/// empty input.
-inline double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double index = p * static_cast<double>(values.size() - 1);
-  return values[static_cast<size_t>(index + 0.5)];
-}
-
-/// The framework configuration the serving benches run: 5 transforms of
-/// 40 buckets, radius 0.05, an 80% confidence gate and a 64-plan cache.
-inline PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
 }
 
 /// The adversarial-drift arm (DESIGN.md §17) shared by

@@ -1,25 +1,24 @@
 #ifndef PPC_BENCH_LOADGEN_H_
 #define PPC_BENCH_LOADGEN_H_
 
-// The load generator of the TCP serving benches (bench_server_throughput,
-// bench_cluster_throughput, bench_cluster_failover, bench_workload_zoo).
-// Two drivers, both merging into one Phase tally:
+// The load generator of the TCP serving benches (bench_cluster_throughput,
+// bench_cluster_failover, bench_workload_zoo). Two drivers, both merging
+// into one Phase tally:
 //
 //   * ClosedLoop — N threads, one PpcClient each. A thread issues its
 //     next request when the previous one has answered, so concurrency is
-//     fixed at the thread count and the rate is what the server sustains
-//     at that concurrency.
+//     fixed at the thread count.
 //   * OpenLoop — one thread per connection on a raw socket. Every request
 //     goes out at its scheduled time whatever happened to the earlier
 //     ones, and between sends the thread sleeps in ppoll on the socket,
-//     so responses are read the moment they arrive. Latency runs from
-//     the *scheduled* arrival: a stalled server is charged for every
-//     request scheduled behind the stall (no coordinated omission), and
-//     no response waits unread behind a batch of later sends.
+//     so responses are read the moment they arrive and the arrival rate
+//     is the schedule's, not the server's.
 //
-// Only OK answers are timed. BUSY (the server's backpressure) is counted
-// per request kind, and every other outcome — an error answer, a lost
-// connection, a connection that never opened — counts as a failure.
+// The tally counts outcomes and times nothing: perfbench/ is the one
+// source of serving timings. An OK answer counts as answered, BUSY (the
+// server's backpressure) as busy, per request kind, and every other
+// outcome — an error answer, a lost connection, a connection that never
+// opened — as a failure.
 
 #include <poll.h>
 #include <sys/prctl.h>
@@ -33,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
 #include "server/client.h"
 #include "server/net_util.h"
 #include "server/wire_protocol.h"
@@ -52,39 +50,25 @@ inline const char* const kKindNames[kKinds] = {"predict", "execute", "ping"};
 /// responses after the last scheduled send.
 constexpr int64_t kOpenLoopIoTimeoutMs = 10000;
 
-inline double MicrosBetween(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
 inline double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /// The tally of one phase: filled per thread, then merged.
 struct Phase {
-  double seconds = 0.0;
-  /// Latencies of the OK answers per kind.
-  std::vector<double> latencies_us[kKinds];
+  size_t answered[kKinds] = {0, 0, 0};
   size_t busy[kKinds] = {0, 0, 0};
   size_t failures = 0;
-  /// PpcClient resilience counters, summed over the closed loop's clients.
-  PpcClient::TransportStats transport;
 
-  size_t count(int kind) const { return latencies_us[kind].size(); }
-  double LatencyUs(int kind, double p) const {
-    return Percentile(latencies_us[kind], p);
-  }
-  size_t total() const { return count(0) + count(1) + count(2); }
+  size_t count(int kind) const { return answered[kind]; }
+  size_t total() const { return answered[0] + answered[1] + answered[2]; }
   size_t total_busy() const { return busy[0] + busy[1] + busy[2]; }
-  double qps() const {
-    return seconds > 0.0 ? static_cast<double>(total()) / seconds : 0.0;
-  }
 
-  /// One answer: OK is timed, ResourceExhausted (BUSY) is counted busy,
-  /// anything else is a failure.
-  void Record(Kind kind, const Status& status, double latency_us) {
+  /// One answer: OK counts as answered, ResourceExhausted (BUSY) as busy,
+  /// anything else as a failure.
+  void Record(Kind kind, const Status& status) {
     if (status.ok()) {
-      latencies_us[kind].push_back(latency_us);
+      ++answered[kind];
     } else if (status.code() == StatusCode::kResourceExhausted) {
       ++busy[kind];
     } else {
@@ -93,31 +77,23 @@ struct Phase {
   }
 };
 
-/// Runs body(t, &tally) on threads t = 0 .. threads-1, then concatenates
-/// their tallies into one timed Phase.
+/// Runs body(t, &tally) on threads t = 0 .. threads-1, then sums their
+/// tallies into one Phase.
 template <typename Body>
 Phase RunThreads(size_t threads, const Body& body) {
   std::vector<Phase> parts(threads);
   std::vector<std::thread> running;
-  const auto start = Clock::now();
   for (size_t t = 0; t < threads; ++t) {
     running.emplace_back([&, t] { body(t, &parts[t]); });
   }
   for (auto& thread : running) thread.join();
   Phase phase;
-  phase.seconds = SecondsSince(start);
   for (const Phase& part : parts) {
     for (int kind = 0; kind < kKinds; ++kind) {
-      phase.latencies_us[kind].insert(phase.latencies_us[kind].end(),
-                                      part.latencies_us[kind].begin(),
-                                      part.latencies_us[kind].end());
+      phase.answered[kind] += part.answered[kind];
       phase.busy[kind] += part.busy[kind];
     }
     phase.failures += part.failures;
-    phase.transport.busy_retries += part.transport.busy_retries;
-    phase.transport.connect_retries += part.transport.connect_retries;
-    phase.transport.reconnects += part.transport.reconnects;
-    phase.transport.deadlines_exceeded += part.transport.deadlines_exceeded;
   }
   return phase;
 }
@@ -134,7 +110,7 @@ using MaybeCall = std::optional<Call>;
 /// builds its PpcClient from `options` (with retry seed + t, so retrying
 /// clients back off on distinct streams), then calls
 /// `step(t, i, &client)` for i = 0, 1, ... until the step returns
-/// nullopt; each call is timed and recorded. Per-thread tallies beyond
+/// nullopt; each call's outcome is recorded. Per-thread tallies beyond
 /// the Phase (hits, per-shard counts) belong in the caller's arrays,
 /// indexed by t. A client that cannot connect is recorded as one failure
 /// and still runs its steps, whose calls redial and fail on their own.
@@ -147,13 +123,10 @@ Phase ClosedLoop(uint16_t port, size_t threads,
     PpcClient client(my_options);
     if (!client.Connect("127.0.0.1", port).ok()) ++mine->failures;
     for (size_t i = 0;; ++i) {
-      const auto sent = Clock::now();
       const MaybeCall call = step(t, i, &client);
       if (!call.has_value()) break;
-      mine->Record(call->kind, call->status,
-                   MicrosBetween(sent, Clock::now()));
+      mine->Record(call->kind, call->status);
     }
-    mine->transport = client.transport_stats();
   });
 }
 
@@ -186,7 +159,8 @@ inline void RunOpenConnection(uint16_t port,
   }
   const int fd = connected.value();
   // Wake from ppoll on time: the default 50 us timer slack would make
-  // sends late by up to that much, and latency counts from the schedule.
+  // every send late by up to that much and lower the arrival rate below
+  // the schedule's.
   ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   // Encode up front (id = index + 1) so the paced path only writes.
   constexpr wire::MessageType kTypes[kKinds] = {wire::MessageType::kPredict,
@@ -238,7 +212,6 @@ inline void RunOpenConnection(uint16_t port,
     Result<size_t> got = net::RecvSome(fd, buffer, sizeof(buffer));
     open = got.ok() && got.value() > 0;
     if (!open) break;
-    const auto arrived = Clock::now();
     inbound.Append(buffer, got.value());
     while (open) {
       Result<bool> extracted = inbound.Next(&payload);
@@ -253,7 +226,7 @@ inline void RunOpenConnection(uint16_t port,
       const size_t i = static_cast<size_t>(response.value().id - 1);
       const Status status =
           wire::ToStatus(response.value().status, response.value().error);
-      tally->Record(schedule[i].kind, status, MicrosBetween(due(i), arrived));
+      tally->Record(schedule[i].kind, status);
       if (status.ok() && on_answer) on_answer(schedule[i], response.value());
       ++answered;
     }

@@ -21,9 +21,7 @@
 #      out of a 3-shard cluster mid-load and asserts availability,
 #      zero wrong answers and an automatic warm rejoin,
 #   8. the JSON-emitting benches (bench_drift_detection,
-#      bench_fig13_runtime, bench_server_throughput) + validation of every
-#      BENCH_*.json, plus the open-loop fidelity gate on
-#      bench_server_throughput,
+#      bench_fig13_runtime) + validation of every BENCH_*.json,
 #   9. server smoke test (live TCP round-trips + clean shutdown),
 #  10. ASan build + the entire test suite,
 #  11. TSan build + the concurrency, metrics, server and router tests,
@@ -155,7 +153,6 @@ echo "==> machine-readable bench output (BENCH_*.json) is valid JSON"
   # smoke stages above; their BENCH_*.json are picked up by the loop
   # below.
   ./bench/bench_fig13_runtime >/dev/null
-  ./bench/bench_server_throughput >/dev/null
   for f in BENCH_*.json; do
     if command -v python3 >/dev/null; then
       python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f"; exit 1; }
@@ -164,20 +161,6 @@ echo "==> machine-readable bench output (BENCH_*.json) is valid JSON"
     fi
     echo "    $f ok"
   done
-  # The open loop reads responses as they arrive and times from the
-  # scheduled arrival, so at 50% of the closed loop's sustained rate its
-  # PREDICT p50 stays within a small factor of the closed loop's. A
-  # driver that leaves responses unread behind its send window lands
-  # near 100x.
-  python3 -c "
-import json
-d = json.load(open('BENCH_server_throughput.json'))
-closed = d['closed_loop']['per_type']['predict']['p50_us']
-opened = d['open_loop']['per_type']['predict']['p50_us']
-message = 'open-loop PREDICT p50 %.1f us > 10x closed loop %.1f us'
-assert opened <= 10 * closed, message % (opened, closed)
-"
-  echo "    open-loop PREDICT p50 within 10x of closed loop"
 )
 
 echo "==> server smoke test (ephemeral port, PREDICT/EXECUTE/METRICS over TCP)"

@@ -29,7 +29,7 @@ namespace net {
 /// Pressure is an EWMA of queue occupancy sampled at every admission by
 /// the IO thread (the single writer); workers read the level with one
 /// relaxed atomic load. Rung changes apply hysteresis — the EWMA must
-/// fall `hysteresis` below a rung's entry threshold to leave it — so the
+/// fall kHysteresis below a rung's entry threshold to leave it — so the
 /// ladder cannot flap at a threshold.
 class ShedController {
  public:
@@ -39,33 +39,28 @@ class ShedController {
     kAbstainPredict = 2,
   };
 
-  struct Options {
-    /// EWMA weight of the newest occupancy sample, in (0, 1].
-    double alpha = 0.2;
-    /// Entry thresholds (EWMA occupancy in [0, 1]); <= 0 disables a rung.
-    double no_microbatch_at = 0.50;
-    double abstain_predict_at = 0.75;
-    /// A rung is left once the EWMA drops this far below its entry bar.
-    double hysteresis = 0.15;
-  };
-
-  explicit ShedController(const Options& options) : options_(options) {}
+  /// EWMA weight of the newest occupancy sample.
+  static constexpr double kAlpha = 0.2;
+  /// Entry thresholds (EWMA occupancy in [0, 1]).
+  static constexpr double kNoMicrobatchAt = 0.50;
+  static constexpr double kAbstainPredictAt = 0.75;
+  /// A rung is left once the EWMA drops this far below its entry bar.
+  static constexpr double kHysteresis = 0.15;
 
   /// Folds one occupancy sample (queued / capacity, in [0, 1]) into the
   /// EWMA and recomputes the rung. Single writer: the IO thread. Returns
   /// the level now in force.
   Level Observe(double occupancy) {
-    ewma_ = options_.alpha * occupancy + (1.0 - options_.alpha) * ewma_;
+    ewma_ = kAlpha * occupancy + (1.0 - kAlpha) * ewma_;
     const Level current = level();
     Level next = current;
-    if (current < kAbstainPredict && Enters(options_.abstain_predict_at)) {
+    if (current < kAbstainPredict && ewma_ >= kAbstainPredictAt) {
       next = kAbstainPredict;
-    } else if (current < kNoMicrobatch && Enters(options_.no_microbatch_at)) {
+    } else if (current < kNoMicrobatch && ewma_ >= kNoMicrobatchAt) {
       next = kNoMicrobatch;
-    } else if (current == kAbstainPredict &&
-               Leaves(options_.abstain_predict_at)) {
-      next = Enters(options_.no_microbatch_at) ? kNoMicrobatch : kNormal;
-    } else if (current == kNoMicrobatch && Leaves(options_.no_microbatch_at)) {
+    } else if (current == kAbstainPredict && Leaves(kAbstainPredictAt)) {
+      next = ewma_ >= kNoMicrobatchAt ? kNoMicrobatch : kNormal;
+    } else if (current == kNoMicrobatch && Leaves(kNoMicrobatchAt)) {
       next = kNormal;
     }
     if (next != current) level_.store(next, std::memory_order_relaxed);
@@ -77,17 +72,11 @@ class ShedController {
     return static_cast<Level>(level_.load(std::memory_order_relaxed));
   }
 
-  double ewma() const { return ewma_; }
-
  private:
-  bool Enters(double threshold) const {
-    return threshold > 0.0 && ewma_ >= threshold;
-  }
   bool Leaves(double threshold) const {
-    return threshold <= 0.0 || ewma_ < threshold - options_.hysteresis;
+    return ewma_ < threshold - kHysteresis;
   }
 
-  const Options options_;
   /// Written by the IO thread only; read anywhere.
   std::atomic<uint32_t> level_{kNormal};
   double ewma_ = 0.0;

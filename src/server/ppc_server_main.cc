@@ -50,6 +50,7 @@ using ppc::PlanServer;
 using ppc::PpcClient;
 using ppc::PpcFramework;
 using ppc::PredictorState;
+using ppc::ServingConfig;
 using ppc::Status;
 
 struct Flags {
@@ -145,22 +146,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                         "Q5", "Q6", "Q7", "Q8"};
   }
   return true;
-}
-
-/// The serving-stack predictor configuration shared by the shards, the
-/// benches and tests/test_server.cc — AdoptState requires exact config
-/// equality, so a warm-started shard must be built from the same values
-/// as its leader.
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
 }
 
 Status WarmStart(PpcFramework* framework, const Flags& flags) {

@@ -241,7 +241,6 @@ PlanServer::PlanServer(PpcFramework* framework, Config config)
       handler_(owned_handler_.get()),
       metrics_(&framework->metrics()),
       config_(std::move(config)),
-      shed_(config_.shed),
       queue_(config_.queue_capacity) {}
 
 PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
@@ -249,7 +248,6 @@ PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
     : handler_(handler),
       metrics_(metrics),
       config_(std::move(config)),
-      shed_(config_.shed),
       queue_(config_.queue_capacity) {
   PPC_CHECK(handler != nullptr && metrics != nullptr);
 }
@@ -966,8 +964,7 @@ void PlanServer::WorkerLoop(size_t worker_index) {
     // parallelism. A zero-arity point cannot form a PREDICT_BATCH. The
     // first shed rung turns this off — under sustained pressure one slow
     // batch must not grow head-of-line latency (DESIGN.md §14).
-    if (config_.max_microbatch > 1 &&
-        shed_.level() < net::ShedController::kNoMicrobatch &&
+    if (shed_.level() < net::ShedController::kNoMicrobatch &&
         run.front().request.type == wire::MessageType::kPredict &&
         !run.front().request.point.empty()) {
       const auto same_run = [&run](const WorkItem& next) {
@@ -976,7 +973,7 @@ void PlanServer::WorkerLoop(size_t worker_index) {
                next.request.template_name == head.template_name &&
                next.request.point.size() == head.point.size();
       };
-      while (run.size() < config_.max_microbatch) {
+      while (run.size() < kMaxMicrobatch) {
         std::optional<WorkItem> extra = queue_.TryPopIf(same_run);
         if (!extra.has_value()) break;
         run.push_back(std::move(*extra));
@@ -992,6 +989,18 @@ void PlanServer::WorkerLoop(size_t worker_index) {
     // its peer is waiting for that EOF.
     run.clear();
   }
+}
+
+PpcFramework::Config ServingConfig() {
+  PpcFramework::Config cfg;
+  cfg.online.predictor.transform_count = 5;
+  cfg.online.predictor.histogram_buckets = 40;
+  cfg.online.predictor.radius = 0.05;
+  cfg.online.predictor.confidence_threshold = 0.8;
+  cfg.online.predictor.noise_fraction = 0.002;
+  cfg.online.estimator_window = 100;
+  cfg.plan_cache_capacity = 64;
+  return cfg;
 }
 
 Status InstallShutdownSignalHandlers(PlanServer* server) {

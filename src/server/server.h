@@ -89,14 +89,6 @@ class PlanServer {
     /// Connections above this are accepted and immediately closed.
     size_t max_connections = 64;
     size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-    /// Opportunistic micro-batching: when a worker pops a single-point
-    /// PREDICT, it also takes the same-template PREDICTs queued right
-    /// behind it (without blocking, up to this many in all) and hands
-    /// them to the handler as one PREDICT_BATCH, so even non-batching
-    /// clients amortize the lock/transform/histogram costs under load
-    /// (DESIGN.md §13). 1 (or 0) disables it; each answer is still its own
-    /// frame, so clients observe identical frames either way.
-    size_t max_microbatch = 16;
     /// A connection with no inbound bytes for this long is closed
     /// (slow-loris / leaked-peer protection). 0 disables.
     int64_t idle_timeout_ms = 30000;
@@ -111,13 +103,19 @@ class PlanServer {
     /// forever. max_frame_bytes also caps the outbox: workers wait while it
     /// is full, and the IO thread closes the connection instead.
     int64_t write_deadline_ms = 10000;
-    /// Degradation-ladder thresholds (EWMA queue occupancy; DESIGN.md
-    /// §14). Rungs: disable micro-batching, then abstain on PREDICT.
-    net::ShedController::Options shed;
     /// Test hook, run by a worker before each request is dispatched (lets
     /// tests hold the pool to provoke backpressure deterministically).
     std::function<void(wire::MessageType)> pre_dispatch_hook;
   };
+
+  /// Opportunistic micro-batching: when a worker pops a single-point
+  /// PREDICT, it also takes the same-template PREDICTs queued right
+  /// behind it (without blocking, up to this many in all) and hands them
+  /// to the handler as one PREDICT_BATCH, so even non-batching clients
+  /// amortize the lock/transform/histogram costs under load (DESIGN.md
+  /// §13). Each answer is still its own frame, so clients observe
+  /// identical frames either way.
+  static constexpr size_t kMaxMicrobatch = 16;
 
   /// Serves `framework`; the `server.*` instruments go to its registry.
   PlanServer(PpcFramework* framework, Config config);
@@ -292,6 +290,13 @@ class PlanServer {
     LatencyHistogram* ping_us = nullptr;
   } instruments_;
 };
+
+/// The predictor configuration of the serving stack: 5 transforms of 40
+/// buckets, radius 0.05, an 80% confidence gate and a 64-plan cache. The
+/// shards, the benches and the tests all build from it, because AdoptState
+/// requires exact config equality: a warm-started shard must be built
+/// from the same values as its leader.
+PpcFramework::Config ServingConfig();
 
 /// Installs SIGINT/SIGTERM handlers that trigger `server->Shutdown()`
 /// asynchronously (the handler only writes to the server's wake eventfd —

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ppc/ppc_framework.h"
+#include "server/server.h"
 #include "test_util.h"
 #include "workload/templates.h"
 
@@ -183,18 +184,6 @@ TEST(MetricsRegistryConcurrentTest, SnapshotUnderLoadIsValidJson) {
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : writers) w.join();
-}
-
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
 }
 
 TEST(FrameworkMetricsTest, SnapshotJsonHasRequiredSections) {

@@ -235,18 +235,6 @@ TEST(HashRingTest, PlacementMovementStaysNearOneOverNOnAddAndRemove) {
 // Router end-to-end tests (two in-process shards behind a router).
 // ---------------------------------------------------------------------
 
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
-}
-
 struct TemplateSpec {
   const char* name;
   int dims;

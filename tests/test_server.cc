@@ -79,18 +79,6 @@ struct AtScopeExit {
   ~AtScopeExit() { fn(); }
 };
 
-PpcFramework::Config ServingConfig() {
-  PpcFramework::Config cfg;
-  cfg.online.predictor.transform_count = 5;
-  cfg.online.predictor.histogram_buckets = 40;
-  cfg.online.predictor.radius = 0.05;
-  cfg.online.predictor.confidence_threshold = 0.8;
-  cfg.online.predictor.noise_fraction = 0.002;
-  cfg.online.estimator_window = 100;
-  cfg.plan_cache_capacity = 64;
-  return cfg;
-}
-
 /// Framework with Q1 (2-dim) and Q3 (3-dim) registered; `warm_queries`
 /// executions around (0.5, 0.5) make Q1 confidently predictable.
 class ServerTest : public ::testing::Test {
@@ -259,7 +247,6 @@ TEST_F(ServerTest, MicrobatchedPredictsMatchUnbatchedAnswers) {
   PlanServer::Config config;
   config.worker_threads = 1;
   config.queue_capacity = 64;
-  config.max_microbatch = 16;
   config.pre_dispatch_hook = [&](wire::MessageType) {
     if (entered.fetch_add(1) == 0) {
       std::unique_lock<std::mutex> lock(mu);

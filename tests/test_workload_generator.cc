@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/math_utils.h"
-#include "workload/workload_history.h"
 
 namespace ppc {
 namespace {
@@ -119,27 +118,6 @@ TEST(TrajectoryTest, Deterministic) {
   Rng a(17), b(17);
   EXPECT_EQ(RandomTrajectoriesWorkload(cfg, &a),
             RandomTrajectoriesWorkload(cfg, &b));
-}
-
-TEST(WorkloadHistoryTest, AppendAndFilter) {
-  WorkloadHistory history;
-  history.Append({"Q1", {1.0}, {0.1}, 111, 5.0});
-  history.Append({"Q2", {2.0}, {0.2}, 222, 6.0});
-  history.Append({"Q1", {3.0}, {0.3}, 111, 7.0});
-  history.Append({"Q1", {4.0}, {0.4}, 333, 8.0});
-  EXPECT_EQ(history.size(), 4u);
-  EXPECT_EQ(history.ForTemplate("Q1").size(), 3u);
-  EXPECT_EQ(history.ForTemplate("Q9").size(), 0u);
-  const auto plans = history.DistinctPlans("Q1");
-  ASSERT_EQ(plans.size(), 2u);
-  EXPECT_EQ(plans[0], 111u);
-  EXPECT_EQ(plans[1], 333u);
-}
-
-TEST(WorkloadHistoryTest, EmptyHistory) {
-  WorkloadHistory history;
-  EXPECT_TRUE(history.empty());
-  EXPECT_TRUE(history.DistinctPlans("Q1").empty());
 }
 
 }  // namespace
