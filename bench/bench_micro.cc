@@ -47,8 +47,11 @@ void BM_BaselinePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselinePredict)->Arg(400)->Arg(1600)->Arg(6400);
 
-void BM_LshHistogramsPredict(benchmark::State& state) {
-  Experiment exp("Q5");
+/// One-point predict on `name`'s plan space after |X| = state.range(0)
+/// uniform samples: t = 5, b_h = 40, d = 0.1, at the given noise floor.
+void LshHistogramsPredict(benchmark::State& state, const char* name,
+                          double noise_fraction) {
+  Experiment exp(name);
   Rng rng(3);
   auto sample = exp.LabeledSample(static_cast<size_t>(state.range(0)), &rng);
   LshHistogramsPredictor::Config cfg;
@@ -57,6 +60,7 @@ void BM_LshHistogramsPredict(benchmark::State& state) {
   cfg.histogram_buckets = 40;
   cfg.radius = 0.1;
   cfg.confidence_threshold = 0.7;
+  cfg.noise_fraction = noise_fraction;
   LshHistogramsPredictor predictor(cfg, sample);
   auto test = UniformPlanSpaceSample(exp.dims(), 64, &rng);
   size_t i = 0;
@@ -64,7 +68,24 @@ void BM_LshHistogramsPredict(benchmark::State& state) {
     benchmark::DoNotOptimize(predictor.Predict(test[i++ % test.size()]));
   }
 }
+
+void BM_LshHistogramsPredict(benchmark::State& state) {
+  LshHistogramsPredict(state, "Q5", 0.0);
+}
 BENCHMARK(BM_LshHistogramsPredict)->Arg(400)->Arg(1600)->Arg(6400);
+
+// Q8 at the serving noise floor (0.002): its distinct plans keep growing
+// with |X| (191 / 300 / 454 at these sizes), most of them at or below the
+// floor, so this pins what the plan tail costs a prediction.
+[[maybe_unused]] benchmark::internal::Benchmark* const kPredictQ8Noise =
+    benchmark::RegisterBenchmark(
+        "BM_LshHistogramsPredict/Q8_noise",
+        [](benchmark::State& state) {
+          LshHistogramsPredict(state, "Q8", 0.002);
+        })
+        ->Arg(1600)
+        ->Arg(6400)
+        ->Arg(25600);
 
 void BM_LshHistogramsInsert(benchmark::State& state) {
   LshHistogramsPredictor::Config cfg;

@@ -21,7 +21,8 @@
 #      out of a 3-shard cluster mid-load and asserts availability,
 #      zero wrong answers and an automatic warm rejoin,
 #   8. the JSON-emitting benches (bench_drift_detection,
-#      bench_fig13_runtime) + validation of every BENCH_*.json,
+#      bench_fig13_runtime) + validation of the BENCH_*.json files this
+#      sweep's benches wrote (stale ones are removed before stage 4),
 #   9. server smoke test (live TCP round-trips + clean shutdown),
 #  10. ASan build + the entire test suite,
 #  11. TSan build + the concurrency, metrics, server and router tests,
@@ -75,6 +76,11 @@ cmake --build build-perfbench -j "$JOBS" \
   --target perfbench_harness perfbench_tests
 ./build-perfbench/perfbench_tests
 echo "    perfbench harness builds, perfbench_tests pass"
+
+# Every BENCH_*.json the stages below check must come from this sweep's
+# own runs: a file an earlier sweep left in build/ would otherwise pass
+# for a bench that no longer writes it.
+rm -f build/BENCH_*.json
 
 echo "==> retune smoke (drift-triggered refit + warm generation handoff)"
 # bench_drift_recovery runs the retuning-on vs. -off arms end to end:
@@ -149,11 +155,13 @@ echo "==> machine-readable bench output (BENCH_*.json) is valid JSON"
 (
   cd build
   ./bench/bench_drift_detection >/dev/null
-  # bench_drift_recovery and bench_workload_zoo already ran in their
-  # smoke stages above; their BENCH_*.json are picked up by the loop
-  # below.
   ./bench/bench_fig13_runtime >/dev/null
-  for f in BENCH_*.json; do
+  # The files this sweep's benches write: the four smoke stages above and
+  # the two runs here. A missing one fails: its bench stopped writing it.
+  for f in BENCH_drift_recovery.json BENCH_workload_zoo.json \
+           BENCH_cluster_throughput.json BENCH_cluster_failover.json \
+           BENCH_drift_detection.json BENCH_fig13_runtime.json; do
+    [ -f "$f" ] || { echo "missing: $f"; exit 1; }
     if command -v python3 >/dev/null; then
       python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f"; exit 1; }
     else

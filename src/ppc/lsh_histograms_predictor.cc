@@ -283,21 +283,37 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
           : 0.0;
 
   // Running per-point argmax state, updated plan by plan in std::map
-  // order, so a tie resolves to the lower plan id whatever the batch.
+  // order, so a tie resolves to the lower plan id whatever the batch. Each
+  // point also keeps its leader's t cost sums (point-major), taken from
+  // the sweep's interval results when the leader changes, so the winner's
+  // cost needs no second sweep.
   double* totals = arena.Array<double>(count);
   double* max_counts = arena.Array<double>(count);
   PlanId* max_plans = arena.Array<PlanId>(count);
+  SlotCost* leader_costs = arena.Array<SlotCost>(count * t);
   std::fill(totals, totals + count, 0.0);
   std::fill(max_counts, max_counts + count, 0.0);
   std::fill(max_plans, max_plans + count, kNullPlanId);
   double* per_transform = arena.Array<double>(t * count);
   double* median_scratch = arena.Array<double>(t);
-  double* interval_counts =
-      arena.Array<double>(ranges.MaxTransformIntervals());
+  double* interval_counts = arena.Array<double>(ranges.IntervalCount());
+  double* interval_costs = arena.Array<double>(ranges.IntervalCount());
+  // With one interval per slot a range count sums bucket counts scaled by
+  // fractions <= 1, and rounding is monotone, so no count exceeds the
+  // plan's sample count. A plan at or below the noise floor then has
+  // density max(0, raw - floor) = +0.0 at every point: it adds nothing to
+  // a total and never leads, so skipping it changes no answer. Several
+  // intervals per slot can cover a bucket more than once, so the
+  // decomposition mode sweeps every plan.
+  const bool prune = ranges.offsets == nullptr;
   for (const auto& [plan, synopsis] : synopses_) {
+    if (prune && static_cast<double>(synopsis.SampleCount()) <= noise_floor) {
+      continue;
+    }
     // All of this plan's histograms are walked batch-at-a-time: each bucket
     // array stays cache-hot across the count points of its transform.
-    synopsis.BatchTransformCounts(ranges, interval_counts, per_transform);
+    synopsis.SweepRanges(ranges, interval_counts, interval_costs,
+                         per_transform);
     for (size_t p = 0; p < count; ++p) {
       // The median over transforms of the point's range count.
       for (size_t i = 0; i < t; ++i) {
@@ -309,15 +325,17 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
       if (density > max_counts[p]) {
         max_counts[p] = density;
         max_plans[p] = plan;
+        for (size_t i = 0; i < t; ++i) {
+          leader_costs[p * t + i] = SlotCostOf(ranges, i * count + p,
+                                               interval_counts,
+                                               interval_costs);
+        }
       }
     }
   }
 
-  // `answered` marks points that cleared the confidence gate; matching on
-  // out[p].plan alone would misfire if a synopsis were keyed kNullPlanId
-  // (Insert does not forbid it), since abstained points carry that id.
-  bool* answered = arena.Array<bool>(count);
-  std::fill(answered, answered + count, false);
+  // Only a confident point is answered, and its cost comes from its
+  // winner's saved sums.
   for (size_t p = 0; p < count; ++p) {
     if (max_counts[p] <= 0.0) continue;
     const double confidence =
@@ -325,27 +343,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
     if (confidence <= config_.confidence_threshold) continue;
     out[p].plan = max_plans[p];
     out[p].confidence = confidence;
-    answered[p] = true;
-  }
-
-  // Cost estimation runs only for the winning plan of a confident point,
-  // grouped by plan: one grouped call per winning synopsis, whatever the
-  // group size.
-  uint32_t* group_idx = arena.Array<uint32_t>(count);
-  double* group_costs = arena.Array<double>(count);
-  for (const auto& [plan, synopsis] : synopses_) {
-    size_t group = 0;
-    for (size_t p = 0; p < count; ++p) {
-      if (answered[p] && max_plans[p] == plan) {
-        group_idx[group++] = static_cast<uint32_t>(p);
-      }
-    }
-    if (group == 0) continue;
-    synopsis.MedianAverageCosts(ranges, group_idx, group, &arena,
-                                group_costs);
-    for (size_t k = 0; k < group; ++k) {
-      out[group_idx[k]].estimated_cost = group_costs[k];
-    }
+    out[p].estimated_cost =
+        MedianCostEstimate(leader_costs + p * t, t, median_scratch);
   }
 }
 
@@ -360,10 +359,17 @@ double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
   const FlatQueryRanges ranges =
       BuildQueryRanges(config_, transforms_, half_widths_, x.data(), 1,
                        &scratch);
-  const uint32_t point = 0;
-  double cost;
-  it->second.MedianAverageCosts(ranges, &point, 1, &scratch.arena, &cost);
-  return cost;
+  const size_t t = ranges.transform_count;
+  Arena& arena = scratch.arena;
+  double* interval_counts = arena.Array<double>(ranges.IntervalCount());
+  double* interval_costs = arena.Array<double>(ranges.IntervalCount());
+  double* counts = arena.Array<double>(t);
+  SlotCost* costs = arena.Array<SlotCost>(t);
+  it->second.SweepRanges(ranges, interval_counts, interval_costs, counts);
+  for (size_t i = 0; i < t; ++i) {
+    costs[i] = SlotCostOf(ranges, i, interval_counts, interval_costs);
+  }
+  return MedianCostEstimate(costs, t, counts);
 }
 
 uint64_t LshHistogramsPredictor::SpaceBytes() const {

@@ -1,7 +1,6 @@
 #ifndef PPC_PPC_PLAN_SYNOPSIS_H_
 #define PPC_PPC_PLAN_SYNOPSIS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -10,8 +9,6 @@
 #include "stats/streaming_histogram.h"
 
 namespace ppc {
-
-class Arena;
 
 /// A batch's query ranges: all intervals in one flat array,
 /// transform-major (every interval of transform 0, then transform 1, ...),
@@ -40,16 +37,32 @@ struct FlatQueryRanges {
     return {intervals + SlotBegin(k), intervals + SlotBegin(k + 1)};
   }
 
-  /// The most intervals any one transform holds across all points.
-  size_t MaxTransformIntervals() const {
-    size_t most = 0;
-    for (size_t i = 0; i < transform_count; ++i) {
-      most = std::max(most, SlotBegin((i + 1) * point_count) -
-                                SlotBegin(i * point_count));
-    }
-    return most;
+  /// Intervals across all slots.
+  size_t IntervalCount() const {
+    return SlotBegin(transform_count * point_count);
   }
 };
+
+/// One slot's cost sums, over the slot's intervals whose count c is > 0:
+/// the count sum, and the sum of c * (cost / c). The second term is the
+/// interval's EstimateAverageCost weighted back by its count; the quotient
+/// is rounded before it is multiplied back.
+struct SlotCost {
+  double count = 0.0;
+  double cost = 0.0;
+};
+
+/// Slot k's SlotCost, from the per-interval results of a
+/// PlanSynopsis::SweepRanges over `ranges`, summed in interval order.
+SlotCost SlotCostOf(const FlatQueryRanges& ranges, size_t k,
+                    const double* interval_counts,
+                    const double* interval_costs);
+
+/// A point's cost estimate from its `t` per-transform SlotCosts: the
+/// median, over the transforms with count > 0, of cost / count; 0 when no
+/// transform found support. `scratch` holds t doubles.
+double MedianCostEstimate(const SlotCost* per_transform, size_t t,
+                          double* scratch);
 
 /// The histogram synopsis of one query plan's sample distribution: one
 /// bounded-bucket database histogram per randomized transform, keyed by
@@ -65,33 +78,18 @@ class PlanSynopsis {
   /// `transform_idx`'s linearized space, with execution cost `cost`.
   void Insert(size_t transform_idx, double position, double cost);
 
-  /// Per-transform range counts of every point in `ranges`: the summed
-  /// count of slot (i, p)'s intervals lands in
-  /// `counts_out[i * point_count + p]`; the median over i is point p's
-  /// density estimate. One path for every batch size and both range
-  /// modes: per transform, one simd::HistogramRangeCountMany call counts
-  /// all of that transform's intervals (contiguous in `ranges`) into
-  /// `interval_counts` (caller scratch, >= ranges.MaxTransformIntervals()
-  /// doubles), then each slot sums its intervals' counts in order. Each
-  /// count is bit-identical to summing EstimateCount over the slot's
-  /// intervals.
-  void BatchTransformCounts(const FlatQueryRanges& ranges,
-                            double* interval_counts,
-                            double* counts_out) const;
-
-  /// Median over transforms of the average cost in each of the `n` points
-  /// point_idx[0..n)'s ranges, into out[k]; a transform counts only where
-  /// the point has non-zero density, and a point with none anywhere gets
-  /// 0. A transform's cost is the count-weighted mean over the point's
-  /// intervals, c * (cost / c) summed over the intervals with count c > 0
-  /// and divided by their count sum — the same arithmetic as summing
-  /// c * EstimateAverageCost. Per transform, one
-  /// simd::HistogramRangeCountCostMany call covers every interval of the
-  /// selected points. Workspace comes from `arena`, sized by the selected
-  /// points' intervals.
-  void MedianAverageCosts(const FlatQueryRanges& ranges,
-                          const uint32_t* point_idx, size_t n, Arena* arena,
-                          double* out) const;
+  /// One sweep of every interval in `ranges`, counts and costs together.
+  /// Per transform, one simd::HistogramRangeCountCostMany call covers all
+  /// of that transform's intervals (contiguous in `ranges`): interval j's
+  /// count and cost sum land in interval_counts[j] and interval_costs[j]
+  /// (caller scratch, ranges.IntervalCount() doubles each). Slot
+  /// k = i * point_count + p's count sum, in interval order, lands in
+  /// counts_out[k]; the median over i is point p's density. By the
+  /// kernel's contract each count is bit-identical to EstimateCount. The
+  /// interval results stay for SlotCostOf, so a caller costs only the
+  /// slots it needs. One path for every batch size and both range modes.
+  void SweepRanges(const FlatQueryRanges& ranges, double* interval_counts,
+                   double* interval_costs, double* counts_out) const;
 
   /// Samples inserted (identical across transforms; per-transform count).
   size_t SampleCount() const;

@@ -241,6 +241,7 @@ PlanServer::PlanServer(PpcFramework* framework, Config config)
       handler_(owned_handler_.get()),
       metrics_(&framework->metrics()),
       config_(std::move(config)),
+      runs_span_templates_(true),
       queue_(config_.queue_capacity) {}
 
 PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
@@ -248,6 +249,7 @@ PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
     : handler_(handler),
       metrics_(metrics),
       config_(std::move(config)),
+      runs_span_templates_(false),
       queue_(config_.queue_capacity) {
   PPC_CHECK(handler != nullptr && metrics != nullptr);
 }
@@ -830,7 +832,10 @@ void PlanServer::ProcessSingle(WorkItem* item, size_t worker_index) {
   }
   const wire::Response response =
       handler_->Handle(item->request, worker_index);
-  Reply(item, response);
+  std::string frame;
+  wire::EncodeResponse(response, &frame);
+  item->conn->Send(&frame, Connection::WhenFull::kWait);
+  Account(*item, response.ok());
   if (response.type == wire::MessageType::kShutdown && response.ok()) {
     // Ack already on the outbox; now start the drain. Everything admitted
     // before this point still completes, and every flush finishes before
@@ -842,34 +847,29 @@ void PlanServer::ProcessSingle(WorkItem* item, size_t worker_index) {
 void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
                                    size_t worker_index) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  const wire::Request& head = items[0].request;
-  wire::Request batch;
-  batch.type = wire::MessageType::kPredictBatch;
-  batch.id = head.id;
-  batch.template_name = head.template_name;
-  batch.batch_dims = static_cast<uint32_t>(head.point.size());
-  batch.batch_points.reserve(count * head.point.size());
-  for (size_t p = 0; p < count; ++p) {
-    if (config_.pre_dispatch_hook) {
+  if (config_.pre_dispatch_hook) {
+    for (size_t p = 0; p < count; ++p) {
       config_.pre_dispatch_hook(items[p].request.type);
     }
-    batch.batch_points.insert(batch.batch_points.end(),
-                              items[p].request.point.begin(),
-                              items[p].request.point.end());
   }
-  const wire::Response answer = handler_->Handle(batch, worker_index);
-  const bool rejected = answer.status == wire::WireStatus::kBadRequest ||
-                        answer.status == wire::WireStatus::kNotFound;
-  if (answer.ok() ? answer.batch.size() != count : rejected) {
-    // A rejection of the request (unknown template, bad arity, non-finite
-    // coordinate) must not fail items that would succeed alone: answer
-    // each request on its own instead. The hooks already ran. Any other
-    // failure (a shard behind the router is down or timed out) would
-    // recur per item, so the batch's error answers every item.
-    for (size_t p = 0; p < count; ++p) {
-      Reply(&items[p], handler_->Handle(items[p].request, worker_index));
+  // One PREDICT_BATCH per (template, arity) group, in order of first
+  // appearance.
+  std::vector<wire::Response> responses(count);
+  std::vector<bool> grouped(count, false);
+  std::vector<size_t> group;
+  for (size_t first = 0; first < count; ++first) {
+    if (grouped[first]) continue;
+    const wire::Request& head = items[first].request;
+    group.clear();
+    for (size_t p = first; p < count; ++p) {
+      const wire::Request& request = items[p].request;
+      if (!grouped[p] && request.template_name == head.template_name &&
+          request.point.size() == head.point.size()) {
+        grouped[p] = true;
+        group.push_back(p);
+      }
     }
-    return;
+    AnswerPredictGroup(items, group, worker_index, responses.data());
   }
   // Append every reply first, then flush each connection this worker was
   // handed once, so a run's replies to one connection leave in one write.
@@ -877,38 +877,72 @@ void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
   // outbox room: the flush it would wait on might be its own, or held by
   // a worker waiting on one of this worker's connections.
   std::vector<Connection*> to_flush;
-  std::string frame;
+  std::string frames;
   for (size_t p = 0; p < count; ++p) {
-    wire::Response response;
-    response.type = wire::MessageType::kPredict;
-    response.id = items[p].request.id;
-    if (answer.ok()) {
-      response.predict = answer.batch[p];
-    } else {
-      response.status = answer.status;
-      response.error = answer.error;
-    }
-    frame.clear();
-    wire::EncodeResponse(response, &frame);
+    wire::EncodeResponse(responses[p], &frames);
     Connection* conn = items[p].conn.get();
+    // Consecutive replies to one connection go in one append.
+    if (p + 1 < count && items[p + 1].conn.get() == conn) continue;
     const Connection::WhenFull when_full =
         to_flush.empty() ? Connection::WhenFull::kWait
                          : Connection::WhenFull::kAppend;
-    if (conn->Append(&frame, when_full) == Connection::Queued::kFlush) {
+    if (conn->Append(&frames, when_full) == Connection::Queued::kFlush) {
       to_flush.push_back(conn);
     }
+    frames.clear();
   }
   for (Connection* conn : to_flush) conn->Flush();
-  for (size_t p = 0; p < count; ++p) Account(items[p], answer.ok());
+  for (size_t p = 0; p < count; ++p) Account(items[p], responses[p].ok());
   instruments_.microbatches->Increment();
   instruments_.microbatched_predicts->Increment(count);
 }
 
-void PlanServer::Reply(WorkItem* item, const wire::Response& response) {
-  std::string frame;
-  wire::EncodeResponse(response, &frame);
-  item->conn->Send(&frame, Connection::WhenFull::kWait);
-  Account(*item, response.ok());
+void PlanServer::AnswerPredictGroup(const WorkItem* items,
+                                    const std::vector<size_t>& group,
+                                    size_t worker_index,
+                                    wire::Response* responses) {
+  if (group.size() == 1) {
+    responses[group[0]] = handler_->Handle(items[group[0]].request,
+                                           worker_index);
+    return;
+  }
+  const wire::Request& head = items[group[0]].request;
+  wire::Request batch;
+  batch.type = wire::MessageType::kPredictBatch;
+  batch.id = head.id;
+  batch.template_name = head.template_name;
+  batch.batch_dims = static_cast<uint32_t>(head.point.size());
+  batch.batch_points.reserve(group.size() * head.point.size());
+  for (const size_t p : group) {
+    batch.batch_points.insert(batch.batch_points.end(),
+                              items[p].request.point.begin(),
+                              items[p].request.point.end());
+  }
+  const wire::Response answer = handler_->Handle(batch, worker_index);
+  const bool rejected = answer.status == wire::WireStatus::kBadRequest ||
+                        answer.status == wire::WireStatus::kNotFound;
+  if (answer.ok() ? answer.batch.size() != group.size() : rejected) {
+    // A rejection of the request (unknown template, bad arity, non-finite
+    // coordinate) must not fail items that would succeed alone: answer
+    // each request on its own instead. Any other failure (a shard behind
+    // the router is down or timed out) would recur per item, so the
+    // batch's error answers every item of the group.
+    for (const size_t p : group) {
+      responses[p] = handler_->Handle(items[p].request, worker_index);
+    }
+    return;
+  }
+  for (size_t k = 0; k < group.size(); ++k) {
+    wire::Response& response = responses[group[k]];
+    response.type = wire::MessageType::kPredict;
+    response.id = items[group[k]].request.id;
+    if (answer.ok()) {
+      response.predict = answer.batch[k];
+    } else {
+      response.status = answer.status;
+      response.error = answer.error;
+    }
+  }
 }
 
 void PlanServer::Account(const WorkItem& item, bool ok) {
@@ -957,24 +991,32 @@ void PlanServer::WorkerLoop(size_t worker_index) {
   while (std::optional<WorkItem> item = queue_.Pop()) {
     run.push_back(std::move(*item));
     // Opportunistic micro-batch: after popping a single-point PREDICT,
-    // take the same-(template, arity) PREDICTs queued right behind it
-    // (never blocking) up to the cap, and answer them as one
-    // PREDICT_BATCH. Anything else stays queued for the other workers, so
-    // a handler that blocks (the router's forwards) keeps its
-    // parallelism. A zero-arity point cannot form a PREDICT_BATCH. The
-    // first shed rung turns this off — under sustained pressure one slow
-    // batch must not grow head-of-line latency (DESIGN.md §14).
+    // take the single-point PREDICTs queued right behind it (never
+    // blocking) up to the cap, stopping at the first request that is not
+    // one, and answer them as one run. In front of its own framework a
+    // run takes any template. In front of another handler (the router's
+    // forwards) it takes only the head's template and arity: a forward
+    // blocks the worker, and a mixed run would make one template's
+    // answers wait behind another shard's round trip, or a hung shard's
+    // deadline. Anything else stays queued for the other workers. A
+    // zero-arity point cannot form a PREDICT_BATCH. The first shed rung
+    // turns this off — under sustained pressure one slow batch must not
+    // grow head-of-line latency (DESIGN.md §14).
+    const auto single_point_predict = [](const wire::Request& request) {
+      return request.type == wire::MessageType::kPredict &&
+             !request.point.empty();
+    };
     if (shed_.level() < net::ShedController::kNoMicrobatch &&
-        run.front().request.type == wire::MessageType::kPredict &&
-        !run.front().request.point.empty()) {
-      const auto same_run = [&run](const WorkItem& next) {
+        single_point_predict(run.front().request)) {
+      const auto joins_run = [&](const WorkItem& next) {
         const wire::Request& head = run.front().request;
-        return next.request.type == wire::MessageType::kPredict &&
-               next.request.template_name == head.template_name &&
-               next.request.point.size() == head.point.size();
+        return single_point_predict(next.request) &&
+               (runs_span_templates_ ||
+                (next.request.template_name == head.template_name &&
+                 next.request.point.size() == head.point.size()));
       };
       while (run.size() < kMaxMicrobatch) {
-        std::optional<WorkItem> extra = queue_.TryPopIf(same_run);
+        std::optional<WorkItem> extra = queue_.TryPopIf(joins_run);
         if (!extra.has_value()) break;
         run.push_back(std::move(*extra));
       }

@@ -109,12 +109,17 @@ class PlanServer {
   };
 
   /// Opportunistic micro-batching: when a worker pops a single-point
-  /// PREDICT, it also takes the same-template PREDICTs queued right
-  /// behind it (without blocking, up to this many in all) and hands them
-  /// to the handler as one PREDICT_BATCH, so even non-batching clients
-  /// amortize the lock/transform/histogram costs under load (DESIGN.md
-  /// §13). Each answer is still its own frame, so clients observe
-  /// identical frames either way.
+  /// PREDICT, it also takes the single-point PREDICTs queued right behind
+  /// it (without blocking, up to this many in all) as one run. A server
+  /// in front of its own framework takes them whatever their template; one
+  /// in front of another handler (PlanRouter) takes only the head's
+  /// template, so a blocking forward never holds another template's
+  /// answers. The run goes to the handler as one PREDICT_BATCH per
+  /// (template, arity), and its replies leave in one write per
+  /// connection, so even non-batching clients amortize the
+  /// lock/transform/histogram costs and the socket writes under load
+  /// (DESIGN.md §13). Each answer is still its own frame, so clients
+  /// observe identical frames either way.
   static constexpr size_t kMaxMicrobatch = 16;
 
   /// Serves `framework`; the `server.*` instruments go to its registry.
@@ -187,16 +192,22 @@ class PlanServer {
   /// that arrived after the IO loop stopped reading are answered with a
   /// SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
-  /// Answers one work item the scalar way: hook, handle, write, account.
+  /// Answers one work item the scalar way: hook, handle, send, account.
   void ProcessSingle(WorkItem* item, size_t worker_index);
-  /// Answers `count` same-template single-point PREDICT items with one
-  /// PREDICT_BATCH through the handler; falls back to one request per
-  /// item when the batch is rejected (e.g. one point is non-finite), so
-  /// grouping never changes which requests succeed. Any other failure
-  /// answers every item with the batch's error.
+  /// Answers a run of `count` single-point PREDICT items: one
+  /// AnswerPredictGroup per (template, arity) group, in order of first
+  /// appearance, then every reply appended and each connection flushed
+  /// once.
   void ProcessPredictRun(WorkItem* items, size_t count, size_t worker_index);
-  /// Sends `response` to the item's connection, then Account()s it.
-  void Reply(WorkItem* item, const wire::Response& response);
+  /// Answers the items at `group` (one template and arity) into the same
+  /// slots of `responses`, with one PREDICT_BATCH through the handler (a
+  /// group of one goes as its own PREDICT); falls back to one request per item when the batch is rejected (e.g.
+  /// one point is non-finite), so grouping never changes which requests
+  /// succeed. Any other failure answers every item of the group with the
+  /// batch's error.
+  void AnswerPredictGroup(const WorkItem* items,
+                          const std::vector<size_t>& group,
+                          size_t worker_index, wire::Response* responses);
   /// Records the item's request counter and latency (admission to reply
   /// handed off), and the error counter when `ok` is false.
   void Account(const WorkItem& item, bool ok);
@@ -214,6 +225,9 @@ class PlanServer {
   RequestHandler* const handler_;
   MetricsRegistry* const metrics_;
   const Config config_;
+  /// Whether a micro-batch run may mix templates: true when this server
+  /// answers from its own framework, false in front of another handler.
+  const bool runs_span_templates_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -251,8 +265,8 @@ class PlanServer {
     MetricsCounter* requests_metrics = nullptr;
     MetricsCounter* requests_ping = nullptr;
     MetricsCounter* requests_shutdown = nullptr;
-    /// Micro-batching effectiveness: runs answered through one
-    /// PREDICT_BATCH, and single-point PREDICTs answered through them.
+    /// Micro-batching effectiveness: runs of two or more single-point
+    /// PREDICTs a worker answered together, and the PREDICTs in them.
     MetricsCounter* microbatches = nullptr;
     MetricsCounter* microbatched_predicts = nullptr;
     MetricsCounter* responses_busy = nullptr;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "clustering/confidence.h"
 #include "common/alloc_counter.h"
-#include "common/arena.h"
 #include "ppc/metrics.h"
+#include "lsh/transform.h"
 #include "ppc/plan_synopsis.h"
 #include "test_util.h"
 
@@ -54,14 +57,20 @@ TEST(PlanSynopsisTest, MedianAverageCostSkipsEmptyTransforms) {
   const std::vector<ZInterval> intervals = {
       {0.15, 0.25}, {0.15, 0.25}, {0.15, 0.25}};
   const FlatQueryRanges ranges{intervals.data(), nullptr, 3, 1};
-  const uint32_t point = 0;
-  Arena arena;
-  double cost = 0.0;
-  synopsis.MedianAverageCosts(ranges, &point, 1, &arena, &cost);
-  EXPECT_NEAR(cost, 100.0, 1e-6);
+  std::vector<double> interval_counts(3), interval_costs(3), counts(3);
+  synopsis.SweepRanges(ranges, interval_counts.data(), interval_costs.data(),
+                       counts.data());
+  std::vector<SlotCost> costs;
+  for (size_t i = 0; i < 3; ++i) {
+    costs.push_back(SlotCostOf(ranges, i, interval_counts.data(),
+                               interval_costs.data()));
+  }
+  std::vector<double> scratch(3);
+  EXPECT_NEAR(MedianCostEstimate(costs.data(), 3, scratch.data()), 100.0,
+              1e-6);
 }
 
-/// The per-interval cost arithmetic MedianAverageCosts must reproduce: per
+/// The per-interval cost arithmetic SweepRanges must reproduce: per
 /// transform, c * EstimateAverageCost summed over the point's intervals
 /// with EstimateCount c > 0, over their count sum; then the median over
 /// the transforms that found any count.
@@ -130,16 +139,12 @@ TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
     std::vector<uint32_t> batch_offsets;
     const FlatQueryRanges batch =
         flatten(0, count, &batch_intervals, &batch_offsets);
-    std::vector<double> interval_counts(batch.MaxTransformIntervals());
+    std::vector<double> batch_interval_counts(batch.IntervalCount());
+    std::vector<double> batch_interval_costs(batch.IntervalCount());
     std::vector<double> batch_counts(t * count);
-    synopsis.BatchTransformCounts(batch, interval_counts.data(),
-                                  batch_counts.data());
-    std::vector<uint32_t> all(count);
-    for (size_t p = 0; p < count; ++p) all[p] = static_cast<uint32_t>(p);
-    Arena arena;
-    std::vector<double> batch_costs(count);
-    synopsis.MedianAverageCosts(batch, all.data(), count, &arena,
-                                batch_costs.data());
+    synopsis.SweepRanges(batch, batch_interval_counts.data(),
+                         batch_interval_costs.data(), batch_counts.data());
+    std::vector<double> scratch(t);
 
     size_t costed = 0;
     for (size_t p = 0; p < count; ++p) {
@@ -147,10 +152,19 @@ TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
       std::vector<uint32_t> alone_offsets;
       const FlatQueryRanges alone =
           flatten(p, 1, &alone_intervals, &alone_offsets);
+      std::vector<double> interval_counts(alone.IntervalCount());
+      std::vector<double> interval_costs(alone.IntervalCount());
       std::vector<double> alone_counts(t);
-      synopsis.BatchTransformCounts(alone, interval_counts.data(),
-                                    alone_counts.data());
+      synopsis.SweepRanges(alone, interval_counts.data(),
+                           interval_costs.data(), alone_counts.data());
+      std::vector<SlotCost> alone_costs(t);
+      std::vector<SlotCost> batch_costs(t);
       for (size_t i = 0; i < t; ++i) {
+        alone_costs[i] = SlotCostOf(alone, i, interval_counts.data(),
+                                    interval_costs.data());
+        batch_costs[i] =
+            SlotCostOf(batch, i * count + p, batch_interval_counts.data(),
+                       batch_interval_costs.data());
         double reference = 0.0;
         const auto [begin, end] = alone.Slice(i, 0);
         for (const ZInterval* interval = begin; interval != end; ++interval) {
@@ -163,11 +177,17 @@ TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
         EXPECT_EQ(alone_counts[i], reference)
             << "decomposition " << decomposition << " point " << p
             << " transform " << i;
+        EXPECT_EQ(alone_costs[i].count, batch_costs[i].count)
+            << "decomposition " << decomposition << " point " << p
+            << " transform " << i;
+        EXPECT_EQ(alone_costs[i].cost, batch_costs[i].cost)
+            << "decomposition " << decomposition << " point " << p
+            << " transform " << i;
       }
-      const uint32_t only = 0;
-      double alone_cost = 0.0;
-      synopsis.MedianAverageCosts(alone, &only, 1, &arena, &alone_cost);
-      EXPECT_EQ(alone_cost, batch_costs[p])
+      const double alone_cost =
+          MedianCostEstimate(alone_costs.data(), t, scratch.data());
+      EXPECT_EQ(alone_cost,
+                MedianCostEstimate(batch_costs.data(), t, scratch.data()))
           << "decomposition " << decomposition << " point " << p;
       EXPECT_EQ(alone_cost, ReferenceMedianAverageCost(synopsis, alone, 0))
           << "decomposition " << decomposition << " point " << p;
@@ -242,6 +262,282 @@ TEST(LshHistogramsTest, PredictBatchBitIdenticalToScalarPredict) {
           << "point " << p;
     }
   }
+}
+
+/// The synopsis `predictor` keeps for `plan` after learning `sample`,
+/// rebuilt outside it: the same transform ensemble (generation 0 draws it
+/// from the config's seed), fed that plan's samples in order.
+PlanSynopsis SynopsisOf(const LshHistogramsPredictor::Config& cfg,
+                        const std::vector<LabeledPoint>& sample,
+                        PlanId plan) {
+  TransformConfig tc;
+  tc.input_dims = cfg.dimensions;
+  tc.output_dims = DefaultOutputDims(cfg.dimensions);
+  tc.bits_per_dim = cfg.bits_per_dim;
+  const TransformEnsemble transforms(tc, cfg.transform_count, cfg.seed);
+  PlanSynopsis synopsis(transforms.size(), cfg.histogram_buckets,
+                        cfg.merge_policy);
+  for (const LabeledPoint& point : sample) {
+    if (point.plan != plan) continue;
+    for (size_t i = 0; i < transforms.size(); ++i) {
+      synopsis.Insert(i, transforms[i].LinearizedPosition(point.coords),
+                      point.cost);
+    }
+  }
+  return synopsis;
+}
+
+/// `x`'s query ranges, as the predictor builds them, in one flat
+/// single-point batch backed by `intervals` and `offsets`.
+FlatQueryRanges FlatRangesOf(const LshHistogramsPredictor& predictor,
+                             const std::vector<double>& x,
+                             std::vector<ZInterval>* intervals,
+                             std::vector<uint32_t>* offsets) {
+  const auto per_transform = predictor.QueryRanges(x);
+  *offsets = {0};
+  for (const auto& slot : per_transform) {
+    intervals->insert(intervals->end(), slot.begin(), slot.end());
+    offsets->push_back(static_cast<uint32_t>(intervals->size()));
+  }
+  return FlatQueryRanges{intervals->data(), offsets->data(),
+                         per_transform.size(), 1};
+}
+
+/// Every plan in `synopses` walked in id order with no pruning: the
+/// median density above the noise floor, the first strict maximum as the
+/// leader, the confidence gate, and the leader's cost.
+Prediction UnprunedPredict(const LshHistogramsPredictor& predictor,
+                           const std::map<PlanId, PlanSynopsis>& synopses,
+                           size_t total_samples,
+                           const std::vector<double>& x) {
+  const auto& cfg = predictor.config();
+  std::vector<ZInterval> intervals;
+  std::vector<uint32_t> offsets;
+  const FlatQueryRanges ranges =
+      FlatRangesOf(predictor, x, &intervals, &offsets);
+  const size_t t = ranges.transform_count;
+  const double floor =
+      cfg.noise_fraction * static_cast<double>(total_samples);
+  std::vector<double> interval_counts(ranges.IntervalCount());
+  std::vector<double> interval_costs(ranges.IntervalCount());
+  std::vector<double> counts(t);
+  std::vector<SlotCost> leader_costs(t);
+  double total = 0.0;
+  double max = 0.0;
+  PlanId leader = kNullPlanId;
+  for (const auto& [plan, synopsis] : synopses) {
+    synopsis.SweepRanges(ranges, interval_counts.data(),
+                         interval_costs.data(), counts.data());
+    const double density = std::max(0.0, Median(counts) - floor);
+    total += density;
+    if (density > max) {
+      max = density;
+      leader = plan;
+      for (size_t i = 0; i < t; ++i) {
+        leader_costs[i] = SlotCostOf(ranges, i, interval_counts.data(),
+                                     interval_costs.data());
+      }
+    }
+  }
+  Prediction out;
+  if (max <= 0.0) return out;
+  const double confidence = ConfidenceFromCounts(max, total - max);
+  if (confidence <= cfg.confidence_threshold) return out;
+  out.plan = leader;
+  out.confidence = confidence;
+  out.estimated_cost = MedianCostEstimate(leader_costs.data(), t,
+                                          counts.data());
+  return out;
+}
+
+TEST(LshHistogramsTest, EstimatedCostIsTheWinnersCostBitForBit) {
+  // A point's estimated_cost comes from the cost sums its winner left in
+  // the count sweep. It must equal EstimateCost(x, winner) and the
+  // per-interval c * EstimateAverageCost reference, bit for bit, for a
+  // point alone and inside a 33-point batch (AVX2 lanes plus a scalar
+  // tail), in both range modes.
+  for (bool decomposition : {false, true}) {
+    auto cfg = BaseConfig();
+    cfg.interval_decomposition = decomposition;
+    cfg.noise_fraction = 0.002;
+    cfg.confidence_threshold = 0.0;  // cost every point with a leader
+    Rng rng(37);
+    const auto sample = SamplePoints(2, 2000, testutil::QuadrantPlan, &rng);
+    const LshHistogramsPredictor predictor(cfg, sample);
+    std::map<PlanId, PlanSynopsis> synopses;
+    for (PlanId plan = 1; plan <= 4; ++plan) {
+      synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
+    }
+    const size_t count = 33;
+    Rng probe(41);
+    std::vector<double> flat;
+    for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
+    const std::vector<Prediction> batch =
+        predictor.PredictBatch(flat.data(), count);
+    size_t answered = 0;
+    for (size_t p = 0; p < count; ++p) {
+      const std::vector<double> x = {flat[2 * p], flat[2 * p + 1]};
+      const Prediction alone = predictor.Predict(x);
+      EXPECT_EQ(batch[p].plan, alone.plan) << "point " << p;
+      EXPECT_EQ(batch[p].confidence, alone.confidence) << "point " << p;
+      EXPECT_EQ(batch[p].estimated_cost, alone.estimated_cost)
+          << "point " << p;
+      if (!alone.has_value()) continue;
+      ++answered;
+      EXPECT_EQ(alone.estimated_cost, predictor.EstimateCost(x, alone.plan))
+          << "decomposition " << decomposition << " point " << p;
+      std::vector<ZInterval> intervals;
+      std::vector<uint32_t> offsets;
+      const FlatQueryRanges ranges =
+          FlatRangesOf(predictor, x, &intervals, &offsets);
+      EXPECT_EQ(alone.estimated_cost,
+                ReferenceMedianAverageCost(synopses.at(alone.plan), ranges,
+                                           0))
+          << "decomposition " << decomposition << " point " << p;
+    }
+    EXPECT_GT(answered, count / 2) << "decomposition " << decomposition;
+  }
+}
+
+TEST(LshHistogramsTest, EstimatedCostFollowsALeaderThatChangesMidWalk) {
+  // Plans are walked in id order. Around (0.5, 0.5) plan 1 has support
+  // and leads first, plan 2 (four times as dense) takes over, and plan 3
+  // (as sparse as plan 1) does not. Around (0.85, 0.85) plan 2 leads and
+  // plan 3 takes over last. Around (0.15, 0.15) only plan 1 has support.
+  // Each plan costs a different amount, so a cost left over from an
+  // earlier leader, or taken from a later non-leader, would show.
+  for (bool decomposition : {false, true}) {
+    auto cfg = BaseConfig();
+    cfg.interval_decomposition = decomposition;
+    cfg.confidence_threshold = 0.0;  // answer every point with a leader
+    std::vector<LabeledPoint> sample;
+    Rng rng(43);
+    auto add = [&](double center, PlanId plan, int n) {
+      for (int k = 0; k < n; ++k) {
+        const std::vector<double> x = {center + rng.Uniform(-0.05, 0.05),
+                                       center + rng.Uniform(-0.05, 0.05)};
+        sample.push_back({x, plan, 1000.0 * static_cast<double>(plan) +
+                                       rng.Uniform(0.0, 10.0)});
+      }
+    };
+    add(0.5, 1, 100);
+    add(0.5, 2, 400);
+    add(0.5, 3, 100);
+    add(0.85, 2, 100);
+    add(0.85, 3, 400);
+    add(0.15, 1, 300);
+    const LshHistogramsPredictor predictor(cfg, sample);
+    std::map<PlanId, PlanSynopsis> synopses;
+    for (PlanId plan = 1; plan <= 3; ++plan) {
+      synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
+    }
+    const struct {
+      double center;
+      PlanId winner;
+      PlanId first_leader;
+    } cases[] = {{0.5, 2, 1}, {0.85, 3, 2}, {0.15, 1, 1}};
+    for (const auto& c : cases) {
+      const std::vector<double> x = {c.center, c.center};
+      const Prediction answer = predictor.Predict(x);
+      ASSERT_EQ(answer.plan, c.winner) << "center " << c.center;
+      EXPECT_EQ(answer.estimated_cost, predictor.EstimateCost(x, c.winner))
+          << "center " << c.center;
+      const Prediction reference = UnprunedPredict(
+          predictor, synopses, predictor.TotalSamples(), x);
+      EXPECT_EQ(answer.plan, reference.plan) << "center " << c.center;
+      EXPECT_EQ(answer.confidence, reference.confidence)
+          << "center " << c.center;
+      EXPECT_EQ(answer.estimated_cost, reference.estimated_cost)
+          << "center " << c.center;
+      // The costs a stale or misplaced copy would have left differ.
+      for (PlanId other = 1; other <= 3; ++other) {
+        if (other == c.winner) continue;
+        EXPECT_NE(answer.estimated_cost, predictor.EstimateCost(x, other))
+            << "center " << c.center << " plan " << other;
+      }
+      // The leader really changed mid-walk: the first leader had support.
+      if (c.first_leader != c.winner) {
+        EXPECT_GT(predictor.EstimateCost(x, c.first_leader), 0.0)
+            << "center " << c.center;
+      }
+    }
+  }
+}
+
+TEST(LshHistogramsTest, APlanAtTheNoiseFloorIsSkippedWithoutChangingAnswers) {
+  // Plan 1 holds exactly floor = noise_fraction * |X| = 10 samples, all
+  // at (0.5, 0.5), so its range count there is exactly the floor and its
+  // density +0.0: the predictor skips it without sweeping. Plans 2 and 3
+  // hold identical samples around the same point, so they tie and the
+  // lower id must win. Every answer, batched or alone, must equal the
+  // unpruned walk bit for bit.
+  auto cfg = BaseConfig();
+  cfg.noise_fraction = 1.0 / 128.0;  // exact in binary
+  // A tie has confidence 0, so a gate at or above 0 would hide the
+  // tie-break: answer every point with a leader.
+  cfg.confidence_threshold = -1.0;
+  std::vector<LabeledPoint> sample;
+  for (int k = 0; k < 10; ++k) sample.push_back({{0.5, 0.5}, 1, 50.0});
+  Rng rng(47);
+  for (int k = 0; k < 600; ++k) {
+    const std::vector<double> x = {0.5 + rng.Uniform(-0.08, 0.08),
+                                   0.5 + rng.Uniform(-0.08, 0.08)};
+    const double cost = rng.Uniform(100.0, 120.0);
+    sample.push_back({x, 2, cost});
+    sample.push_back({x, 3, cost});
+  }
+  for (int k = 0; k < 70; ++k) {
+    sample.push_back({{0.1 + rng.Uniform(0.0, 0.1), 0.9}, 4, 400.0});
+  }
+  ASSERT_EQ(sample.size(), 1280u);
+  const LshHistogramsPredictor predictor(cfg, sample);
+  std::map<PlanId, PlanSynopsis> synopses;
+  for (PlanId plan = 1; plan <= 4; ++plan) {
+    synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
+  }
+
+  // Plan 1 sits exactly at the floor where it has support.
+  const std::vector<double> center = {0.5, 0.5};
+  {
+    std::vector<ZInterval> intervals;
+    std::vector<uint32_t> offsets;
+    const FlatQueryRanges ranges =
+        FlatRangesOf(predictor, center, &intervals, &offsets);
+    const size_t t = ranges.transform_count;
+    std::vector<double> interval_counts(ranges.IntervalCount());
+    std::vector<double> interval_costs(ranges.IntervalCount());
+    std::vector<double> counts(t);
+    synopses.at(1).SweepRanges(ranges, interval_counts.data(),
+                               interval_costs.data(), counts.data());
+    for (size_t i = 0; i < t; ++i) EXPECT_EQ(counts[i], 10.0) << i;
+    EXPECT_EQ(cfg.noise_fraction * 1280.0, 10.0);
+  }
+  const Prediction at_center = predictor.Predict(center);
+  EXPECT_EQ(at_center.plan, 2u) << "a tie must go to the lower plan id";
+
+  std::vector<std::vector<double>> probes = {center, {0.15, 0.9}};
+  Rng probe(53);
+  while (probes.size() < 33) {
+    probes.push_back({0.5 + probe.Uniform(-0.1, 0.1),
+                      0.5 + probe.Uniform(-0.1, 0.1)});
+  }
+  std::vector<double> flat;
+  for (const auto& x : probes) flat.insert(flat.end(), x.begin(), x.end());
+  const std::vector<Prediction> batch =
+      predictor.PredictBatch(flat.data(), probes.size());
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const Prediction reference =
+        UnprunedPredict(predictor, synopses, sample.size(), probes[p]);
+    const Prediction alone = predictor.Predict(probes[p]);
+    for (const Prediction* answer : {&alone, &batch[p]}) {
+      EXPECT_EQ(answer->plan, reference.plan) << "probe " << p;
+      EXPECT_EQ(answer->confidence, reference.confidence) << "probe " << p;
+      EXPECT_EQ(answer->estimated_cost, reference.estimated_cost)
+          << "probe " << p;
+    }
+    EXPECT_NE(reference.plan, 1u) << "probe " << p;
+  }
+  EXPECT_EQ(batch[1].plan, 4u);
 }
 
 TEST(LshHistogramsTest, PredictBatchIntoAllocatesNothingAfterWarmup) {

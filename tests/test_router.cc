@@ -247,9 +247,12 @@ constexpr TemplateSpec kTemplates[] = {
     {"Q0", 2}, {"Q1", 2}, {"Q2", 2}, {"Q3", 3}, {"Q4", 3},
     {"Q5", 4}, {"Q6", 4}, {"Q7", 5}, {"Q8", 6}};
 
+/// A point for template `name`, or for an alias of it ("Q1_alias3").
 std::vector<double> PointFor(const std::string& name) {
   for (const TemplateSpec& spec : kTemplates) {
-    if (name == spec.name) return std::vector<double>(spec.dims, 0.5);
+    if (name == spec.name || name.rfind(std::string(spec.name) + "_", 0) == 0) {
+      return std::vector<double>(spec.dims, 0.5);
+    }
   }
   return {};
 }
@@ -314,6 +317,28 @@ class RouterTest : public ::testing::Test {
       if (owner.value() == ShardNode(i)) return i;
     }
     return -1;
+  }
+
+  /// A template the ring places on shard `index`: the first evaluation
+  /// template it owns. With two ephemeral ports the ring puts all nine on
+  /// one shard about 1 run in 100; then an alias of Q1 whose name the
+  /// ring places there is registered on every shard (the ring places
+  /// names, not templates). Call it before the first EXECUTE, which
+  /// seals the template registries.
+  std::string TemplateOwnedBy(int index) {
+    for (const TemplateSpec& spec : kTemplates) {
+      if (OwnerIndex(spec.name) == index) return spec.name;
+    }
+    for (int k = 0;; ++k) {
+      const std::string name = "Q1_alias" + std::to_string(k);
+      if (OwnerIndex(name) != index) continue;
+      QueryTemplate alias = EvaluationTemplate("Q1");
+      alias.name = name;
+      for (auto& framework : frameworks_) {
+        EXPECT_TRUE(framework->RegisterTemplate(alias).ok());
+      }
+      return name;
+    }
   }
 
   Status ConnectClient(PpcClient* client) {
@@ -741,15 +766,8 @@ TEST_F(RouterTest, ExecuteAfterAShardRestartIsNotFailedOver) {
 
 TEST_F(RouterTest, AHungShardLeavesTheOtherShardsTemplatesServed) {
   StartRouter({0, 1}, /*backend_deadline_ms=*/1500);
-  std::string hung_template;
-  std::string live_template;
-  for (const TemplateSpec& spec : kTemplates) {
-    const int owner = OwnerIndex(spec.name);
-    if (owner == 0 && hung_template.empty()) hung_template = spec.name;
-    if (owner == 1 && live_template.empty()) live_template = spec.name;
-  }
-  ASSERT_FALSE(hung_template.empty());
-  ASSERT_FALSE(live_template.empty());
+  const std::string hung_template = TemplateOwnedBy(0);
+  const std::string live_template = TemplateOwnedBy(1);
 
   // Shard 0 hangs. Twice as many EXECUTEs for it as the router has
   // workers; each forward it accepts blocks until the backend deadline.
@@ -786,6 +804,42 @@ TEST_F(RouterTest, AHungShardLeavesTheOtherShardsTemplatesServed) {
 
   hung_[0].store(false);
   for (uint64_t id : ids) ASSERT_TRUE(hung_client.Wait(id).ok());
+}
+
+TEST_F(RouterTest, PipelinedPredictsForALiveShardDoNotWaitBehindAHungOne) {
+  // A forward blocks its worker, so the router's micro-batch runs take
+  // one template only. A run that mixed a hung shard's template with a
+  // live shard's would hold the live answers until the backend deadline.
+  StartRouter({0, 1}, /*backend_deadline_ms=*/1500);
+  const std::string hung_template = TemplateOwnedBy(0);
+  const std::string live_template = TemplateOwnedBy(1);
+
+  hung_[0].store(true);
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  std::vector<uint64_t> hung_ids;
+  std::vector<uint64_t> live_ids;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 32; ++i) {
+    const std::string& name = i % 2 == 0 ? hung_template : live_template;
+    auto id = client.SendPredict(name, PointFor(name));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    (i % 2 == 0 ? hung_ids : live_ids).push_back(id.value());
+  }
+  for (uint64_t id : live_ids) {
+    auto answer = client.Wait(id);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer.value().ok()) << answer.value().error;
+  }
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, 750)
+      << "a live template's PREDICTs waited behind the hung shard's";
+
+  hung_[0].store(false);
+  for (uint64_t id : hung_ids) ASSERT_TRUE(client.Wait(id).ok());
 }
 
 TEST_F(RouterTest, AFailedRunIsForwardedOnceNotOncePerItem) {

@@ -309,6 +309,104 @@ TEST_F(ServerTest, MicrobatchedPredictsMatchUnbatchedAnswers) {
       12u);
 }
 
+TEST_F(ServerTest, AMicrobatchRunSpansTemplates) {
+  // A server in front of its own framework takes single-point PREDICTs
+  // into one run whatever their template. Templates alternate in the
+  // burst, so a same-template rule would form no run at all.
+  ASSERT_TRUE(framework_->RegisterTemplate(EvaluationTemplate("Q5")).ok());
+  const std::vector<std::string> templates = {"Q1", "Q3", "Q5"};
+  Rng rng(31);
+  for (const std::string& name : templates) {
+    const size_t dims = name == "Q1" ? 2 : name == "Q3" ? 3 : 4;
+    for (int i = 0; i < 150; ++i) {
+      std::vector<double> x(dims);
+      for (double& v : x) v = 0.5 + rng.Uniform(-0.02, 0.02);
+      ASSERT_TRUE(framework_->ExecuteAtPoint(name, x).ok());
+    }
+  }
+
+  // Gate the single worker so the burst piles up in the queue.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> entered{0};
+  PlanServer::Config config;
+  config.worker_threads = 1;
+  config.queue_capacity = 64;
+  config.pre_dispatch_hook = [&](wire::MessageType) {
+    if (entered.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    }
+  };
+  StartServer(config);
+
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  auto gate = client.SendPing();
+  ASSERT_TRUE(gate.ok());
+  while (entered.load() == 0) std::this_thread::yield();
+
+  // 24 PREDICTs over three templates; one Q3 point is not finite, so its
+  // group's PREDICT_BATCH is rejected.
+  constexpr size_t kBurst = 24;
+  constexpr size_t kNonFinite = 7;
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> points;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < kBurst; ++i) {
+    names.push_back(templates[i % templates.size()]);
+    const size_t dims = i % 3 == 0 ? 2 : i % 3 == 1 ? 3 : 4;
+    const double spread = (i % 4 == 0) ? 0.45 : 0.03;
+    std::vector<double> x(dims);
+    for (double& v : x) v = 0.5 + rng.Uniform(-spread, spread);
+    if (i == kNonFinite) x[1] = 1e308 * 10;
+    points.push_back(x);
+    auto id = client.SendPredict(names.back(), points.back());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_EQ(names[kNonFinite], "Q3");
+  while (server_->queued_requests() < kBurst) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  ASSERT_TRUE(client.Wait(gate.value()).ok());
+  size_t committed = 0;
+  for (size_t i = 0; i < kBurst; ++i) {
+    auto response = client.Wait(ids[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (i == kNonFinite) {
+      EXPECT_EQ(response.value().status, wire::WireStatus::kBadRequest);
+      continue;
+    }
+    ASSERT_TRUE(response.value().ok())
+        << "point " << i << ": " << response.value().error;
+    // Each answer equals that point's scalar answer.
+    auto scalar = framework_->PredictAtPoint(names[i], points[i]);
+    ASSERT_TRUE(scalar.ok());
+    EXPECT_EQ(response.value().predict.plan, scalar.value().plan)
+        << "point " << i;
+    EXPECT_EQ(response.value().predict.confidence, scalar.value().confidence)
+        << "point " << i;
+    EXPECT_EQ(response.value().predict.cache_hit, scalar.value().cache_hit)
+        << "point " << i;
+    committed += scalar.value().plan != kNullPlanId ? 1 : 0;
+  }
+  EXPECT_GT(committed, 0u) << "no template warmed to a committed plan";
+
+  // The worker counts a run after writing its replies.
+  ASSERT_TRUE(WaitFor(
+      [&] { return Counter("server.microbatched_predicts") >= kBurst; }));
+  EXPECT_GT(Counter("server.microbatches"), 0u);
+  EXPECT_GT(Counter("server.microbatched_predicts"),
+            Counter("server.microbatches"))
+      << "no run took more than one template";
+}
+
 TEST_F(ServerTest, ExecuteRoundTripFeedsTheOnlineLoop) {
   StartServer();
   PpcClient client;

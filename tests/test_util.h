@@ -73,10 +73,11 @@ inline double MedianDensity(const PlanSynopsis& synopsis,
   std::vector<ZInterval> intervals;
   for (double c : centers) intervals.push_back({c - delta, c + delta});
   const FlatQueryRanges ranges{intervals.data(), nullptr, intervals.size(), 1};
-  std::vector<double> interval_counts(ranges.MaxTransformIntervals());
+  std::vector<double> interval_counts(ranges.IntervalCount());
+  std::vector<double> interval_costs(ranges.IntervalCount());
   std::vector<double> counts(centers.size());
-  synopsis.BatchTransformCounts(ranges, interval_counts.data(),
-                                counts.data());
+  synopsis.SweepRanges(ranges, interval_counts.data(), interval_costs.data(),
+                       counts.data());
   return Median(counts);
 }
 
