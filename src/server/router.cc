@@ -197,6 +197,9 @@ void PlanRouter::RecordBackendFailure(BackendState* state) {
 
 wire::Response PlanRouter::Handle(const wire::Request& request,
                                   size_t worker_index) {
+  // Only workers call a router's handler: its PlanServer never answers on
+  // the IO thread, whose index is one past the workers'.
+  PPC_DCHECK(worker_index < worker_clients_.size());
   BackendClients* clients = &worker_clients_[worker_index];
   wire::Response response;
   response.type = request.type;

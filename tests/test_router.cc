@@ -880,6 +880,37 @@ TEST_F(RouterTest, AFailedRunIsForwardedOnceNotOncePerItem) {
       << "no run formed, so the batch path went untested";
 }
 
+TEST_F(RouterTest, ARoutersIoThreadAnswersNoPredictItself) {
+  // A forward blocks for a backend round trip, so the router's core keeps
+  // every PREDICT on its workers; only a server in front of its own
+  // framework answers PREDICTs on its IO thread.
+  StartRouter();
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  constexpr uint64_t kRequests = 64;
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    auto id = client.SendPredict("Q1", PointFor("Q1"));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  }
+  for (uint64_t id : ids) {
+    auto answer = client.Wait(id);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer.value().ok()) << answer.value().error;
+  }
+  // The core counts a request after writing its answer, so poll briefly.
+  MetricsRegistry& metrics = router_->metrics();
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (metrics.counter("server.requests.predict").value() >= kRequests) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(metrics.counter("server.requests.predict").value(), kRequests);
+  EXPECT_EQ(metrics.counter("server.inline_predicts").value(), 0u);
+}
+
 TEST_F(RouterTest, ShutdownOverTheWireDrainsTheRouter) {
   StartRouter();
   PpcClient client;
