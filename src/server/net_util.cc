@@ -190,8 +190,10 @@ Status SetNonBlocking(int fd) {
 }
 
 Status WriteAll(int fd, const char* data, size_t size,
-                const Deadline& deadline) {
-  size_t sent = 0;
+                const Deadline& deadline, size_t* written) {
+  size_t unreported = 0;
+  size_t& sent = written != nullptr ? *written : unreported;
+  sent = 0;
   while (sent < size) {
     size_t chunk = size - sent;
     const failpoints::Action fault = failpoints::Hit(failpoints::Site::kSend);
@@ -224,7 +226,8 @@ Status WriteAll(int fd, const char* data, size_t size,
         return Status::Unavailable("injected frame truncation");
       }
       case failpoints::Kind::kStallMs:
-        failpoints::MaybeStall(fault);
+        // A write that may not wait (an expired deadline) skips the stall.
+        if (!deadline.expired()) failpoints::MaybeStall(fault);
         break;
       case failpoints::Kind::kNone:
         break;

@@ -87,9 +87,12 @@ Status SetNonBlocking(int fd);
 /// deadline) for writability on EAGAIN; works for blocking and
 /// non-blocking fds, SIGPIPE suppressed. DeadlineExceeded when the
 /// deadline expires mid-write (the stream is then mid-frame and must be
-/// closed), Unavailable when the peer is gone.
+/// closed), Unavailable when the peer is gone. `*written`, when given,
+/// receives the bytes written, on failure too. With an already expired
+/// deadline the call never waits: it writes what the socket takes now,
+/// and an injected kSend stall is skipped.
 Status WriteAll(int fd, const char* data, size_t size,
-                const Deadline& deadline);
+                const Deadline& deadline, size_t* written = nullptr);
 
 /// Reads exactly `size` bytes. DeadlineExceeded when the deadline expires
 /// first, Unavailable when the peer closes before `size` bytes arrived.

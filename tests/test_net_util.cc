@@ -124,6 +124,30 @@ TEST_F(SocketPairTest, WriteAllTimesOutWhenPeerStopsReading) {
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST_F(SocketPairTest, WriteAllWithAnExpiredDeadlineWritesWhatFitsAndReportsIt) {
+  // Nobody reads `right`: the call takes what the kernel buffers hold,
+  // reports how much, and returns without waiting for the rest.
+  const std::vector<char> block(1 << 20, 'x');
+  size_t written = 0;
+  const auto start = std::chrono::steady_clock::now();
+  Status status = WriteAll(left(), block.data(), block.size(),
+                           Deadline::AfterMs(0), &written);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(written, 0u);
+  EXPECT_LT(written, block.size());
+  // A stall injected at the send site is skipped too.
+  failpoints::Config stall;
+  stall.kind = failpoints::Kind::kStallMs;
+  stall.arg = 2000;
+  failpoints::Arm(failpoints::Site::kSend, stall);
+  status = WriteAll(left(), block.data(), block.size(), Deadline::AfterMs(0),
+                    &written);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(written, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+}
+
 TEST_F(SocketPairTest, WriteAllReportsPeerCloseAsUnavailable) {
   CloseRight();
   const std::vector<char> block(1 << 16, 'x');
