@@ -140,6 +140,16 @@ PhaseStats DriveRouter(uint16_t router_port, const HashRing& ring,
   return merged;
 }
 
+/// How many of the stream's templates `ring` places on `node`.
+size_t TemplatesOwnedBy(const HashRing& ring, const HashRing::Node& node) {
+  size_t owned = 0;
+  for (const char* name : kTemplates) {
+    const auto owner = ring.Owner(name);
+    if (owner.ok() && owner.value() == node) ++owned;
+  }
+  return owned;
+}
+
 /// Predicts the same fresh points shard-direct against both shards and
 /// counts answers that differ. The joiner adopted the leader's exact
 /// predictor state over the wire, and PREDICT is deterministic in that
@@ -234,14 +244,31 @@ void Run() {
 
   // Shard B: warm-started from A over the wire. Its readiness line is
   // printed only after the snapshot is fetched, validated, and applied,
-  // so LISTENING-time IS the warm-up-to-steady time.
-  const auto join_start = loadgen::Clock::now();
+  // so LISTENING-time IS the warm-up-to-steady time. The ring places the
+  // templates by the shards' ephemeral ports, and an unlucky port gives B
+  // none of them, so the joined phase would judge nothing; then B is
+  // respawned on a fresh port until the joined ring (the router's
+  // placement, mirrored) gives it a template.
   ChildProcess joiner;
-  Spawn(server_bin,
-        {"--port=0",
-         "--warm-start-from=127.0.0.1:" + std::to_string(leader.port)},
-        &joiner);
-  const double warmup_seconds = loadgen::SecondsSince(join_start);
+  HashRing joined_ring;
+  double warmup_seconds = 0.0;
+  for (int attempt = 1;; ++attempt) {
+    const auto join_start = loadgen::Clock::now();
+    Spawn(server_bin,
+          {"--port=0",
+           "--warm-start-from=127.0.0.1:" + std::to_string(leader.port)},
+          &joiner);
+    warmup_seconds = loadgen::SecondsSince(join_start);
+    const HashRing::Node node{"127.0.0.1", joiner.port};
+    joined_ring = HashRing();
+    joined_ring.Add(leader_node);
+    joined_ring.Add(node);
+    if (TemplatesOwnedBy(joined_ring, node) > 0) break;
+    PPC_CHECK_MSG(attempt < 10, "the ring gave ten joiners no template");
+    std::printf("joiner on :%u would own no template; respawning\n",
+                joiner.port);
+    joiner.Terminate();
+  }
   std::printf("joiner shard on :%u (warm start + ready in %.3fs)\n",
               joiner.port, warmup_seconds);
 
@@ -266,9 +293,6 @@ void Run() {
     PPC_CHECK_MSG(added.value() == 2, "expected 2 backends after join");
   }
 
-  HashRing joined_ring;
-  joined_ring.Add(leader_node);
-  joined_ring.Add(joiner_node);
   PhaseStats joined =
       DriveRouter(router.port, joined_ring, {leader_node, joiner_node},
                   kJoinedPerClient, 41);

@@ -4,8 +4,11 @@
 // Child-process plumbing for the benches that run the serving tier as
 // real processes (bench_cluster_throughput, bench_cluster_failover):
 // locate the ppc_server / ppc_router binaries, fork/exec them, and wait
-// for their `LISTENING <port>` readiness line instead of sleeping.
+// for their `LISTENING <port>` readiness line instead of sleeping. A
+// child dies with the thread that spawned it, so an aborted bench leaves
+// no shard or router running.
 
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -73,13 +76,22 @@ struct ChildProcess {
 /// fork/exec `binary` with `args`, then block until it prints
 /// `LISTENING <port>`. Aborts the bench when the child dies first (its
 /// stderr goes to ours, so the cause is on the terminal).
+///
+/// The child gets SIGKILL when the calling thread exits (PR_SET_PDEATHSIG
+/// follows the forking thread, not the process), so spawn from a thread
+/// that outlives the child; every caller spawns from main.
 inline void Spawn(const std::string& binary,
                   const std::vector<std::string>& args, ChildProcess* child) {
   int pipe_fds[2];
   PPC_CHECK_MSG(::pipe(pipe_fds) == 0, "pipe failed");
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   PPC_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
+    // A parent that died before prctl ran sends no signal: the child has
+    // already been reparented, so it checks and leaves on its own.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);

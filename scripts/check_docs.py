@@ -13,6 +13,9 @@
    tests/, perfbench/, examples/), so docs cannot keep naming a symbol
    that was renamed or deleted. History and planning files name removed
    symbols on purpose and are not checked.
+4. Bench check: every `bench_*` name inside a code span of the same
+   reference docs must be a target in bench/CMakeLists.txt, so a deleted
+   bench cannot stay documented.
 
 Exits non-zero with one line per violation.
 """
@@ -38,6 +41,9 @@ QUALIFIED_RE = re.compile(r"^((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\(\))?$")
 # Two or more capitalized humps: PlanSynopsis, EstimateCount, ZInterval.
 CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]*[A-Z]\w*$")
 WORD_RE = re.compile(r"\w+")
+# A bench binary's name; `bench_util.h` and the like are files, not benches.
+BENCH_NAME_RE = re.compile(r"\bbench_\w+\b(?!\.h\b)")
+BENCH_TARGET_RE = re.compile(r"(?:ppc_add_bench|add_executable)\((bench_\w+)")
 CODE_DIRS = ("src", "bench", "tests", "perfbench", "examples")
 REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
@@ -126,9 +132,9 @@ def code_words():
     return words
 
 
-def check_doc_symbols():
-    words = code_words()
-    errors = []
+def reference_code_spans():
+    """(file, line number, span) for every inline code span outside fenced
+    blocks in the reference docs."""
     for rel in markdown_files():
         if rel not in REFERENCE_DOCS and not rel.startswith("docs"):
             continue
@@ -141,23 +147,48 @@ def check_doc_symbols():
                 if in_fence:
                     continue
                 for span in CODE_SPAN_RE.findall(line):
-                    match = QUALIFIED_RE.match(span.strip())
-                    if not match:
-                        continue
-                    parts = match.group(1).split("::")
-                    if len(parts) == 1 and not CAMEL_RE.match(parts[0]):
-                        continue
-                    missing = [p for p in parts if p not in words]
-                    if missing:
-                        errors.append(f"{rel}:{lineno}: `{span}` names "
-                                      f"{', '.join(missing)}, which no "
-                                      "code file contains")
+                    yield rel, lineno, span
+
+
+def check_doc_symbols():
+    words = code_words()
+    errors = []
+    for rel, lineno, span in reference_code_spans():
+        match = QUALIFIED_RE.match(span.strip())
+        if not match:
+            continue
+        parts = match.group(1).split("::")
+        if len(parts) == 1 and not CAMEL_RE.match(parts[0]):
+            continue
+        missing = [p for p in parts if p not in words]
+        if missing:
+            errors.append(f"{rel}:{lineno}: `{span}` names "
+                          f"{', '.join(missing)}, which no code file "
+                          "contains")
+    return errors
+
+
+def bench_targets():
+    with open(os.path.join(REPO, "bench", "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        return set(BENCH_TARGET_RE.findall(f.read()))
+
+
+def check_doc_benches():
+    targets = bench_targets()
+    errors = []
+    for rel, lineno, span in reference_code_spans():
+        for name in BENCH_NAME_RE.findall(span):
+            if name not in targets:
+                errors.append(f"{rel}:{lineno}: `{span}` names {name}, "
+                              "which is not a target in "
+                              "bench/CMakeLists.txt")
     return errors
 
 
 def main():
     errors = (check_markdown_links() + check_doc_presence() +
-              check_doc_symbols())
+              check_doc_symbols() + check_doc_benches())
     for error in errors:
         print(error)
     if errors:

@@ -149,26 +149,6 @@ void RandomizedTransform::LinearizedPositionBatch(
   }
 }
 
-void RandomizedTransform::CellBoxFromTransformed(
-    const double* y, double d, std::vector<uint32_t>* lo,
-    std::vector<uint32_t>* hi) const {
-  const uint32_t cells = curve_.cells_per_dim();
-  const size_t s = static_cast<size_t>(config_.output_dims);
-  const double radius = d * scale_;
-  lo->resize(s);
-  hi->resize(s);
-  for (size_t j = 0; j < s; ++j) {
-    const double lo_frac = (y[j] - radius - grid_lo_) / grid_extent_;
-    const double hi_frac = (y[j] + radius - grid_lo_) / grid_extent_;
-    (*lo)[j] = static_cast<uint32_t>(
-        Clamp(std::floor(lo_frac * static_cast<double>(cells)), 0.0,
-              static_cast<double>(cells - 1)));
-    (*hi)[j] = static_cast<uint32_t>(
-        Clamp(std::floor(hi_frac * static_cast<double>(cells)), 0.0,
-              static_cast<double>(cells - 1)));
-  }
-}
-
 double RandomizedTransform::RangeHalfWidth(double d) const {
   const int s = config_.output_dims;
   // Radius d in the plan space becomes d * scale_ in the transformed space

@@ -75,17 +75,9 @@ class RandomizedTransform {
   std::vector<uint32_t> Cell(const std::vector<double>& point) const;
 
   /// Step 4 from already-transformed coordinates `y` (s doubles), writing
-  /// the cell into `cell` (s entries). Lets batched callers reuse one
-  /// ApplyBatch result for both cell and cell-box computation.
+  /// the cell into `cell` (s entries), so a caller holding an ApplyBatch
+  /// result need not transform again.
   void CellFromTransformed(const double* y, uint32_t* cell) const;
-
-  /// Grid-cell index box covered by the transformed ball of plan-space
-  /// radius `d` around the point whose transformed coordinates are `y` (s
-  /// doubles): per-dimension inclusive ranges, clamped to the grid. Feed
-  /// to ZOrderCurve::DecomposeBox for exact Z-range querying.
-  void CellBoxFromTransformed(const double* y, double d,
-                              std::vector<uint32_t>* lo,
-                              std::vector<uint32_t>* hi) const;
 
   /// Z-order-linearized grid position of `point`, in [0, 1).
   double LinearizedPosition(const std::vector<double>& point) const;

@@ -1,8 +1,6 @@
 #include "lsh/zorder.h"
 
-#include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/macros.h"
 #include "lsh/simd.h"
@@ -75,111 +73,6 @@ double ZOrderCurve::Linearize(const std::vector<uint32_t>& cells) const {
 double ZOrderCurve::Linearize(const uint32_t* cells) const {
   const double denom = std::ldexp(1.0, total_bits());
   return static_cast<double>(Interleave(cells)) / denom;
-}
-
-namespace {
-
-/// Recursive quadtree descent: `g` is the next interleaved bit to fix
-/// (counting down from total_bits; bit g-1 belongs to dimension
-/// (g-1) % dims and coordinate bit (g-1) / dims). `node_lo`/`node_hi`
-/// bound the node's cell prefix box; z0 is the node's first curve code.
-void Descend(int g, int dims, uint64_t z0, std::vector<uint32_t>& node_lo,
-             std::vector<uint32_t>& node_hi,
-             const std::vector<uint32_t>& box_lo,
-             const std::vector<uint32_t>& box_hi,
-             std::vector<std::pair<uint64_t, uint64_t>>* out) {
-  // Disjoint?
-  for (int d = 0; d < dims; ++d) {
-    const size_t i = static_cast<size_t>(d);
-    if (node_hi[i] < box_lo[i] || node_lo[i] > box_hi[i]) return;
-  }
-  // Fully contained?
-  bool contained = true;
-  for (int d = 0; d < dims; ++d) {
-    const size_t i = static_cast<size_t>(d);
-    if (node_lo[i] < box_lo[i] || node_hi[i] > box_hi[i]) {
-      contained = false;
-      break;
-    }
-  }
-  if (contained || g == 0) {
-    const uint64_t span = uint64_t{1} << g;
-    if (!out->empty() && out->back().second == z0) {
-      out->back().second = z0 + span;  // coalesce adjacent runs
-    } else {
-      out->emplace_back(z0, z0 + span);
-    }
-    return;
-  }
-
-  // Split on interleaved bit g-1: dimension d, coordinate bit cb.
-  const int bit = g - 1;
-  const int d = bit % dims;
-  const int cb = bit / dims;
-  const size_t i = static_cast<size_t>(d);
-  const uint32_t mid_mask = uint32_t{1} << cb;
-  const uint32_t save_lo = node_lo[i];
-  const uint32_t save_hi = node_hi[i];
-
-  // In this node, dim i's bits above cb are fixed (shared prefix in
-  // save_lo/save_hi); bits cb and below run 0..1 freely.
-  // Child 0: coordinate bit cb = 0 -> range [save_lo, prefix|0|1...1].
-  node_hi[i] = save_lo | (mid_mask - 1);
-  Descend(bit, dims, z0, node_lo, node_hi, box_lo, box_hi, out);
-  node_hi[i] = save_hi;
-
-  // Child 1: coordinate bit cb = 1 -> range [prefix|1|0...0, save_hi].
-  node_lo[i] = save_lo | mid_mask;
-  Descend(bit, dims, z0 + (uint64_t{1} << bit), node_lo, node_hi, box_lo,
-          box_hi, out);
-  node_lo[i] = save_lo;
-}
-
-}  // namespace
-
-std::vector<ZInterval> ZOrderCurve::DecomposeBox(
-    const std::vector<uint32_t>& lo, const std::vector<uint32_t>& hi,
-    size_t max_intervals) const {
-  PPC_CHECK(static_cast<int>(lo.size()) == dimensions_ &&
-            static_cast<int>(hi.size()) == dimensions_);
-  PPC_CHECK(max_intervals >= 1);
-  const uint32_t mask = cells_per_dim() - 1;
-  std::vector<uint32_t> box_lo(lo), box_hi(hi);
-  for (size_t d = 0; d < box_lo.size(); ++d) {
-    box_lo[d] &= mask;
-    box_hi[d] &= mask;
-    if (box_lo[d] > box_hi[d]) std::swap(box_lo[d], box_hi[d]);
-  }
-  std::vector<uint32_t> node_lo(static_cast<size_t>(dimensions_), 0);
-  std::vector<uint32_t> node_hi(static_cast<size_t>(dimensions_), mask);
-  std::vector<std::pair<uint64_t, uint64_t>> runs;
-  Descend(total_bits(), dimensions_, 0, node_lo, node_hi, box_lo, box_hi,
-          &runs);
-
-  // Merge the smallest gaps until within budget (conservative
-  // over-coverage keeps every box cell queried).
-  while (runs.size() > max_intervals) {
-    size_t best = 0;
-    uint64_t best_gap = ~uint64_t{0};
-    for (size_t i = 0; i + 1 < runs.size(); ++i) {
-      const uint64_t gap = runs[i + 1].first - runs[i].second;
-      if (gap < best_gap) {
-        best_gap = gap;
-        best = i;
-      }
-    }
-    runs[best].second = runs[best + 1].second;
-    runs.erase(runs.begin() + static_cast<ptrdiff_t>(best) + 1);
-  }
-
-  const double denom = std::ldexp(1.0, total_bits());
-  std::vector<ZInterval> intervals;
-  intervals.reserve(runs.size());
-  for (const auto& [z0, z1] : runs) {
-    intervals.push_back({static_cast<double>(z0) / denom,
-                         static_cast<double>(z1) / denom});
-  }
-  return intervals;
 }
 
 }  // namespace ppc

@@ -40,20 +40,6 @@ class ZOrderCurve {
   double Linearize(const std::vector<uint32_t>& cells) const;
   double Linearize(const uint32_t* cells) const;
 
-  /// Decomposes the cell box [lo[d], hi[d]] (inclusive per dimension) into
-  /// disjoint, sorted curve intervals covering exactly the cells inside
-  /// the box — the classic quadtree descent behind BIGMIN-style Z-range
-  /// queries. When the exact decomposition exceeds `max_intervals`,
-  /// adjacent intervals separated by the smallest gaps are merged, so the
-  /// result conservatively over-covers (never under-covers) the box.
-  ///
-  /// This addresses the paper's Sec. IV-C "false negatives phenomenon":
-  /// a contiguous plan-space region split by the Z-order into
-  /// non-contiguous intervals is queried as several ranges instead of one.
-  std::vector<ZInterval> DecomposeBox(const std::vector<uint32_t>& lo,
-                                      const std::vector<uint32_t>& hi,
-                                      size_t max_intervals) const;
-
   int dimensions() const { return dimensions_; }
   int bits_per_dim() const { return bits_per_dim_; }
   int total_bits() const { return dimensions_ * bits_per_dim_; }

@@ -17,21 +17,12 @@ namespace ppc {
 
 namespace {
 
-/// Per-thread workspace of the predict path. The arena is reset
-/// per request; the vectors retain capacity across requests. Sized by the
-/// largest batch the thread has served, so repeated serving reaches a
-/// zero-heap-allocation steady state.
-struct PredictScratch {
-  Arena arena;
-  std::vector<ZInterval> intervals;
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> cell_lo;  // decomposition mode only
-  std::vector<uint32_t> cell_hi;
-};
-
-PredictScratch& ThreadScratch() {
-  thread_local PredictScratch scratch;
-  return scratch;
+/// Per-thread workspace of the predict path, reset per request. It keeps
+/// the capacity of the largest request the thread has served, so repeated
+/// serving reaches a zero-heap-allocation steady state.
+Arena& ThreadArena() {
+  thread_local Arena arena;
+  return arena;
 }
 
 TransformConfig MakeTransformConfig(
@@ -59,9 +50,9 @@ uint64_t EnsembleSeed(const LshHistogramsPredictor::Config& config) {
 
 /// Clamps [position - delta, position + delta] to the histogram domain
 /// [0, 1], sliding the interval inward first so a query at the plan-space
-/// boundary still covers its full 2*delta of curve length (the decomposed
-/// mode clamps its cell box to the grid; an unslid range would hang partly
-/// outside the domain and silently query less mass near the boundary).
+/// boundary still covers its full 2*delta of curve length (an unslid range
+/// would hang partly outside the domain and silently query less mass near
+/// the boundary).
 ZInterval SlideClampInterval(double position, double delta) {
   double lo = position - delta;
   double hi = position + delta;
@@ -93,66 +84,30 @@ std::vector<double> RangeHalfWidths(
   return half_widths;
 }
 
-/// The one range builder: the flat, transform-major query ranges of
-/// `count` row-major points, backed by `scratch` (whose arena the caller
-/// has reset). Predict, PredictBatch, EstimateCost and QueryRanges all
-/// query through it. `half_widths` holds RangeHalfWidths(config,
-/// transforms).
-FlatQueryRanges BuildQueryRanges(const LshHistogramsPredictor::Config& config,
-                                 const TransformEnsemble& transforms,
+/// The one range builder: the paper's single range per point, one
+/// interval per slot of the flat, transform-major query ranges of `count`
+/// row-major points, allocated from `arena`. Predict, PredictBatch,
+/// EstimateCost and QueryRanges all query through it. `half_widths` holds
+/// RangeHalfWidths(config, transforms).
+FlatQueryRanges BuildQueryRanges(const TransformEnsemble& transforms,
                                  const std::vector<double>& half_widths,
                                  const double* points, size_t count,
-                                 PredictScratch* scratch) {
+                                 Arena* arena) {
   const size_t t = transforms.size();
   const size_t s = static_cast<size_t>(transforms[0].config().output_dims);
-  Arena& arena = scratch->arena;
-  FlatQueryRanges ranges;
-  ranges.transform_count = t;
-  ranges.point_count = count;
-  scratch->intervals.clear();
-  if (!config.interval_decomposition) {
-    // The paper's single range per point: one interval per slot, offsets
-    // implicit.
-    scratch->intervals.resize(t * count);
-    double* positions = arena.Array<double>(count);
-    double* transformed = arena.Array<double>(count * s);
-    uint32_t* cell = arena.Array<uint32_t>(s);
-    for (size_t i = 0; i < t; ++i) {
-      const RandomizedTransform& transform = transforms[i];
-      transform.LinearizedPositionBatch(points, count, positions, transformed,
-                                        cell);
-      for (size_t p = 0; p < count; ++p) {
-        scratch->intervals[i * count + p] =
-            SlideClampInterval(positions[p], half_widths[i]);
-      }
-    }
-    ranges.intervals = scratch->intervals.data();
-    return ranges;
-  }
-  // Exact Z-range decomposition: variable intervals per slot, explicit
-  // offsets. DecomposeBox allocates its result vector, so this mode does
-  // not meet the zero-allocation contract (it is the opt-in precision
-  // extension, not the serving default).
-  scratch->offsets.clear();
-  scratch->offsets.push_back(0);
-  double* transformed = arena.Array<double>(count * s);
+  ZInterval* intervals = arena->Array<ZInterval>(t * count);
+  double* positions = arena->Array<double>(count);
+  double* transformed = arena->Array<double>(count * s);
+  uint32_t* cell = arena->Array<uint32_t>(s);
   for (size_t i = 0; i < t; ++i) {
-    const RandomizedTransform& transform = transforms[i];
-    transform.ApplyBatch(points, count, transformed);
+    transforms[i].LinearizedPositionBatch(points, count, positions,
+                                          transformed, cell);
     for (size_t p = 0; p < count; ++p) {
-      transform.CellBoxFromTransformed(transformed + p * s, config.radius,
-                                       &scratch->cell_lo, &scratch->cell_hi);
-      const std::vector<ZInterval> decomposed = transform.curve().DecomposeBox(
-          scratch->cell_lo, scratch->cell_hi, config.max_z_intervals);
-      scratch->intervals.insert(scratch->intervals.end(), decomposed.begin(),
-                                decomposed.end());
-      scratch->offsets.push_back(
-          static_cast<uint32_t>(scratch->intervals.size()));
+      intervals[i * count + p] =
+          SlideClampInterval(positions[p], half_widths[i]);
     }
   }
-  ranges.intervals = scratch->intervals.data();
-  ranges.offsets = scratch->offsets.data();
-  return ranges;
+  return FlatQueryRanges{intervals, t, count};
 }
 
 }  // namespace
@@ -227,20 +182,15 @@ void LshHistogramsPredictor::Insert(const LabeledPoint& point) {
   ++total_samples_;
 }
 
-std::vector<std::vector<ZInterval>> LshHistogramsPredictor::QueryRanges(
+std::vector<ZInterval> LshHistogramsPredictor::QueryRanges(
     const std::vector<double>& x) const {
   PPC_DCHECK(static_cast<int>(x.size()) == config_.dimensions);
-  PredictScratch& scratch = ThreadScratch();
-  scratch.arena.Reset();
-  const FlatQueryRanges flat =
-      BuildQueryRanges(config_, transforms_, half_widths_, x.data(), 1,
-                       &scratch);
-  std::vector<std::vector<ZInterval>> ranges(flat.transform_count);
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    const auto [begin, end] = flat.Slice(i, 0);
-    ranges[i].assign(begin, end);
-  }
-  return ranges;
+  Arena& arena = ThreadArena();
+  arena.Reset();
+  const FlatQueryRanges ranges =
+      BuildQueryRanges(transforms_, half_widths_, x.data(), 1, &arena);
+  return std::vector<ZInterval>(ranges.intervals,
+                                ranges.intervals + ranges.IntervalCount());
 }
 
 Prediction LshHistogramsPredictor::Predict(
@@ -266,12 +216,10 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (synopses_.empty()) return;
 
-  PredictScratch& scratch = ThreadScratch();
-  Arena& arena = scratch.arena;
+  Arena& arena = ThreadArena();
   arena.Reset();
   const FlatQueryRanges ranges =
-      BuildQueryRanges(config_, transforms_, half_widths_, points, count,
-                       &scratch);
+      BuildQueryRanges(transforms_, half_widths_, points, count, &arena);
   const size_t t = ranges.transform_count;
 
   // Noise elimination (Sec. IV-C): a fixed fraction of all samples is
@@ -285,8 +233,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   // Running per-point argmax state, updated plan by plan in std::map
   // order, so a tie resolves to the lower plan id whatever the batch. Each
   // point also keeps its leader's t cost sums (point-major), taken from
-  // the sweep's interval results when the leader changes, so the winner's
-  // cost needs no second sweep.
+  // the sweep's results when the leader changes, so the winner's cost
+  // needs no second sweep.
   double* totals = arena.Array<double>(count);
   double* max_counts = arena.Array<double>(count);
   PlanId* max_plans = arena.Array<PlanId>(count);
@@ -294,30 +242,23 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   std::fill(totals, totals + count, 0.0);
   std::fill(max_counts, max_counts + count, 0.0);
   std::fill(max_plans, max_plans + count, kNullPlanId);
-  double* per_transform = arena.Array<double>(t * count);
+  double* counts = arena.Array<double>(t * count);
+  double* costs = arena.Array<double>(t * count);
   double* median_scratch = arena.Array<double>(t);
-  double* interval_counts = arena.Array<double>(ranges.IntervalCount());
-  double* interval_costs = arena.Array<double>(ranges.IntervalCount());
-  // With one interval per slot a range count sums bucket counts scaled by
-  // fractions <= 1, and rounding is monotone, so no count exceeds the
-  // plan's sample count. A plan at or below the noise floor then has
-  // density max(0, raw - floor) = +0.0 at every point: it adds nothing to
-  // a total and never leads, so skipping it changes no answer. Several
-  // intervals per slot can cover a bucket more than once, so the
-  // decomposition mode sweeps every plan.
-  const bool prune = ranges.offsets == nullptr;
+  // A range count sums bucket counts scaled by fractions <= 1, and
+  // rounding is monotone, so no count exceeds the plan's sample count. A
+  // plan at or below the noise floor then has density
+  // max(0, raw - floor) = +0.0 at every point: it adds nothing to a total
+  // and never leads, so skipping it changes no answer.
   for (const auto& [plan, synopsis] : synopses_) {
-    if (prune && static_cast<double>(synopsis.SampleCount()) <= noise_floor) {
-      continue;
-    }
+    if (static_cast<double>(synopsis.SampleCount()) <= noise_floor) continue;
     // All of this plan's histograms are walked batch-at-a-time: each bucket
     // array stays cache-hot across the count points of its transform.
-    synopsis.SweepRanges(ranges, interval_counts, interval_costs,
-                         per_transform);
+    synopsis.SweepRanges(ranges, counts, costs);
     for (size_t p = 0; p < count; ++p) {
       // The median over transforms of the point's range count.
       for (size_t i = 0; i < t; ++i) {
-        median_scratch[i] = per_transform[i * count + p];
+        median_scratch[i] = counts[i * count + p];
       }
       const double raw = MedianInPlace(median_scratch, t);
       const double density = std::max(0.0, raw - noise_floor);
@@ -326,9 +267,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
         max_counts[p] = density;
         max_plans[p] = plan;
         for (size_t i = 0; i < t; ++i) {
-          leader_costs[p * t + i] = SlotCostOf(ranges, i * count + p,
-                                               interval_counts,
-                                               interval_costs);
+          leader_costs[p * t + i] =
+              SlotCostOf(counts[i * count + p], costs[i * count + p]);
         }
       }
     }
@@ -354,22 +294,19 @@ double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = synopses_.find(plan);
   if (it == synopses_.end()) return 0.0;
-  PredictScratch& scratch = ThreadScratch();
-  scratch.arena.Reset();
+  Arena& arena = ThreadArena();
+  arena.Reset();
   const FlatQueryRanges ranges =
-      BuildQueryRanges(config_, transforms_, half_widths_, x.data(), 1,
-                       &scratch);
+      BuildQueryRanges(transforms_, half_widths_, x.data(), 1, &arena);
   const size_t t = ranges.transform_count;
-  Arena& arena = scratch.arena;
-  double* interval_counts = arena.Array<double>(ranges.IntervalCount());
-  double* interval_costs = arena.Array<double>(ranges.IntervalCount());
   double* counts = arena.Array<double>(t);
-  SlotCost* costs = arena.Array<SlotCost>(t);
-  it->second.SweepRanges(ranges, interval_counts, interval_costs, counts);
+  double* costs = arena.Array<double>(t);
+  SlotCost* slot_costs = arena.Array<SlotCost>(t);
+  it->second.SweepRanges(ranges, counts, costs);
   for (size_t i = 0; i < t; ++i) {
-    costs[i] = SlotCostOf(ranges, i, interval_counts, interval_costs);
+    slot_costs[i] = SlotCostOf(counts[i], costs[i]);
   }
-  return MedianCostEstimate(costs, t, counts);
+  return MedianCostEstimate(slot_costs, t, counts);
 }
 
 uint64_t LshHistogramsPredictor::SpaceBytes() const {
@@ -403,6 +340,8 @@ constexpr uint32_t kSnapshotMagic = 0x50504353;        // "PPCS"
 // rather than silently adopted as generation 0 with unknown ranges.
 constexpr uint32_t kSnapshotVersion = 3;
 constexpr size_t kSnapshotChecksumBytes = sizeof(uint64_t);
+// What v3 snapshots carry in the retired interval-budget field.
+constexpr uint64_t kRetiredIntervalBudget = 8;
 
 }  // namespace
 
@@ -419,8 +358,10 @@ std::string LshHistogramsPredictor::Serialize() const {
   config_section.PutDouble(config_.noise_fraction);
   config_section.PutU8(static_cast<uint8_t>(config_.merge_policy));
   config_section.PutU64(config_.seed);
-  config_section.PutU8(config_.interval_decomposition ? 1 : 0);
-  config_section.PutU64(config_.max_z_intervals);
+  // Two retired fields keep the v3 layout: the Z-order decomposition flag
+  // and its interval budget.
+  config_section.PutU8(0);
+  config_section.PutU64(kRetiredIntervalBudget);
   config_section.PutU32(config_.transform_generation);
   config_section.PutU32(static_cast<uint32_t>(config_.input_lo.size()));
   for (size_t i = 0; i < config_.input_lo.size(); ++i) {
@@ -529,9 +470,15 @@ Result<LshHistogramsPredictor> LshHistogramsPredictor::RestoreParsed(
   config.merge_policy =
       static_cast<StreamingHistogram::MergePolicy>(policy_byte);
   PPC_ASSIGN_OR_RETURN(config.seed, reader.GetU64());
+  // The retired Z-order decomposition mode: a snapshot that asks for it
+  // asks for answers this predictor cannot give. Its interval budget is
+  // range-checked below and otherwise ignored.
   PPC_ASSIGN_OR_RETURN(uint8_t decomposition_byte, reader.GetU8());
-  config.interval_decomposition = decomposition_byte != 0;
-  PPC_ASSIGN_OR_RETURN(config.max_z_intervals, reader.GetU64());
+  if (decomposition_byte != 0) {
+    return Status::InvalidArgument(
+        "snapshot uses the retired Z-order decomposition mode");
+  }
+  PPC_ASSIGN_OR_RETURN(uint64_t interval_budget, reader.GetU64());
   PPC_ASSIGN_OR_RETURN(config.transform_generation, reader.GetU32());
   PPC_ASSIGN_OR_RETURN(uint32_t range_count, reader.GetU32());
   if (range_count != 0 && range_count != dimensions) {
@@ -572,8 +519,7 @@ Result<LshHistogramsPredictor> LshHistogramsPredictor::RestoreParsed(
       bits_per_dim == 0 || bits_per_dim > 62 ||
       config.histogram_buckets < 2 ||
       config.histogram_buckets > kMaxSaneCount ||
-      config.max_z_intervals < 1 ||
-      config.max_z_intervals > kMaxSaneCount) {
+      interval_budget < 1 || interval_budget > kMaxSaneCount) {
     return Status::InvalidArgument(
         "snapshot predictor configuration out of range");
   }
@@ -640,8 +586,6 @@ Status LshHistogramsPredictor::AdoptState(
       a.histogram_buckets != b.histogram_buckets || a.radius != b.radius ||
       a.confidence_threshold != b.confidence_threshold ||
       a.noise_fraction != b.noise_fraction ||
-      a.interval_decomposition != b.interval_decomposition ||
-      a.max_z_intervals != b.max_z_intervals ||
       a.merge_policy != b.merge_policy || a.seed != b.seed ||
       a.input_lo != b.input_lo || a.input_hi != b.input_hi) {
     return Status::InvalidArgument(

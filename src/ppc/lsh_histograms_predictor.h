@@ -53,16 +53,6 @@ class LshHistogramsPredictor : public PlanPredictor {
     /// Noise elimination: fraction of the total sample count subtracted
     /// from each plan's local density estimate; <= 0 disables.
     double noise_fraction = 0.0;
-    /// Z-range querying mode. false: the paper's single interval
-    /// [T(x) - delta, T(x) + delta]. true (extension): the query box is
-    /// decomposed into up to max_z_intervals exact curve ranges via
-    /// quadtree descent. Exact ranges stop distant cells that the curve
-    /// interleaves into the single smeared interval from contributing
-    /// counts (the flip side of Sec. IV-C's contiguity artifacts), which
-    /// measurably raises precision at some cost in recall
-    /// (bench_ext_zorder_decomposition).
-    bool interval_decomposition = false;
-    size_t max_z_intervals = 8;
     StreamingHistogram::MergePolicy merge_policy =
         StreamingHistogram::MergePolicy::kMinVarianceIncrease;
     uint64_t seed = 23;
@@ -109,11 +99,9 @@ class LshHistogramsPredictor : public PlanPredictor {
 
   /// PredictBatch into caller-provided storage (`out` holds `count`
   /// Predictions). This is the zero-allocation serving entry point: all
-  /// scratch comes from a thread-local per-request arena plus
-  /// capacity-retaining thread-local buffers, so after a warm-up call the
-  /// whole prediction performs no heap allocation (verified by the
-  /// allocation-counting test; in interval_decomposition mode the exact
-  /// Z-range decomposition still allocates its interval lists).
+  /// scratch comes from a thread-local per-request arena, so after a
+  /// warm-up call the whole prediction performs no heap allocation
+  /// (verified by the allocation-counting test).
   void PredictBatchInto(const double* points, size_t count,
                         Prediction* out) const;
 
@@ -170,13 +158,11 @@ class LshHistogramsPredictor : public PlanPredictor {
     return config_.transform_generation;
   }
 
-  /// Curve intervals to query for `x`, one list per transform (a single
-  /// interval in the paper's mode, a decomposition in extension mode),
-  /// built by the same range builder as the predict path. All intervals
-  /// lie within the histogram domain [0, 1]. Public for tests and
-  /// diagnostics.
-  std::vector<std::vector<ZInterval>> QueryRanges(
-      const std::vector<double>& x) const;
+  /// The curve interval to query for `x`, one per transform
+  /// ([T_i(x) - delta, T_i(x) + delta], slid into the histogram domain
+  /// [0, 1]), built by the same range builder as the predict path. Public
+  /// for tests and diagnostics.
+  std::vector<ZInterval> QueryRanges(const std::vector<double>& x) const;
 
  private:
   /// Parses the checksum-verified config and data section payloads. Kept

@@ -22,41 +22,23 @@ void PlanSynopsis::Insert(size_t transform_idx, double position,
 }
 
 void PlanSynopsis::SweepRanges(const FlatQueryRanges& ranges,
-                              double* interval_counts, double* interval_costs,
-                              double* counts_out) const {
+                              double* counts_out, double* costs_out) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
   const size_t n = ranges.point_count;
   for (size_t i = 0; i < histograms_.size(); ++i) {
+    // Transform i's slots are contiguous: one call covers them all, each
+    // lane running the scalar accumulation sequence.
     const StreamingHistogram& histogram = histograms_[i];
-    // Transform i's intervals are contiguous across its slots: one call
-    // covers them all, each lane running the scalar accumulation sequence.
-    const size_t first = ranges.SlotBegin(i * n);
     simd::HistogramRangeCountCostMany(
-        histogram.buckets(), histogram.bucket_count(),
-        ranges.intervals + first, ranges.SlotBegin((i + 1) * n) - first,
-        interval_counts + first, interval_costs + first);
-    for (size_t k = i * n; k < (i + 1) * n; ++k) {
-      double total = 0.0;
-      for (size_t j = ranges.SlotBegin(k); j < ranges.SlotBegin(k + 1); ++j) {
-        total += interval_counts[j];
-      }
-      counts_out[k] = total;
-    }
+        histogram.buckets(), histogram.bucket_count(), ranges.intervals + i * n,
+        n, counts_out + i * n, costs_out + i * n);
   }
 }
 
-SlotCost SlotCostOf(const FlatQueryRanges& ranges, size_t k,
-                    const double* interval_counts,
-                    const double* interval_costs) {
-  SlotCost sums;
-  for (size_t j = ranges.SlotBegin(k); j < ranges.SlotBegin(k + 1); ++j) {
-    const double c = interval_counts[j];
-    if (c <= 0.0) continue;
-    sums.count += c;
-    // c * (cost / c), not cost: see SlotCost.
-    sums.cost += c * (interval_costs[j] / c);
-  }
-  return sums;
+SlotCost SlotCostOf(double count, double cost) {
+  if (count <= 0.0) return SlotCost{};
+  // c * (cost / c), not cost: see SlotCost.
+  return SlotCost{count, count * (cost / count)};
 }
 
 double MedianCostEstimate(const SlotCost* per_transform, size_t t,

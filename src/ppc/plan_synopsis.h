@@ -2,7 +2,6 @@
 #define PPC_PPC_PLAN_SYNOPSIS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "lsh/zorder.h"
@@ -10,53 +9,32 @@
 
 namespace ppc {
 
-/// A batch's query ranges: all intervals in one flat array,
-/// transform-major (every interval of transform 0, then transform 1, ...),
-/// with slot (i, p) = i * point_count + p addressing point p's intervals
-/// in transform i. A single point is a batch of one. Non-owning — the
-/// backing storage lives in the caller's per-request scratch.
+/// A batch's query ranges: one interval per slot, in one flat array,
+/// transform-major (every point's interval in transform 0, then transform
+/// 1, ...), so slot k = i * point_count + p is point p's interval in
+/// transform i. A single point is a batch of one. Non-owning — the backing
+/// storage lives in the caller's per-request scratch.
 struct FlatQueryRanges {
   const ZInterval* intervals = nullptr;
-  /// Slot offsets into `intervals`: slot k covers
-  /// [offsets[k], offsets[k+1]). nullptr means every slot holds exactly
-  /// one interval (the paper's single-range mode) and slot k is
-  /// intervals[k .. k+1).
-  const uint32_t* offsets = nullptr;
   size_t transform_count = 0;
   size_t point_count = 0;
 
-  /// Offset of slot k's first interval; slot k ends where k + 1 starts.
-  size_t SlotBegin(size_t k) const {
-    return offsets == nullptr ? k : offsets[k];
-  }
-
-  /// [begin, end) of slot (transform i, point p)'s intervals.
-  std::pair<const ZInterval*, const ZInterval*> Slice(size_t i,
-                                                      size_t p) const {
-    const size_t k = i * point_count + p;
-    return {intervals + SlotBegin(k), intervals + SlotBegin(k + 1)};
-  }
-
-  /// Intervals across all slots.
-  size_t IntervalCount() const {
-    return SlotBegin(transform_count * point_count);
-  }
+  /// Slots (and intervals) in the batch.
+  size_t IntervalCount() const { return transform_count * point_count; }
 };
 
-/// One slot's cost sums, over the slot's intervals whose count c is > 0:
-/// the count sum, and the sum of c * (cost / c). The second term is the
-/// interval's EstimateAverageCost weighted back by its count; the quotient
-/// is rounded before it is multiplied back.
+/// One slot's cost sums when its count c is > 0: the count c, and
+/// c * (cost / c), the slot's EstimateAverageCost weighted back by its
+/// count (the quotient is rounded before it is multiplied back). Both are
+/// 0 when c is not > 0.
 struct SlotCost {
   double count = 0.0;
   double cost = 0.0;
 };
 
-/// Slot k's SlotCost, from the per-interval results of a
-/// PlanSynopsis::SweepRanges over `ranges`, summed in interval order.
-SlotCost SlotCostOf(const FlatQueryRanges& ranges, size_t k,
-                    const double* interval_counts,
-                    const double* interval_costs);
+/// The SlotCost of a slot whose PlanSynopsis::SweepRanges results are
+/// `count` and `cost`.
+SlotCost SlotCostOf(double count, double cost);
 
 /// A point's cost estimate from its `t` per-transform SlotCosts: the
 /// median, over the transforms with count > 0, of cost / count; 0 when no
@@ -80,16 +58,15 @@ class PlanSynopsis {
 
   /// One sweep of every interval in `ranges`, counts and costs together.
   /// Per transform, one simd::HistogramRangeCountCostMany call covers all
-  /// of that transform's intervals (contiguous in `ranges`): interval j's
-  /// count and cost sum land in interval_counts[j] and interval_costs[j]
-  /// (caller scratch, ranges.IntervalCount() doubles each). Slot
-  /// k = i * point_count + p's count sum, in interval order, lands in
-  /// counts_out[k]; the median over i is point p's density. By the
+  /// of that transform's slots (contiguous in `ranges`): slot
+  /// k = i * point_count + p's count lands in counts_out[k] and its cost
+  /// sum in costs_out[k] (caller scratch, ranges.IntervalCount() doubles
+  /// each). The median of counts_out over i is point p's density. By the
   /// kernel's contract each count is bit-identical to EstimateCount. The
-  /// interval results stay for SlotCostOf, so a caller costs only the
-  /// slots it needs. One path for every batch size and both range modes.
-  void SweepRanges(const FlatQueryRanges& ranges, double* interval_counts,
-                   double* interval_costs, double* counts_out) const;
+  /// costs stay for SlotCostOf, so a caller costs only the slots it needs.
+  /// One path for every batch size.
+  void SweepRanges(const FlatQueryRanges& ranges, double* counts_out,
+                   double* costs_out) const;
 
   /// Samples inserted (identical across transforms; per-transform count).
   size_t SampleCount() const;

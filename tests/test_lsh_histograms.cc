@@ -56,39 +56,31 @@ TEST(PlanSynopsisTest, MedianAverageCostSkipsEmptyTransforms) {
   synopsis.Insert(2, 0.2, 100.0);
   const std::vector<ZInterval> intervals = {
       {0.15, 0.25}, {0.15, 0.25}, {0.15, 0.25}};
-  const FlatQueryRanges ranges{intervals.data(), nullptr, 3, 1};
-  std::vector<double> interval_counts(3), interval_costs(3), counts(3);
-  synopsis.SweepRanges(ranges, interval_counts.data(), interval_costs.data(),
-                       counts.data());
+  const FlatQueryRanges ranges{intervals.data(), 3, 1};
+  std::vector<double> counts(3), cost_sums(3);
+  synopsis.SweepRanges(ranges, counts.data(), cost_sums.data());
   std::vector<SlotCost> costs;
   for (size_t i = 0; i < 3; ++i) {
-    costs.push_back(SlotCostOf(ranges, i, interval_counts.data(),
-                               interval_costs.data()));
+    costs.push_back(SlotCostOf(counts[i], cost_sums[i]));
   }
   std::vector<double> scratch(3);
   EXPECT_NEAR(MedianCostEstimate(costs.data(), 3, scratch.data()), 100.0,
               1e-6);
 }
 
-/// The per-interval cost arithmetic SweepRanges must reproduce: per
-/// transform, c * EstimateAverageCost summed over the point's intervals
-/// with EstimateCount c > 0, over their count sum; then the median over
-/// the transforms that found any count.
+/// The cost arithmetic SweepRanges must reproduce: per transform,
+/// c * EstimateAverageCost over the point's EstimateCount c, where c > 0;
+/// then the median over the transforms that found any count.
 double ReferenceMedianAverageCost(const PlanSynopsis& synopsis,
                                   const FlatQueryRanges& ranges, size_t p) {
   std::vector<double> per_transform;
   for (size_t i = 0; i < synopsis.transform_count(); ++i) {
     const StreamingHistogram& h = synopsis.histogram(i);
-    double count = 0.0;
-    double cost_sum = 0.0;
-    const auto [begin, end] = ranges.Slice(i, p);
-    for (const ZInterval* interval = begin; interval != end; ++interval) {
-      const double c = h.EstimateCount(interval->lo, interval->hi);
-      if (c <= 0.0) continue;
-      count += c;
-      cost_sum += c * h.EstimateAverageCost(interval->lo, interval->hi);
-    }
-    if (count > 0.0) per_transform.push_back(cost_sum / count);
+    const ZInterval& interval = ranges.intervals[i * ranges.point_count + p];
+    const double c = h.EstimateCount(interval.lo, interval.hi);
+    if (c <= 0.0) continue;
+    per_transform.push_back(
+        c * h.EstimateAverageCost(interval.lo, interval.hi) / c);
   }
   return per_transform.empty() ? 0.0 : Median(per_transform);
 }
@@ -96,106 +88,80 @@ double ReferenceMedianAverageCost(const PlanSynopsis& synopsis,
 TEST(PlanSynopsisTest, PointAloneMatchesPointInsideABatch) {
   // A point alone runs in the kernels' scalar tail; inside a batch it
   // may sit in an AVX2 lane. Its per-transform counts and median average
-  // cost must not depend on which, and must equal the per-interval
-  // EstimateCount / EstimateAverageCost arithmetic: EXPECT_EQ, no
-  // tolerance, in both range modes.
-  for (bool decomposition : {false, true}) {
-    auto cfg = BaseConfig();
-    cfg.interval_decomposition = decomposition;
-    const LshHistogramsPredictor predictor(cfg);
-    const size_t t = static_cast<size_t>(cfg.transform_count);
-    PlanSynopsis synopsis(t, cfg.histogram_buckets, cfg.merge_policy);
-    Rng rng(29);
-    for (int k = 0; k < 2000; ++k) {
-      for (size_t i = 0; i < t; ++i) {
-        const double u = rng.Uniform();
-        synopsis.Insert(i, u * u, rng.Uniform(10.0, 200.0));
-      }
+  // cost must not depend on which, and must equal the EstimateCount /
+  // EstimateAverageCost arithmetic: EXPECT_EQ, no tolerance.
+  const auto cfg = BaseConfig();
+  const LshHistogramsPredictor predictor(cfg);
+  const size_t t = static_cast<size_t>(cfg.transform_count);
+  PlanSynopsis synopsis(t, cfg.histogram_buckets, cfg.merge_policy);
+  Rng rng(29);
+  for (int k = 0; k < 2000; ++k) {
+    for (size_t i = 0; i < t; ++i) {
+      const double u = rng.Uniform();
+      synopsis.Insert(i, u * u, rng.Uniform(10.0, 200.0));
     }
-
-    const size_t count = 33;
-    std::vector<std::vector<std::vector<ZInterval>>> per_point;
-    Rng probe(31);
-    for (size_t p = 0; p < count; ++p) {
-      per_point.push_back(
-          predictor.QueryRanges({probe.Uniform(), probe.Uniform()}));
-    }
-    // Points [first, first + n) laid out flat and transform-major.
-    auto flatten = [&](size_t first, size_t n,
-                       std::vector<ZInterval>* intervals,
-                       std::vector<uint32_t>* offsets) {
-      *offsets = {0};
-      for (size_t i = 0; i < t; ++i) {
-        for (size_t p = first; p < first + n; ++p) {
-          intervals->insert(intervals->end(), per_point[p][i].begin(),
-                            per_point[p][i].end());
-          offsets->push_back(static_cast<uint32_t>(intervals->size()));
-        }
-      }
-      return FlatQueryRanges{intervals->data(),
-                             decomposition ? offsets->data() : nullptr, t, n};
-    };
-    std::vector<ZInterval> batch_intervals;
-    std::vector<uint32_t> batch_offsets;
-    const FlatQueryRanges batch =
-        flatten(0, count, &batch_intervals, &batch_offsets);
-    std::vector<double> batch_interval_counts(batch.IntervalCount());
-    std::vector<double> batch_interval_costs(batch.IntervalCount());
-    std::vector<double> batch_counts(t * count);
-    synopsis.SweepRanges(batch, batch_interval_counts.data(),
-                         batch_interval_costs.data(), batch_counts.data());
-    std::vector<double> scratch(t);
-
-    size_t costed = 0;
-    for (size_t p = 0; p < count; ++p) {
-      std::vector<ZInterval> alone_intervals;
-      std::vector<uint32_t> alone_offsets;
-      const FlatQueryRanges alone =
-          flatten(p, 1, &alone_intervals, &alone_offsets);
-      std::vector<double> interval_counts(alone.IntervalCount());
-      std::vector<double> interval_costs(alone.IntervalCount());
-      std::vector<double> alone_counts(t);
-      synopsis.SweepRanges(alone, interval_counts.data(),
-                           interval_costs.data(), alone_counts.data());
-      std::vector<SlotCost> alone_costs(t);
-      std::vector<SlotCost> batch_costs(t);
-      for (size_t i = 0; i < t; ++i) {
-        alone_costs[i] = SlotCostOf(alone, i, interval_counts.data(),
-                                    interval_costs.data());
-        batch_costs[i] =
-            SlotCostOf(batch, i * count + p, batch_interval_counts.data(),
-                       batch_interval_costs.data());
-        double reference = 0.0;
-        const auto [begin, end] = alone.Slice(i, 0);
-        for (const ZInterval* interval = begin; interval != end; ++interval) {
-          reference +=
-              synopsis.histogram(i).EstimateCount(interval->lo, interval->hi);
-        }
-        EXPECT_EQ(alone_counts[i], batch_counts[i * count + p])
-            << "decomposition " << decomposition << " point " << p
-            << " transform " << i;
-        EXPECT_EQ(alone_counts[i], reference)
-            << "decomposition " << decomposition << " point " << p
-            << " transform " << i;
-        EXPECT_EQ(alone_costs[i].count, batch_costs[i].count)
-            << "decomposition " << decomposition << " point " << p
-            << " transform " << i;
-        EXPECT_EQ(alone_costs[i].cost, batch_costs[i].cost)
-            << "decomposition " << decomposition << " point " << p
-            << " transform " << i;
-      }
-      const double alone_cost =
-          MedianCostEstimate(alone_costs.data(), t, scratch.data());
-      EXPECT_EQ(alone_cost,
-                MedianCostEstimate(batch_costs.data(), t, scratch.data()))
-          << "decomposition " << decomposition << " point " << p;
-      EXPECT_EQ(alone_cost, ReferenceMedianAverageCost(synopsis, alone, 0))
-          << "decomposition " << decomposition << " point " << p;
-      costed += alone_cost > 0.0 ? 1 : 0;
-    }
-    // The comparison is only meaningful if the points found support.
-    EXPECT_GT(costed, count / 2) << "decomposition " << decomposition;
   }
+
+  const size_t count = 33;
+  std::vector<std::vector<ZInterval>> per_point;
+  Rng probe(31);
+  for (size_t p = 0; p < count; ++p) {
+    per_point.push_back(
+        predictor.QueryRanges({probe.Uniform(), probe.Uniform()}));
+  }
+  // Points [first, first + n) laid out flat and transform-major.
+  auto flatten = [&](size_t first, size_t n,
+                     std::vector<ZInterval>* intervals) {
+    for (size_t i = 0; i < t; ++i) {
+      for (size_t p = first; p < first + n; ++p) {
+        intervals->push_back(per_point[p][i]);
+      }
+    }
+    return FlatQueryRanges{intervals->data(), t, n};
+  };
+  std::vector<ZInterval> batch_intervals;
+  const FlatQueryRanges batch = flatten(0, count, &batch_intervals);
+  std::vector<double> batch_counts(batch.IntervalCount());
+  std::vector<double> batch_cost_sums(batch.IntervalCount());
+  synopsis.SweepRanges(batch, batch_counts.data(), batch_cost_sums.data());
+  std::vector<double> scratch(t);
+
+  size_t costed = 0;
+  for (size_t p = 0; p < count; ++p) {
+    std::vector<ZInterval> alone_intervals;
+    const FlatQueryRanges alone = flatten(p, 1, &alone_intervals);
+    std::vector<double> alone_counts(t);
+    std::vector<double> alone_cost_sums(t);
+    synopsis.SweepRanges(alone, alone_counts.data(), alone_cost_sums.data());
+    std::vector<SlotCost> alone_costs(t);
+    std::vector<SlotCost> batch_costs(t);
+    for (size_t i = 0; i < t; ++i) {
+      const size_t k = i * count + p;
+      alone_costs[i] = SlotCostOf(alone_counts[i], alone_cost_sums[i]);
+      batch_costs[i] = SlotCostOf(batch_counts[k], batch_cost_sums[k]);
+      const ZInterval& interval = alone_intervals[i];
+      const double reference =
+          synopsis.histogram(i).EstimateCount(interval.lo, interval.hi);
+      EXPECT_EQ(alone_counts[i], batch_counts[k])
+          << "point " << p << " transform " << i;
+      EXPECT_EQ(alone_counts[i], reference)
+          << "point " << p << " transform " << i;
+      EXPECT_EQ(alone_costs[i].count, batch_costs[i].count)
+          << "point " << p << " transform " << i;
+      EXPECT_EQ(alone_costs[i].cost, batch_costs[i].cost)
+          << "point " << p << " transform " << i;
+    }
+    const double alone_cost =
+        MedianCostEstimate(alone_costs.data(), t, scratch.data());
+    EXPECT_EQ(alone_cost,
+              MedianCostEstimate(batch_costs.data(), t, scratch.data()))
+        << "point " << p;
+    EXPECT_EQ(alone_cost, ReferenceMedianAverageCost(synopsis, alone, 0))
+        << "point " << p;
+    costed += alone_cost > 0.0 ? 1 : 0;
+  }
+  // The comparison is only meaningful if the points found support.
+  EXPECT_GT(costed, count / 2);
 }
 
 TEST(PlanSynopsisTest, SpaceBytes) {
@@ -237,30 +203,27 @@ TEST(LshHistogramsTest, PredictBatchBitIdenticalToScalarPredict) {
   // A point's answer must not depend on its batch: a 100-point
   // PredictBatch (probe kernels) and Predict, a batch of one (direct
   // histogram estimates), must return byte-identical plans, confidences
-  // and cost estimates — EXPECT_EQ, no tolerance. Exercise both Z-range
-  // modes and a non-zero noise floor.
-  for (bool decomposition : {false, true}) {
-    auto cfg = BaseConfig();
-    cfg.interval_decomposition = decomposition;
-    cfg.noise_fraction = 0.002;
-    Rng rng(11);
-    LshHistogramsPredictor predictor(
-        cfg, SamplePoints(2, 2000, HalfSpacePlan, &rng));
-    Rng probe(13);
-    const size_t count = 100;
-    std::vector<double> flat;
-    for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
-    const std::vector<Prediction> batch =
-        predictor.PredictBatch(flat.data(), count);
-    ASSERT_EQ(batch.size(), count);
-    for (size_t p = 0; p < count; ++p) {
-      const Prediction scalar =
-          predictor.Predict({flat[2 * p], flat[2 * p + 1]});
-      EXPECT_EQ(batch[p].plan, scalar.plan) << "point " << p;
-      EXPECT_EQ(batch[p].confidence, scalar.confidence) << "point " << p;
-      EXPECT_EQ(batch[p].estimated_cost, scalar.estimated_cost)
-          << "point " << p;
-    }
+  // and cost estimates — EXPECT_EQ, no tolerance. Exercise a non-zero
+  // noise floor.
+  auto cfg = BaseConfig();
+  cfg.noise_fraction = 0.002;
+  Rng rng(11);
+  LshHistogramsPredictor predictor(
+      cfg, SamplePoints(2, 2000, HalfSpacePlan, &rng));
+  Rng probe(13);
+  const size_t count = 100;
+  std::vector<double> flat;
+  for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
+  const std::vector<Prediction> batch =
+      predictor.PredictBatch(flat.data(), count);
+  ASSERT_EQ(batch.size(), count);
+  for (size_t p = 0; p < count; ++p) {
+    const Prediction scalar =
+        predictor.Predict({flat[2 * p], flat[2 * p + 1]});
+    EXPECT_EQ(batch[p].plan, scalar.plan) << "point " << p;
+    EXPECT_EQ(batch[p].confidence, scalar.confidence) << "point " << p;
+    EXPECT_EQ(batch[p].estimated_cost, scalar.estimated_cost)
+        << "point " << p;
   }
 }
 
@@ -288,19 +251,12 @@ PlanSynopsis SynopsisOf(const LshHistogramsPredictor::Config& cfg,
 }
 
 /// `x`'s query ranges, as the predictor builds them, in one flat
-/// single-point batch backed by `intervals` and `offsets`.
+/// single-point batch backed by `intervals`.
 FlatQueryRanges FlatRangesOf(const LshHistogramsPredictor& predictor,
                              const std::vector<double>& x,
-                             std::vector<ZInterval>* intervals,
-                             std::vector<uint32_t>* offsets) {
-  const auto per_transform = predictor.QueryRanges(x);
-  *offsets = {0};
-  for (const auto& slot : per_transform) {
-    intervals->insert(intervals->end(), slot.begin(), slot.end());
-    offsets->push_back(static_cast<uint32_t>(intervals->size()));
-  }
-  return FlatQueryRanges{intervals->data(), offsets->data(),
-                         per_transform.size(), 1};
+                             std::vector<ZInterval>* intervals) {
+  *intervals = predictor.QueryRanges(x);
+  return FlatQueryRanges{intervals->data(), intervals->size(), 1};
 }
 
 /// Every plan in `synopses` walked in id order with no pruning: the
@@ -312,30 +268,25 @@ Prediction UnprunedPredict(const LshHistogramsPredictor& predictor,
                            const std::vector<double>& x) {
   const auto& cfg = predictor.config();
   std::vector<ZInterval> intervals;
-  std::vector<uint32_t> offsets;
-  const FlatQueryRanges ranges =
-      FlatRangesOf(predictor, x, &intervals, &offsets);
+  const FlatQueryRanges ranges = FlatRangesOf(predictor, x, &intervals);
   const size_t t = ranges.transform_count;
   const double floor =
       cfg.noise_fraction * static_cast<double>(total_samples);
-  std::vector<double> interval_counts(ranges.IntervalCount());
-  std::vector<double> interval_costs(ranges.IntervalCount());
   std::vector<double> counts(t);
+  std::vector<double> cost_sums(t);
   std::vector<SlotCost> leader_costs(t);
   double total = 0.0;
   double max = 0.0;
   PlanId leader = kNullPlanId;
   for (const auto& [plan, synopsis] : synopses) {
-    synopsis.SweepRanges(ranges, interval_counts.data(),
-                         interval_costs.data(), counts.data());
+    synopsis.SweepRanges(ranges, counts.data(), cost_sums.data());
     const double density = std::max(0.0, Median(counts) - floor);
     total += density;
     if (density > max) {
       max = density;
       leader = plan;
       for (size_t i = 0; i < t; ++i) {
-        leader_costs[i] = SlotCostOf(ranges, i, interval_counts.data(),
-                                     interval_costs.data());
+        leader_costs[i] = SlotCostOf(counts[i], cost_sums[i]);
       }
     }
   }
@@ -355,48 +306,42 @@ TEST(LshHistogramsTest, EstimatedCostIsTheWinnersCostBitForBit) {
   // the count sweep. It must equal EstimateCost(x, winner) and the
   // per-interval c * EstimateAverageCost reference, bit for bit, for a
   // point alone and inside a 33-point batch (AVX2 lanes plus a scalar
-  // tail), in both range modes.
-  for (bool decomposition : {false, true}) {
-    auto cfg = BaseConfig();
-    cfg.interval_decomposition = decomposition;
-    cfg.noise_fraction = 0.002;
-    cfg.confidence_threshold = 0.0;  // cost every point with a leader
-    Rng rng(37);
-    const auto sample = SamplePoints(2, 2000, testutil::QuadrantPlan, &rng);
-    const LshHistogramsPredictor predictor(cfg, sample);
-    std::map<PlanId, PlanSynopsis> synopses;
-    for (PlanId plan = 1; plan <= 4; ++plan) {
-      synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
-    }
-    const size_t count = 33;
-    Rng probe(41);
-    std::vector<double> flat;
-    for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
-    const std::vector<Prediction> batch =
-        predictor.PredictBatch(flat.data(), count);
-    size_t answered = 0;
-    for (size_t p = 0; p < count; ++p) {
-      const std::vector<double> x = {flat[2 * p], flat[2 * p + 1]};
-      const Prediction alone = predictor.Predict(x);
-      EXPECT_EQ(batch[p].plan, alone.plan) << "point " << p;
-      EXPECT_EQ(batch[p].confidence, alone.confidence) << "point " << p;
-      EXPECT_EQ(batch[p].estimated_cost, alone.estimated_cost)
-          << "point " << p;
-      if (!alone.has_value()) continue;
-      ++answered;
-      EXPECT_EQ(alone.estimated_cost, predictor.EstimateCost(x, alone.plan))
-          << "decomposition " << decomposition << " point " << p;
-      std::vector<ZInterval> intervals;
-      std::vector<uint32_t> offsets;
-      const FlatQueryRanges ranges =
-          FlatRangesOf(predictor, x, &intervals, &offsets);
-      EXPECT_EQ(alone.estimated_cost,
-                ReferenceMedianAverageCost(synopses.at(alone.plan), ranges,
-                                           0))
-          << "decomposition " << decomposition << " point " << p;
-    }
-    EXPECT_GT(answered, count / 2) << "decomposition " << decomposition;
+  // tail).
+  auto cfg = BaseConfig();
+  cfg.noise_fraction = 0.002;
+  cfg.confidence_threshold = 0.0;  // cost every point with a leader
+  Rng rng(37);
+  const auto sample = SamplePoints(2, 2000, testutil::QuadrantPlan, &rng);
+  const LshHistogramsPredictor predictor(cfg, sample);
+  std::map<PlanId, PlanSynopsis> synopses;
+  for (PlanId plan = 1; plan <= 4; ++plan) {
+    synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
   }
+  const size_t count = 33;
+  Rng probe(41);
+  std::vector<double> flat;
+  for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
+  const std::vector<Prediction> batch =
+      predictor.PredictBatch(flat.data(), count);
+  size_t answered = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const std::vector<double> x = {flat[2 * p], flat[2 * p + 1]};
+    const Prediction alone = predictor.Predict(x);
+    EXPECT_EQ(batch[p].plan, alone.plan) << "point " << p;
+    EXPECT_EQ(batch[p].confidence, alone.confidence) << "point " << p;
+    EXPECT_EQ(batch[p].estimated_cost, alone.estimated_cost)
+        << "point " << p;
+    if (!alone.has_value()) continue;
+    ++answered;
+    EXPECT_EQ(alone.estimated_cost, predictor.EstimateCost(x, alone.plan))
+        << "point " << p;
+    std::vector<ZInterval> intervals;
+    const FlatQueryRanges ranges = FlatRangesOf(predictor, x, &intervals);
+    EXPECT_EQ(alone.estimated_cost,
+              ReferenceMedianAverageCost(synopses.at(alone.plan), ranges, 0))
+        << "point " << p;
+  }
+  EXPECT_GT(answered, count / 2);
 }
 
 TEST(LshHistogramsTest, EstimatedCostFollowsALeaderThatChangesMidWalk) {
@@ -406,60 +351,57 @@ TEST(LshHistogramsTest, EstimatedCostFollowsALeaderThatChangesMidWalk) {
   // plan 3 takes over last. Around (0.15, 0.15) only plan 1 has support.
   // Each plan costs a different amount, so a cost left over from an
   // earlier leader, or taken from a later non-leader, would show.
-  for (bool decomposition : {false, true}) {
-    auto cfg = BaseConfig();
-    cfg.interval_decomposition = decomposition;
-    cfg.confidence_threshold = 0.0;  // answer every point with a leader
-    std::vector<LabeledPoint> sample;
-    Rng rng(43);
-    auto add = [&](double center, PlanId plan, int n) {
-      for (int k = 0; k < n; ++k) {
-        const std::vector<double> x = {center + rng.Uniform(-0.05, 0.05),
-                                       center + rng.Uniform(-0.05, 0.05)};
-        sample.push_back({x, plan, 1000.0 * static_cast<double>(plan) +
-                                       rng.Uniform(0.0, 10.0)});
-      }
-    };
-    add(0.5, 1, 100);
-    add(0.5, 2, 400);
-    add(0.5, 3, 100);
-    add(0.85, 2, 100);
-    add(0.85, 3, 400);
-    add(0.15, 1, 300);
-    const LshHistogramsPredictor predictor(cfg, sample);
-    std::map<PlanId, PlanSynopsis> synopses;
-    for (PlanId plan = 1; plan <= 3; ++plan) {
-      synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
+  auto cfg = BaseConfig();
+  cfg.confidence_threshold = 0.0;  // answer every point with a leader
+  std::vector<LabeledPoint> sample;
+  Rng rng(43);
+  auto add = [&](double center, PlanId plan, int n) {
+    for (int k = 0; k < n; ++k) {
+      const std::vector<double> x = {center + rng.Uniform(-0.05, 0.05),
+                                     center + rng.Uniform(-0.05, 0.05)};
+      sample.push_back({x, plan, 1000.0 * static_cast<double>(plan) +
+                                     rng.Uniform(0.0, 10.0)});
     }
-    const struct {
-      double center;
-      PlanId winner;
-      PlanId first_leader;
-    } cases[] = {{0.5, 2, 1}, {0.85, 3, 2}, {0.15, 1, 1}};
-    for (const auto& c : cases) {
-      const std::vector<double> x = {c.center, c.center};
-      const Prediction answer = predictor.Predict(x);
-      ASSERT_EQ(answer.plan, c.winner) << "center " << c.center;
-      EXPECT_EQ(answer.estimated_cost, predictor.EstimateCost(x, c.winner))
+  };
+  add(0.5, 1, 100);
+  add(0.5, 2, 400);
+  add(0.5, 3, 100);
+  add(0.85, 2, 100);
+  add(0.85, 3, 400);
+  add(0.15, 1, 300);
+  const LshHistogramsPredictor predictor(cfg, sample);
+  std::map<PlanId, PlanSynopsis> synopses;
+  for (PlanId plan = 1; plan <= 3; ++plan) {
+    synopses.emplace(plan, SynopsisOf(cfg, sample, plan));
+  }
+  const struct {
+    double center;
+    PlanId winner;
+    PlanId first_leader;
+  } cases[] = {{0.5, 2, 1}, {0.85, 3, 2}, {0.15, 1, 1}};
+  for (const auto& c : cases) {
+    const std::vector<double> x = {c.center, c.center};
+    const Prediction answer = predictor.Predict(x);
+    ASSERT_EQ(answer.plan, c.winner) << "center " << c.center;
+    EXPECT_EQ(answer.estimated_cost, predictor.EstimateCost(x, c.winner))
+        << "center " << c.center;
+    const Prediction reference = UnprunedPredict(
+        predictor, synopses, predictor.TotalSamples(), x);
+    EXPECT_EQ(answer.plan, reference.plan) << "center " << c.center;
+    EXPECT_EQ(answer.confidence, reference.confidence)
+        << "center " << c.center;
+    EXPECT_EQ(answer.estimated_cost, reference.estimated_cost)
+        << "center " << c.center;
+    // The costs a stale or misplaced copy would have left differ.
+    for (PlanId other = 1; other <= 3; ++other) {
+      if (other == c.winner) continue;
+      EXPECT_NE(answer.estimated_cost, predictor.EstimateCost(x, other))
+          << "center " << c.center << " plan " << other;
+    }
+    // The leader really changed mid-walk: the first leader had support.
+    if (c.first_leader != c.winner) {
+      EXPECT_GT(predictor.EstimateCost(x, c.first_leader), 0.0)
           << "center " << c.center;
-      const Prediction reference = UnprunedPredict(
-          predictor, synopses, predictor.TotalSamples(), x);
-      EXPECT_EQ(answer.plan, reference.plan) << "center " << c.center;
-      EXPECT_EQ(answer.confidence, reference.confidence)
-          << "center " << c.center;
-      EXPECT_EQ(answer.estimated_cost, reference.estimated_cost)
-          << "center " << c.center;
-      // The costs a stale or misplaced copy would have left differ.
-      for (PlanId other = 1; other <= 3; ++other) {
-        if (other == c.winner) continue;
-        EXPECT_NE(answer.estimated_cost, predictor.EstimateCost(x, other))
-            << "center " << c.center << " plan " << other;
-      }
-      // The leader really changed mid-walk: the first leader had support.
-      if (c.first_leader != c.winner) {
-        EXPECT_GT(predictor.EstimateCost(x, c.first_leader), 0.0)
-            << "center " << c.center;
-      }
     }
   }
 }
@@ -500,15 +442,11 @@ TEST(LshHistogramsTest, APlanAtTheNoiseFloorIsSkippedWithoutChangingAnswers) {
   const std::vector<double> center = {0.5, 0.5};
   {
     std::vector<ZInterval> intervals;
-    std::vector<uint32_t> offsets;
-    const FlatQueryRanges ranges =
-        FlatRangesOf(predictor, center, &intervals, &offsets);
+    const FlatQueryRanges ranges = FlatRangesOf(predictor, center, &intervals);
     const size_t t = ranges.transform_count;
-    std::vector<double> interval_counts(ranges.IntervalCount());
-    std::vector<double> interval_costs(ranges.IntervalCount());
     std::vector<double> counts(t);
-    synopses.at(1).SweepRanges(ranges, interval_counts.data(),
-                               interval_costs.data(), counts.data());
+    std::vector<double> cost_sums(t);
+    synopses.at(1).SweepRanges(ranges, counts.data(), cost_sums.data());
     for (size_t i = 0; i < t; ++i) EXPECT_EQ(counts[i], 10.0) << i;
     EXPECT_EQ(cfg.noise_fraction * 1280.0, 10.0);
   }
@@ -705,13 +643,12 @@ TEST(LshHistogramsTest, QueryRangesClampedToHistogramDomain) {
     const auto ranges = predictor.QueryRanges(x);
     ASSERT_EQ(ranges.size(), center_ranges.size());
     for (size_t t = 0; t < ranges.size(); ++t) {
-      ASSERT_EQ(ranges[t].size(), 1u);
-      const ZInterval& iv = ranges[t][0];
+      const ZInterval& iv = ranges[t];
       EXPECT_GE(iv.lo, 0.0);
       EXPECT_LE(iv.hi, 1.0);
       EXPECT_LE(iv.lo, iv.hi);
       // Sliding preserves the curve length the center point gets.
-      EXPECT_NEAR(iv.width(), center_ranges[t][0].width(), 1e-12);
+      EXPECT_NEAR(iv.width(), center_ranges[t].width(), 1e-12);
     }
   }
 }

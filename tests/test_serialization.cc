@@ -11,6 +11,7 @@
 #include "common/hash.h"
 #include "ppc/lsh_histograms_predictor.h"
 #include "ppc/plan_synopsis.h"
+#include "server/server.h"
 #include "stats/streaming_histogram.h"
 #include "test_util.h"
 
@@ -289,7 +290,8 @@ struct RangeSpec {
 // never abort).
 std::string SnapshotWithConfig(uint32_t dims, uint32_t transform_count,
                                uint32_t output_dims, uint32_t bits_per_dim,
-                               uint64_t buckets, uint64_t max_z,
+                               uint64_t buckets, uint8_t decomposition,
+                               uint64_t max_z,
                                uint32_t generation = 0,
                                RangeSpec ranges = RangeSpec()) {
   ByteWriter config_section;
@@ -303,7 +305,7 @@ std::string SnapshotWithConfig(uint32_t dims, uint32_t transform_count,
   config_section.PutDouble(0.0);   // noise_fraction
   config_section.PutU8(0);         // merge policy
   config_section.PutU64(23);       // seed
-  config_section.PutU8(0);         // interval_decomposition
+  config_section.PutU8(decomposition);
   config_section.PutU64(max_z);
   config_section.PutU32(generation);
   config_section.PutU32(ranges.count);
@@ -320,41 +322,48 @@ std::string SnapshotWithConfig(uint32_t dims, uint32_t transform_count,
 
 TEST_F(PredictorSerdeTest, RejectsOutOfRangeConfig) {
   // The well-formed baselines restore fine — both the identity-range
-  // generation 0 and a refit generation with fitted ranges.
-  EXPECT_TRUE(
-      LshHistogramsPredictor::Restore(SnapshotWithConfig(2, 5, 0, 5, 40, 8))
-          .ok());
+  // generation 0 and a refit generation with fitted ranges. The retired
+  // Z-interval budget is range-checked and otherwise ignored.
   EXPECT_TRUE(LshHistogramsPredictor::Restore(
-                  SnapshotWithConfig(2, 5, 0, 5, 40, 8, 3, {2, 0.25, 0.75}))
+                  SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8))
                   .ok());
+  EXPECT_TRUE(LshHistogramsPredictor::Restore(
+                  SnapshotWithConfig(2, 5, 0, 5, 40, 0, 13))
+                  .ok());
+  EXPECT_TRUE(
+      LshHistogramsPredictor::Restore(
+          SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8, 3, {2, 0.25, 0.75}))
+          .ok());
   struct Case {
     const char* what;
     std::string bytes;
   };
   const Case cases[] = {
-      {"zero dimensions", SnapshotWithConfig(0, 5, 0, 5, 40, 8)},
-      {"huge dimensions", SnapshotWithConfig(1u << 30, 5, 0, 5, 40, 8)},
-      {"zero transforms", SnapshotWithConfig(2, 0, 0, 5, 40, 8)},
-      {"huge transforms", SnapshotWithConfig(2, 1u << 31, 0, 5, 40, 8)},
-      {"huge output dims", SnapshotWithConfig(2, 5, 63, 5, 40, 8)},
-      {"zero bits per dim", SnapshotWithConfig(2, 5, 0, 0, 40, 8)},
+      {"zero dimensions", SnapshotWithConfig(0, 5, 0, 5, 40, 0, 8)},
+      {"huge dimensions", SnapshotWithConfig(1u << 30, 5, 0, 5, 40, 0, 8)},
+      {"zero transforms", SnapshotWithConfig(2, 0, 0, 5, 40, 0, 8)},
+      {"huge transforms", SnapshotWithConfig(2, 1u << 31, 0, 5, 40, 0, 8)},
+      {"huge output dims", SnapshotWithConfig(2, 5, 63, 5, 40, 0, 8)},
+      {"zero bits per dim", SnapshotWithConfig(2, 5, 0, 0, 40, 0, 8)},
       // 2 effective output dims * 40 bits = 80 > the curve's 62-bit cap.
-      {"z-order overflow", SnapshotWithConfig(2, 5, 0, 40, 40, 8)},
-      {"zero buckets", SnapshotWithConfig(2, 5, 0, 5, 0, 8)},
-      {"one bucket", SnapshotWithConfig(2, 5, 0, 5, 1, 8)},
+      {"z-order overflow", SnapshotWithConfig(2, 5, 0, 40, 40, 0, 8)},
+      {"zero buckets", SnapshotWithConfig(2, 5, 0, 5, 0, 0, 8)},
+      {"one bucket", SnapshotWithConfig(2, 5, 0, 5, 1, 0, 8)},
       {"huge buckets",
-       SnapshotWithConfig(2, 5, 0, 5, uint64_t{1} << 40, 8)},
-      {"zero z intervals", SnapshotWithConfig(2, 5, 0, 5, 40, 0)},
+       SnapshotWithConfig(2, 5, 0, 5, uint64_t{1} << 40, 0, 8)},
+      {"zero z intervals", SnapshotWithConfig(2, 5, 0, 5, 40, 0, 0)},
       {"huge z intervals",
-       SnapshotWithConfig(2, 5, 0, 5, 40, uint64_t{1} << 40)},
+       SnapshotWithConfig(2, 5, 0, 5, 40, 0, uint64_t{1} << 40)},
+      // The Z-order decomposition mode is retired.
+      {"decomposition mode", SnapshotWithConfig(2, 5, 0, 5, 40, 1, 8)},
       {"range count mismatches dims",
-       SnapshotWithConfig(2, 5, 0, 5, 40, 8, 1, {1, 0.0, 1.0})},
+       SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8, 1, {1, 0.0, 1.0})},
       {"inverted input range",
-       SnapshotWithConfig(2, 5, 0, 5, 40, 8, 1, {2, 0.8, 0.2})},
+       SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8, 1, {2, 0.8, 0.2})},
       {"empty input range",
-       SnapshotWithConfig(2, 5, 0, 5, 40, 8, 1, {2, 0.5, 0.5})},
+       SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8, 1, {2, 0.5, 0.5})},
       {"non-finite input range",
-       SnapshotWithConfig(2, 5, 0, 5, 40, 8, 1,
+       SnapshotWithConfig(2, 5, 0, 5, 40, 0, 8, 1,
                           {2, 0.0, std::numeric_limits<double>::infinity()})},
   };
   for (const Case& c : cases) {
@@ -374,6 +383,24 @@ TEST_F(PredictorSerdeTest, SerializedBytesAreBitStable) {
   ASSERT_TRUE(restored.ok());
   // Re-serializing the restored predictor reproduces the blob bit for bit
   // — the replication path can compare content hashes across shards.
+  EXPECT_EQ(restored.value().Serialize(), bytes);
+}
+
+// The snapshot bytes of a trained serving-config predictor, pinned by
+// length and FNV-1a. A change that keeps the v3 format and what Insert
+// learns keeps these bytes; retired config fields keep the values every
+// v3 snapshot carries.
+TEST_F(PredictorSerdeTest, ServingConfigSnapshotBytesArePinned) {
+  LshHistogramsPredictor::Config cfg = ServingConfig().online.predictor;
+  cfg.dimensions = 2;
+  Rng rng(53);
+  const LshHistogramsPredictor predictor(
+      cfg, SamplePoints(2, 800, HalfSpacePlan, &rng));
+  const std::string bytes = predictor.Serialize();
+  EXPECT_EQ(bytes.size(), 9904u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x660feaa161211dcfull);
+  auto restored = LshHistogramsPredictor::Restore(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().Serialize(), bytes);
 }
 
@@ -433,8 +460,8 @@ TEST_F(PredictorSerdeTest, RejectsPreGenerationV2Snapshot) {
   config_section.PutDouble(0.0);  // noise_fraction
   config_section.PutU8(0);        // merge policy
   config_section.PutU64(23);      // seed
-  config_section.PutU8(0);        // interval_decomposition
-  config_section.PutU64(8);       // max_z_intervals
+  config_section.PutU8(0);        // Z-order decomposition (retired)
+  config_section.PutU64(8);       // its interval budget
   ByteWriter data_section;
   data_section.PutU64(0);  // total_samples
   data_section.PutU32(0);  // plan_count

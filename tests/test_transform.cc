@@ -87,27 +87,6 @@ TEST(TransformTest, LinearizedPositionBatchMatchesScalar) {
   }
 }
 
-TEST(TransformTest, CellBoxFromTransformedMatchesCellBox) {
-  // A point's cell box from its row of a batched transform equals the box
-  // from the point transformed alone.
-  Rng rng(6);
-  RandomizedTransform t(Config2D(), &rng);
-  Rng points(10);
-  const size_t count = 50;
-  std::vector<double> flat;
-  for (size_t i = 0; i < count * 2; ++i) flat.push_back(points.Uniform());
-  std::vector<double> batch(count * 2);
-  t.ApplyBatch(flat.data(), count, batch.data());
-  for (size_t p = 0; p < count; ++p) {
-    const std::vector<double> y = t.Apply({flat[2 * p], flat[2 * p + 1]});
-    std::vector<uint32_t> lo_a, hi_a, lo_b, hi_b;
-    t.CellBoxFromTransformed(y.data(), 0.1, &lo_a, &hi_a);
-    t.CellBoxFromTransformed(batch.data() + 2 * p, 0.1, &lo_b, &hi_b);
-    EXPECT_EQ(lo_a, lo_b) << "point " << p;
-    EXPECT_EQ(hi_a, hi_b) << "point " << p;
-  }
-}
-
 TEST(TransformTest, DistancesBoundedBySqrtS) {
   // Each of the s projections onto a unit vector is 1-Lipschitz in the
   // scaled input, so the s-dimensional output distance is at most
@@ -203,63 +182,6 @@ TEST(TransformTest, RangeHalfWidthMatchesSphereVolumeFraction) {
   const double expected =
       0.5 * HypersphereVolume(2, dt) / std::pow(t.grid_extent(), 2.0);
   EXPECT_NEAR(t.RangeHalfWidth(d), expected, 1e-12);
-}
-
-TEST(TransformTest, CellBoxContainsPointCell) {
-  Rng rng(61);
-  RandomizedTransform t(Config2D(), &rng);
-  Rng points(67);
-  for (int i = 0; i < 200; ++i) {
-    const std::vector<double> x = {points.Uniform(), points.Uniform()};
-    std::vector<uint32_t> lo, hi;
-    t.CellBoxFromTransformed(t.Apply(x).data(), 0.05, &lo, &hi);
-    const auto cell = t.Cell(x);
-    for (size_t d = 0; d < cell.size(); ++d) {
-      EXPECT_LE(lo[d], cell[d]);
-      EXPECT_GE(hi[d], cell[d]);
-    }
-  }
-}
-
-TEST(TransformTest, CellBoxGrowsWithRadius) {
-  Rng rng(71);
-  RandomizedTransform t(Config2D(), &rng);
-  const std::vector<double> x = {0.5, 0.5};
-  std::vector<uint32_t> lo_small, hi_small, lo_big, hi_big;
-  const std::vector<double> y = t.Apply(x);
-  t.CellBoxFromTransformed(y.data(), 0.02, &lo_small, &hi_small);
-  t.CellBoxFromTransformed(y.data(), 0.3, &lo_big, &hi_big);
-  uint64_t small_cells = 1, big_cells = 1;
-  for (size_t d = 0; d < lo_small.size(); ++d) {
-    small_cells *= hi_small[d] - lo_small[d] + 1;
-    big_cells *= hi_big[d] - lo_big[d] + 1;
-  }
-  EXPECT_GT(big_cells, small_cells);
-}
-
-TEST(TransformTest, CellBoxCoversNearbyPoints) {
-  // Every point within distance d of x must land inside x's cell box.
-  Rng rng(73);
-  RandomizedTransform t(Config2D(), &rng);
-  Rng points(79);
-  const double d = 0.1;
-  for (int i = 0; i < 100; ++i) {
-    const std::vector<double> x = {points.Uniform(), points.Uniform()};
-    std::vector<uint32_t> lo, hi;
-    t.CellBoxFromTransformed(t.Apply(x).data(), d, &lo, &hi);
-    for (int j = 0; j < 10; ++j) {
-      const double angle = points.Uniform(0.0, 2.0 * M_PI);
-      const double radius = d * points.Uniform();
-      const std::vector<double> y = {
-          Clamp(x[0] + radius * std::cos(angle), 0.0, 1.0),
-          Clamp(x[1] + radius * std::sin(angle), 0.0, 1.0)};
-      const auto cell = t.Cell(y);
-      for (size_t dd = 0; dd < cell.size(); ++dd) {
-        EXPECT_GE(cell[dd], lo[dd]);
-        EXPECT_LE(cell[dd], hi[dd]);
-      }
-    }
-  }
 }
 
 TEST(TransformEnsembleTest, ProducesDistinctTransforms) {

@@ -72,12 +72,10 @@ inline double MedianDensity(const PlanSynopsis& synopsis,
                             double delta) {
   std::vector<ZInterval> intervals;
   for (double c : centers) intervals.push_back({c - delta, c + delta});
-  const FlatQueryRanges ranges{intervals.data(), nullptr, intervals.size(), 1};
-  std::vector<double> interval_counts(ranges.IntervalCount());
-  std::vector<double> interval_costs(ranges.IntervalCount());
+  const FlatQueryRanges ranges{intervals.data(), intervals.size(), 1};
   std::vector<double> counts(centers.size());
-  synopsis.SweepRanges(ranges, interval_counts.data(), interval_costs.data(),
-                       counts.data());
+  std::vector<double> cost_sums(centers.size());
+  synopsis.SweepRanges(ranges, counts.data(), cost_sums.data());
   return Median(counts);
 }
 
