@@ -110,33 +110,6 @@ void Run() {
   std::printf(
       "\nExpected shape (paper): a precision drop shortly after the\n"
       "manipulation, a reset, then recovery as the pool repopulates.\n");
-
-  std::string body = "  \"queries\": " + std::to_string(kQueries);
-  body += ",\n  \"switch_at\": " + std::to_string(kSwitchAt);
-  body += ",\n  \"estimator_accuracy\": " +
-          JsonNumber(outcome.EstimatorAccuracy());
-  body += ",\n  \"negative_feedback_events\": " +
-          std::to_string(outcome.negative_feedback_events);
-  body += ",\n  \"time_to_detect_queries\": " + std::to_string(time_to_detect);
-  body += ",\n  \"post_drift_precision_floor\": " +
-          JsonNumber(post_drift_precision_floor);
-  body += ",\n  \"post_drift_recall_floor\": " +
-          JsonNumber(post_drift_recall_floor);
-  body += ",\n  \"windows\": [";
-  for (size_t w = 0; w < outcome.windows.size(); ++w) {
-    if (w > 0) body += ", ";
-    body += "{\"true_precision\": " + JsonNumber(outcome.windows[w].Precision());
-    body += ", \"recall\": " + JsonNumber(outcome.windows[w].Recall());
-    body += ", \"estimated_precision\": " +
-            JsonNumber(w < outcome.estimated_precision.size()
-                           ? outcome.estimated_precision[w]
-                           : 0.0);
-    body += ", \"resets\": " +
-            std::to_string(w < outcome.resets.size() ? outcome.resets[w] : 0);
-    body += "}";
-  }
-  body += "],\n  \"online\": " + OnlineStatsJson(online);
-  WriteBenchJson("drift_detection", body);
 }
 
 }  // namespace

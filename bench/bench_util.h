@@ -439,25 +439,6 @@ inline void WriteBenchJson(const std::string& name, const std::string& body) {
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// The per-template health block of OnlinePpcPredictor, as a JSON object —
-/// the same fields PpcFramework::MetricsSnapshot() exports per template.
-inline std::string OnlineStatsJson(const OnlinePpcPredictor& online) {
-  const OnlinePpcPredictor::Stats s = online.GetStats();
-  std::string out = "{\"precision\": " + JsonNumber(s.precision);
-  out += ", \"recall\": " + JsonNumber(s.recall);
-  out += ", \"beta\": " + JsonNumber(s.beta);
-  out += ", \"resets\": " + std::to_string(s.resets);
-  out += ", \"random_invocations\": " + std::to_string(s.random_invocations);
-  out += ", \"optimizer_insertions\": " +
-         std::to_string(s.optimizer_insertions);
-  out += ", \"positive_feedback_insertions\": " +
-         std::to_string(s.positive_feedback_insertions);
-  out += ", \"feedback_positive\": " + std::to_string(s.feedback_positive);
-  out += ", \"feedback_negative\": " + std::to_string(s.feedback_negative);
-  out += "}";
-  return out;
-}
-
 }  // namespace bench
 }  // namespace ppc
 

@@ -1,8 +1,7 @@
-// Persistent predictor: parse a query template from SQL text, train the
-// histogram predictor online, snapshot it to a file, restore it in a
-// "second process", and verify the restored predictor serves the same
-// predictions — a plan cache whose learned plan-space knowledge survives
-// server restarts.
+// Persistent predictor: train the histogram predictor online on Q3,
+// snapshot it to a file, restore it in a "second process", and verify
+// the restored predictor serves the same predictions — a plan cache
+// whose learned plan-space knowledge survives server restarts.
 //
 //   ./build/examples/persistent_predictor [snapshot_path]
 
@@ -13,7 +12,7 @@
 #include "optimizer/optimizer.h"
 #include "ppc/lsh_histograms_predictor.h"
 #include "storage/tpch_generator.h"
-#include "workload/template_parser.h"
+#include "workload/templates.h"
 #include "workload/workload_generator.h"
 
 int main(int argc, char** argv) {
@@ -24,24 +23,16 @@ int main(int argc, char** argv) {
   db_config.scale_factor = 0.002;
   auto catalog = ppc::BuildTpchCatalog(db_config);
 
-  // Templates arrive as SQL text in a real deployment; parse one.
-  auto tmpl = ppc::ParseQueryTemplate(
-      "SELECT COUNT(*) FROM customer, orders, lineitem "
-      "WHERE customer.c_custkey = orders.o_custkey "
-      "AND orders.o_orderkey = lineitem.l_orderkey "
-      "AND customer.c_acctbal <= $0 AND orders.o_date <= $1 "
-      "AND lineitem.l_date <= $2",
-      catalog.get(), "parsed_q3");
-  PPC_CHECK_MSG(tmpl.ok(), tmpl.status().ToString().c_str());
-  std::printf("parsed template: %s\n\n", tmpl.value().ToSql().c_str());
+  const ppc::QueryTemplate tmpl = ppc::EvaluationTemplate("Q3");
+  std::printf("template: %s\n\n", tmpl.ToSql().c_str());
 
   ppc::Optimizer optimizer(catalog.get());
-  auto prep = optimizer.Prepare(tmpl.value());
+  auto prep = optimizer.Prepare(tmpl);
   PPC_CHECK(prep.ok());
 
   // --- "First server process": train from optimizer feedback. ---
   ppc::LshHistogramsPredictor::Config cfg;
-  cfg.dimensions = tmpl.value().ParameterDegree();
+  cfg.dimensions = tmpl.ParameterDegree();
   cfg.transform_count = 5;
   cfg.histogram_buckets = 40;
   cfg.radius = 0.15;

@@ -20,9 +20,9 @@
 #   7. cluster failover smoke: bench_cluster_failover SIGKILLs a shard
 #      out of a 3-shard cluster mid-load and asserts availability,
 #      zero wrong answers and an automatic warm rejoin,
-#   8. the JSON-emitting benches (bench_drift_detection,
-#      bench_fig13_runtime) + validation of the BENCH_*.json files this
-#      sweep's benches wrote (stale ones are removed before stage 4),
+#   8. the JSON-emitting bench_fig13_runtime + validation of the
+#      BENCH_*.json files this sweep's benches wrote (stale ones are
+#      removed before stage 4),
 #   9. server smoke test (live TCP round-trips + clean shutdown),
 #  10. ASan build + the entire test suite,
 #  11. TSan build + the concurrency, metrics, server and router tests,
@@ -154,13 +154,12 @@ echo "    failover availability + zero wrong answers + warm rejoin ok"
 echo "==> machine-readable bench output (BENCH_*.json) is valid JSON"
 (
   cd build
-  ./bench/bench_drift_detection >/dev/null
   ./bench/bench_fig13_runtime >/dev/null
   # The files this sweep's benches write: the four smoke stages above and
-  # the two runs here. A missing one fails: its bench stopped writing it.
+  # the run here. A missing one fails: its bench stopped writing it.
   for f in BENCH_drift_recovery.json BENCH_workload_zoo.json \
            BENCH_cluster_throughput.json BENCH_cluster_failover.json \
-           BENCH_drift_detection.json BENCH_fig13_runtime.json; do
+           BENCH_fig13_runtime.json; do
     [ -f "$f" ] || { echo "missing: $f"; exit 1; }
     if command -v python3 >/dev/null; then
       python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f"; exit 1; }

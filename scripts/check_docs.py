@@ -16,6 +16,13 @@
 4. Bench check: every `bench_*` name inside a code span of the same
    reference docs must be a target in bench/CMakeLists.txt, so a deleted
    bench cannot stay documented.
+5. Path check: every code span of the same reference docs that is a
+   module path (`ppc/plan_cache`, `lsh/simd.cc`, `optimizer/robust_plan.*`,
+   `retune/reservoir.{h,cc}`, `src/ppc/runtime_sim*`) must resolve, by
+   suffix, to a file or directory under the code directories or
+   scripts/, so a deleted module cannot stay documented. Every path
+   component is two characters or more, so math such as `h/d` is not a
+   path.
 
 Exits non-zero with one line per violation.
 """
@@ -45,6 +52,11 @@ WORD_RE = re.compile(r"\w+")
 BENCH_NAME_RE = re.compile(r"\bbench_\w+\b(?!\.h\b)")
 BENCH_TARGET_RE = re.compile(r"(?:ppc_add_bench|add_executable)\((bench_\w+)")
 CODE_DIRS = ("src", "bench", "tests", "perfbench", "examples")
+# A module path: directories, a name, then an optional `.ext`, `.*`,
+# `.{h,cc}` or trailing `*`.
+MODULE_PATH_RE = re.compile(
+    r"^((?:[A-Za-z_][\w-]+/)+[A-Za-z_][\w-]+)"
+    r"(\.\w+|\.\*|\.\{\w+(?:,\w+)*\}|\*)?$")
 REFERENCE_DOCS = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 
@@ -186,9 +198,51 @@ def check_doc_benches():
     return errors
 
 
+def code_paths():
+    """Every file and directory under the code directories and scripts/,
+    relative to the repo, each with a leading '/' for suffix matching."""
+    paths = set()
+    for top in CODE_DIRS + ("scripts",):
+        for root, _, files in os.walk(os.path.join(REPO, top)):
+            rel = "/" + os.path.relpath(root, REPO).replace(os.sep, "/")
+            paths.add(rel)
+            paths.update(f"{rel}/{name}" for name in files)
+    return paths
+
+
+def path_resolves(stem, suffix, paths):
+    tail = "/" + stem
+    if suffix is None:
+        return any(p.endswith(tail) or os.path.splitext(p)[0].endswith(tail)
+                   for p in paths)
+    if suffix == ".*":
+        return any(os.path.splitext(p)[0].endswith(tail) for p in paths)
+    if suffix == "*":
+        parent, base = tail.rsplit("/", 1)
+        return any(p.rsplit("/", 1)[0].endswith(parent) and
+                   p.rsplit("/", 1)[1].startswith(base) for p in paths)
+    if suffix.startswith(".{"):
+        return all(any(p.endswith(f"{tail}.{ext}") for p in paths)
+                   for ext in suffix[2:-1].split(","))
+    return any(p.endswith(tail + suffix) for p in paths)
+
+
+def check_doc_paths():
+    paths = code_paths()
+    errors = []
+    for rel, lineno, span in reference_code_spans():
+        match = MODULE_PATH_RE.match(span.strip())
+        if match and not path_resolves(match.group(1), match.group(2),
+                                       paths):
+            errors.append(f"{rel}:{lineno}: `{span}` names no file or "
+                          "directory under the code directories")
+    return errors
+
+
 def main():
     errors = (check_markdown_links() + check_doc_presence() +
-              check_doc_symbols() + check_doc_benches())
+              check_doc_symbols() + check_doc_benches() +
+              check_doc_paths())
     for error in errors:
         print(error)
     if errors:

@@ -25,22 +25,8 @@ uint64_t MixId(uint64_t x) {
 
 }  // namespace
 
-const char* CacheEvictionPolicyName(CacheEvictionPolicy policy) {
-  switch (policy) {
-    case CacheEvictionPolicy::kPrecisionThenLru:
-      return "precision+LRU";
-    case CacheEvictionPolicy::kLru:
-      return "LRU";
-    case CacheEvictionPolicy::kLfu:
-      return "LFU";
-  }
-  return "unknown";
-}
-
-PlanCache::PlanCache(size_t capacity, CacheEvictionPolicy policy,
-                     size_t shard_count)
+PlanCache::PlanCache(size_t capacity, size_t shard_count)
     : capacity_(capacity),
-      policy_(policy),
       shards_(RoundUpToPowerOfTwo(std::max<size_t>(1, shard_count))) {
   PPC_CHECK(capacity >= 1);
 }
@@ -59,13 +45,12 @@ void PlanCache::Put(PlanId id, std::unique_ptr<PlanNode> plan) {
     if (it != shard.entries.end()) {
       it->second.plan = std::move(shared);
       it->second.last_use = Tick();
-      it->second.uses = 0;
       it->second.precision_score = 1.0;
       return;
     }
   }
   // Make room before inserting so the incoming plan is never its own
-  // eviction victim (LFU would otherwise evict the 0-use newcomer).
+  // eviction victim.
   while (size_.load(std::memory_order_acquire) >= capacity_) {
     if (!EvictOne()) break;
   }
@@ -78,7 +63,6 @@ void PlanCache::Put(PlanId id, std::unique_ptr<PlanNode> plan) {
       size_.fetch_add(1, std::memory_order_acq_rel);
     } else {
       // A racing Put of the same id landed first: treat as overwrite.
-      it->second.uses = 0;
       it->second.precision_score = 1.0;
     }
   }
@@ -100,7 +84,6 @@ std::shared_ptr<const PlanNode> PlanCache::Get(PlanId id) {
   hits_.fetch_add(1, std::memory_order_relaxed);
   ++shard.hits;
   it->second.last_use = Tick();
-  ++it->second.uses;
   return it->second.plan;
 }
 
@@ -153,20 +136,11 @@ std::vector<PlanId> PlanCache::PlanIds() const {
   return ids;
 }
 
-bool PlanCache::Worse(const Entry& cand, const Entry& best) const {
-  switch (policy_) {
-    case CacheEvictionPolicy::kPrecisionThenLru:
-      if (cand.precision_score != best.precision_score) {
-        return cand.precision_score < best.precision_score;
-      }
-      return cand.last_use < best.last_use;
-    case CacheEvictionPolicy::kLru:
-      return cand.last_use < best.last_use;
-    case CacheEvictionPolicy::kLfu:
-      if (cand.uses != best.uses) return cand.uses < best.uses;
-      return cand.last_use < best.last_use;
+bool PlanCache::Worse(const Entry& cand, const Entry& best) {
+  if (cand.precision_score != best.precision_score) {
+    return cand.precision_score < best.precision_score;
   }
-  return false;
+  return cand.last_use < best.last_use;
 }
 
 bool PlanCache::EvictOne() {
@@ -176,8 +150,10 @@ bool PlanCache::EvictOne() {
 
   Shard* victim_shard = nullptr;
   std::map<PlanId, Entry>::iterator victim;
+  uint64_t oldest_use = UINT64_MAX;
   for (Shard& shard : shards_) {
     for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
+      oldest_use = std::min(oldest_use, it->second.last_use);
       if (victim_shard == nullptr || Worse(it->second, victim->second)) {
         victim_shard = &shard;
         victim = it;
@@ -185,8 +161,9 @@ bool PlanCache::EvictOne() {
     }
   }
   if (victim_shard == nullptr) return false;
-  if (policy_ == CacheEvictionPolicy::kPrecisionThenLru &&
-      victim->second.precision_score < 1.0) {
+  // Use ticks are unique, so a victim that is not the oldest entry was
+  // picked by its precision score.
+  if (victim->second.last_use != oldest_use) {
     precision_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   victim_shard->entries.erase(victim);

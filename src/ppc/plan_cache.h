@@ -14,27 +14,18 @@
 
 namespace ppc {
 
-/// Eviction policy of the plan cache.
-enum class CacheEvictionPolicy {
-  /// The paper's signal (Sec. I / IV-E: "performance of the clustering
-  /// algorithm is monitored to help decide which plans to evict"): lowest
-  /// windowed prediction precision first, ties broken by least-recent use.
-  kPrecisionThenLru,
-  /// Classic least-recently-used.
-  kLru,
-  /// Least-frequently-used, ties broken by least-recent use.
-  kLfu,
-};
-
-const char* CacheEvictionPolicyName(CacheEvictionPolicy policy);
-
 /// Bounded cache of physical plans keyed by PlanId, safe for concurrent
 /// callers.
+///
+/// Eviction follows the paper's signal (Sec. I / IV-E: "performance of the
+/// clustering algorithm is monitored to help decide which plans to
+/// evict"): the plan with the lowest windowed prediction precision goes
+/// first, ties broken by least-recent use.
 ///
 /// The key space is lock-striped into shards (PlanId hash -> shard), so
 /// the hot path — Get on a cached plan — takes exactly one shard mutex.
 /// Hit/miss/eviction counters and the use clock are atomics shared across
-/// shards. Eviction keeps the exact global LRU/LFU/precision semantics of
+/// shards. Eviction keeps the exact global precision-then-LRU order of
 /// the single-map cache by briefly locking every shard (in shard-index
 /// order, the cache's one lock-ordering rule) and scanning for the victim;
 /// evictions are rare relative to lookups, so the stripe win dominates.
@@ -44,14 +35,11 @@ const char* CacheEvictionPolicyName(CacheEvictionPolicy policy);
 class PlanCache {
  public:
   /// `shard_count` is rounded up to a power of two.
-  explicit PlanCache(
-      size_t capacity,
-      CacheEvictionPolicy policy = CacheEvictionPolicy::kPrecisionThenLru,
-      size_t shard_count = kDefaultShardCount);
+  explicit PlanCache(size_t capacity, size_t shard_count = kDefaultShardCount);
 
   /// Inserts (or refreshes) a plan. May evict. Overwriting an existing id
-  /// resets its LFU frequency and precision score: the new plan is a fresh
-  /// re-optimization and must not inherit the stale plan's eviction rank.
+  /// resets its precision score: the new plan is a fresh re-optimization
+  /// and must not inherit the stale plan's eviction rank.
   void Put(PlanId id, std::unique_ptr<PlanNode> plan);
 
   /// Returns the cached plan or nullptr. Counts as a use. The returned
@@ -82,8 +70,8 @@ class PlanCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Evictions whose victim carried a degraded (< 1.0) precision score,
-  /// i.e. the paper's monitoring signal — not mere recency — picked it.
+  /// Evictions whose victim was not the least-recently-used plan, i.e.
+  /// the paper's monitoring signal — not mere recency — picked it.
   uint64_t precision_evictions() const {
     return precision_evictions_.load(std::memory_order_relaxed);
   }
@@ -110,7 +98,6 @@ class PlanCache {
 
   std::vector<PlanId> PlanIds() const;
 
-  CacheEvictionPolicy policy() const { return policy_; }
   size_t shard_count() const { return shards_.size(); }
 
  private:
@@ -120,7 +107,6 @@ class PlanCache {
     std::shared_ptr<const PlanNode> plan;
     double precision_score = 1.0;
     uint64_t last_use = 0;
-    uint64_t uses = 0;
   };
 
   struct Shard {
@@ -133,13 +119,12 @@ class PlanCache {
 
   Shard& ShardFor(PlanId id) const;
   uint64_t Tick() { return clock_.fetch_add(1, std::memory_order_relaxed) + 1; }
-  bool Worse(const Entry& cand, const Entry& best) const;
+  static bool Worse(const Entry& cand, const Entry& best);
   /// Locks all shards (in index order) and evicts the global victim.
   /// Returns false when the cache is empty. Caller must hold no shard lock.
   bool EvictOne();
 
   size_t capacity_;
-  CacheEvictionPolicy policy_;
   mutable std::vector<Shard> shards_;
   std::atomic<size_t> size_{0};
   std::atomic<uint64_t> clock_{0};

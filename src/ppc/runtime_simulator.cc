@@ -61,7 +61,7 @@ Result<RuntimeSimResult> RuntimeSimulator::Run(
   OnlinePpcPredictor::Config online_config = options_.online;
   online_config.predictor.dimensions = tmpl_.ParameterDegree();
   OnlinePpcPredictor online(online_config);
-  PlanCache cache(options_.plan_cache_capacity, options_.cache_policy);
+  PlanCache cache(options_.plan_cache_capacity);
 
   for (const std::vector<double>& point : workload) {
     switch (strategy) {

@@ -7,7 +7,6 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "ppc/online_predictor.h"
-#include "ppc/plan_cache.h"
 #include "workload/query_template.h"
 
 namespace ppc {
@@ -73,8 +72,6 @@ class RuntimeSimulator {
     /// Configuration of the PPC strategy's online predictor.
     OnlinePpcPredictor::Config online;
     size_t plan_cache_capacity = 64;
-    CacheEvictionPolicy cache_policy =
-        CacheEvictionPolicy::kPrecisionThenLru;
     /// Sample points for the kRobustCache up-front selection.
     size_t robust_sample_count = 100;
     uint64_t seed = 1234;

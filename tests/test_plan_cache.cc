@@ -73,6 +73,22 @@ TEST(PlanCacheTest, LruBreaksPrecisionTies) {
   EXPECT_FALSE(cache.Contains(2));
 }
 
+TEST(PlanCacheTest, PrecisionEvictionsCountOnlyVictimsRecencyWouldSpare) {
+  PlanCache cache(2);
+  cache.Put(1, Plan("a"));
+  cache.Put(2, Plan("b"));
+  cache.SetPrecisionScore(1, 0.5);  // degraded, but also the oldest
+  cache.Put(3, Plan("c"));
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_EQ(cache.precision_evictions(), 0u);
+  cache.SetPrecisionScore(3, 0.5);  // degraded and newer than 2
+  cache.Put(4, Plan("d"));
+  EXPECT_FALSE(cache.Contains(3));
+  EXPECT_TRUE(cache.Contains(2));
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.precision_evictions(), 1u);
+}
+
 TEST(PlanCacheTest, EraseAndClear) {
   PlanCache cache(4);
   cache.Put(1, Plan("a"));
@@ -100,37 +116,6 @@ TEST(PlanCacheTest, SetPrecisionOnMissingPlanIsNoOp) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(PlanCacheTest, PolicyNames) {
-  EXPECT_STREQ(CacheEvictionPolicyName(CacheEvictionPolicy::kLru), "LRU");
-  EXPECT_STREQ(CacheEvictionPolicyName(CacheEvictionPolicy::kLfu), "LFU");
-  EXPECT_STREQ(
-      CacheEvictionPolicyName(CacheEvictionPolicy::kPrecisionThenLru),
-      "precision+LRU");
-}
-
-TEST(PlanCacheTest, LruPolicyIgnoresPrecision) {
-  PlanCache cache(2, CacheEvictionPolicy::kLru);
-  cache.Put(1, Plan("a"));
-  cache.Put(2, Plan("b"));
-  cache.SetPrecisionScore(2, 0.01);  // would be the precision victim
-  cache.Get(2);                      // ...but 1 is older under LRU
-  cache.Put(3, Plan("c"));
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-}
-
-TEST(PlanCacheTest, LfuPolicyEvictsColdPlan) {
-  PlanCache cache(2, CacheEvictionPolicy::kLfu);
-  cache.Put(1, Plan("a"));
-  cache.Put(2, Plan("b"));
-  cache.Get(1);
-  cache.Get(1);
-  cache.Get(2);  // 2 used less often but more recently
-  cache.Put(3, Plan("c"));
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-}
-
 TEST(PlanCacheTest, GetOutlivesEviction) {
   PlanCache cache(1);
   cache.Put(1, Plan("a"));
@@ -139,21 +124,6 @@ TEST(PlanCacheTest, GetOutlivesEviction) {
   EXPECT_FALSE(cache.Contains(1));
   ASSERT_NE(plan, nullptr);  // still alive for this holder
   EXPECT_EQ(plan->table, "a");
-}
-
-TEST(PlanCacheTest, OverwriteResetsLfuFrequency) {
-  PlanCache cache(2, CacheEvictionPolicy::kLfu);
-  cache.Put(1, Plan("a"));
-  cache.Put(2, Plan("b"));
-  cache.Get(1);
-  cache.Get(1);
-  cache.Get(1);     // 1 looks hot...
-  cache.Put(1, Plan("a2"));  // ...but a re-optimization resets its count
-  cache.Get(2);     // 2 now has 1 use vs. 1's 0 uses
-  cache.Put(3, Plan("c"));
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
 }
 
 TEST(PlanCacheTest, OverwriteResetsPrecisionScore) {
@@ -165,17 +135,6 @@ TEST(PlanCacheTest, OverwriteResetsPrecisionScore) {
   cache.Put(3, Plan("c"));
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));  // 2 is older at equal precision
-}
-
-TEST(PlanCacheTest, LfuTiesBreakByLru) {
-  PlanCache cache(2, CacheEvictionPolicy::kLfu);
-  cache.Put(1, Plan("a"));
-  cache.Put(2, Plan("b"));
-  cache.Get(1);
-  cache.Get(2);  // equal use counts; 1 is least recent
-  cache.Put(3, Plan("c"));
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "ppc/metrics.h"
@@ -338,6 +339,29 @@ TEST(PpcFrameworkTest, CorrectivePutCarriesTrackedPrecisionScore) {
   // The assertion only has teeth when the tracked estimate differs from
   // the default; the noisy workload must have produced such cases.
   EXPECT_GT(degraded_checks, 0u);
+}
+
+TEST(PpcFrameworkTest, ServingEvictsByPrecision) {
+  // The paper's eviction signal (Sec. IV-E) must act on the serving path:
+  // with a cache smaller than Q8's plan set and a noisy cost test that
+  // degrades tracked precision, some victims must be chosen by their
+  // precision score rather than by recency alone.
+  auto config = BaseConfig();
+  config.execution_noise_stddev = 1.0;
+  config.online.mean_invocation_probability = 0.2;
+  config.plan_cache_capacity = 8;
+  PpcFramework framework(&SmallTpch(), config);
+  const QueryTemplate q8 = EvaluationTemplate("Q8");
+  ASSERT_TRUE(framework.RegisterTemplate(q8).ok());
+  Rng rng(17);
+  std::vector<double> x(q8.ParameterDegree(), 0.5);
+  for (int i = 0; i < 3000; ++i) {
+    for (double& v : x) {
+      v = std::clamp(v + (rng.Bernoulli(0.5) ? 0.02 : -0.02), 0.0, 1.0);
+    }
+    ASSERT_TRUE(framework.ExecuteAtPoint("Q8", x).ok());
+  }
+  EXPECT_GE(framework.plan_cache().GetStats().precision_evictions, 1u);
 }
 
 TEST(PpcFrameworkTest, CachedExecutionSkipsOptimizerUnlessFeedback) {

@@ -1,5 +1,5 @@
 // Tests for the >= predicate direction through the whole stack:
-// SQL rendering/parsing, selectivity normalization and its inverse,
+// SQL rendering, selectivity normalization and its inverse,
 // optimization, row-level execution, and the PPC framework.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "ppc/ppc_framework.h"
 #include "test_util.h"
 #include "workload/selectivity_mapper.h"
-#include "workload/template_parser.h"
 #include "workload/templates.h"
 
 namespace ppc {
@@ -27,16 +26,6 @@ TEST(PredicateOpsTest, ToSqlRendersDirection) {
   const std::string sql = tmpl.ToSql();
   EXPECT_NE(sql.find("orders.o_date >= $0"), std::string::npos);
   EXPECT_NE(sql.find("lineitem.l_quantity <= $1"), std::string::npos);
-}
-
-TEST(PredicateOpsTest, ParserRoundTripsMixedOps) {
-  const QueryTemplate tmpl = MixedPredicateTemplate();
-  auto parsed = ParseQueryTemplate(tmpl.ToSql(), &SmallTpch(), tmpl.name);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed.value().params.size(), 2u);
-  EXPECT_EQ(parsed.value().params[0].op, PredicateOp::kGeq);
-  EXPECT_EQ(parsed.value().params[1].op, PredicateOp::kLeq);
-  EXPECT_EQ(parsed.value().ToSql(), tmpl.ToSql());
 }
 
 TEST(PredicateOpsTest, GeqSelectivityInvertsDirection) {
@@ -129,12 +118,6 @@ TEST(PredicateOpsTest, FrameworkServesMixedTemplate) {
     if (report.value().used_prediction) ++predictions;
   }
   EXPECT_GT(predictions, 100u);
-}
-
-TEST(PredicateOpsTest, ParserRejectsMixedDirectionSymbols) {
-  EXPECT_FALSE(ParseQueryTemplate(
-                   "SELECT COUNT(*) FROM orders WHERE orders.o_date => $0")
-                   .ok());
 }
 
 }  // namespace
