@@ -7,12 +7,14 @@
 2. Doc-presence check: every class/struct declared at namespace scope in
    the public headers of src/ppc/, src/server/ and src/workload/ must
    carry a Doxygen `///` comment immediately above it.
-3. Symbol check: every backticked CamelCase identifier or `Type::member`
-   name in the reference docs (README.md, DESIGN.md, EXPERIMENTS.md and
-   docs/) must occur as a word somewhere in the code (src/, bench/,
-   tests/, perfbench/, examples/), so docs cannot keep naming a symbol
-   that was renamed or deleted. History and planning files name removed
-   symbols on purpose and are not checked.
+3. Symbol check: every backticked CamelCase identifier, snake_case
+   identifier (one word containing `_`) or `Type::member` name in the
+   reference docs (README.md, DESIGN.md, EXPERIMENTS.md and docs/),
+   optionally followed by `()`, must occur as a word somewhere in the
+   code (src/, bench/, tests/, perfbench/, examples/), so docs cannot
+   keep naming a symbol, config field or flag that was renamed or
+   deleted. History and planning files name removed symbols on purpose
+   and are not checked.
 4. Bench check: every `bench_*` name inside a code span of the same
    reference docs must be a target in bench/CMakeLists.txt, so a deleted
    bench cannot stay documented.
@@ -47,6 +49,8 @@ CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 QUALIFIED_RE = re.compile(r"^((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\(\))?$")
 # Two or more capitalized humps: PlanSynopsis, EstimateCount, ZInterval.
 CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]*[A-Z]\w*$")
+# One word with an underscore in it: worker_threads, kMax_x, PPC_DEBUG.
+SNAKE_RE = re.compile(r"^\w*_\w*$")
 WORD_RE = re.compile(r"\w+")
 # A bench binary's name; `bench_util.h` and the like are files, not benches.
 BENCH_NAME_RE = re.compile(r"\bbench_\w+\b(?!\.h\b)")
@@ -170,7 +174,8 @@ def check_doc_symbols():
         if not match:
             continue
         parts = match.group(1).split("::")
-        if len(parts) == 1 and not CAMEL_RE.match(parts[0]):
+        if len(parts) == 1 and not (CAMEL_RE.match(parts[0]) or
+                                    SNAKE_RE.match(parts[0])):
             continue
         missing = [p for p in parts if p not in words]
         if missing:

@@ -80,7 +80,7 @@ class PpcClient {
   bool PeerClosed() const;
 
   /// Cumulative resilience accounting (reset by neither Close nor
-  /// Connect); bench/loadgen.h sums it over a closed loop's clients.
+  /// Connect): what the RetryPolicy and the deadline did for this client.
   struct TransportStats {
     uint64_t busy_retries = 0;
     uint64_t connect_retries = 0;

@@ -33,6 +33,9 @@ bool IsTransportFailure(const Status& status) {
          status.code() == StatusCode::kInternal;
 }
 
+/// Applied to shard connects and BUSY answers (server/client.h).
+constexpr RetryPolicy kBackendRetry{/*max_attempts=*/3};
+
 /// How long a forward waits for a saturated shard's slot before failing
 /// over. A healthy shard frees one within a forward's latency; a hung one
 /// does not, and then only the first waiter pays this.
@@ -44,14 +47,12 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The serving core's settings: the router's listener and framing limits,
-/// PlanServer's defaults for everything else.
+/// The serving core's settings: the router's listener, PlanServer's
+/// defaults for everything else.
 PlanServer::Config CoreConfig(const PlanRouter::Config& config) {
   PlanServer::Config core;
   core.bind_address = config.bind_address;
   core.port = config.port;
-  core.max_frame_bytes = config.max_frame_bytes;
-  core.write_deadline_ms = config.write_deadline_ms;
   return core;
 }
 
@@ -59,19 +60,10 @@ PlanServer::Config CoreConfig(const PlanRouter::Config& config) {
 
 PlanRouter::PlanRouter(Config config)
     : config_(std::move(config)),
-      ring_(config_.vnodes_per_node),
-      worker_clients_(
-          static_cast<size_t>(CoreConfig(config_).worker_threads)),
-      forward_slots_(worker_clients_.size() > 1 ? worker_clients_.size() - 1
-                                                : 1),
+      forward_slots_(static_cast<size_t>(
+          std::max(CoreConfig(config_).worker_threads - 1, 1))),
       server_(this, &metrics_, CoreConfig(config_)) {
-  for (const HashRing::Node& node : config_.backends) {
-    ring_.Add(node);
-    auto& state = backend_states_[node.Address()];
-    if (state == nullptr) {
-      state = std::make_shared<BackendState>(config_.breaker);
-    }
-  }
+  for (const HashRing::Node& node : config_.backends) AddBackend(node);
 }
 
 PlanRouter::~PlanRouter() { Stop(); }
@@ -147,22 +139,26 @@ std::vector<HashRing::Node> PlanRouter::backends() const {
 }
 
 std::vector<PlanRouter::BackendStatus> PlanRouter::backend_status() const {
-  std::shared_lock<std::shared_mutex> lock(topology_mu_);
   std::vector<BackendStatus> statuses;
-  for (const HashRing::Node& node : ring_.nodes()) {
-    BackendStatus status;
-    status.node = node;
-    const auto it = backend_states_.find(node.Address());
-    if (it != backend_states_.end()) {
-      status.breaker = it->second->breaker.state();
-    }
-    statuses.push_back(std::move(status));
+  for (const auto& [node, backend] : SnapshotBackends()) {
+    statuses.push_back({node, backend->breaker.state()});
   }
   return statuses;
 }
 
-bool PlanRouter::BackendState::AcquireSlot(size_t cap) {
-  std::unique_lock<std::mutex> lock(slots_mu);
+PlanRouter::Backends PlanRouter::SnapshotBackends(HashRing* ring) const {
+  std::shared_lock<std::shared_mutex> lock(topology_mu_);
+  if (ring != nullptr) *ring = ring_;
+  Backends backends;
+  for (const HashRing::Node& node : ring_.nodes()) {
+    backends.emplace_back(node, backend_states_.at(node.Address()));
+  }
+  return backends;
+}
+
+bool PlanRouter::BackendState::Acquire(size_t cap,
+                                       std::unique_ptr<PpcClient>* client) {
+  std::unique_lock<std::mutex> lock(pool_mu);
   if (in_flight >= cap &&
       (saturated || !slot_freed.wait_for(lock, kSlotWait, [this, cap] {
         return in_flight < cap;
@@ -171,14 +167,19 @@ bool PlanRouter::BackendState::AcquireSlot(size_t cap) {
     return false;
   }
   ++in_flight;
+  if (!idle.empty()) {
+    *client = std::move(idle.back());
+    idle.pop_back();
+  }
   return true;
 }
 
-void PlanRouter::BackendState::ReleaseSlot() {
+void PlanRouter::BackendState::Release(std::unique_ptr<PpcClient> client) {
   {
-    std::lock_guard<std::mutex> lock(slots_mu);
+    std::lock_guard<std::mutex> lock(pool_mu);
     --in_flight;
     saturated = false;
+    if (client != nullptr) idle.push_back(std::move(client));
   }
   slot_freed.notify_one();
 }
@@ -195,12 +196,7 @@ void PlanRouter::RecordBackendFailure(BackendState* state) {
   }
 }
 
-wire::Response PlanRouter::Handle(const wire::Request& request,
-                                  size_t worker_index) {
-  // Only workers call a router's handler: its PlanServer never answers on
-  // the IO thread, whose index is one past the workers'.
-  PPC_DCHECK(worker_index < worker_clients_.size());
-  BackendClients* clients = &worker_clients_[worker_index];
+wire::Response PlanRouter::Handle(const wire::Request& request) {
   wire::Response response;
   response.type = request.type;
   response.id = request.id;
@@ -208,14 +204,14 @@ wire::Response PlanRouter::Handle(const wire::Request& request,
     case wire::MessageType::kPredict:
     case wire::MessageType::kPredictBatch:
     case wire::MessageType::kExecute:
-      response = Forward(clients, request);
+      response = Forward(request);
       break;
     case wire::MessageType::kPing:
       instruments_.requests_local->Increment();
       break;
     case wire::MessageType::kMetrics:
       instruments_.requests_local->Increment();
-      response = AggregateMetrics(clients);
+      response = AggregateMetrics();
       response.id = request.id;
       break;
     case wire::MessageType::kTopology:
@@ -250,22 +246,15 @@ Result<PlanRouter::Route> PlanRouter::ResolveRoute(
   Route route;
   route.primary = placement.primary;
   route.has_replica = placement.has_replica;
-  if (placement.has_replica) route.replica = placement.replica;
-  const auto primary_it = backend_states_.find(placement.primary.Address());
-  route.primary_state = primary_it != backend_states_.end()
-                            ? primary_it->second
-                            : std::make_shared<BackendState>(config_.breaker);
+  route.primary_state = backend_states_.at(placement.primary.Address());
   if (placement.has_replica) {
-    const auto replica_it = backend_states_.find(placement.replica.Address());
-    route.replica_state = replica_it != backend_states_.end()
-                              ? replica_it->second
-                              : std::make_shared<BackendState>(config_.breaker);
+    route.replica = placement.replica;
+    route.replica_state = backend_states_.at(placement.replica.Address());
   }
   return route;
 }
 
-wire::Response PlanRouter::Forward(BackendClients* clients,
-                                   const wire::Request& request) {
+wire::Response PlanRouter::Forward(const wire::Request& request) {
   wire::Response response;
   response.type = request.type;
   response.id = request.id;
@@ -303,7 +292,8 @@ wire::Response PlanRouter::Forward(BackendClients* clients,
 
   Status failure = Status::Unavailable("no backend attempt made");
   for (const Attempt& attempt : attempts) {
-    if (!attempt.backend->AcquireSlot(forward_slots_)) {
+    std::unique_ptr<PpcClient> client;
+    if (!attempt.backend->Acquire(forward_slots_, &client)) {
       // Every slot has been taken for longer than a healthy shard needs:
       // it is hung or badly overloaded. Nothing was sent, so even an
       // EXECUTE may go to the replica.
@@ -311,24 +301,21 @@ wire::Response PlanRouter::Forward(BackendClients* clients,
                                     " has all its forwards in flight");
       continue;
     }
-    // This worker's cached connection can be stale — the shard restarted
-    // (or dropped idle peers) since the last exchange — in which case the
-    // call fails Unavailable even though the shard is healthy again.
-    // Read-only requests get one retry on a fresh dial before the
-    // failure counts against the backend. An EXECUTE is never
-    // auto-replayed once any bytes may have reached a shard, so it is
-    // never sent down a connection the shard has already closed.
+    // A pooled connection can be stale — the shard restarted (or dropped
+    // idle peers) since its last exchange — in which case the call fails
+    // Unavailable even though the shard is healthy again. Read-only
+    // requests get one retry on a fresh dial before the failure counts
+    // against the backend. An EXECUTE is never auto-replayed once any
+    // bytes may have reached a shard, so it is never sent down a
+    // connection the shard has already closed.
     const bool is_execute = request.type == wire::MessageType::kExecute;
-    if (is_execute) {
-      const auto it = clients->find(attempt.node->Address());
-      if (it != clients->end() && it->second->PeerClosed()) {
-        clients->erase(it);
-      }
+    if (is_execute && client != nullptr && client->PeerClosed()) {
+      client.reset();
     }
     const int tries = is_execute ? 1 : 2;
     Result<wire::Response> answer = failure;
     for (int attempt_try = 0; attempt_try < tries; ++attempt_try) {
-      PpcClient* client = BackendClientFor(clients, *attempt.node);
+      if (client == nullptr) client = DialBackend(*attempt.node);
       if (client == nullptr) {
         answer = Status::Unavailable("shard " + attempt.node->Address() +
                                      " is unreachable");
@@ -338,12 +325,12 @@ wire::Response PlanRouter::Forward(BackendClients* clients,
       answer = client->Call(request);
       instruments_.forward_us->Record(MicrosSince(start));
       if (answer.ok()) break;
-      // The client closed its connection on the failure; drop it so the
-      // next request for this shard re-dials instead of failing forever.
-      clients->erase(attempt.node->Address());
+      // The client closed its connection on the failure; destroy it so
+      // the retry, or the next forward to this shard, dials a fresh one.
+      client.reset();
       if (answer.status().code() != StatusCode::kUnavailable) break;
     }
-    attempt.backend->ReleaseSlot();
+    attempt.backend->Release(std::move(client));
     if (!answer.ok()) {
       RecordBackendFailure(attempt.backend);
       failure = answer.status();
@@ -379,31 +366,19 @@ wire::Response PlanRouter::Forward(BackendClients* clients,
   return response;
 }
 
-wire::Response PlanRouter::AggregateMetrics(BackendClients* clients) {
+wire::Response PlanRouter::AggregateMetrics() {
   wire::Response response;
   response.type = wire::MessageType::kMetrics;
   std::string json = "{\"router\":";
   json += metrics_.TakeSnapshot().ToJson();
   json += ",\"shards\":{";
-  std::vector<std::pair<HashRing::Node, std::shared_ptr<BackendState>>>
-      targets;
-  {
-    std::shared_lock<std::shared_mutex> lock(topology_mu_);
-    for (const HashRing::Node& node : ring_.nodes()) {
-      const auto it = backend_states_.find(node.Address());
-      targets.emplace_back(
-          node, it != backend_states_.end() ? it->second : nullptr);
-    }
-  }
   bool first = true;
-  for (const auto& [node, backend] : targets) {
+  for (const auto& [node, backend] : SnapshotBackends()) {
     if (!first) json += ",";
     first = false;
     AppendJsonString(node.Address(), &json);
     json += ":";
-    const CircuitBreaker::State breaker_state =
-        backend != nullptr ? backend->breaker.state()
-                           : CircuitBreaker::State::kClosed;
+    const CircuitBreaker::State breaker_state = backend->breaker.state();
     if (breaker_state != CircuitBreaker::State::kClosed) {
       // Already known down: report it without burning a dial + deadline —
       // aggregated METRICS must not become as slow as the outage itself.
@@ -414,33 +389,29 @@ wire::Response PlanRouter::AggregateMetrics(BackendClients* clients) {
     }
     // A shard with every forwarding slot taken may be hung; asking it
     // would hold this worker too, so it is reported without a call.
-    const bool asked =
-        backend == nullptr || backend->AcquireSlot(forward_slots_);
+    std::unique_ptr<PpcClient> client;
+    const bool asked = backend->Acquire(forward_slots_, &client);
     Result<std::string> shard_json =
         Status::Unavailable("all its forwards are in flight");
     if (asked) {
-      PpcClient* client = BackendClientFor(clients, node);
+      if (client == nullptr) client = DialBackend(node);
       shard_json = client == nullptr
                        ? Result<std::string>(Status::Unavailable("unreachable"))
                        : client->Metrics();
-      if (backend != nullptr) backend->ReleaseSlot();
+      if (!shard_json.ok()) client.reset();
+      backend->Release(std::move(client));
     }
     if (shard_json.ok()) {
-      if (backend != nullptr) RecordBackendSuccess(backend.get());
+      RecordBackendSuccess(backend.get());
       // Shard payloads are themselves JSON objects; splice verbatim.
       json += "{\"up\":true,\"breaker_state\":\"closed\",\"metrics\":";
       json += shard_json.value();
       json += "}";
     } else {
       // One dead shard degrades its own entry, never the aggregate.
-      if (asked) {
-        clients->erase(node.Address());
-        if (backend != nullptr) RecordBackendFailure(backend.get());
-      }
+      if (asked) RecordBackendFailure(backend.get());
       json += "{\"up\":false,\"breaker_state\":\"";
-      json += CircuitBreaker::StateName(
-          backend != nullptr ? backend->breaker.state()
-                             : CircuitBreaker::State::kClosed);
+      json += CircuitBreaker::StateName(backend->breaker.state());
       json += "\",\"error\":";
       AppendJsonString(shard_json.status().ToString(), &json);
       json += "}";
@@ -458,11 +429,7 @@ wire::Response PlanRouter::ApplyTopology(const wire::Request& request) {
   const HashRing::Node node{request.topology_host, request.topology_port};
   std::unique_lock<std::shared_mutex> lock(topology_mu_);
   if (request.topology_op == wire::TopologyOp::kAdd) {
-    ring_.Add(node);
-    auto& state = backend_states_[node.Address()];
-    if (state == nullptr) {
-      state = std::make_shared<BackendState>(config_.breaker);
-    }
+    AddBackend(node);
     instruments_.topology_adds->Increment();
   } else {
     if (!ring_.Remove(node)) {
@@ -478,38 +445,41 @@ wire::Response PlanRouter::ApplyTopology(const wire::Request& request) {
   return response;
 }
 
-PpcClient* PlanRouter::BackendClientFor(BackendClients* clients,
-                                        const HashRing::Node& node) {
-  const std::string address = node.Address();
-  auto it = clients->find(address);
-  if (it != clients->end()) return it->second.get();
-  PpcClient::Options options;
-  options.call_deadline_ms = config_.backend_deadline_ms;
-  options.retry = config_.backend_retry;
-  auto client = std::make_unique<PpcClient>(options);
-  if (!client->Connect(node.host, node.port).ok()) return nullptr;
-  return clients->emplace(address, std::move(client)).first->second.get();
+void PlanRouter::AddBackend(const HashRing::Node& node) {
+  ring_.Add(node);
+  std::shared_ptr<BackendState>& state = backend_states_[node.Address()];
+  if (state == nullptr) {
+    state = std::make_shared<BackendState>(config_.breaker);
+  }
 }
 
-PpcClient* PlanRouter::HealthClientFor(HealthClients* clients,
-                                       const HashRing::Node& node) {
-  const std::string address = node.Address();
-  auto it = clients->find(address);
-  if (it != clients->end()) return it->second.get();
+std::unique_ptr<PpcClient> PlanRouter::DialBackend(
+    const HashRing::Node& node) const {
   PpcClient::Options options;
-  options.call_deadline_ms = config_.probe_deadline_ms;
-  // Single attempt: the breaker, not a retry loop, owns failure policy
-  // on the health path.
-  options.retry.max_attempts = 1;
+  options.call_deadline_ms = config_.backend_deadline_ms;
+  options.retry = kBackendRetry;
   auto client = std::make_unique<PpcClient>(options);
-  // A failed dial is fine — the client remembers the endpoint and each
-  // later call re-attempts the connection under its own deadline.
-  (void)client->Connect(node.host, node.port);
-  return clients->emplace(address, std::move(client)).first->second.get();
+  if (!client->Connect(node.host, node.port).ok()) return nullptr;
+  return client;
+}
+
+PpcClient* PlanRouter::HealthClientFor(const HashRing::Node& node,
+                                       BackendState* state) const {
+  if (state->health_client == nullptr) {
+    PpcClient::Options options;
+    options.call_deadline_ms = config_.probe_deadline_ms;
+    // Single attempt: the breaker, not a retry loop, owns failure policy
+    // on the health path.
+    options.retry.max_attempts = 1;
+    state->health_client = std::make_unique<PpcClient>(options);
+    // A failed dial is fine — the client remembers the endpoint and each
+    // later call re-attempts the connection under its own deadline.
+    (void)state->health_client->Connect(node.host, node.port);
+  }
+  return state->health_client.get();
 }
 
 void PlanRouter::HealthLoop() {
-  HealthClients clients;
   ShippedHashes shipped;
   auto last_replication = std::chrono::steady_clock::now();
   while (!draining_.load(std::memory_order_acquire)) {
@@ -522,24 +492,11 @@ void PlanRouter::HealthLoop() {
     }
     if (draining_.load(std::memory_order_acquire)) break;
 
-    std::vector<std::pair<HashRing::Node, std::shared_ptr<BackendState>>>
-        targets;
-    {
-      std::shared_lock<std::shared_mutex> lock(topology_mu_);
-      for (const HashRing::Node& node : ring_.nodes()) {
-        const auto it = backend_states_.find(node.Address());
-        if (it == backend_states_.end()) continue;
-        targets.emplace_back(node, it->second);
-      }
-    }
+    const Backends targets = SnapshotBackends();
 
-    // Forget clients and shipped-hash bookkeeping for shards no longer on
-    // the ring.
+    // Forget shipped-hash bookkeeping for shards no longer on the ring.
     std::set<std::string> live;
     for (const auto& [node, backend] : targets) live.insert(node.Address());
-    for (auto it = clients.begin(); it != clients.end();) {
-      it = live.count(it->first) ? std::next(it) : clients.erase(it);
-    }
     for (auto it = shipped.begin(); it != shipped.end();) {
       if (!live.count(it->first)) {
         it = shipped.erase(it);
@@ -554,14 +511,14 @@ void PlanRouter::HealthLoop() {
 
     for (const auto& [node, backend] : targets) {
       if (draining_.load(std::memory_order_acquire)) break;
-      ProbeBackend(node, backend, &clients, &shipped);
+      ProbeBackend(node, backend, &shipped);
     }
 
     if (config_.replication_interval_ms > 0 &&
         !draining_.load(std::memory_order_acquire) &&
         std::chrono::steady_clock::now() - last_replication >=
             std::chrono::milliseconds(config_.replication_interval_ms)) {
-      ReplicateOnce(&clients, &shipped);
+      ReplicateOnce(&shipped);
       last_replication = std::chrono::steady_clock::now();
     }
   }
@@ -569,11 +526,10 @@ void PlanRouter::HealthLoop() {
 
 void PlanRouter::ProbeBackend(const HashRing::Node& node,
                               const std::shared_ptr<BackendState>& state,
-                              HealthClients* clients, ShippedHashes* shipped) {
+                              ShippedHashes* shipped) {
   if (state->breaker.state() == CircuitBreaker::State::kClosed) {
     instruments_.health_probes->Increment();
-    PpcClient* client = HealthClientFor(clients, node);
-    const Status alive = client->Ping();
+    const Status alive = HealthClientFor(node, state.get())->Ping();
     if (alive.ok()) {
       RecordBackendSuccess(state.get());
     } else {
@@ -587,14 +543,13 @@ void PlanRouter::ProbeBackend(const HashRing::Node& node,
   // succeeds AND a wire-level warm start from its replicas applied
   // cleanly — a rejoining shard must never be observable cold.
   instruments_.health_probes->Increment();
-  PpcClient* client = HealthClientFor(clients, node);
-  const Status alive = client->Ping();
+  const Status alive = HealthClientFor(node, state.get())->Ping();
   if (!alive.ok()) {
     instruments_.health_probe_failures->Increment();
     RecordBackendFailure(state.get());
     return;
   }
-  if (!WarmRejoin(node, clients)) {
+  if (!WarmRejoin(node, state.get())) {
     instruments_.rejoin_failures->Increment();
     RecordBackendFailure(state.get());
     return;
@@ -610,31 +565,20 @@ void PlanRouter::ProbeBackend(const HashRing::Node& node,
   RecordBackendSuccess(state.get());
 }
 
-bool PlanRouter::WarmRejoin(const HashRing::Node& node,
-                            HealthClients* clients) {
-  // Snapshot the ring + the other backends under the lock; the wire
-  // transfers run outside it.
-  HashRing ring_snapshot(config_.vnodes_per_node);
-  std::vector<std::pair<HashRing::Node, std::shared_ptr<BackendState>>>
-      sources;
-  {
-    std::shared_lock<std::shared_mutex> lock(topology_mu_);
-    ring_snapshot = ring_;
-    for (const HashRing::Node& other : ring_.nodes()) {
-      if (other == node) continue;
-      const auto it = backend_states_.find(other.Address());
-      if (it == backend_states_.end()) continue;
-      sources.emplace_back(other, it->second);
-    }
-  }
+bool PlanRouter::WarmRejoin(const HashRing::Node& node, BackendState* state) {
+  // Snapshot the ring + the backends under the lock; the wire transfers
+  // run outside it.
+  HashRing ring_snapshot;
+  const Backends sources = SnapshotBackends(&ring_snapshot);
   const std::string rejoining = node.Address();
   for (const auto& [source, backend] : sources) {
+    if (source == node) continue;
     // A replica that is itself down cannot warm anyone; the templates it
     // held for the rejoining shard restart cold (both copies were lost —
     // there is nothing better to restore from).
     if (backend->breaker.state() != CircuitBreaker::State::kClosed) continue;
-    PpcClient* source_client = HealthClientFor(clients, source);
-    Result<std::string> blob = source_client->FetchSnapshot();
+    Result<std::string> blob =
+        HealthClientFor(source, backend.get())->FetchSnapshot();
     if (!blob.ok()) return false;  // retry the whole rejoin next tick
     Result<PredictorState> full = PredictorState::Restore(blob.value());
     if (!full.ok()) return false;
@@ -651,27 +595,16 @@ bool PlanRouter::WarmRejoin(const HashRing::Node& node,
                  placement.value().replica.Address() == source_address;
         });
     if (subset.entries().empty()) continue;
-    PpcClient* target = HealthClientFor(clients, node);
-    Result<uint32_t> applied = target->ApplySnapshot(subset.Serialize());
+    Result<uint32_t> applied =
+        HealthClientFor(node, state)->ApplySnapshot(subset.Serialize());
     if (!applied.ok()) return false;
   }
   return true;
 }
 
-void PlanRouter::ReplicateOnce(HealthClients* clients,
-                               ShippedHashes* shipped) {
-  HashRing ring_snapshot(config_.vnodes_per_node);
-  std::vector<std::pair<HashRing::Node, std::shared_ptr<BackendState>>>
-      targets;
-  {
-    std::shared_lock<std::shared_mutex> lock(topology_mu_);
-    ring_snapshot = ring_;
-    for (const HashRing::Node& node : ring_.nodes()) {
-      const auto it = backend_states_.find(node.Address());
-      if (it == backend_states_.end()) continue;
-      targets.emplace_back(node, it->second);
-    }
-  }
+void PlanRouter::ReplicateOnce(ShippedHashes* shipped) {
+  HashRing ring_snapshot;
+  const Backends targets = SnapshotBackends(&ring_snapshot);
   if (targets.size() < 2) return;  // no distinct replica exists
 
   for (const auto& [primary, primary_backend] : targets) {
@@ -679,8 +612,8 @@ void PlanRouter::ReplicateOnce(HealthClients* clients,
     if (primary_backend->breaker.state() != CircuitBreaker::State::kClosed) {
       continue;
     }
-    PpcClient* source = HealthClientFor(clients, primary);
-    Result<std::string> blob = source->FetchSnapshot();
+    Result<std::string> blob =
+        HealthClientFor(primary, primary_backend.get())->FetchSnapshot();
     if (!blob.ok()) {
       instruments_.replication_ship_failures->Increment();
       if (IsTransportFailure(blob.status())) {
@@ -725,8 +658,9 @@ void PlanRouter::ReplicateOnce(HealthClients* clients,
         instruments_.replication_skipped->Increment();
         continue;
       }
-      PpcClient* sink = HealthClientFor(clients, replica);
-      Result<uint32_t> applied = sink->ApplySnapshot(subset.Serialize());
+      Result<uint32_t> applied =
+          HealthClientFor(replica, replica_backend.get())
+              ->ApplySnapshot(subset.Serialize());
       if (!applied.ok()) {
         instruments_.replication_ship_failures->Increment();
         if (IsTransportFailure(applied.status())) {

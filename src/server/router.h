@@ -10,6 +10,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -69,14 +70,17 @@ namespace ppc {
 /// Threading model: PlanServer's serving core (server.h) with this class
 /// as its forwarding RequestHandler, plus one health thread (prober +
 /// replicator + rejoin driver). Router clients get the core's connection
-/// limit, deadlines, backpressure, shed ladder and pipelining. Each worker
-/// keeps its own PpcClient per shard, so forwarding holds at most
-/// `worker_threads` x backends shard connections, none shared across
-/// threads; the shared state is the ring + per-backend breakers behind a
-/// shared_mutex. A forward blocks its worker, so each shard gets at most
-/// `worker_threads` - 1 forwards in flight: a shard that hangs without
-/// closing its connections holds at most that many workers, and its excess
-/// requests fail over to the replica (DESIGN.md §15).
+/// limit, deadlines, backpressure, shed ladder and pipelining. Each
+/// shard's BackendState owns every connection the router holds to it: a
+/// pool of forwarding PpcClients that the workers take one at a time, and
+/// the health thread's client. A forward blocks its worker, so the pool
+/// caps a shard at `worker_threads` - 1 forwards in flight, and as many
+/// forwarding connections: a shard that hangs without closing its
+/// connections holds at most that many workers, and its excess requests
+/// fail over to the replica (DESIGN.md §15). The ring and the backend
+/// states change together behind a shared_mutex; a shard taken off the
+/// ring closes its connections once its last in-flight forward or probe
+/// lets go of its state.
 ///
 /// Shutdown()/drain: the core drains (a SHUTDOWN request, Shutdown(), or a
 /// signal via InstallShutdownSignalHandlers); Wait() then stops the health
@@ -84,22 +88,16 @@ namespace ppc {
 class PlanRouter : private RequestHandler {
  public:
   struct Config {
+    /// The serving core takes bind_address and port; every other core
+    /// setting is PlanServer::Config's default.
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port; see port() after Start().
     uint16_t port = 0;
     /// Initial shard set; extendable at runtime via kTopology.
     std::vector<HashRing::Node> backends;
-    int vnodes_per_node = 64;
-    /// The core takes this, bind_address, port and write_deadline_ms;
-    /// every other core setting is PlanServer::Config's default.
-    size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-    /// Per-forward wall clock, spanning the retry policy below. 0 waits
+    /// Per-forward wall clock, spanning the backend retry policy. 0 waits
     /// forever (not recommended — a hung shard then hangs its clients).
     int64_t backend_deadline_ms = 5000;
-    /// Applied to shard connects and BUSY answers (server/client.h).
-    RetryPolicy backend_retry{/*max_attempts=*/3};
-    /// Bound on writing one response frame back to a client.
-    int64_t write_deadline_ms = 10000;
 
     /// --- Health model (DESIGN.md §18). ---
 
@@ -161,26 +159,41 @@ class PlanRouter : private RequestHandler {
  private:
   friend Status InstallShutdownSignalHandlers(PlanRouter* router);
 
-  /// One worker's private shard connections, keyed by shard address.
-  using BackendClients = std::map<std::string, std::unique_ptr<PpcClient>>;
-
-  /// Shared per-backend health state. Held by shared_ptr so a forward in
-  /// flight keeps its breaker alive across a concurrent topology remove.
+  /// One shard's breaker and every connection the router holds to it.
+  /// Held by shared_ptr so a forward or probe in flight keeps it alive
+  /// across a concurrent topology remove; the connections close with it.
   struct BackendState {
     explicit BackendState(const CircuitBreaker::Options& options)
         : breaker(options) {}
-    /// Takes one of `cap` forwarding slots. At the cap it waits briefly
-    /// for a slot to free, unless an earlier wait already timed out since
-    /// the last forward finished; false means the shard is saturated.
-    bool AcquireSlot(size_t cap);
-    void ReleaseSlot();
+    /// Takes one of `cap` forwarding slots, and an idle pooled connection
+    /// into `*client` when there is one (null: the caller dials). At the
+    /// cap it waits briefly for a slot to free, unless an earlier wait
+    /// already timed out since the last forward finished; false means the
+    /// shard is saturated. Slots and idle connections together never
+    /// exceed `cap`, so neither do the shard's forwarding connections.
+    bool Acquire(size_t cap, std::unique_ptr<PpcClient>* client);
+    /// Frees the slot and pools `client`; pass null for a client whose
+    /// call failed, which is then destroyed.
+    void Release(std::unique_ptr<PpcClient> client);
 
     CircuitBreaker breaker;
-    std::mutex slots_mu;
+    /// The probe and replication client (probe deadline, single attempt).
+    /// Only the health thread touches it.
+    std::unique_ptr<PpcClient> health_client;
+
+    std::mutex pool_mu;
     std::condition_variable slot_freed;
+    /// Guarded by pool_mu: forwards in flight, the idle connections (a
+    /// stack, so the most recently used is reused first), and whether a
+    /// wait for a slot timed out since the last forward finished.
     size_t in_flight = 0;
+    std::vector<std::unique_ptr<PpcClient>> idle;
     bool saturated = false;
   };
+
+  /// Every ring node with its state.
+  using Backends =
+      std::vector<std::pair<HashRing::Node, std::shared_ptr<BackendState>>>;
 
   /// One resolved routing decision: placement plus the breakers of both
   /// candidate shards, taken under a single topology read lock.
@@ -193,17 +206,18 @@ class PlanRouter : private RequestHandler {
   };
 
   /// The forwarding handler, called by the core's workers.
-  wire::Response Handle(const wire::Request& request,
-                        size_t worker_index) override;
-  wire::Response Forward(BackendClients* clients,
-                         const wire::Request& request);
-  wire::Response AggregateMetrics(BackendClients* clients);
+  wire::Response Handle(const wire::Request& request) override;
+  wire::Response Forward(const wire::Request& request);
+  wire::Response AggregateMetrics();
   wire::Response ApplyTopology(const wire::Request& request);
-  /// Get-or-dial `clients`' connection to `node`; null when the dial
-  /// fails. Callers erase a client whose call failed, so the next request
-  /// re-dials.
-  PpcClient* BackendClientFor(BackendClients* clients,
-                              const HashRing::Node& node);
+  /// Puts `node` on the ring with a state, keeping an existing one. Runs
+  /// under topology_mu_ held exclusively, or in the constructor.
+  void AddBackend(const HashRing::Node& node);
+  /// A new forwarding connection to `node`; null when the dial fails.
+  std::unique_ptr<PpcClient> DialBackend(const HashRing::Node& node) const;
+  /// Every ring node with its state, under one topology read lock; a
+  /// non-null `ring` also gets the ring as of that moment.
+  Backends SnapshotBackends(HashRing* ring = nullptr) const;
 
   Result<Route> ResolveRoute(const std::string& template_name) const;
   /// Breaker bookkeeping around one backend call outcome, with the open /
@@ -213,9 +227,6 @@ class PlanRouter : private RequestHandler {
 
   /// --- Health thread (prober + replicator + rejoin driver). ---
 
-  /// The health thread's private per-backend clients (probe deadline,
-  /// single attempt), keyed by address.
-  using HealthClients = std::map<std::string, std::unique_ptr<PpcClient>>;
   /// Content hashes already shipped, keyed primary address -> replica
   /// address -> template name. Cleared for a shard when it rejoins (its
   /// restart lost everything previously shipped to it).
@@ -223,19 +234,20 @@ class PlanRouter : private RequestHandler {
       std::map<std::string, std::map<std::string, std::map<std::string, uint64_t>>>;
 
   void HealthLoop();
-  PpcClient* HealthClientFor(HealthClients* clients,
-                             const HashRing::Node& node);
+  /// `state`'s health client, dialed on first use.
+  PpcClient* HealthClientFor(const HashRing::Node& node,
+                             BackendState* state) const;
   void ProbeBackend(const HashRing::Node& node,
                     const std::shared_ptr<BackendState>& state,
-                    HealthClients* clients, ShippedHashes* shipped);
+                    ShippedHashes* shipped);
   /// Wire-level warm start of a rejoining shard from its replicas: for
   /// every other live backend, fetch its state and apply the subset of
   /// templates whose placement says primary == `node`. True only when
   /// every reachable replica's subset applied cleanly.
-  bool WarmRejoin(const HashRing::Node& node, HealthClients* clients);
+  bool WarmRejoin(const HashRing::Node& node, BackendState* state);
   /// One replica warm-keeping pass: capture each live primary's state,
   /// ship changed templates to their replicas (hash-gated per pair).
-  void ReplicateOnce(HealthClients* clients, ShippedHashes* shipped);
+  void ReplicateOnce(ShippedHashes* shipped);
 
   const Config config_;
 
@@ -245,8 +257,9 @@ class PlanRouter : private RequestHandler {
   std::mutex health_mu_;
   std::condition_variable health_cv_;
 
-  /// Ring + backend set + per-backend breakers, shared across the
-  /// workers and the health thread.
+  /// The ring and one BackendState per ring node, changed together under
+  /// topology_mu_ (every ring node has a state); shared across the workers
+  /// and the health thread.
   mutable std::shared_mutex topology_mu_;
   HashRing ring_;
   std::map<std::string, std::shared_ptr<BackendState>> backend_states_;
@@ -254,12 +267,9 @@ class PlanRouter : private RequestHandler {
   std::thread health_thread_;
 
   MetricsRegistry metrics_;
-  /// Indexed by worker; sized once at construction from the core's
-  /// worker count.
-  std::vector<BackendClients> worker_clients_;
-  /// Forwards one shard may have in flight: one fewer than the workers,
-  /// so a shard that hangs without closing its connections can never hold
-  /// every worker (DESIGN.md §15).
+  /// Forwards one shard may have in flight, and forwarding connections it
+  /// may hold: one fewer than the workers, so a shard that hangs without
+  /// closing its connections can never hold every worker (DESIGN.md §15).
   const size_t forward_slots_;
   PlanServer server_;
   struct {

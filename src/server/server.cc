@@ -79,8 +79,7 @@ class FrameworkHandler final : public RequestHandler {
         &metrics.counter("server.replication.apply_failures");
   }
 
-  wire::Response Handle(const wire::Request& request,
-                        size_t worker_index) override;
+  wire::Response Handle(const wire::Request& request) override;
 
  private:
   PpcFramework* const framework_;
@@ -435,7 +434,7 @@ Status PlanServer::Start() {
   io_thread_ = std::thread([this] { IoLoop(); });
   workers_.reserve(WorkerCount());
   for (size_t i = 0; i < WorkerCount(); ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
 }
@@ -728,10 +727,8 @@ bool PlanServer::AdmitRun(const std::shared_ptr<Connection>& conn,
 
 bool PlanServer::AnswerRunInline(const std::shared_ptr<Connection>& conn) {
   const size_t count = io_run_.size();
-  // One past the workers' indices: the handler's per-worker state is
-  // never shared with a worker.
   const std::vector<wire::Response> responses =
-      AnswerPredictRun(io_run_.data(), count, WorkerCount());
+      AnswerRun(io_run_.data(), count);
   std::string frames;
   for (const wire::Response& response : responses) {
     wire::EncodeResponse(response, &frames);
@@ -896,8 +893,7 @@ void PlanServer::ObserveOutbox(size_t bytes) {
   instruments_.outbox_peak_bytes->Set(static_cast<double>(bytes));
 }
 
-wire::Response FrameworkHandler::Handle(const wire::Request& request,
-                                        size_t /*worker_index*/) {
+wire::Response FrameworkHandler::Handle(const wire::Request& request) {
   wire::Response response;
   response.type = request.type;
   response.id = request.id;
@@ -1005,27 +1001,8 @@ wire::Response FrameworkHandler::Handle(const wire::Request& request,
   return response;
 }
 
-void PlanServer::ProcessSingle(WorkItem* item, size_t worker_index) {
-  failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  if (config_.pre_dispatch_hook) {
-    config_.pre_dispatch_hook(item->request.type);
-  }
-  const wire::Response response =
-      handler_->Handle(item->request, worker_index);
-  std::string frame;
-  wire::EncodeResponse(response, &frame);
-  item->conn->Send(&frame, Connection::WhenFull::kWait);
-  Account(*item, response.ok());
-  if (response.type == wire::MessageType::kShutdown && response.ok()) {
-    // Ack already on the outbox; now start the drain. Everything admitted
-    // before this point still completes, and every flush finishes before
-    // its worker exits.
-    Shutdown();
-  }
-}
-
-std::vector<wire::Response> PlanServer::AnswerPredictRun(
-    const WorkItem* items, size_t count, size_t worker_index) {
+std::vector<wire::Response> PlanServer::AnswerRun(const WorkItem* items,
+                                                  size_t count) {
   if (config_.pre_dispatch_hook) {
     for (size_t p = 0; p < count; ++p) {
       config_.pre_dispatch_hook(items[p].request.type);
@@ -1048,16 +1025,14 @@ std::vector<wire::Response> PlanServer::AnswerPredictRun(
         group.push_back(p);
       }
     }
-    AnswerPredictGroup(items, group, worker_index, responses.data());
+    AnswerPredictGroup(items, group, responses.data());
   }
   return responses;
 }
 
-void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
-                                   size_t worker_index) {
+void PlanServer::ProcessRun(WorkItem* items, size_t count) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  const std::vector<wire::Response> responses =
-      AnswerPredictRun(items, count, worker_index);
+  const std::vector<wire::Response> responses = AnswerRun(items, count);
   // Append every reply first, then flush each connection this worker was
   // handed once, so a run's replies to one connection leave in one write.
   // While it holds an unflushed connection the worker must not wait for
@@ -1080,6 +1055,14 @@ void PlanServer::ProcessPredictRun(WorkItem* items, size_t count,
   }
   for (Connection* conn : to_flush) conn->Flush();
   CountRun(items, count, responses);
+  // Only single-point PREDICTs join a run, so a SHUTDOWN is a run of one.
+  if (responses.front().type == wire::MessageType::kShutdown &&
+      responses.front().ok()) {
+    // Ack already on the outbox; now start the drain. Everything admitted
+    // before this point still completes, and every flush finishes before
+    // its worker exits.
+    Shutdown();
+  }
 }
 
 void PlanServer::CountRun(const WorkItem* items, size_t count,
@@ -1093,11 +1076,9 @@ void PlanServer::CountRun(const WorkItem* items, size_t count,
 
 void PlanServer::AnswerPredictGroup(const WorkItem* items,
                                     const std::vector<size_t>& group,
-                                    size_t worker_index,
                                     wire::Response* responses) {
   if (group.size() == 1) {
-    responses[group[0]] = handler_->Handle(items[group[0]].request,
-                                           worker_index);
+    responses[group[0]] = handler_->Handle(items[group[0]].request);
     return;
   }
   const wire::Request& head = items[group[0]].request;
@@ -1112,7 +1093,7 @@ void PlanServer::AnswerPredictGroup(const WorkItem* items,
                               items[p].request.point.begin(),
                               items[p].request.point.end());
   }
-  const wire::Response answer = handler_->Handle(batch, worker_index);
+  const wire::Response answer = handler_->Handle(batch);
   const bool rejected = answer.status == wire::WireStatus::kBadRequest ||
                         answer.status == wire::WireStatus::kNotFound;
   if (answer.ok() ? answer.batch.size() != group.size() : rejected) {
@@ -1122,7 +1103,7 @@ void PlanServer::AnswerPredictGroup(const WorkItem* items,
     // the router is down or timed out) would recur per item, so the
     // batch's error answers every item of the group.
     for (const size_t p : group) {
-      responses[p] = handler_->Handle(items[p].request, worker_index);
+      responses[p] = handler_->Handle(items[p].request);
     }
     return;
   }
@@ -1180,7 +1161,7 @@ void PlanServer::Account(const WorkItem& item, bool ok) {
   if (!ok) instruments_.responses_error->Increment();
 }
 
-void PlanServer::WorkerLoop(size_t worker_index) {
+void PlanServer::WorkerLoop() {
   std::vector<WorkItem> run;
   while (std::optional<WorkItem> item = queue_.Pop()) {
     if (item->flush_only) {
@@ -1215,11 +1196,7 @@ void PlanServer::WorkerLoop(size_t worker_index) {
         run.push_back(std::move(*extra));
       }
     }
-    if (run.size() >= 2) {
-      ProcessPredictRun(run.data(), run.size(), worker_index);
-    } else {
-      ProcessSingle(&run.front(), worker_index);
-    }
+    ProcessRun(run.data(), run.size());
     // Drop the connection references before blocking in Pop: the last
     // one closes the fd of a connection the IO thread already closed, and
     // its peer is waiting for that EOF.

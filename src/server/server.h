@@ -30,13 +30,11 @@ class TimerWheel;
 class RequestHandler {
  public:
   virtual ~RequestHandler() = default;
-  /// Called concurrently by every worker; `worker_index` in
-  /// [0, worker_threads) lets a handler keep per-worker state unlocked.
+  /// Called concurrently by every worker, so it keeps no per-thread state.
   /// A PlanServer in front of its own framework also calls its framework
-  /// handler from the IO thread, with `worker_index` == worker_threads;
-  /// one in front of another handler never does.
-  virtual wire::Response Handle(const wire::Request& request,
-                                size_t worker_index) = 0;
+  /// handler from the IO thread; one in front of another handler never
+  /// does.
+  virtual wire::Response Handle(const wire::Request& request) = 0;
 };
 
 /// The network serving layer (DESIGN.md §12): a Linux epoll-based TCP
@@ -180,9 +178,8 @@ class PlanServer {
   struct WorkItem;
 
   void IoLoop();
-  void WorkerLoop(size_t worker_index);
-  /// worker_threads, at least 1. Also the handler's `worker_index` for
-  /// the PREDICTs the IO thread answers.
+  void WorkerLoop();
+  /// worker_threads, at least 1.
   size_t WorkerCount() const;
   void AcceptConnections(net::TimerWheel* wheel);
   /// Timer-wheel bookkeeping (IO thread only): (re)arms a connection's
@@ -210,9 +207,8 @@ class PlanServer {
   /// False when the connection must be dropped.
   bool AdmitRun(const std::shared_ptr<Connection>& conn, bool sole_ready);
   /// Answers `io_run_` on the IO thread through the workers' run path
-  /// (hook, one PREDICT_BATCH per (template, arity), Account, the
-  /// micro-batch counters), writes the replies with one non-blocking send
-  /// and queues a flush item for whatever that send left.
+  /// (AnswerRun, then CountRun), writes the replies with one non-blocking
+  /// send and queues a flush item for whatever that send left.
   bool AnswerRunInline(const std::shared_ptr<Connection>& conn);
   /// Admission of one request: shed sample and abstain rung, then the
   /// queue, or BUSY (SHUTTING_DOWN while draining) when it refuses.
@@ -229,32 +225,30 @@ class PlanServer {
   /// that arrived after the IO loop stopped reading are answered with a
   /// SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
-  /// Answers one work item the scalar way: hook, handle, send, account.
-  void ProcessSingle(WorkItem* item, size_t worker_index);
-  /// Answers a run of `count` single-point PREDICT items on a worker:
-  /// AnswerPredictRun, then every reply appended and each connection
-  /// flushed once.
-  void ProcessPredictRun(WorkItem* items, size_t count, size_t worker_index);
+  /// Answers a run of `count` items on a worker: any one request, or
+  /// single-point PREDICTs the worker took together. AnswerRun, then every
+  /// reply appended and each connection flushed once, then CountRun; an
+  /// acknowledged SHUTDOWN then starts the drain.
+  void ProcessRun(WorkItem* items, size_t count);
   /// Runs the hook for each item, then one AnswerPredictGroup per
   /// (template, arity) group, in order of first appearance; returns the
   /// replies in item order. The kDispatch failpoint stays with the
-  /// workers (ProcessSingle, ProcessPredictRun).
-  std::vector<wire::Response> AnswerPredictRun(const WorkItem* items,
-                                               size_t count,
-                                               size_t worker_index);
+  /// workers (ProcessRun).
+  std::vector<wire::Response> AnswerRun(const WorkItem* items, size_t count);
   /// Account for every item of an answered run, and the micro-batch
   /// counters when it holds two or more.
   void CountRun(const WorkItem* items, size_t count,
                 const std::vector<wire::Response>& responses);
   /// Answers the items at `group` (one template and arity) into the same
   /// slots of `responses`, with one PREDICT_BATCH through the handler (a
-  /// group of one goes as its own PREDICT); falls back to one request per item when the batch is rejected (e.g.
-  /// one point is non-finite), so grouping never changes which requests
-  /// succeed. Any other failure answers every item of the group with the
-  /// batch's error.
+  /// group of one, which may be any request, goes to the handler as it
+  /// is); falls back to one request per item when the batch is rejected
+  /// (e.g. one point is non-finite), so grouping never changes which
+  /// requests succeed. Any other failure answers every item of the group
+  /// with the batch's error.
   void AnswerPredictGroup(const WorkItem* items,
                           const std::vector<size_t>& group,
-                          size_t worker_index, wire::Response* responses);
+                          wire::Response* responses);
   /// Records the item's request counter and latency (admission to reply
   /// handed off), and the error counter when `ok` is false.
   void Account(const WorkItem& item, bool ok);

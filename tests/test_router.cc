@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -343,6 +344,28 @@ class RouterTest : public ::testing::Test {
 
   Status ConnectClient(PpcClient* client) {
     return client->Connect("127.0.0.1", router_->port());
+  }
+
+  /// `clients` concurrent router clients, each sending `per_client`
+  /// EXECUTEs for `name`; returns how many calls failed.
+  int ExecuteConcurrently(const std::string& name, int clients,
+                          int per_client) {
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < clients; ++t) {
+      threads.emplace_back([&] {
+        PpcClient client;
+        if (!ConnectClient(&client).ok()) {
+          ++failures;
+          return;
+        }
+        for (int i = 0; i < per_client; ++i) {
+          if (!client.Execute(name, PointFor(name)).ok()) ++failures;
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return failures.load();
   }
 
   uint64_t ShardCounter(int i, const std::string& name) {
@@ -909,6 +932,67 @@ TEST_F(RouterTest, ARoutersIoThreadAnswersNoPredictItself) {
   }
   EXPECT_EQ(metrics.counter("server.requests.predict").value(), kRequests);
   EXPECT_EQ(metrics.counter("server.inline_predicts").value(), 0u);
+}
+
+/// Connections this network namespace holds open to local `port`: the
+/// ESTABLISHED rows of /proc/net/tcp{,6} whose remote port is `port` (the
+/// client side of each connection, so the router's side of its shard
+/// connections).
+int EstablishedConnectionsTo(uint16_t port) {
+  int count = 0;
+  for (const char* table : {"/proc/net/tcp", "/proc/net/tcp6"}) {
+    std::ifstream in(table);
+    std::string line;
+    std::getline(in, line);  // the header
+    while (std::getline(in, line)) {
+      std::istringstream row(line);
+      std::string slot, local, remote, state;
+      row >> slot >> local >> remote >> state;
+      const size_t colon = remote.rfind(':');
+      if (state == "01" && colon != std::string::npos &&
+          std::stoul(remote.substr(colon + 1), nullptr, 16) == port) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST_F(RouterTest, ConcurrentClientsOpenAtMostOneConnectionPerForwardSlot) {
+  StartRouter();
+  const std::string name = TemplateOwnedBy(0);
+  // Twice as many clients as the router has workers, so every worker
+  // forwards to shard 0 at once, again and again.
+  ASSERT_EQ(ExecuteConcurrently(name, 8, 40), 0);
+  const int open = EstablishedConnectionsTo(shards_[0]->port());
+  EXPECT_GT(open, 0);
+  // A shard gets worker_threads - 1 forwards in flight, and the router
+  // keeps no more connections to it than that.
+  EXPECT_LE(open, PlanServer::Config{}.worker_threads - 1);
+}
+
+TEST_F(RouterTest, ATopologyRemoveClosesTheRemovedShardsConnections) {
+  StartRouter();
+  const std::string name = TemplateOwnedBy(0);
+  ASSERT_EQ(ExecuteConcurrently(name, 8, 40), 0);
+  const uint16_t port = shards_[0]->port();
+  ASSERT_GT(EstablishedConnectionsTo(port), 0);
+
+  PpcClient admin;
+  ASSERT_TRUE(ConnectClient(&admin).ok());
+  auto removed = admin.Topology(wire::TopologyOp::kRemove, "127.0.0.1", port);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  // The shard is still up, but off the ring: nothing the router holds may
+  // keep a connection to it open.
+  int open = EstablishedConnectionsTo(port);
+  for (int spin = 0; spin < 100 && open > 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = EstablishedConnectionsTo(port);
+  }
+  EXPECT_EQ(open, 0) << "connections to the removed shard outlived 1 s";
+  // Its templates re-home onto the remaining shard.
+  auto rehomed = admin.Execute(name, PointFor(name));
+  ASSERT_TRUE(rehomed.ok()) << rehomed.status().ToString();
 }
 
 TEST_F(RouterTest, ShutdownOverTheWireDrainsTheRouter) {
