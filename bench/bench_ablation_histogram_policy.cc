@@ -39,22 +39,11 @@ void Run() {
   for (const PolicySpec& spec : policies) {
     MetricsAccumulator overall;
     for (size_t i = 0; i < kWorkloads; ++i) {
-      TrajectoryConfig traj;
-      traj.dimensions = exp.dims();
-      traj.total_points = kQueries;
-      traj.scatter = 0.01;
-      Rng rng(190 + i);
-      auto workload = RandomTrajectoriesWorkload(traj, &rng);
+      auto workload = TrajectoryWorkload(exp.dims(), kQueries, 0.01, 190 + i);
 
-      OnlinePpcPredictor::Config cfg;
-      cfg.predictor.dimensions = exp.dims();
-      cfg.predictor.transform_count = 5;
+      OnlinePpcPredictor::Config cfg = OnlineBenchConfig(exp.dims());
       cfg.predictor.histogram_buckets = kBuckets;
-      cfg.predictor.radius = 0.2;
-      cfg.predictor.confidence_threshold = 0.8;
-      cfg.predictor.noise_fraction = 0.0005;
       cfg.predictor.merge_policy = spec.policy;
-      cfg.negative_feedback = true;
       cfg.seed = 200 + i;
       OnlinePpcPredictor online(cfg);
       auto outcome = RunOnlineWorkload(&online, workload, kQueries, exp);

@@ -29,22 +29,10 @@ void Run() {
     MetricsAccumulator overall;
     size_t optimizer_calls = 0;
     for (size_t i = 0; i < kWorkloads; ++i) {
-      TrajectoryConfig traj;
-      traj.dimensions = exp.dims();
-      traj.total_points = kQueries;
-      traj.scatter = 0.01;
-      Rng rng(170 + i);
-      auto workload = RandomTrajectoriesWorkload(traj, &rng);
+      auto workload = TrajectoryWorkload(exp.dims(), kQueries, 0.01, 170 + i);
 
-      OnlinePpcPredictor::Config cfg;
-      cfg.predictor.dimensions = exp.dims();
+      OnlinePpcPredictor::Config cfg = OnlineBenchConfig(exp.dims());
       cfg.predictor.output_dims = s;
-      cfg.predictor.transform_count = 5;
-      cfg.predictor.histogram_buckets = 40;
-      cfg.predictor.radius = 0.2;
-      cfg.predictor.confidence_threshold = 0.8;
-      cfg.predictor.noise_fraction = 0.0005;
-      cfg.negative_feedback = true;
       cfg.seed = 180 + i;
       OnlinePpcPredictor online(cfg);
       auto outcome = RunOnlineWorkload(&online, workload, kQueries, exp);

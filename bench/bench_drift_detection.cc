@@ -34,21 +34,9 @@ void Run() {
   drifted.cpu_operator_cost = 0.01;
   Experiment after("Q5", drifted);
 
-  TrajectoryConfig traj;
-  traj.dimensions = before.dims();
-  traj.total_points = kQueries;
-  traj.scatter = 0.01;
-  Rng rng(911);
-  auto workload = RandomTrajectoriesWorkload(traj, &rng);
+  auto workload = TrajectoryWorkload(before.dims(), kQueries, 0.01, 911);
 
-  OnlinePpcPredictor::Config cfg;
-  cfg.predictor.dimensions = before.dims();
-  cfg.predictor.transform_count = 5;
-  cfg.predictor.histogram_buckets = 40;
-  cfg.predictor.radius = 0.2;
-  cfg.predictor.confidence_threshold = 0.8;
-  cfg.predictor.noise_fraction = 0.0005;
-  cfg.negative_feedback = true;
+  OnlinePpcPredictor::Config cfg = OnlineBenchConfig(before.dims());
   cfg.cost_error_bound = 0.25;
   cfg.estimator_window = 100;
   cfg.reset_precision_threshold = 0.70;

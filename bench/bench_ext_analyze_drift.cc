@@ -14,7 +14,6 @@
 
 #include "bench_util.h"
 #include "common/math_utils.h"
-#include "optimizer/plan_evaluator.h"
 #include "storage/tpch_generator.h"
 
 namespace ppc {
@@ -64,77 +63,32 @@ void Run() {
   cfg.scale_factor = 0.002;
   cfg.seed = 42;
   auto catalog = BuildTpchCatalog(cfg);
-  const QueryTemplate tmpl = EvaluationTemplate("Q5");
 
-  Optimizer optimizer(catalog.get());
-  auto prep = optimizer.Prepare(tmpl);
-  PPC_CHECK(prep.ok());
+  Experiment exp("Q5", CostModelParams(), catalog.get());
 
-  OnlinePpcPredictor::Config online_cfg;
-  online_cfg.predictor.dimensions = tmpl.ParameterDegree();
-  online_cfg.predictor.transform_count = 5;
-  online_cfg.predictor.histogram_buckets = 40;
-  online_cfg.predictor.radius = 0.2;
-  online_cfg.predictor.confidence_threshold = 0.8;
-  online_cfg.predictor.noise_fraction = 0.0005;
-  online_cfg.negative_feedback = true;
+  OnlinePpcPredictor::Config online_cfg = OnlineBenchConfig(exp.dims());
   online_cfg.estimator_window = 100;
   online_cfg.reset_precision_threshold = 0.70;
   OnlinePpcPredictor online(online_cfg);
 
-  TrajectoryConfig traj;
-  traj.dimensions = tmpl.ParameterDegree();
-  traj.total_points = kQueries;
-  traj.scatter = 0.01;
-  Rng rng(333);
-  auto workload = RandomTrajectoriesWorkload(traj, &rng);
+  auto workload = TrajectoryWorkload(exp.dims(), kQueries, 0.01, 333);
 
-  std::map<PlanId, std::unique_ptr<PlanNode>> plan_trees;
-  std::vector<MetricsAccumulator> windows(kQueries / kWindow);
-  size_t feedback_events = 0;
-
-  for (size_t i = 0; i < kQueries; ++i) {
-    if (i == kSwitchAt) {
-      Rng grow_rng(999);
-      GrowTable(catalog.get(), "orders", 3, 1.0, &grow_rng);
-      GrowTable(catalog.get(), "lineitem", 7, 1.0, &grow_rng);
-      GrowTable(catalog.get(), "customer", 3, 1.0, &grow_rng);
-      catalog->AnalyzeAll(64);
-      // Statistics changed: row counts, NDVs, histograms. Re-prepare so
-      // the optimizer sees them (a live system does this implicitly).
-      prep = optimizer.Prepare(tmpl);
-      PPC_CHECK(prep.ok());
-    }
-    const std::vector<double>& x = workload[i];
-    auto truth = optimizer.Optimize(prep.value(), x);
-    PPC_CHECK(truth.ok());
-    MetricsAccumulator& w = windows[i / kWindow];
-
-    auto decision = online.Decide(x);
-    const PlanNode* tree =
-        decision.use_prediction
-            ? plan_trees.try_emplace(decision.prediction.plan, nullptr)
-                  .first->second.get()
-            : nullptr;
-    if (decision.use_prediction && tree != nullptr) {
-      w.Record(decision.prediction.plan, truth.value().plan_id);
-      auto actual = EvaluatePlanAtPoint(prep.value(),
-                                        optimizer.cost_model(), *tree, x);
-      PPC_CHECK(actual.ok());
-      if (online.ReportPredictionExecuted(x, decision.prediction,
-                                          actual.value().cost)) {
-        ++feedback_events;
-        online.ObserveOptimized(
-            {x, truth.value().plan_id, truth.value().estimated_cost});
-        plan_trees[truth.value().plan_id] = truth.value().plan->Clone();
-      }
-    } else {
-      w.Record(kNullPlanId, truth.value().plan_id);
-      online.ObserveOptimized(
-          {x, truth.value().plan_id, truth.value().estimated_cost});
-      plan_trees[truth.value().plan_id] = truth.value().plan->Clone();
-    }
-  }
+  const OnlineOutcome outcome = RunOnlineWorkload(
+      &online, workload, kWindow, [&](size_t i) -> const Experiment& {
+        if (i == kSwitchAt) {
+          Rng grow_rng(999);
+          GrowTable(catalog.get(), "orders", 3, 1.0, &grow_rng);
+          GrowTable(catalog.get(), "lineitem", 7, 1.0, &grow_rng);
+          GrowTable(catalog.get(), "customer", 3, 1.0, &grow_rng);
+          catalog->AnalyzeAll(64);
+          // Statistics changed: row counts, NDVs, histograms. Re-prepare
+          // so the optimizer sees them (a live system does this
+          // implicitly).
+          exp.Reprepare();
+        }
+        return exp;
+      });
+  const std::vector<MetricsAccumulator>& windows = outcome.windows;
 
   std::printf("%-8s %12s %10s\n", "window", "true prec", "recall");
   PrintRule();
@@ -144,7 +98,8 @@ void Run() {
                 w == kSwitchAt / kWindow ? "  <-- data grown + ANALYZE"
                                          : "");
   }
-  std::printf("\nnegative-feedback re-optimizations: %zu\n", feedback_events);
+  std::printf("\nnegative-feedback re-optimizations: %zu\n",
+              outcome.negative_feedback_events);
   std::printf("histogram resets: %zu\n", online.reset_count());
   std::printf(
       "\nExpected: a precision/recall dent at the ANALYZE point, absorbed\n"

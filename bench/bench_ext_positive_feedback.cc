@@ -48,21 +48,9 @@ void Run() {
     size_t optimizer_calls = 0;
     size_t self_inserted = 0;
     for (size_t i = 0; i < kWorkloads; ++i) {
-      TrajectoryConfig traj;
-      traj.dimensions = exp.dims();
-      traj.total_points = kQueries;
-      traj.scatter = 0.01;
-      Rng rng(210 + i);
-      auto workload = RandomTrajectoriesWorkload(traj, &rng);
+      auto workload = TrajectoryWorkload(exp.dims(), kQueries, 0.01, 210 + i);
 
-      OnlinePpcPredictor::Config cfg;
-      cfg.predictor.dimensions = exp.dims();
-      cfg.predictor.transform_count = 5;
-      cfg.predictor.histogram_buckets = 40;
-      cfg.predictor.radius = 0.2;
-      cfg.predictor.confidence_threshold = 0.8;
-      cfg.predictor.noise_fraction = 0.0005;
-      cfg.negative_feedback = true;
+      OnlinePpcPredictor::Config cfg = OnlineBenchConfig(exp.dims());
       cfg.positive_feedback = variant.enabled;
       cfg.positive_feedback_confidence = 0.95;
       cfg.positive_feedback_max_ratio = variant.max_ratio;

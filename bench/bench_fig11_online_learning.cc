@@ -14,15 +14,9 @@ namespace bench {
 namespace {
 
 OnlinePpcPredictor::Config OnlineConfig(int dims, double d, uint64_t seed) {
-  OnlinePpcPredictor::Config cfg;
-  cfg.predictor.dimensions = dims;
-  cfg.predictor.transform_count = 5;
-  cfg.predictor.histogram_buckets = 40;
+  OnlinePpcPredictor::Config cfg = OnlineBenchConfig(dims);
   cfg.predictor.radius = d;
-  cfg.predictor.confidence_threshold = 0.8;
-  cfg.predictor.noise_fraction = 0.0005;
   cfg.predictor.seed = seed;
-  cfg.negative_feedback = true;
   cfg.mean_invocation_probability = 0.05;
   cfg.estimator_window = 100;
   cfg.seed = seed ^ 0x5555;
@@ -53,12 +47,8 @@ void Run() {
     for (double rd : scatters) {
       MetricsAccumulator total;
       for (double d : {0.05, 0.1, 0.15, 0.2}) {
-        TrajectoryConfig traj;
-        traj.dimensions = exp.dims();
-        traj.total_points = 1000;
-        traj.scatter = rd;
-        Rng rng(211 + static_cast<uint64_t>(rd * 1000));
-        auto workload = RandomTrajectoriesWorkload(traj, &rng);
+        auto workload = TrajectoryWorkload(
+            exp.dims(), 1000, rd, 211 + static_cast<uint64_t>(rd * 1000));
         OnlinePpcPredictor online(
             OnlineConfig(exp.dims(), d, 311 + static_cast<uint64_t>(d * 100)));
         auto outcome = RunOnlineWorkload(&online, workload, 250, exp);
@@ -79,12 +69,8 @@ void Run() {
   PrintRule();
   Experiment q8("Q8");
   for (double rd : scatters) {
-    TrajectoryConfig traj;
-    traj.dimensions = q8.dims();
-    traj.total_points = 1000;
-    traj.scatter = rd;
-    Rng rng(401 + static_cast<uint64_t>(rd * 1000));
-    auto workload = RandomTrajectoriesWorkload(traj, &rng);
+    auto workload = TrajectoryWorkload(
+        q8.dims(), 1000, rd, 401 + static_cast<uint64_t>(rd * 1000));
     OnlinePpcPredictor online(OnlineConfig(q8.dims(), 0.25, 733));
     auto outcome = RunOnlineWorkload(&online, workload, 50, q8);
     std::printf("%-8.2f", rd);

@@ -17,17 +17,11 @@ constexpr size_t kWindow = 200;
 
 OnlinePpcPredictor::Config Variant(int dims, bool noise_elim,
                                    bool negative_feedback, uint64_t seed) {
-  OnlinePpcPredictor::Config cfg;
-  cfg.predictor.dimensions = dims;
-  cfg.predictor.transform_count = 5;
-  cfg.predictor.histogram_buckets = 40;
+  OnlinePpcPredictor::Config cfg = OnlineBenchConfig(dims);
   cfg.predictor.radius = 0.1;
-  cfg.predictor.confidence_threshold = 0.8;
   cfg.predictor.noise_fraction = noise_elim ? 0.002 : 0.0;
   cfg.predictor.seed = seed;
   cfg.negative_feedback = negative_feedback;
-  cfg.mean_invocation_probability = 0.0;
-  cfg.estimator_window = 100;
   return cfg;
 }
 
@@ -62,12 +56,7 @@ void Run() {
     std::vector<MetricsAccumulator> windows(num_windows);
     MetricsAccumulator overall;
     for (size_t i = 0; i < kWorkloads; ++i) {
-      TrajectoryConfig traj;
-      traj.dimensions = exp.dims();
-      traj.total_points = kQueries;
-      traj.scatter = 0.02;
-      Rng rng(500 + i);
-      auto workload = RandomTrajectoriesWorkload(traj, &rng);
+      auto workload = TrajectoryWorkload(exp.dims(), kQueries, 0.02, 500 + i);
       OnlinePpcPredictor online(Variant(exp.dims(), variant.noise_elim,
                                         variant.negative_feedback, 600 + i));
       auto outcome = RunOnlineWorkload(&online, workload, kWindow, exp);

@@ -9,7 +9,8 @@
 // Stdout carries only the deterministic columns (execution time, optimizer
 // calls, predictions used, suboptimality), so it is golden-locked. The
 // wall-clock columns (total, optimize, predict) go to
-// BENCH_fig13_runtime.json as medians over kRuns repetitions.
+// BENCH_fig13_runtime.json as medians over kRuns repetitions, beside the
+// PPC strategy's cache evictions (all and precision-chosen).
 
 #include <cstdio>
 #include <vector>
@@ -39,20 +40,11 @@ void Run() {
     const QueryTemplate tmpl = EvaluationTemplate(name);
     RuntimeSimulator::Options options;
     options.cost_to_seconds = 1e-8;
-    options.online.predictor.transform_count = 5;
-    options.online.predictor.histogram_buckets = 40;
-    options.online.predictor.radius = 0.2;
-    options.online.predictor.confidence_threshold = 0.8;
-    options.online.predictor.noise_fraction = 0.0005;
-    options.online.negative_feedback = true;
+    options.online = OnlineBenchConfig(tmpl.ParameterDegree());
     RuntimeSimulator simulator(&BenchCatalog(), tmpl, options);
 
-    TrajectoryConfig traj;
-    traj.dimensions = tmpl.ParameterDegree();
-    traj.total_points = kQueries;
-    traj.scatter = 0.01;
-    Rng rng(42);
-    auto workload = RandomTrajectoriesWorkload(traj, &rng);
+    auto workload =
+        TrajectoryWorkload(tmpl.ParameterDegree(), kQueries, 0.01, 42);
 
     std::printf("\n--- template %s (r = %d) ---\n", name,
                 tmpl.ParameterDegree());
@@ -100,6 +92,9 @@ void Run() {
           ", \"predictions_used\": " + std::to_string(r.predictions_used);
       json_rows +=
           ", \"mean_suboptimality\": " + JsonNumber(r.MeanSuboptimality());
+      json_rows += ", \"evictions\": " + std::to_string(r.evictions);
+      json_rows += ", \"precision_evictions\": " +
+                   std::to_string(r.precision_evictions);
       json_rows += "}";
     }
   }

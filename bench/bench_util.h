@@ -3,15 +3,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "clustering/predictor.h"
 #include "common/math_utils.h"
+#include "ppc/decision_step.h"
 #include "ppc/metrics_registry.h"
 #include "ppc/online_predictor.h"
 #include "ppc/ppc_framework.h"
@@ -47,9 +48,15 @@ inline const Catalog& BenchCatalog() {
 class Experiment {
  public:
   explicit Experiment(const std::string& template_name,
-                      CostModelParams cost_params = CostModelParams())
-      : optimizer_(&BenchCatalog(), cost_params),
+                      CostModelParams cost_params = CostModelParams(),
+                      const Catalog* catalog = &BenchCatalog())
+      : optimizer_(catalog, cost_params),
         tmpl_(EvaluationTemplate(template_name)) {
+    Reprepare();
+  }
+
+  /// Re-reads the catalog's statistics, as after an ANALYZE.
+  void Reprepare() {
     auto prep = optimizer_.Prepare(tmpl_);
     PPC_CHECK_MSG(prep.ok(), prep.status().ToString().c_str());
     prep_ = std::move(prep).value();
@@ -104,6 +111,33 @@ class Experiment {
   PreparedTemplate prep_;
 };
 
+/// A random-trajectories workload (Sec. V-B): `count` points over `dims`
+/// parameters with scatter r_d = `scatter`, drawn from Rng(`seed`).
+inline std::vector<std::vector<double>> TrajectoryWorkload(
+    int dims, size_t count, double scatter, uint64_t seed) {
+  TrajectoryConfig traj;
+  traj.dimensions = dims;
+  traj.total_points = count;
+  traj.scatter = scatter;
+  Rng rng(seed);
+  return RandomTrajectoriesWorkload(traj, &rng);
+}
+
+/// The online predictor of the Fig. 11/13 regime (t = 5, b_h = 40,
+/// d = 0.2, gamma = 0.8, noise elimination and negative feedback on) over
+/// `dims` parameters: the base each online bench varies.
+inline OnlinePpcPredictor::Config OnlineBenchConfig(int dims) {
+  OnlinePpcPredictor::Config cfg;
+  cfg.predictor.dimensions = dims;
+  cfg.predictor.transform_count = 5;
+  cfg.predictor.histogram_buckets = 40;
+  cfg.predictor.radius = 0.2;
+  cfg.predictor.confidence_threshold = 0.8;
+  cfg.predictor.noise_fraction = 0.0005;
+  cfg.negative_feedback = true;
+  return cfg;
+}
+
 /// Outcome of driving an online predictor over a workload with the
 /// optimizer as ground truth.
 struct OnlineOutcome {
@@ -115,9 +149,9 @@ struct OnlineOutcome {
   size_t optimizer_calls = 0;
   size_t predictions_used = 0;
   size_t negative_feedback_events = 0;
-  /// Binary cost-based estimator vs ground truth (the paper's ~72% claim).
+  /// Executed predictions whose cost-test verdict matched ground truth
+  /// (the binary estimator of the paper's ~72% claim).
   size_t estimator_agreements = 0;
-  size_t estimator_total = 0;
   /// The online tracker's own windowed precision estimate, sampled at the
   /// end of each window (the signal Sec. IV-E uses for drift detection).
   std::vector<double> estimated_precision;
@@ -129,23 +163,41 @@ struct OnlineOutcome {
   std::vector<size_t> reset_query_indices;
 
   double EstimatorAccuracy() const {
-    return estimator_total == 0 ? 0.0
-                                : static_cast<double>(estimator_agreements) /
-                                      static_cast<double>(estimator_total);
+    return predictions_used == 0 ? 0.0
+                                 : static_cast<double>(estimator_agreements) /
+                                       static_cast<double>(predictions_used);
   }
 };
 
-/// Drives `online` over `workload`, one query at a time, emulating the full
-/// execution loop: predict -> (execute predicted plan | optimize) ->
-/// negative feedback -> sample-pool insertion. `oracle_for(i)` supplies the
-/// ground-truth experiment for query i, letting drift experiments swap the
-/// underlying plan space mid-workload.
+/// The online benches' plan oracle for one query: the optimizer's answer,
+/// computed up front because the benches score every decision against it,
+/// with the optimizer's estimate as its cost; plans run on the cost model.
+struct ExperimentOracle final : PlanOracle {
+  ExperimentOracle(const Experiment& e, OptimizationResult t)
+      : exp(e), truth(std::move(t)) {}
+  Result<Optimized> OptimizeAndRun(const std::vector<double>&) override {
+    return Optimized{truth.plan_id, std::move(truth.plan),
+                     truth.estimated_cost};
+  }
+  Result<double> Execute(const PlanNode& plan,
+                         const std::vector<double>& point) override {
+    return exp.CostOf(plan, point);
+  }
+  const Experiment& exp;
+  OptimizationResult truth;
+};
+
+/// Drives `online` over `workload` through the serving path's decision
+/// step (ppc/decision_step.h), one query at a time, with a plan cache that
+/// never evicts. `oracle_for(i)` supplies the ground-truth experiment for
+/// query i, letting drift experiments swap the underlying plan space
+/// mid-workload.
 inline OnlineOutcome RunOnlineWorkload(
     OnlinePpcPredictor* online,
     const std::vector<std::vector<double>>& workload, size_t window_size,
     const std::function<const Experiment&(size_t)>& oracle_for) {
   OnlineOutcome outcome;
-  std::map<PlanId, std::unique_ptr<PlanNode>> plan_trees;
+  PlanCache cache(SIZE_MAX);
   size_t seen_resets = online->reset_count();
   for (size_t i = 0; i < workload.size(); ++i) {
     const Experiment& exp = oracle_for(i);
@@ -153,48 +205,29 @@ inline OnlineOutcome RunOnlineWorkload(
     auto truth = exp.optimizer().Optimize(exp.prepared(), x);
     PPC_CHECK(truth.ok());
     const PlanId true_plan = truth.value().plan_id;
-    const double true_cost = truth.value().estimated_cost;
+    ExperimentOracle oracle(exp, std::move(truth).value());
+    auto result = RunDecisionStep(online, &cache, &oracle, x);
+    PPC_CHECK(result.ok());
+    const StepOutcome& step = result.value();
 
-    const size_t window = i / window_size;
-    if (outcome.windows.size() <= window) {
-      outcome.windows.resize(window + 1);
-    }
-
-    auto decision = online->Decide(x);
-    const PlanNode* predicted_tree =
-        decision.use_prediction
-            ? plan_trees
-                  .try_emplace(decision.prediction.plan, nullptr)
-                  .first->second.get()
-            : nullptr;
-    if (decision.use_prediction && predicted_tree != nullptr) {
+    if (i % window_size == 0) outcome.windows.emplace_back();
+    // NULL prediction, random invocation and optimizer fallback count as
+    // a missed prediction (Definition 4).
+    const PlanId answered =
+        step.used_prediction ? step.executed_plan : kNullPlanId;
+    outcome.overall.Record(answered, true_plan);
+    outcome.windows.back().Record(answered, true_plan);
+    if (step.used_prediction) {
       ++outcome.predictions_used;
-      outcome.overall.Record(decision.prediction.plan, true_plan);
-      outcome.windows[window].Record(decision.prediction.plan, true_plan);
-      const double actual_cost = exp.CostOf(*predicted_tree, x);
-      const bool suspected = online->ReportPredictionExecuted(
-          x, decision.prediction, actual_cost);
       // Score the binary estimator against ground truth (meaningful when
       // negative feedback is enabled; then `suspected` is exactly the
       // estimator's "wrong" verdict).
-      ++outcome.estimator_total;
-      const bool actually_wrong = decision.prediction.plan != true_plan;
-      if (suspected == actually_wrong) ++outcome.estimator_agreements;
-      if (suspected) {
-        ++outcome.negative_feedback_events;
-        ++outcome.optimizer_calls;
-        online->ObserveOptimized({x, true_plan, true_cost});
-        plan_trees[true_plan] = truth.value().plan->Clone();
+      if (step.suspected == (answered != true_plan)) {
+        ++outcome.estimator_agreements;
       }
-    } else {
-      // NULL prediction, random invocation, or plan missing from the
-      // cache: the optimizer answers the query.
-      outcome.overall.Record(kNullPlanId, true_plan);
-      outcome.windows[window].Record(kNullPlanId, true_plan);
-      ++outcome.optimizer_calls;
-      online->ObserveOptimized({x, true_plan, true_cost});
-      plan_trees[true_plan] = truth.value().plan->Clone();
+      if (step.suspected) ++outcome.negative_feedback_events;
     }
+    if (step.optimized()) ++outcome.optimizer_calls;
 
     while (seen_resets < online->reset_count()) {
       outcome.reset_query_indices.push_back(i);
@@ -202,13 +235,9 @@ inline OnlineOutcome RunOnlineWorkload(
     }
 
     if ((i + 1) % window_size == 0 || i + 1 == workload.size()) {
-      if (outcome.estimated_precision.size() <= window) {
-        outcome.estimated_precision.resize(window + 1, 0.0);
-        outcome.resets.resize(window + 1, 0);
-      }
-      outcome.estimated_precision[window] =
-          online->tracker().TemplatePrecision();
-      outcome.resets[window] = online->reset_count();
+      outcome.estimated_precision.push_back(
+          online->tracker().TemplatePrecision());
+      outcome.resets.push_back(online->reset_count());
     }
   }
   return outcome;

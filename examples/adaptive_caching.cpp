@@ -14,6 +14,7 @@
 
 #include "exec/execution_simulator.h"
 #include "optimizer/optimizer.h"
+#include "ppc/decision_step.h"
 #include "ppc/online_predictor.h"
 #include "ppc/plan_cache.h"
 #include "storage/tpch_generator.h"
@@ -77,38 +78,15 @@ int main() {
     PhaseStats& stats = phases[drifted ? 1 : 0];
     ++stats.queries;
 
-    const std::vector<double>& x = workload[i];
-    auto decision = online.Decide(x);
-    std::shared_ptr<const ppc::PlanNode> cached;
-    if (decision.use_prediction) {
-      cached = cache.Get(decision.prediction.plan);
-    }
-    if (cached != nullptr) {
-      ++stats.cache_served;
-      auto cost = simulator.Execute(prep.value(), *cached, x);
-      PPC_CHECK(cost.ok());
-      if (online.ReportPredictionExecuted(x, decision.prediction,
-                                          cost.value())) {
-        // Negative feedback: re-optimize and learn the truth.
-        ++stats.feedback_reoptimizations;
-        ++stats.optimizer_calls;
-        auto opt = optimizer.Optimize(prep.value(), x);
-        PPC_CHECK(opt.ok());
-        auto true_cost =
-            simulator.Execute(prep.value(), *opt.value().plan, x);
-        PPC_CHECK(true_cost.ok());
-        online.ObserveOptimized({x, opt.value().plan_id, true_cost.value()});
-        cache.Put(opt.value().plan_id, std::move(opt.value().plan));
-      }
-    } else {
-      ++stats.optimizer_calls;
-      auto opt = optimizer.Optimize(prep.value(), x);
-      PPC_CHECK(opt.ok());
-      auto cost = simulator.Execute(prep.value(), *opt.value().plan, x);
-      PPC_CHECK(cost.ok());
-      online.ObserveOptimized({x, opt.value().plan_id, cost.value()});
-      cache.Put(opt.value().plan_id, std::move(opt.value().plan));
-    }
+    // One decision step: predict, run the cached plan or optimize,
+    // negative feedback, insert the optimizer's answer and rank it for
+    // eviction by its tracked precision.
+    ppc::OptimizerOracle oracle(optimizer, &simulator, prep.value());
+    auto step = ppc::RunDecisionStep(&online, &cache, &oracle, workload[i]);
+    PPC_CHECK(step.ok());
+    if (step.value().used_prediction) ++stats.cache_served;
+    if (step.value().suspected) ++stats.feedback_reoptimizations;
+    if (step.value().optimized()) ++stats.optimizer_calls;
 
     if ((i + 1) % 250 == 0) {
       std::printf("after %4zu queries%s: est. precision %.2f, est. recall "

@@ -1,21 +1,14 @@
 #include "ppc/ppc_framework.h"
 
-#include <chrono>
 #include <cmath>
 #include <utility>
 
 #include "common/hash.h"
+#include "ppc/decision_step.h"
 
 namespace ppc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
 
 /// Boundary validation for points arriving from outside the process (the
 /// serving layer): `count` row-major points of `dims` coordinates each. A
@@ -174,7 +167,6 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteAtPoint(
   PPC_ASSIGN_OR_RETURN(TemplateState * state, FindTemplate(template_name));
   PPC_RETURN_NOT_OK(
       ValidatePoints(state->tmpl, point.data(), 1, point.size()));
-  QueryReport report;
   instruments_.queries->Increment();
 
   // One generation snapshot for the whole query: the decision and every
@@ -182,124 +174,56 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteAtPoint(
   // a newer generation mid-query (late feedback to a superseded
   // generation is harmless — it is about to be dropped).
   const std::shared_ptr<OnlinePpcPredictor> online = state->Online();
+  OptimizerOracle oracle(optimizer_, &simulator_, state->prepared);
+  PPC_ASSIGN_OR_RETURN(
+      StepOutcome step,
+      RunDecisionStep(online.get(), &plan_cache_, &oracle, point));
 
-  // --- Predict ---
-  auto predict_start = Clock::now();
-  OnlinePpcPredictor::Decision decision = online->Decide(point);
-  std::shared_ptr<const PlanNode> cached_plan;
-  if (decision.use_prediction) {
-    cached_plan = plan_cache_.Get(decision.prediction.plan);
-  }
-  report.predict_micros = MicrosSince(predict_start);
-  instruments_.predict_us->Record(report.predict_micros);
-  if (!decision.prediction.has_value()) {
+  QueryReport report;
+  report.executed_plan = step.executed_plan;
+  report.optimal_plan = step.truth.plan;
+  report.used_prediction = step.used_prediction;
+  report.cache_hit = step.used_prediction;
+  report.optimizer_invoked = step.optimized();
+  report.prediction_evicted = step.prediction_evicted;
+  report.negative_feedback_triggered = step.suspected;
+  report.execution_cost = step.executed_cost;
+  report.predict_micros = step.decide_micros + step.feedback_micros;
+  instruments_.predict_us->Record(step.decide_micros);
+  if (!step.decision.prediction.has_value()) {
     instruments_.predictions_null->Increment();
-  } else if (decision.random_invocation) {
+  } else if (step.decision.random_invocation) {
     instruments_.predictions_random_invocation->Increment();
   }
-
-  if (decision.use_prediction && cached_plan != nullptr) {
-    // --- Execute the predicted cached plan ---
-    report.used_prediction = true;
-    report.cache_hit = true;
-    report.executed_plan = decision.prediction.plan;
+  if (step.used_prediction) {
+    // A suspected prediction's corrective run is ground truth, not the
+    // query's execution.
+    report.execute_micros = oracle.execute_micros;
     instruments_.predictions_executed->Increment();
-    auto exec_start = Clock::now();
-    PPC_ASSIGN_OR_RETURN(
-        report.execution_cost,
-        simulator_.Execute(state->prepared, *cached_plan, point));
-    report.execute_micros = MicrosSince(exec_start);
-    instruments_.execute_us->Record(report.execute_micros);
-
-    // --- Negative feedback ---
-    auto feedback_start = Clock::now();
-    const bool suspected = online->ReportPredictionExecuted(
-        point, decision.prediction, report.execution_cost);
-    const double feedback_micros = MicrosSince(feedback_start);
-    report.predict_micros += feedback_micros;
-    instruments_.feedback_us->Record(feedback_micros);
-    if (suspected) {
-      report.negative_feedback_triggered = true;
-      instruments_.negative_feedback->Increment();
-      auto opt_start = Clock::now();
-      PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                           optimizer_.Optimize(state->prepared, point));
-      report.optimize_micros = MicrosSince(opt_start);
-      instruments_.optimize_us->Record(report.optimize_micros);
-      report.optimizer_invoked = true;
-      instruments_.optimizer_calls->Increment();
-      report.optimal_plan = opt.plan_id;
-      // The truth point corrects the histograms; the query itself was
-      // already answered by the (suspect) cached plan.
-      PPC_ASSIGN_OR_RETURN(
-          double true_cost,
-          simulator_.Execute(state->prepared, *opt.plan, point));
-      const LabeledPoint truth{point, opt.plan_id, true_cost};
-      online->ObserveOptimized(truth);
-      if (retune_ != nullptr) {
-        retune_->ObserveGroundTruth(template_name, truth);
-      }
-      plan_cache_.Put(opt.plan_id, std::move(opt.plan));
-      // Put resets the entry's eviction rank to the default 1.0; rank the
-      // corrective plan by its actual tracked precision or precision-based
-      // eviction mis-prioritizes it.
-      plan_cache_.SetPrecisionScore(
-          opt.plan_id, online->PlanPrecision(opt.plan_id));
-    } else if (retune_ != nullptr) {
-      // A cost-validated prediction is still a (point, plan, cost)
-      // observation of the live workload. Retaining it keeps the refit
-      // reservoir tracking the recent query-point distribution even when
-      // the cache is warm and optimizer calls are rare.
-      retune_->ObserveGroundTruth(
-          template_name,
-          LabeledPoint{point, report.executed_plan, report.execution_cost});
-    }
-    // Refresh the cache's eviction signal for this plan.
-    plan_cache_.SetPrecisionScore(
-        report.executed_plan,
-        online->PlanPrecision(report.executed_plan));
-    if (retune_ != nullptr) {
-      retune_->EvaluateTrigger(template_name, online->GetWindowedSignal());
-    }
-    return report;
+    instruments_.feedback_us->Record(step.feedback_micros);
+    if (step.suspected) instruments_.negative_feedback->Increment();
+  } else {
+    report.execute_micros = oracle.run_micros;
+    if (step.prediction_evicted) instruments_.predictions_evicted->Increment();
   }
-
-  // --- Optimize (NULL prediction, cache miss, or random invocation) ---
-  report.prediction_evicted =
-      decision.use_prediction && cached_plan == nullptr;
-  auto opt_start = Clock::now();
-  PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                       optimizer_.Optimize(state->prepared, point));
-  report.optimize_micros = MicrosSince(opt_start);
-  instruments_.optimize_us->Record(report.optimize_micros);
-  report.optimizer_invoked = true;
-  instruments_.optimizer_calls->Increment();
-  report.optimal_plan = opt.plan_id;
-  report.executed_plan = opt.plan_id;
-  if (report.prediction_evicted) {
-    // The prediction named an evicted plan, so the optimizer ran and the
-    // true plan is known exactly — score the prediction instead of
-    // silently dropping it (the precision/recall windows would otherwise
-    // overcount by omission).
-    instruments_.predictions_evicted->Increment();
-    online->ReportPredictionOutcome(decision.prediction, opt.plan_id);
-  }
-  auto exec_start = Clock::now();
-  PPC_ASSIGN_OR_RETURN(report.execution_cost,
-                       simulator_.Execute(state->prepared, *opt.plan, point));
-  report.execute_micros = MicrosSince(exec_start);
   instruments_.execute_us->Record(report.execute_micros);
-  const LabeledPoint truth{point, opt.plan_id, report.execution_cost};
-  online->ObserveOptimized(truth);
-  if (retune_ != nullptr) {
-    retune_->ObserveGroundTruth(template_name, truth);
+  if (step.optimized()) {
+    report.optimize_micros = oracle.optimize_micros;
+    instruments_.optimize_us->Record(report.optimize_micros);
+    instruments_.optimizer_calls->Increment();
   }
-  plan_cache_.Put(opt.plan_id, std::move(opt.plan));
-  // Same rank refresh as on the negative-feedback path: a re-optimized
-  // plan must carry its tracked precision, not the overwrite default.
-  plan_cache_.SetPrecisionScore(opt.plan_id,
-                                online->PlanPrecision(opt.plan_id));
+
   if (retune_ != nullptr) {
+    // Without an optimizer call, the cost-validated prediction is still a
+    // (point, plan, cost) observation of the live workload. Retaining it
+    // keeps the refit reservoir tracking the recent query-point
+    // distribution even when the cache is warm and optimizer calls are
+    // rare.
+    retune_->ObserveGroundTruth(
+        template_name,
+        step.optimized()
+            ? step.truth
+            : LabeledPoint{point, step.executed_plan, step.executed_cost});
     retune_->EvaluateTrigger(template_name, online->GetWindowedSignal());
   }
   return report;

@@ -7,6 +7,7 @@
 #include "exec/execution_simulator.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/robust_plan.h"
+#include "ppc/decision_step.h"
 #include "ppc/plan_cache.h"
 #include "workload/workload_generator.h"
 
@@ -55,6 +56,10 @@ Result<RuntimeSimResult> RuntimeSimulator::Run(
   RuntimeSimResult result;
   result.strategy = strategy;
   result.queries = workload.size();
+  OptimizerOracle oracle(optimizer, &simulator, prep);
+  // Measures the optimal plan's cost for suboptimality accounting, so
+  // neither its optimizer calls nor their time are charged.
+  OptimizerOracle measure(optimizer, &simulator, prep);
 
   // Strategy state.
   std::unique_ptr<PlanNode> conventional_plan;
@@ -66,14 +71,9 @@ Result<RuntimeSimResult> RuntimeSimulator::Run(
   for (const std::vector<double>& point : workload) {
     switch (strategy) {
       case CachingStrategy::kAlwaysOptimize: {
-        auto start = Clock::now();
-        PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                             optimizer.Optimize(prep, point));
-        result.optimize_seconds += SecondsSince(start);
-        ++result.optimizer_calls;
-        PPC_ASSIGN_OR_RETURN(double cost,
-                             simulator.Execute(prep, *opt.plan, point));
-        result.execute_seconds += cost * options_.cost_to_seconds;
+        PPC_ASSIGN_OR_RETURN(PlanOracle::Optimized opt,
+                             oracle.OptimizeAndRun(point));
+        result.execute_seconds += opt.cost * options_.cost_to_seconds;
         result.suboptimality_sum += 1.0;
         break;
       }
@@ -99,87 +99,52 @@ Result<RuntimeSimResult> RuntimeSimulator::Run(
           }
           result.optimize_seconds += SecondsSince(start);
         }
-        PPC_ASSIGN_OR_RETURN(
-            double cost, simulator.Execute(prep, *conventional_plan, point));
-        PPC_ASSIGN_OR_RETURN(OptimizationResult best,
-                             optimizer.Optimize(prep, point));
-        // The extra Optimize above is measurement-only (to know the
-        // optimal cost for suboptimality accounting); it is not charged.
-        PPC_ASSIGN_OR_RETURN(double best_cost,
-                             simulator.Execute(prep, *best.plan, point));
+        PPC_ASSIGN_OR_RETURN(double cost,
+                             oracle.Execute(*conventional_plan, point));
+        PPC_ASSIGN_OR_RETURN(PlanOracle::Optimized best,
+                             measure.OptimizeAndRun(point));
         result.execute_seconds += cost * options_.cost_to_seconds;
-        result.suboptimality_sum +=
-            best_cost > 0.0 ? cost / best_cost : 1.0;
+        result.suboptimality_sum += best.cost > 0.0 ? cost / best.cost : 1.0;
         break;
       }
 
       case CachingStrategy::kParametricCache: {
-        auto predict_start = Clock::now();
-        OnlinePpcPredictor::Decision decision = online.Decide(point);
-        std::shared_ptr<const PlanNode> cached;
-        if (decision.use_prediction) {
-          cached = cache.Get(decision.prediction.plan);
-        }
-        result.predict_seconds += SecondsSince(predict_start);
-
-        if (decision.use_prediction && cached != nullptr) {
+        PPC_ASSIGN_OR_RETURN(StepOutcome step,
+                             RunDecisionStep(&online, &cache, &oracle, point));
+        result.predict_seconds +=
+            (step.decide_micros + step.feedback_micros) * 1e-6;
+        result.execute_seconds +=
+            step.executed_cost * options_.cost_to_seconds;
+        if (step.used_prediction) {
           ++result.predictions_used;
-          PPC_ASSIGN_OR_RETURN(double cost,
-                               simulator.Execute(prep, *cached, point));
-          result.execute_seconds += cost * options_.cost_to_seconds;
-
-          auto feedback_start = Clock::now();
-          const bool suspected = online.ReportPredictionExecuted(
-              point, decision.prediction, cost);
-          result.predict_seconds += SecondsSince(feedback_start);
-          if (suspected) {
-            auto start = Clock::now();
-            PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                                 optimizer.Optimize(prep, point));
-            result.optimize_seconds += SecondsSince(start);
-            ++result.optimizer_calls;
-            PPC_ASSIGN_OR_RETURN(double true_cost,
-                                 simulator.Execute(prep, *opt.plan, point));
-            online.ObserveOptimized(
-                LabeledPoint{point, opt.plan_id, true_cost});
-            cache.Put(opt.plan_id, std::move(opt.plan));
+          // A suspected prediction's corrective run measured the optimum.
+          PlanOracle::Optimized best{kNullPlanId, nullptr, step.truth.cost};
+          if (!step.optimized()) {
+            PPC_ASSIGN_OR_RETURN(best, measure.OptimizeAndRun(point));
           }
-          // Suboptimality accounting (measurement-only, not charged).
-          PPC_ASSIGN_OR_RETURN(OptimizationResult best,
-                               optimizer.Optimize(prep, point));
-          PPC_ASSIGN_OR_RETURN(double best_cost,
-                               simulator.Execute(prep, *best.plan, point));
           result.suboptimality_sum +=
-              best_cost > 0.0 ? cost / best_cost : 1.0;
+              best.cost > 0.0 ? step.executed_cost / best.cost : 1.0;
         } else {
-          auto start = Clock::now();
-          PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                               optimizer.Optimize(prep, point));
-          result.optimize_seconds += SecondsSince(start);
-          ++result.optimizer_calls;
-          PPC_ASSIGN_OR_RETURN(double cost,
-                               simulator.Execute(prep, *opt.plan, point));
-          result.execute_seconds += cost * options_.cost_to_seconds;
           result.suboptimality_sum += 1.0;
-          online.ObserveOptimized(LabeledPoint{point, opt.plan_id, cost});
-          cache.Put(opt.plan_id, std::move(opt.plan));
         }
         break;
       }
 
       case CachingStrategy::kIdeal: {
         // 100% precision and recall: the optimal plan materializes with no
-        // optimizer time charged (the Optimize call is measurement-only).
-        PPC_ASSIGN_OR_RETURN(OptimizationResult opt,
-                             optimizer.Optimize(prep, point));
-        PPC_ASSIGN_OR_RETURN(double cost,
-                             simulator.Execute(prep, *opt.plan, point));
-        result.execute_seconds += cost * options_.cost_to_seconds;
+        // optimizer time charged.
+        PPC_ASSIGN_OR_RETURN(PlanOracle::Optimized best,
+                             measure.OptimizeAndRun(point));
+        result.execute_seconds += best.cost * options_.cost_to_seconds;
         result.suboptimality_sum += 1.0;
         break;
       }
     }
   }
+  result.optimizer_calls += oracle.optimizer_calls;
+  result.optimize_seconds += oracle.optimize_micros * 1e-6;
+  result.evictions = cache.evictions();
+  result.precision_evictions = cache.precision_evictions();
   return result;
 }
 

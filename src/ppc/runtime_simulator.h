@@ -1,6 +1,7 @@
 #ifndef PPC_PPC_RUNTIME_SIMULATOR_H_
 #define PPC_PPC_RUNTIME_SIMULATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,10 @@ struct RuntimeSimResult {
   double execute_seconds = 0.0;
   /// Sum of executed-cost / optimal-cost per query (>= 1).
   double suboptimality_sum = 0.0;
+  /// The PPC strategy's plan-cache evictions, and how many of them the
+  /// precision score rather than recency chose (0 for other strategies).
+  uint64_t evictions = 0;
+  uint64_t precision_evictions = 0;
 
   double TotalSeconds() const {
     return optimize_seconds + predict_seconds + execute_seconds;

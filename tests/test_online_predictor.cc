@@ -9,6 +9,7 @@
 namespace ppc {
 namespace {
 
+using testutil::DriveWorkload;
 using testutil::HalfSpacePlan;
 using testutil::SyntheticCost;
 
@@ -21,32 +22,6 @@ OnlinePpcPredictor::Config BaseConfig() {
   cfg.predictor.confidence_threshold = 0.7;
   cfg.estimator_window = 50;
   return cfg;
-}
-
-/// Drives the online predictor over a workload with synthetic ground
-/// truth; returns true-precision/recall metrics of the *used* predictions.
-MetricsAccumulator DriveWorkload(OnlinePpcPredictor* online,
-                                 const std::vector<std::vector<double>>& pts) {
-  MetricsAccumulator metrics;
-  for (const auto& x : pts) {
-    auto decision = online->Decide(x);
-    const PlanId truth = HalfSpacePlan(x);
-    if (decision.use_prediction) {
-      metrics.Record(decision.prediction.plan, truth);
-      // Execute: actual cost is the truth plan's cost if the prediction is
-      // right; a detectably different cost when wrong.
-      const double actual = SyntheticCost(x, truth);
-      const bool suspected = online->ReportPredictionExecuted(
-          x, decision.prediction, actual);
-      if (suspected) {
-        online->ObserveOptimized({x, truth, actual});
-      }
-    } else {
-      metrics.Record(kNullPlanId, truth);
-      online->ObserveOptimized({x, truth, SyntheticCost(x, truth)});
-    }
-  }
-  return metrics;
 }
 
 TEST(OnlinePredictorTest, ColdStartOptimizesEverything) {

@@ -7,8 +7,7 @@
 namespace ppc {
 namespace {
 
-using testutil::HalfSpacePlan;
-using testutil::SyntheticCost;
+using testutil::DriveWorkload;
 
 OnlinePpcPredictor::Config BaseConfig() {
   OnlinePpcPredictor::Config cfg;
@@ -19,25 +18,6 @@ OnlinePpcPredictor::Config BaseConfig() {
   cfg.predictor.confidence_threshold = 0.7;
   cfg.estimator_window = 100;
   return cfg;
-}
-
-/// Drives a workload; predictions report the truth plan's cost (so a
-/// correct prediction passes the cost test and a wrong one usually fails).
-void Drive(OnlinePpcPredictor* online,
-           const std::vector<std::vector<double>>& workload) {
-  for (const auto& x : workload) {
-    auto decision = online->Decide(x);
-    const PlanId truth = HalfSpacePlan(x);
-    if (decision.use_prediction) {
-      const bool suspected = online->ReportPredictionExecuted(
-          x, decision.prediction, SyntheticCost(x, truth));
-      if (suspected) {
-        online->ObserveOptimized({x, truth, SyntheticCost(x, truth)});
-      }
-    } else {
-      online->ObserveOptimized({x, truth, SyntheticCost(x, truth)});
-    }
-  }
 }
 
 std::vector<std::vector<double>> Workload(size_t n, uint64_t seed) {
@@ -51,7 +31,7 @@ std::vector<std::vector<double>> Workload(size_t n, uint64_t seed) {
 
 TEST(PositiveFeedbackTest, DisabledByDefault) {
   OnlinePpcPredictor online(BaseConfig());
-  Drive(&online, Workload(500, 1));
+  DriveWorkload(&online, Workload(500, 1));
   EXPECT_EQ(online.positive_feedback_insertions(), 0u);
   EXPECT_GT(online.optimizer_insertions(), 0u);
 }
@@ -61,7 +41,7 @@ TEST(PositiveFeedbackTest, InsertsSelfLabeledPointsWhenEnabled) {
   cfg.positive_feedback = true;
   cfg.positive_feedback_confidence = 0.9;
   OnlinePpcPredictor online(cfg);
-  Drive(&online, Workload(500, 2));
+  DriveWorkload(&online, Workload(500, 2));
   EXPECT_GT(online.positive_feedback_insertions(), 0u);
   // Total predictor samples = optimizer + positive-feedback insertions.
   EXPECT_EQ(online.predictor().TotalSamples(),
@@ -75,7 +55,7 @@ TEST(PositiveFeedbackTest, CapEnforcedRelativeToOptimizerPool) {
   cfg.positive_feedback_confidence = 0.0;  // accept everything
   cfg.positive_feedback_max_ratio = 0.25;
   OnlinePpcPredictor online(cfg);
-  Drive(&online, Workload(1500, 3));
+  DriveWorkload(&online, Workload(1500, 3));
   EXPECT_LE(static_cast<double>(online.positive_feedback_insertions()),
             0.25 * static_cast<double>(online.optimizer_insertions()) + 1.0);
 }
@@ -90,8 +70,8 @@ TEST(PositiveFeedbackTest, ReducesOptimizerCalls) {
   with_cfg.positive_feedback_confidence = 0.9;
   with_cfg.positive_feedback_max_ratio = 2.0;
   OnlinePpcPredictor with_pf(with_cfg);
-  Drive(&without, workload);
-  Drive(&with_pf, workload);
+  DriveWorkload(&without, workload);
+  DriveWorkload(&with_pf, workload);
   // More total samples -> denser support -> at least as many predictions.
   EXPECT_GE(with_pf.predictor().TotalSamples(),
             without.predictor().TotalSamples());
@@ -103,7 +83,7 @@ TEST(PositiveFeedbackTest, LowConfidencePredictionsNotSelfInserted) {
   cfg.positive_feedback = true;
   cfg.positive_feedback_confidence = 1.01;  // unreachable
   OnlinePpcPredictor online(cfg);
-  Drive(&online, Workload(500, 5));
+  DriveWorkload(&online, Workload(500, 5));
   EXPECT_EQ(online.positive_feedback_insertions(), 0u);
 }
 

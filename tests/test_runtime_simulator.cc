@@ -129,5 +129,24 @@ TEST_F(RuntimeSimulatorTest, EmptyWorkload) {
   EXPECT_EQ(result.MeanSuboptimality(), 0.0);
 }
 
+TEST_F(RuntimeSimulatorTest, ParametricCacheEvictsByPrecisionOnQ8) {
+  // Fig. 13's twin of PpcFrameworkTest.ServingEvictsByPrecision: Q8 has
+  // more plans than the 64-plan cache holds, and the simulator's PPC
+  // strategy runs the serving path's decision step, so the paper's
+  // precision rank (Sec. IV-E), not recency alone, picks some victims.
+  const QueryTemplate q8 = EvaluationTemplate("Q8");
+  RuntimeSimulator simulator(&SmallTpch(), q8, BaseOptions());
+  TrajectoryConfig traj;
+  traj.dimensions = q8.ParameterDegree();
+  traj.total_points = 1000;
+  traj.scatter = 0.01;
+  Rng rng(42);
+  const auto result = simulator.Run(CachingStrategy::kParametricCache,
+                                    RandomTrajectoriesWorkload(traj, &rng));
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result.value().precision_evictions, 1u);
+  EXPECT_LE(result.value().precision_evictions, result.value().evictions);
+}
+
 }  // namespace
 }  // namespace ppc

@@ -12,6 +12,8 @@
 #include "clustering/predictor.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "ppc/metrics.h"
+#include "ppc/online_predictor.h"
 #include "ppc/plan_synopsis.h"
 #include "storage/tpch_generator.h"
 
@@ -58,6 +60,32 @@ std::vector<LabeledPoint> SamplePoints(int dims, size_t count, Labeler label,
     points.push_back(std::move(p));
   }
   return points;
+}
+
+/// Drives `online` over `workload` with the half-space plan space as
+/// ground truth: a NULL or overridden prediction observes the truth point;
+/// an executed prediction reports the truth plan's cost, and observes the
+/// truth point when negative feedback suspects it. Returns the true
+/// precision/recall of every decision (NULL counts as a miss).
+inline MetricsAccumulator DriveWorkload(
+    OnlinePpcPredictor* online,
+    const std::vector<std::vector<double>>& workload) {
+  MetricsAccumulator metrics;
+  for (const auto& x : workload) {
+    auto decision = online->Decide(x);
+    const PlanId truth = HalfSpacePlan(x);
+    const double cost = SyntheticCost(x, truth);
+    if (decision.use_prediction) {
+      metrics.Record(decision.prediction.plan, truth);
+      if (online->ReportPredictionExecuted(x, decision.prediction, cost)) {
+        online->ObserveOptimized({x, truth, cost});
+      }
+    } else {
+      metrics.Record(kNullPlanId, truth);
+      online->ObserveOptimized({x, truth, cost});
+    }
+  }
+  return metrics;
 }
 
 /// Distance of `x` to the half-space boundary x0 + x1 = 1.
