@@ -32,7 +32,7 @@ void Run() {
   PrintHeader("Fig. 13: end-to-end runtime by caching strategy");
   std::string json_rows;
   std::printf("%zu queries, random trajectories r_d = 0.01, b_h = 40, "
-              "t = 5, gamma = 0.8,\nnoise elimination on, d = 0.15; "
+              "t = 5, gamma = 0.8,\nnoise elimination on, d = 0.2; "
               "execution charged at 10ns/cost-unit (cheap-query regime)\n",
               kQueries);
 

@@ -1,7 +1,9 @@
 // Operation-level microbenchmarks (google-benchmark) backing Table I's
 // complexity column: optimizer calls per template, predictor insert and
 // predict latency, histogram range queries, LSH transform application,
-// and Z-order interleaving.
+// and Z-order interleaving; and two layers of a served PREDICT: the
+// in-place frame decode and the framework's batch predict into caller
+// storage.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,9 @@
 #include "clustering/density_predictor.h"
 #include "lsh/zorder.h"
 #include "ppc/lsh_histograms_predictor.h"
+#include "ppc/ppc_framework.h"
+#include "server/server.h"
+#include "server/wire_protocol.h"
 #include "stats/streaming_histogram.h"
 
 namespace ppc {
@@ -138,6 +143,58 @@ void BM_ZOrderInterleave(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZOrderInterleave);
+
+/// The server's decode of one Q5 PREDICT frame payload, in place into a
+/// request it reuses.
+void BM_DecodePredictFrame(benchmark::State& state) {
+  wire::Request request;
+  request.type = wire::MessageType::kPredict;
+  request.id = 7;
+  request.template_name = "Q5";
+  request.point = {0.31, 0.52, 0.47, 0.66};
+  std::string frame;
+  wire::EncodeRequest(request, &frame);
+  const std::string_view payload =
+      std::string_view(frame).substr(sizeof(uint32_t));
+  wire::Request decoded;
+  for (auto _ : state) {
+    const Status status = wire::DecodeRequest(payload, &decoded);
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(decoded.point.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DecodePredictFrame);
+
+/// One template group of a served run: PredictBatchInto on Q5 with
+/// state.range(0) points, against the serving config warmed by 2,000
+/// executions at uniform points. Items are points, so items_per_second
+/// gives the per-point rate.
+void BM_FrameworkPredictBatchInto(benchmark::State& state) {
+  PpcFramework framework(&BenchCatalog(), ServingConfig());
+  PPC_CHECK(framework.RegisterTemplate(EvaluationTemplate("Q5")).ok());
+  Rng rng(9);
+  for (const std::vector<double>& x : UniformPlanSpaceSample(4, 2000, &rng)) {
+    PPC_CHECK(framework.ExecuteAtPoint("Q5", x).ok());
+  }
+  const size_t batch = static_cast<size_t>(state.range(0));
+  std::vector<double> points;
+  for (const std::vector<double>& x : UniformPlanSpaceSample(4, 64, &rng)) {
+    points.insert(points.end(), x.begin(), x.end());
+  }
+  std::vector<PredictReport> reports(batch);
+  size_t offset = 0;
+  for (auto _ : state) {
+    const Status status = framework.PredictBatchInto(
+        "Q5", points.data() + offset * 4, batch, 4, reports.data());
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(reports.data());
+    benchmark::ClobberMemory();
+    offset = (offset + batch) % (64 - batch + 1);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_FrameworkPredictBatchInto)->Arg(1)->Arg(2)->Arg(4)->Arg(16);
 
 }  // namespace
 }  // namespace bench

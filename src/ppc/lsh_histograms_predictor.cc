@@ -116,7 +116,8 @@ LshHistogramsPredictor::LshHistogramsPredictor(Config config)
     : config_(config),
       transforms_(MakeTransformConfig(config), config.transform_count,
                   EnsembleSeed(config)),
-      half_widths_(RangeHalfWidths(config_, transforms_)) {}
+      half_widths_(RangeHalfWidths(config_, transforms_)),
+      gate_(config.confidence_threshold) {}
 
 LshHistogramsPredictor::LshHistogramsPredictor(
     Config config, const std::vector<LabeledPoint>& sample)
@@ -129,6 +130,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     : config_(other.config_),
       transforms_(other.transforms_),
       half_widths_(other.half_widths_),
+      gate_(other.gate_),
       synopses_(other.synopses_),
       total_samples_(other.total_samples_) {}
 
@@ -137,6 +139,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     : config_(std::move(other.config_)),
       transforms_(std::move(other.transforms_)),
       half_widths_(std::move(other.half_widths_)),
+      gate_(other.gate_),
       synopses_(std::move(other.synopses_)),
       total_samples_(other.total_samples_) {}
 
@@ -146,6 +149,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
     config_ = other.config_;
     transforms_ = other.transforms_;
     half_widths_ = other.half_widths_;
+    gate_ = other.gate_;
     synopses_ = other.synopses_;
     total_samples_ = other.total_samples_;
   }
@@ -158,6 +162,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
     config_ = std::move(other.config_);
     transforms_ = std::move(other.transforms_);
     half_widths_ = std::move(other.half_widths_);
+    gate_ = other.gate_;
     synopses_ = std::move(other.synopses_);
     total_samples_ = other.total_samples_;
   }
@@ -275,12 +280,14 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   }
 
   // Only a confident point is answered, and its cost comes from its
-  // winner's saved sums.
+  // winner's saved sums. The gate decides from the counts, so only an
+  // answered point pays for its confidence's bisection.
   for (size_t p = 0; p < count; ++p) {
     if (max_counts[p] <= 0.0) continue;
-    const double confidence =
-        ConfidenceFromCounts(max_counts[p], totals[p] - max_counts[p]);
-    if (confidence <= config_.confidence_threshold) continue;
+    const double others = totals[p] - max_counts[p];
+    if (!gate_.Passes(max_counts[p], others)) continue;
+    const double confidence = ConfidenceFromCounts(max_counts[p], others);
+    PPC_DCHECK(confidence > config_.confidence_threshold);
     out[p].plan = max_plans[p];
     out[p].confidence = confidence;
     out[p].estimated_cost =

@@ -5,6 +5,7 @@
 #include <shared_mutex>
 #include <vector>
 
+#include "clustering/confidence.h"
 #include "clustering/predictor.h"
 #include "lsh/transform.h"
 #include "ppc/plan_synopsis.h"
@@ -176,10 +177,12 @@ class LshHistogramsPredictor : public PlanPredictor {
   /// Per transform, the half-width of the single query range (fixed by
   /// the transform and the radius, so computed once at construction).
   std::vector<double> half_widths_;
+  /// `confidence > config_.confidence_threshold`, decided from the counts.
+  ConfidenceGate gate_;
   std::map<PlanId, PlanSynopsis> synopses_;
   size_t total_samples_ = 0;
-  /// Guards synopses_ and total_samples_ (config_, transforms_ and
-  /// half_widths_ are immutable after construction).
+  /// Guards synopses_ and total_samples_ (config_, transforms_,
+  /// half_widths_ and gate_ are immutable after construction).
   mutable std::shared_mutex mu_;
 };
 

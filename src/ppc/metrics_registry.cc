@@ -28,11 +28,11 @@ double LatencyHistogram::BucketUpperBoundUs(size_t i) {
   return kFirstBucketUs * std::pow(kGrowth, static_cast<double>(i));
 }
 
-void LatencyHistogram::Record(double micros) {
+void LatencyHistogram::Record(double micros, uint64_t count) {
   if (!(micros > 0.0)) micros = 0.0;  // also catches NaN
-  buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_nanos_.fetch_add(static_cast<uint64_t>(micros * 1e3),
+  buckets_[BucketIndex(micros)].fetch_add(count, std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_nanos_.fetch_add(static_cast<uint64_t>(micros * 1e3) * count,
                        std::memory_order_relaxed);
 }
 

@@ -82,8 +82,9 @@ class LatencyHistogram {
   static constexpr double kFirstBucketUs = 0.05;
   static constexpr double kGrowth = 1.40;
 
-  /// Records one latency observation (negative values clamp to 0).
-  void Record(double micros);
+  /// Records `count` observations of one latency (negative values clamp
+  /// to 0): the same state as `count` single records, in three atomic adds.
+  void Record(double micros, uint64_t count = 1);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 

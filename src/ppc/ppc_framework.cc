@@ -124,15 +124,24 @@ Result<PpcFramework::QueryReport> PpcFramework::ExecuteInstance(
 
 Result<PpcFramework::PredictReport> PpcFramework::PredictAtPoint(
     const std::string& template_name, const std::vector<double>& point) const {
-  PPC_ASSIGN_OR_RETURN(
-      std::vector<PredictReport> reports,
-      PredictBatch(template_name, point.data(), 1, point.size()));
-  return reports[0];
+  PredictReport report;
+  PPC_RETURN_NOT_OK(PredictBatchInto(template_name, point.data(), 1,
+                                     point.size(), &report));
+  return report;
 }
 
 Result<std::vector<PpcFramework::PredictReport>> PpcFramework::PredictBatch(
     const std::string& template_name, const double* points, size_t count,
     size_t dims) const {
+  std::vector<PredictReport> reports(count);
+  PPC_RETURN_NOT_OK(
+      PredictBatchInto(template_name, points, count, dims, reports.data()));
+  return reports;
+}
+
+Status PpcFramework::PredictBatchInto(const std::string& template_name,
+                                      const double* points, size_t count,
+                                      size_t dims, PredictReport* out) const {
   std::shared_lock<std::shared_mutex> lock(templates_mu_);
   auto it = templates_.find(template_name);
   if (it == templates_.end()) {
@@ -149,16 +158,18 @@ Result<std::vector<PpcFramework::PredictReport>> PpcFramework::PredictBatch(
   // synchronizes internally (shared read lock) against concurrent
   // EXECUTE-path mutators.
   const std::shared_ptr<OnlinePpcPredictor> online = state->Online();
-  const std::vector<Prediction> predictions =
-      online->predictor().PredictBatch(points, count);
-  std::vector<PredictReport> reports(count);
+  // Per-thread, like the predictor's arena: it grows to the largest batch
+  // this thread has predicted and is reused from then on.
+  thread_local std::vector<Prediction> predictions;
+  if (predictions.size() < count) predictions.resize(count);
+  online->predictor().PredictBatchInto(points, count, predictions.data());
   for (size_t p = 0; p < count; ++p) {
-    reports[p].plan = predictions[p].plan;
-    reports[p].confidence = predictions[p].confidence;
-    reports[p].cache_hit = predictions[p].has_value() &&
-                           plan_cache_.Contains(predictions[p].plan);
+    out[p].plan = predictions[p].plan;
+    out[p].confidence = predictions[p].confidence;
+    out[p].cache_hit = predictions[p].has_value() &&
+                       plan_cache_.Contains(predictions[p].plan);
   }
-  return reports;
+  return Status::OK();
 }
 
 Result<PpcFramework::QueryReport> PpcFramework::ExecuteAtPoint(

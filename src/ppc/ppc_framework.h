@@ -16,6 +16,7 @@
 #include "ppc/metrics_registry.h"
 #include "ppc/online_predictor.h"
 #include "ppc/plan_cache.h"
+#include "ppc/predict_report.h"
 #include "ppc/retune/retune_controller.h"
 #include "workload/query_template.h"
 #include "workload/selectivity_mapper.h"
@@ -120,18 +121,14 @@ class PpcFramework {
   /// Result of the read-only prediction path (PredictAtPoint): what plan
   /// the template's predictor names at a point, how confident it is, and
   /// whether that plan is currently resident in the shared cache.
-  struct PredictReport {
-    PlanId plan = kNullPlanId;
-    double confidence = 0.0;
-    bool cache_hit = false;
-  };
+  using PredictReport = ::ppc::PredictReport;
 
   /// Pure read: asks the template's histogram predictor for a plan at
   /// `point` without executing anything, mutating any predictor state, or
   /// consuming randomness. This is the serving-layer PREDICT path — safe
   /// to call at any frequency from any thread (it takes only the
   /// predictor's shared read lock) and never perturbs the online learning
-  /// loop the EXECUTE path drives. A one-point PredictBatch.
+  /// loop the EXECUTE path drives. A one-point PredictBatchInto.
   Result<PredictReport> PredictAtPoint(const std::string& template_name,
                                        const std::vector<double>& point) const;
 
@@ -148,6 +145,16 @@ class PpcFramework {
   Result<std::vector<PredictReport>> PredictBatch(
       const std::string& template_name, const double* points, size_t count,
       size_t dims) const;
+
+  /// PredictBatch into caller storage (`out` holds `count` reports), the
+  /// serving entry point: the server answers a run's template group
+  /// straight into its reply. Once the calling thread has predicted a
+  /// batch this large, it allocates nothing (the predictor's scratch and
+  /// this call's are per-thread and keep their storage). On an error
+  /// `out` is left untouched.
+  Status PredictBatchInto(const std::string& template_name,
+                          const double* points, size_t count, size_t dims,
+                          PredictReport* out) const;
 
   /// Executes one query instance end to end (normalize -> predict ->
   /// cache/optimize -> execute -> feedback).

@@ -196,8 +196,8 @@ void PlanRouter::RecordBackendFailure(BackendState* state) {
   }
 }
 
-wire::Response PlanRouter::Handle(const wire::Request& request) {
-  wire::Response response;
+void PlanRouter::Handle(const wire::Request& request, wire::Response* out) {
+  wire::Response& response = *out;
   response.type = request.type;
   response.id = request.id;
   switch (request.type) {
@@ -235,7 +235,6 @@ wire::Response PlanRouter::Handle(const wire::Request& request) {
       response.error = "invalid request type";
       break;
   }
-  return response;
 }
 
 Result<PlanRouter::Route> PlanRouter::ResolveRoute(

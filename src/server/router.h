@@ -206,7 +206,7 @@ class PlanRouter : private RequestHandler {
   };
 
   /// The forwarding handler, called by the core's workers.
-  wire::Response Handle(const wire::Request& request) override;
+  void Handle(const wire::Request& request, wire::Response* out) override;
   wire::Response Forward(const wire::Request& request);
   wire::Response AggregateMetrics();
   wire::Response ApplyTopology(const wire::Request& request);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -24,11 +25,6 @@ namespace ppc {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
 
 /// Signal-handler plumbing: the handler may only do async-signal-safe
 /// work, so it flags the request and writes the server's wake eventfd;
@@ -79,7 +75,7 @@ class FrameworkHandler final : public RequestHandler {
         &metrics.counter("server.replication.apply_failures");
   }
 
-  wire::Response Handle(const wire::Request& request) override;
+  void Handle(const wire::Request& request, wire::Response* out) override;
 
  private:
   PpcFramework* const framework_;
@@ -153,6 +149,7 @@ struct PlanServer::Connection {
       });
     } else if (when_full == WhenFull::kDrop &&
                outbox.size() + frames_in->size() > cap) {
+      server->instruments_.outbox_overflows->Increment();
       return Queued::kDropped;
     }
     if (closed) return Queued::kDropped;
@@ -194,7 +191,10 @@ struct PlanServer::Connection {
     std::unique_lock<std::mutex> lock(mu);
     if (closed) return Sent::kDropped;
     if (flushing) {
-      if (outbox.size() + frames_in->size() > cap) return Sent::kDropped;
+      if (outbox.size() + frames_in->size() > cap) {
+        server->instruments_.outbox_overflows->Increment();
+        return Sent::kDropped;
+      }
       outbox.append(*frames_in);
       server->ObserveOutbox(outbox.size());
       return Sent::kDone;
@@ -323,12 +323,52 @@ struct PlanServer::Connection {
 };
 
 struct PlanServer::WorkItem {
+  /// Unset while the item waits in the IO thread's run: that run's
+  /// connection is the one being read.
   std::shared_ptr<Connection> conn;
   wire::Request request;
+  /// When the read that completed the request's frame returned.
   Clock::time_point admitted;
   /// No request: the worker writes `conn`'s handed-off flush
   /// (Connection::FlushQueued).
   bool flush_only = false;
+};
+
+/// The storage a run is answered in (DESIGN.md §13), owned by the thread
+/// that answers it and reused run after run: the IO thread's is a member
+/// (io_run_), each worker's a WorkerLoop local. It holds the run's items,
+/// their responses, the grouping state, one group's PREDICT_BATCH and its
+/// answer, and the encoded replies. Each holds at most kMaxMicrobatch
+/// entries or one group's points, and keeps its storage between runs, so
+/// once warm a run of single-point PREDICTs is answered without a heap
+/// allocation.
+struct PlanServer::RunScratch {
+  RunScratch() { group.reserve(kMaxMicrobatch); }
+
+  /// Drops the items' connection references and empties the run. The
+  /// requests and replies keep their storage for the next run, except
+  /// those of a run of one other request (METRICS, SNAPSHOT, ...): its
+  /// reply can be large, so it is freed, and what a run keeps stays within
+  /// kMaxMicrobatch single-point PREDICTs and their replies.
+  void Release() {
+    for (size_t p = 0; p < size; ++p) items[p].conn.reset();
+    if (size == 1 && items[0].request.type != wire::MessageType::kPredict) {
+      items[0].request = wire::Request();
+      responses[0] = wire::Response();
+      frames = std::string();
+    }
+    size = 0;
+  }
+
+  std::array<WorkItem, kMaxMicrobatch> items;
+  size_t size = 0;
+  std::array<wire::Response, kMaxMicrobatch> responses;
+  std::array<bool, kMaxMicrobatch> grouped{};
+  /// The item indices of the group being answered.
+  std::vector<size_t> group;
+  wire::Request batch;
+  wire::Response answer;
+  std::string frames;
 };
 
 PlanServer::PlanServer(PpcFramework* framework, Config config)
@@ -337,6 +377,7 @@ PlanServer::PlanServer(PpcFramework* framework, Config config)
       metrics_(&framework->metrics()),
       config_(std::move(config)),
       runs_span_templates_(true),
+      io_run_(std::make_unique<RunScratch>()),
       queue_(config_.queue_capacity) {}
 
 PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
@@ -345,6 +386,7 @@ PlanServer::PlanServer(RequestHandler* handler, MetricsRegistry* metrics,
       metrics_(metrics),
       config_(std::move(config)),
       runs_span_templates_(false),
+      io_run_(std::make_unique<RunScratch>()),
       queue_(config_.queue_capacity) {
   PPC_CHECK(handler != nullptr && metrics != nullptr);
 }
@@ -402,6 +444,7 @@ Status PlanServer::Start() {
   instruments_.timeouts_idle = &metrics.counter("server.timeouts.idle");
   instruments_.timeouts_read = &metrics.counter("server.timeouts.read");
   instruments_.timeouts_write = &metrics.counter("server.timeouts.write");
+  instruments_.outbox_overflows = &metrics.counter("server.outbox_overflows");
   instruments_.flushes = &metrics.counter("server.flushes");
   instruments_.outbox_peak_bytes = &metrics.gauge("server.outbox_peak_bytes");
   outbox_peak_bytes_.store(0, std::memory_order_relaxed);
@@ -667,7 +710,9 @@ bool PlanServer::ReadOnce(const std::shared_ptr<Connection>& conn,
 
 bool PlanServer::ProcessFrames(const std::shared_ptr<Connection>& conn,
                                bool sole_ready) {
-  std::string payload;
+  const Clock::time_point read_at = Clock::now();
+  RunScratch& run = *io_run_;
+  std::string_view payload;
   while (true) {
     Result<bool> next = conn->frames.Next(&payload);
     if (!next.ok()) {
@@ -681,25 +726,30 @@ bool PlanServer::ProcessFrames(const std::shared_ptr<Connection>& conn,
       return false;
     }
     if (!next.value()) return AdmitRun(conn, sole_ready);
-    Result<wire::Request> request = wire::DecodeRequest(payload);
-    if (!request.ok()) {
+    // Each frame is decoded in place into the run's next free item, whose
+    // request keeps its storage from earlier runs.
+    WorkItem& item = run.items[run.size];
+    const Status decoded = wire::DecodeRequest(payload, &item.request);
+    if (!decoded.ok()) {
       AdmitRun(conn, sole_ready);
       instruments_.frames_malformed->Increment();
       SendError(conn, wire::MessageType::kInvalid, 0,
-                wire::WireStatus::kBadRequest, request.status().message());
+                wire::WireStatus::kBadRequest, decoded.message());
       return false;
     }
-    WorkItem item{conn, std::move(request).value(), Clock::now()};
+    item.admitted = read_at;
     // In front of its own framework, the single-point PREDICTs of one read
     // form runs (up to kMaxMicrobatch) that AdmitRun may answer here.
     if (runs_span_templates_ && SinglePointPredict(item.request)) {
-      io_run_.push_back(std::move(item));
-      if (io_run_.size() == kMaxMicrobatch && !AdmitRun(conn, sole_ready)) {
+      if (++run.size == kMaxMicrobatch && !AdmitRun(conn, sole_ready)) {
         return false;
       }
       continue;
     }
-    if (!AdmitRun(conn, sole_ready) || !Admit(conn, std::move(item))) {
+    // Any other request leaves the run's storage for the queue, after the
+    // run decoded ahead of it (AdmitRun answers only the items below it).
+    if (!AdmitRun(conn, sole_ready) ||
+        !Admit(conn, WorkItem{conn, std::move(item.request), read_at})) {
       return false;
     }
   }
@@ -707,37 +757,39 @@ bool PlanServer::ProcessFrames(const std::shared_ptr<Connection>& conn,
 
 bool PlanServer::AdmitRun(const std::shared_ptr<Connection>& conn,
                           bool sole_ready) {
-  if (io_run_.empty()) return true;
+  RunScratch& run = *io_run_;
+  if (run.size == 0) return true;
   bool open = true;
   if (sole_ready && shed_.level() == net::ShedController::kNormal &&
       queue_.size() == 0 && !draining_.load(std::memory_order_acquire) &&
       conn->Idle()) {
     open = AnswerRunInline(conn);
   } else {
-    for (WorkItem& item : io_run_) {
-      if (!Admit(conn, std::move(item))) {
+    for (size_t p = 0; p < run.size; ++p) {
+      WorkItem& item = run.items[p];
+      if (!Admit(conn,
+                 WorkItem{conn, std::move(item.request), item.admitted})) {
         open = false;
         break;
       }
     }
   }
-  io_run_.clear();
+  run.size = 0;
   return open;
 }
 
 bool PlanServer::AnswerRunInline(const std::shared_ptr<Connection>& conn) {
-  const size_t count = io_run_.size();
-  const std::vector<wire::Response> responses =
-      AnswerRun(io_run_.data(), count);
-  std::string frames;
-  for (const wire::Response& response : responses) {
-    wire::EncodeResponse(response, &frames);
+  RunScratch& run = *io_run_;
+  AnswerRun(&run);
+  run.frames.clear();
+  for (size_t p = 0; p < run.size; ++p) {
+    wire::EncodeResponse(run.responses[p], &run.frames);
   }
   // Counted before the write, so a peer that has read an answer sees it
   // counted.
-  instruments_.inline_predicts->Increment(count);
+  instruments_.inline_predicts->Increment(run.size);
   bool open = true;
-  switch (conn->SendWithoutBlocking(&frames)) {
+  switch (conn->SendWithoutBlocking(&run.frames)) {
     case Connection::Sent::kDone:
       break;
     case Connection::Sent::kDropped:
@@ -753,7 +805,7 @@ bool PlanServer::AnswerRunInline(const std::shared_ptr<Connection>& conn) {
              draining_.load(std::memory_order_acquire);
       break;
   }
-  CountRun(io_run_.data(), count, responses);
+  CountRun(run);
   return open;
 }
 
@@ -893,8 +945,9 @@ void PlanServer::ObserveOutbox(size_t bytes) {
   instruments_.outbox_peak_bytes->Set(static_cast<double>(bytes));
 }
 
-wire::Response FrameworkHandler::Handle(const wire::Request& request) {
-  wire::Response response;
+void FrameworkHandler::Handle(const wire::Request& request,
+                              wire::Response* out) {
+  wire::Response& response = *out;
   response.type = request.type;
   response.id = request.id;
   switch (request.type) {
@@ -902,16 +955,13 @@ wire::Response FrameworkHandler::Handle(const wire::Request& request) {
     case wire::MessageType::kShutdown:
       break;
     case wire::MessageType::kPredict: {
-      Result<PpcFramework::PredictReport> report =
-          framework_->PredictAtPoint(request.template_name, request.point);
-      if (!report.ok()) {
-        response.status = WireStatusFrom(report.status());
-        response.error = report.status().message();
-        break;
+      const Status predicted = framework_->PredictBatchInto(
+          request.template_name, request.point.data(), 1,
+          request.point.size(), &response.predict);
+      if (!predicted.ok()) {
+        response.status = WireStatusFrom(predicted);
+        response.error = predicted.message();
       }
-      response.predict.plan = report.value().plan;
-      response.predict.confidence = report.value().confidence;
-      response.predict.cache_hit = report.value().cache_hit;
       break;
     }
     case wire::MessageType::kExecute: {
@@ -938,19 +988,16 @@ wire::Response FrameworkHandler::Handle(const wire::Request& request) {
       break;
     }
     case wire::MessageType::kPredictBatch: {
-      Result<std::vector<PpcFramework::PredictReport>> reports =
-          framework_->PredictBatch(request.template_name,
-                                   request.batch_points.data(),
-                                   request.batch_count(), request.batch_dims);
-      if (!reports.ok()) {
-        response.status = WireStatusFrom(reports.status());
-        response.error = reports.status().message();
-        break;
-      }
-      response.batch.reserve(reports.value().size());
-      for (const PpcFramework::PredictReport& r : reports.value()) {
-        response.batch.push_back(
-            wire::Response::Predict{r.plan, r.confidence, r.cache_hit});
+      // The answers go straight into the reply: the batch vector keeps the
+      // storage of the run's earlier groups.
+      response.batch.resize(request.batch_count());
+      const Status predicted = framework_->PredictBatchInto(
+          request.template_name, request.batch_points.data(),
+          request.batch_count(), request.batch_dims, response.batch.data());
+      if (!predicted.ok()) {
+        response.batch.clear();
+        response.status = WireStatusFrom(predicted);
+        response.error = predicted.message();
       }
       break;
     }
@@ -998,66 +1045,66 @@ wire::Response FrameworkHandler::Handle(const wire::Request& request) {
       response.error = "invalid message type";
       break;
   }
-  return response;
 }
 
-std::vector<wire::Response> PlanServer::AnswerRun(const WorkItem* items,
-                                                  size_t count) {
+void PlanServer::AnswerRun(RunScratch* run) {
+  const size_t count = run->size;
   if (config_.pre_dispatch_hook) {
     for (size_t p = 0; p < count; ++p) {
-      config_.pre_dispatch_hook(items[p].request.type);
+      config_.pre_dispatch_hook(run->items[p].request.type);
     }
+  }
+  for (size_t p = 0; p < count; ++p) {
+    run->responses[p].Clear();
+    run->grouped[p] = false;
   }
   // One PREDICT_BATCH per (template, arity) group, in order of first
   // appearance.
-  std::vector<wire::Response> responses(count);
-  std::vector<bool> grouped(count, false);
-  std::vector<size_t> group;
   for (size_t first = 0; first < count; ++first) {
-    if (grouped[first]) continue;
-    const wire::Request& head = items[first].request;
-    group.clear();
+    if (run->grouped[first]) continue;
+    const wire::Request& head = run->items[first].request;
+    run->group.clear();
     for (size_t p = first; p < count; ++p) {
-      const wire::Request& request = items[p].request;
-      if (!grouped[p] && request.template_name == head.template_name &&
+      const wire::Request& request = run->items[p].request;
+      if (!run->grouped[p] && request.template_name == head.template_name &&
           request.point.size() == head.point.size()) {
-        grouped[p] = true;
-        group.push_back(p);
+        run->grouped[p] = true;
+        run->group.push_back(p);
       }
     }
-    AnswerPredictGroup(items, group, responses.data());
+    AnswerPredictGroup(run);
   }
-  return responses;
 }
 
-void PlanServer::ProcessRun(WorkItem* items, size_t count) {
+void PlanServer::ProcessRun(RunScratch* run) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  const std::vector<wire::Response> responses = AnswerRun(items, count);
+  AnswerRun(run);
   // Append every reply first, then flush each connection this worker was
   // handed once, so a run's replies to one connection leave in one write.
   // While it holds an unflushed connection the worker must not wait for
   // outbox room: the flush it would wait on might be its own, or held by
   // a worker waiting on one of this worker's connections.
-  std::vector<Connection*> to_flush;
-  std::string frames;
-  for (size_t p = 0; p < count; ++p) {
-    wire::EncodeResponse(responses[p], &frames);
-    Connection* conn = items[p].conn.get();
+  std::array<Connection*, kMaxMicrobatch> to_flush;
+  size_t flushes = 0;
+  run->frames.clear();
+  for (size_t p = 0; p < run->size; ++p) {
+    wire::EncodeResponse(run->responses[p], &run->frames);
+    Connection* conn = run->items[p].conn.get();
     // Consecutive replies to one connection go in one append.
-    if (p + 1 < count && items[p + 1].conn.get() == conn) continue;
+    if (p + 1 < run->size && run->items[p + 1].conn.get() == conn) continue;
     const Connection::WhenFull when_full =
-        to_flush.empty() ? Connection::WhenFull::kWait
-                         : Connection::WhenFull::kAppend;
-    if (conn->Append(&frames, when_full) == Connection::Queued::kFlush) {
-      to_flush.push_back(conn);
+        flushes == 0 ? Connection::WhenFull::kWait
+                     : Connection::WhenFull::kAppend;
+    if (conn->Append(&run->frames, when_full) == Connection::Queued::kFlush) {
+      to_flush[flushes++] = conn;
     }
-    frames.clear();
+    run->frames.clear();
   }
-  for (Connection* conn : to_flush) conn->Flush();
-  CountRun(items, count, responses);
+  for (size_t i = 0; i < flushes; ++i) to_flush[i]->Flush();
+  CountRun(*run);
   // Only single-point PREDICTs join a run, so a SHUTDOWN is a run of one.
-  if (responses.front().type == wire::MessageType::kShutdown &&
-      responses.front().ok()) {
+  if (run->responses[0].type == wire::MessageType::kShutdown &&
+      run->responses[0].ok()) {
     // Ack already on the outbox; now start the drain. Everything admitted
     // before this point still completes, and every flush finishes before
     // its worker exits.
@@ -1065,35 +1112,57 @@ void PlanServer::ProcessRun(WorkItem* items, size_t count) {
   }
 }
 
-void PlanServer::CountRun(const WorkItem* items, size_t count,
-                          const std::vector<wire::Response>& responses) {
-  for (size_t p = 0; p < count; ++p) Account(items[p], responses[p].ok());
-  if (count >= 2) {
+void PlanServer::CountRun(const RunScratch& run) {
+  // One clock read for the run: its replies were handed off together. A
+  // stretch of items of one type admitted by the same read (all of an
+  // inline run) shares one latency, and is recorded at once.
+  const Clock::time_point now = Clock::now();
+  uint64_t errors = 0;
+  size_t first = 0;
+  for (size_t p = 0; p < run.size; ++p) {
+    if (!run.responses[p].ok()) ++errors;
+    const WorkItem& head = run.items[first];
+    if (p + 1 < run.size &&
+        run.items[p + 1].request.type == head.request.type &&
+        run.items[p + 1].admitted == head.admitted) {
+      continue;
+    }
+    Account(head.request.type,
+            std::chrono::duration<double, std::micro>(now - head.admitted)
+                .count(),
+            p + 1 - first);
+    first = p + 1;
+  }
+  if (errors > 0) instruments_.responses_error->Increment(errors);
+  if (run.size >= 2) {
     instruments_.microbatches->Increment();
-    instruments_.microbatched_predicts->Increment(count);
+    instruments_.microbatched_predicts->Increment(run.size);
   }
 }
 
-void PlanServer::AnswerPredictGroup(const WorkItem* items,
-                                    const std::vector<size_t>& group,
-                                    wire::Response* responses) {
+void PlanServer::AnswerPredictGroup(RunScratch* run) {
+  const std::vector<size_t>& group = run->group;
+  const WorkItem* items = run->items.data();
+  wire::Response* responses = run->responses.data();
   if (group.size() == 1) {
-    responses[group[0]] = handler_->Handle(items[group[0]].request);
+    handler_->Handle(items[group[0]].request, &responses[group[0]]);
     return;
   }
   const wire::Request& head = items[group[0]].request;
-  wire::Request batch;
+  wire::Request& batch = run->batch;
   batch.type = wire::MessageType::kPredictBatch;
   batch.id = head.id;
   batch.template_name = head.template_name;
   batch.batch_dims = static_cast<uint32_t>(head.point.size());
-  batch.batch_points.reserve(group.size() * head.point.size());
+  batch.batch_points.clear();
   for (const size_t p : group) {
     batch.batch_points.insert(batch.batch_points.end(),
                               items[p].request.point.begin(),
                               items[p].request.point.end());
   }
-  const wire::Response answer = handler_->Handle(batch);
+  wire::Response& answer = run->answer;
+  answer.Clear();
+  handler_->Handle(batch, &answer);
   const bool rejected = answer.status == wire::WireStatus::kBadRequest ||
                         answer.status == wire::WireStatus::kNotFound;
   if (answer.ok() ? answer.batch.size() != group.size() : rejected) {
@@ -1103,7 +1172,7 @@ void PlanServer::AnswerPredictGroup(const WorkItem* items,
     // the router is down or timed out) would recur per item, so the
     // batch's error answers every item of the group.
     for (const size_t p : group) {
-      responses[p] = handler_->Handle(items[p].request);
+      handler_->Handle(items[p].request, &responses[p]);
     }
     return;
   }
@@ -1120,55 +1189,57 @@ void PlanServer::AnswerPredictGroup(const WorkItem* items,
   }
 }
 
-void PlanServer::Account(const WorkItem& item, bool ok) {
-  const double micros = MicrosSince(item.admitted);
-  switch (item.request.type) {
+void PlanServer::Account(wire::MessageType type, double micros,
+                         uint64_t count) {
+  switch (type) {
     case wire::MessageType::kPredict:
-      instruments_.requests_predict->Increment();
-      instruments_.predict_us->Record(micros);
+      instruments_.requests_predict->Increment(count);
+      instruments_.predict_us->Record(micros, count);
       break;
     case wire::MessageType::kPredictBatch:
-      instruments_.requests_predict_batch->Increment();
-      instruments_.predict_batch_us->Record(micros);
+      instruments_.requests_predict_batch->Increment(count);
+      instruments_.predict_batch_us->Record(micros, count);
       break;
     case wire::MessageType::kExecute:
-      instruments_.requests_execute->Increment();
-      instruments_.execute_us->Record(micros);
+      instruments_.requests_execute->Increment(count);
+      instruments_.execute_us->Record(micros, count);
       break;
     case wire::MessageType::kMetrics:
-      instruments_.requests_metrics->Increment();
-      instruments_.metrics_us->Record(micros);
+      instruments_.requests_metrics->Increment(count);
+      instruments_.metrics_us->Record(micros, count);
       break;
     case wire::MessageType::kPing:
-      instruments_.requests_ping->Increment();
-      instruments_.ping_us->Record(micros);
+      instruments_.requests_ping->Increment(count);
+      instruments_.ping_us->Record(micros, count);
       break;
     case wire::MessageType::kShutdown:
-      instruments_.requests_shutdown->Increment();
+      instruments_.requests_shutdown->Increment(count);
       break;
     case wire::MessageType::kSnapshot:
-      instruments_.requests_snapshot->Increment();
-      instruments_.replication_snapshot_us->Record(micros);
+      instruments_.requests_snapshot->Increment(count);
+      instruments_.replication_snapshot_us->Record(micros, count);
       break;
     case wire::MessageType::kSnapshotApply:
-      instruments_.requests_snapshot_apply->Increment();
-      instruments_.replication_apply_us->Record(micros);
+      instruments_.requests_snapshot_apply->Increment(count);
+      instruments_.replication_apply_us->Record(micros, count);
       break;
     case wire::MessageType::kTopology:
     case wire::MessageType::kInvalid:
       break;
   }
-  if (!ok) instruments_.responses_error->Increment();
 }
 
 void PlanServer::WorkerLoop() {
-  std::vector<WorkItem> run;
+  // Made for the first run this worker answers: behind an IO thread that
+  // answers every PREDICT itself, a worker may never need one.
+  std::unique_ptr<RunScratch> run;
   while (std::optional<WorkItem> item = queue_.Pop()) {
     if (item->flush_only) {
       item->conn->FlushQueued();
       continue;
     }
-    run.push_back(std::move(*item));
+    if (run == nullptr) run = std::make_unique<RunScratch>();
+    run->items[run->size++] = std::move(*item);
     // Opportunistic micro-batch: after popping a single-point PREDICT,
     // take the single-point PREDICTs queued right behind it (never
     // blocking) up to the cap, stopping at the first request that is not
@@ -1182,25 +1253,25 @@ void PlanServer::WorkerLoop() {
     // turns this off — under sustained pressure one slow batch must not
     // grow head-of-line latency (DESIGN.md §14).
     if (shed_.level() < net::ShedController::kNoMicrobatch &&
-        SinglePointPredict(run.front().request)) {
+        SinglePointPredict(run->items[0].request)) {
       const auto joins_run = [&](const WorkItem& next) {
-        const wire::Request& head = run.front().request;
+        const wire::Request& head = run->items[0].request;
         return SinglePointPredict(next.request) &&
                (runs_span_templates_ ||
                 (next.request.template_name == head.template_name &&
                  next.request.point.size() == head.point.size()));
       };
-      while (run.size() < kMaxMicrobatch) {
+      while (run->size < kMaxMicrobatch) {
         std::optional<WorkItem> extra = queue_.TryPopIf(joins_run);
         if (!extra.has_value()) break;
-        run.push_back(std::move(*extra));
+        run->items[run->size++] = std::move(*extra);
       }
     }
-    ProcessRun(run.data(), run.size());
+    ProcessRun(run.get());
     // Drop the connection references before blocking in Pop: the last
     // one closes the fd of a connection the IO thread already closed, and
     // its peer is waiting for that EOF.
-    run.clear();
+    run->Release();
   }
 }
 

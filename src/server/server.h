@@ -30,11 +30,14 @@ class TimerWheel;
 class RequestHandler {
  public:
   virtual ~RequestHandler() = default;
-  /// Called concurrently by every worker, so it keeps no per-thread state.
-  /// A PlanServer in front of its own framework also calls its framework
-  /// handler from the IO thread; one in front of another handler never
-  /// does.
-  virtual wire::Response Handle(const wire::Request& request) = 0;
+  /// Answers `request` into `*out`, which arrives cleared
+  /// (wire::Response::Clear) and is owned by the run being answered: it
+  /// may keep the storage of an earlier answer, so an answer that fits it
+  /// allocates nothing. Called concurrently by every worker, so it keeps
+  /// no per-thread state. A PlanServer in front of its own framework also
+  /// calls its framework handler from the IO thread; one in front of
+  /// another handler never does.
+  virtual void Handle(const wire::Request& request, wire::Response* out) = 0;
 };
 
 /// The network serving layer (DESIGN.md §12): a Linux epoll-based TCP
@@ -176,6 +179,7 @@ class PlanServer {
 
   struct Connection;
   struct WorkItem;
+  struct RunScratch;
 
   void IoLoop();
   void WorkerLoop();
@@ -202,9 +206,9 @@ class PlanServer {
   bool ProcessFrames(const std::shared_ptr<Connection>& conn,
                      bool sole_ready);
   /// Answers or admits the pending run of single-point PREDICTs
-  /// (`io_run_`) and empties it: AnswerRunInline when the IO thread may
-  /// answer it (see the threading model above), else Admit per item.
-  /// False when the connection must be dropped.
+  /// (`io_run_`'s items) and empties it: AnswerRunInline when the IO
+  /// thread may answer it (see the threading model above), else Admit per
+  /// item. False when the connection must be dropped.
   bool AdmitRun(const std::shared_ptr<Connection>& conn, bool sole_ready);
   /// Answers `io_run_` on the IO thread through the workers' run path
   /// (AnswerRun, then CountRun), writes the replies with one non-blocking
@@ -225,33 +229,31 @@ class PlanServer {
   /// that arrived after the IO loop stopped reading are answered with a
   /// SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
-  /// Answers a run of `count` items on a worker: any one request, or
-  /// single-point PREDICTs the worker took together. AnswerRun, then every
-  /// reply appended and each connection flushed once, then CountRun; an
-  /// acknowledged SHUTDOWN then starts the drain.
-  void ProcessRun(WorkItem* items, size_t count);
+  /// Answers a worker's run: any one request, or single-point PREDICTs
+  /// the worker took together. AnswerRun, then every reply appended and
+  /// each connection flushed once, then CountRun; an acknowledged SHUTDOWN
+  /// then starts the drain.
+  void ProcessRun(RunScratch* run);
   /// Runs the hook for each item, then one AnswerPredictGroup per
-  /// (template, arity) group, in order of first appearance; returns the
-  /// replies in item order. The kDispatch failpoint stays with the
-  /// workers (ProcessRun).
-  std::vector<wire::Response> AnswerRun(const WorkItem* items, size_t count);
+  /// (template, arity) group, in order of first appearance, answering
+  /// into the run's responses in item order. The kDispatch failpoint
+  /// stays with the workers (ProcessRun).
+  void AnswerRun(RunScratch* run);
   /// Account for every item of an answered run, and the micro-batch
   /// counters when it holds two or more.
-  void CountRun(const WorkItem* items, size_t count,
-                const std::vector<wire::Response>& responses);
-  /// Answers the items at `group` (one template and arity) into the same
-  /// slots of `responses`, with one PREDICT_BATCH through the handler (a
-  /// group of one, which may be any request, goes to the handler as it
-  /// is); falls back to one request per item when the batch is rejected
-  /// (e.g. one point is non-finite), so grouping never changes which
-  /// requests succeed. Any other failure answers every item of the group
-  /// with the batch's error.
-  void AnswerPredictGroup(const WorkItem* items,
-                          const std::vector<size_t>& group,
-                          wire::Response* responses);
-  /// Records the item's request counter and latency (admission to reply
-  /// handed off), and the error counter when `ok` is false.
-  void Account(const WorkItem& item, bool ok);
+  void CountRun(const RunScratch& run);
+  /// Answers the items of the run's current group (one template and
+  /// arity) into the same slots of its responses, with one PREDICT_BATCH
+  /// through the handler (a group of one, which may be any request, goes
+  /// to the handler as it is); falls back to one request per item when
+  /// the batch is rejected (e.g. one point is non-finite), so grouping
+  /// never changes which requests succeed. Any other failure answers
+  /// every item of the group with the batch's error.
+  void AnswerPredictGroup(RunScratch* run);
+  /// Records `count` requests of `type` that waited `micros` from
+  /// admission to reply handed off: the request counter and the latency
+  /// histogram.
+  void Account(wire::MessageType type, double micros, uint64_t count);
   /// Sends one error frame without waiting (IO thread, shutdown sweep).
   /// False when the connection must be closed: the frame was dropped or
   /// its write failed.
@@ -286,9 +288,10 @@ class PlanServer {
   /// Previous rung, for transition counting (IO thread only).
   net::ShedController::Level prev_shed_level_ = net::ShedController::kNormal;
 
-  /// The run of single-point PREDICTs being decoded from one read (IO
-  /// thread only; see AdmitRun).
-  std::vector<WorkItem> io_run_;
+  /// The IO thread's run storage (IO thread only): a read's single-point
+  /// PREDICTs are decoded straight into its items, and AdmitRun answers
+  /// them from it (DESIGN.md §13).
+  std::unique_ptr<RunScratch> io_run_;
 
   BoundedQueue<WorkItem> queue_;
   std::thread io_thread_;
@@ -327,6 +330,10 @@ class PlanServer {
     MetricsCounter* timeouts_idle = nullptr;
     MetricsCounter* timeouts_read = nullptr;
     MetricsCounter* timeouts_write = nullptr;
+    /// Connections the IO thread closed because a reply would have taken
+    /// their outbox past max_frame_bytes: the other bound on a peer that
+    /// does not read, beside the write deadline of timeouts_write.
+    MetricsCounter* outbox_overflows = nullptr;
     /// Outbox writes (responses ÷ flushes = frames per write), and the
     /// largest outbox any connection held, in bytes.
     MetricsCounter* flushes = nullptr;

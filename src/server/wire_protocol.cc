@@ -22,36 +22,46 @@ bool HasPointBody(MessageType type) {
   return type == MessageType::kPredict || type == MessageType::kExecute;
 }
 
-/// Wraps a finished payload in the u32 length prefix and appends it.
-void AppendFrame(const std::string& payload, std::string* out) {
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  char prefix[sizeof(length)];
-  std::memcpy(prefix, &length, sizeof(length));
-  out->append(prefix, sizeof(length));
-  out->append(payload);
+/// Starts a frame at the end of `out`: reserves its u32 length prefix,
+/// for a ByteWriter on `out` to write the payload after it in place.
+/// Returns where the frame starts, for FinishFrame.
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(sizeof(uint32_t), '\0');
+  return start;
 }
 
-Result<std::vector<double>> DecodePoint(ByteReader* reader) {
-  PPC_ASSIGN_OR_RETURN(uint32_t dims, reader->GetU32());
-  if (dims > kMaxPointDimensions) {
-    return Status::InvalidArgument("point arity " + std::to_string(dims) +
-                                   " exceeds the protocol limit of " +
-                                   std::to_string(kMaxPointDimensions));
-  }
-  std::vector<double> point;
-  point.reserve(dims);
-  for (uint32_t i = 0; i < dims; ++i) {
-    PPC_ASSIGN_OR_RETURN(double v, reader->GetDouble());
-    point.push_back(v);
-  }
-  return point;
+/// Fills in the length prefix of the frame BeginFrame started at `start`.
+void FinishFrame(size_t start, std::string* out) {
+  const uint32_t length =
+      static_cast<uint32_t>(out->size() - start - sizeof(uint32_t));
+  std::memcpy(out->data() + start, &length, sizeof(length));
+}
+
+Status ArityError(uint32_t dims) {
+  return Status::InvalidArgument("point arity " + std::to_string(dims) +
+                                 " exceeds the protocol limit of " +
+                                 std::to_string(kMaxPointDimensions));
+}
+
+/// Decodes a u32 arity and that many coordinates into `*point`, which
+/// keeps its storage. The arity is checked against the protocol limit
+/// before anything is sized from it.
+Status DecodePoint(ByteReader* reader, std::vector<double>* point) {
+  uint32_t dims = 0;
+  if (!reader->Read(&dims)) return reader->Truncated();
+  if (dims > kMaxPointDimensions) return ArityError(dims);
+  point->resize(dims);
+  if (!reader->ReadDoubles(point->data(), dims)) return reader->Truncated();
+  return Status::OK();
 }
 
 /// Decodes the kPredictBatch body into the Request's flat row-major
 /// storage. Both the point count and the arity are validated against the
 /// protocol limits before any allocation is sized from them.
 Status DecodeBatchBody(ByteReader* reader, Request* request) {
-  PPC_ASSIGN_OR_RETURN(uint32_t count, reader->GetU32());
+  uint32_t count = 0;
+  if (!reader->Read(&count)) return reader->Truncated();
   if (count == 0) {
     return Status::InvalidArgument("PREDICT_BATCH with zero points");
   }
@@ -60,19 +70,19 @@ Status DecodeBatchBody(ByteReader* reader, Request* request) {
                                    " points exceeds the protocol limit of " +
                                    std::to_string(kMaxBatchPoints));
   }
-  PPC_ASSIGN_OR_RETURN(uint32_t dims, reader->GetU32());
+  uint32_t dims = 0;
+  if (!reader->Read(&dims)) return reader->Truncated();
   if (dims == 0) {
     return Status::InvalidArgument("PREDICT_BATCH with zero-arity points");
   }
-  if (dims > kMaxPointDimensions) {
-    return Status::InvalidArgument("point arity " + std::to_string(dims) +
-                                   " exceeds the protocol limit of " +
-                                   std::to_string(kMaxPointDimensions));
-  }
+  if (dims > kMaxPointDimensions) return ArityError(dims);
   request->batch_dims = dims;
   request->batch_points.resize(static_cast<size_t>(count) * dims);
-  return reader->GetDoubles(request->batch_points.data(),
-                            request->batch_points.size());
+  if (!reader->ReadDoubles(request->batch_points.data(),
+                           request->batch_points.size())) {
+    return reader->Truncated();
+  }
+  return Status::OK();
 }
 
 Status RequireAtEnd(const ByteReader& reader) {
@@ -83,6 +93,33 @@ Status RequireAtEnd(const ByteReader& reader) {
 }
 
 }  // namespace
+
+void Request::Clear() {
+  type = MessageType::kInvalid;
+  id = 0;
+  template_name.clear();
+  point.clear();
+  batch_dims = 0;
+  batch_points.clear();
+  snapshot_blob.clear();
+  topology_op = TopologyOp::kAdd;
+  topology_host.clear();
+  topology_port = 0;
+}
+
+void Response::Clear() {
+  type = MessageType::kInvalid;
+  id = 0;
+  status = WireStatus::kOk;
+  error.clear();
+  predict = Predict{};
+  batch.clear();
+  execute = Execute{};
+  metrics_json.clear();
+  snapshot_blob.clear();
+  snapshot_applied = 0;
+  backend_count = 0;
+}
 
 const char* MessageTypeName(MessageType type) {
   switch (type) {
@@ -131,13 +168,14 @@ const char* WireStatusName(WireStatus status) {
 }
 
 void EncodeRequest(const Request& request, std::string* out) {
-  ByteWriter writer;
+  const size_t start = BeginFrame(out);
+  ByteWriter writer(out);
   writer.PutU8(static_cast<uint8_t>(request.type));
   writer.PutU64(request.id);
   if (HasPointBody(request.type)) {
     writer.PutString(request.template_name);
     writer.PutU32(static_cast<uint32_t>(request.point.size()));
-    for (double v : request.point) writer.PutDouble(v);
+    writer.PutDoubles(request.point.data(), request.point.size());
   } else if (request.type == MessageType::kPredictBatch) {
     writer.PutString(request.template_name);
     writer.PutU32(request.batch_count());
@@ -151,14 +189,12 @@ void EncodeRequest(const Request& request, std::string* out) {
     writer.PutString(request.topology_host);
     writer.PutU32(request.topology_port);
   }
-  AppendFrame(writer.buffer(), out);
+  FinishFrame(start, out);
 }
 
-namespace {
-
-/// The response payload: everything after the length prefix.
-std::string ResponsePayload(const Response& response) {
-  ByteWriter writer;
+void EncodeResponse(const Response& response, std::string* out) {
+  const size_t start = BeginFrame(out);
+  ByteWriter writer(out);
   writer.PutU8(static_cast<uint8_t>(response.type));
   writer.PutU64(response.id);
   writer.PutU8(static_cast<uint8_t>(response.status));
@@ -215,138 +251,143 @@ std::string ResponsePayload(const Response& response) {
         break;
     }
   }
-  return writer.Take();
+  FinishFrame(start, out);
 }
 
-}  // namespace
-
-void EncodeResponse(const Response& response, std::string* out) {
-  AppendFrame(ResponsePayload(response), out);
-}
-
-Result<Request> DecodeRequest(const std::string& payload) {
+Status DecodeRequest(std::string_view payload, Request* request) {
+  request->Clear();
   ByteReader reader(payload);
-  PPC_ASSIGN_OR_RETURN(uint8_t type_byte, reader.GetU8());
+  uint8_t type_byte = 0;
+  if (!reader.Read(&type_byte)) return reader.Truncated();
   if (!ValidRequestType(type_byte)) {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(type_byte));
   }
-  Request request;
-  request.type = static_cast<MessageType>(type_byte);
-  PPC_ASSIGN_OR_RETURN(request.id, reader.GetU64());
-  if (HasPointBody(request.type)) {
-    PPC_ASSIGN_OR_RETURN(request.template_name, reader.GetString());
-    PPC_ASSIGN_OR_RETURN(request.point, DecodePoint(&reader));
-  } else if (request.type == MessageType::kPredictBatch) {
-    PPC_ASSIGN_OR_RETURN(request.template_name, reader.GetString());
-    PPC_RETURN_NOT_OK(DecodeBatchBody(&reader, &request));
-  } else if (request.type == MessageType::kSnapshotApply) {
-    PPC_ASSIGN_OR_RETURN(request.snapshot_blob, reader.GetString());
-  } else if (request.type == MessageType::kTopology) {
-    PPC_ASSIGN_OR_RETURN(uint8_t op_byte, reader.GetU8());
+  request->type = static_cast<MessageType>(type_byte);
+  if (!reader.Read(&request->id)) return reader.Truncated();
+  if (HasPointBody(request->type)) {
+    if (!reader.ReadString(&request->template_name)) return reader.Truncated();
+    PPC_RETURN_NOT_OK(DecodePoint(&reader, &request->point));
+  } else if (request->type == MessageType::kPredictBatch) {
+    if (!reader.ReadString(&request->template_name)) return reader.Truncated();
+    PPC_RETURN_NOT_OK(DecodeBatchBody(&reader, request));
+  } else if (request->type == MessageType::kSnapshotApply) {
+    if (!reader.ReadString(&request->snapshot_blob)) return reader.Truncated();
+  } else if (request->type == MessageType::kTopology) {
+    uint8_t op_byte = 0;
+    if (!reader.Read(&op_byte)) return reader.Truncated();
     if (op_byte != static_cast<uint8_t>(TopologyOp::kAdd) &&
         op_byte != static_cast<uint8_t>(TopologyOp::kRemove)) {
       return Status::InvalidArgument("unknown topology operation " +
                                      std::to_string(op_byte));
     }
-    request.topology_op = static_cast<TopologyOp>(op_byte);
-    PPC_ASSIGN_OR_RETURN(request.topology_host, reader.GetString());
-    PPC_ASSIGN_OR_RETURN(uint32_t port, reader.GetU32());
+    request->topology_op = static_cast<TopologyOp>(op_byte);
+    if (!reader.ReadString(&request->topology_host)) return reader.Truncated();
+    uint32_t port = 0;
+    if (!reader.Read(&port)) return reader.Truncated();
     if (port == 0 || port > 65535) {
       return Status::InvalidArgument("topology port " + std::to_string(port) +
                                      " outside (0, 65535]");
     }
-    request.topology_port = static_cast<uint16_t>(port);
+    request->topology_port = static_cast<uint16_t>(port);
   }
-  PPC_RETURN_NOT_OK(RequireAtEnd(reader));
+  return RequireAtEnd(reader);
+}
+
+Result<Request> DecodeRequest(const std::string& payload) {
+  Request request;
+  PPC_RETURN_NOT_OK(DecodeRequest(std::string_view(payload), &request));
   return request;
 }
 
 Result<Response> DecodeResponse(const std::string& payload) {
   ByteReader reader(payload);
-  PPC_ASSIGN_OR_RETURN(uint8_t type_byte, reader.GetU8());
+  uint8_t type_byte = 0;
+  if (!reader.Read(&type_byte)) return reader.Truncated();
   if (type_byte > static_cast<uint8_t>(MessageType::kTopology)) {
     return Status::InvalidArgument("unknown response type " +
                                    std::to_string(type_byte));
   }
   Response response;
   response.type = static_cast<MessageType>(type_byte);
-  PPC_ASSIGN_OR_RETURN(response.id, reader.GetU64());
-  PPC_ASSIGN_OR_RETURN(uint8_t status_byte, reader.GetU8());
+  uint8_t status_byte = 0;
+  if (!reader.Read(&response.id) || !reader.Read(&status_byte)) {
+    return reader.Truncated();
+  }
   if (!ValidStatus(status_byte)) {
     return Status::InvalidArgument("unknown response status " +
                                    std::to_string(status_byte));
   }
   response.status = static_cast<WireStatus>(status_byte);
+  // Reads a Predict body (plan, confidence, cache-hit byte).
+  const auto get_predict = [&reader](Response::Predict* p) {
+    uint8_t hit = 0;
+    if (!reader.Read(&p->plan) || !reader.Read(&p->confidence) ||
+        !reader.Read(&hit)) {
+      return false;
+    }
+    p->cache_hit = hit != 0;
+    return true;
+  };
+  bool complete = true;
   if (!response.ok()) {
-    PPC_ASSIGN_OR_RETURN(response.error, reader.GetString());
+    complete = reader.ReadString(&response.error);
   } else {
     switch (response.type) {
-      case MessageType::kPredict: {
-        PPC_ASSIGN_OR_RETURN(response.predict.plan, reader.GetU64());
-        PPC_ASSIGN_OR_RETURN(response.predict.confidence, reader.GetDouble());
-        PPC_ASSIGN_OR_RETURN(uint8_t hit, reader.GetU8());
-        response.predict.cache_hit = hit != 0;
+      case MessageType::kPredict:
+        complete = get_predict(&response.predict);
         break;
-      }
       case MessageType::kExecute: {
         Response::Execute& e = response.execute;
-        PPC_ASSIGN_OR_RETURN(e.executed_plan, reader.GetU64());
-        PPC_ASSIGN_OR_RETURN(e.optimal_plan, reader.GetU64());
-        PPC_ASSIGN_OR_RETURN(uint8_t flags, reader.GetU8());
+        uint8_t flags = 0;
+        complete = reader.Read(&e.executed_plan) &&
+                   reader.Read(&e.optimal_plan) && reader.Read(&flags) &&
+                   reader.Read(&e.execution_cost) &&
+                   reader.Read(&e.optimize_micros) &&
+                   reader.Read(&e.predict_micros) &&
+                   reader.Read(&e.execute_micros);
         e.used_prediction = (flags & (1u << 0)) != 0;
         e.cache_hit = (flags & (1u << 1)) != 0;
         e.optimizer_invoked = (flags & (1u << 2)) != 0;
         e.prediction_evicted = (flags & (1u << 3)) != 0;
         e.negative_feedback_triggered = (flags & (1u << 4)) != 0;
         e.failed_over = (flags & (1u << 5)) != 0;
-        PPC_ASSIGN_OR_RETURN(e.execution_cost, reader.GetDouble());
-        PPC_ASSIGN_OR_RETURN(e.optimize_micros, reader.GetDouble());
-        PPC_ASSIGN_OR_RETURN(e.predict_micros, reader.GetDouble());
-        PPC_ASSIGN_OR_RETURN(e.execute_micros, reader.GetDouble());
         break;
       }
-      case MessageType::kMetrics: {
-        PPC_ASSIGN_OR_RETURN(response.metrics_json, reader.GetString());
+      case MessageType::kMetrics:
+        complete = reader.ReadString(&response.metrics_json);
         break;
-      }
       case MessageType::kPredictBatch: {
-        PPC_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
+        uint32_t count = 0;
+        if (!reader.Read(&count)) return reader.Truncated();
         if (count > kMaxBatchPoints) {
           return Status::InvalidArgument(
               "batch of " + std::to_string(count) +
               " answers exceeds the protocol limit of " +
               std::to_string(kMaxBatchPoints));
         }
-        response.batch.reserve(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          Response::Predict p;
-          PPC_ASSIGN_OR_RETURN(p.plan, reader.GetU64());
-          PPC_ASSIGN_OR_RETURN(p.confidence, reader.GetDouble());
-          PPC_ASSIGN_OR_RETURN(uint8_t hit, reader.GetU8());
-          p.cache_hit = hit != 0;
-          response.batch.push_back(p);
+        response.batch.resize(count);
+        for (Response::Predict& p : response.batch) {
+          if (!(complete = get_predict(&p))) break;
         }
         break;
       }
-      case MessageType::kSnapshot: {
-        PPC_ASSIGN_OR_RETURN(response.snapshot_blob, reader.GetString());
+      case MessageType::kSnapshot:
+        complete = reader.ReadString(&response.snapshot_blob);
         break;
-      }
-      case MessageType::kSnapshotApply: {
-        PPC_ASSIGN_OR_RETURN(response.snapshot_applied, reader.GetU32());
+      case MessageType::kSnapshotApply:
+        complete = reader.Read(&response.snapshot_applied);
         break;
-      }
-      case MessageType::kTopology: {
-        PPC_ASSIGN_OR_RETURN(response.backend_count, reader.GetU32());
+      case MessageType::kTopology:
+        complete = reader.Read(&response.backend_count);
         break;
-      }
       case MessageType::kPing:
       case MessageType::kShutdown:
       case MessageType::kInvalid:
         break;
     }
   }
+  if (!complete) return reader.Truncated();
   PPC_RETURN_NOT_OK(RequireAtEnd(reader));
   return response;
 }
@@ -355,7 +396,7 @@ void FrameBuffer::Append(const char* data, size_t size) {
   buffer_.append(data, size);
 }
 
-Result<bool> FrameBuffer::Next(std::string* payload) {
+Result<bool> FrameBuffer::Next(std::string_view* payload) {
   if (poisoned_) {
     return Status::InvalidArgument("frame stream previously violated "
                                    "framing; connection must be dropped");
@@ -376,9 +417,17 @@ Result<bool> FrameBuffer::Next(std::string* payload) {
         " outside (0, " + std::to_string(max_frame_bytes_) + "]");
   }
   if (buffer_.size() - consumed_ < sizeof(uint32_t) + length) return false;
-  payload->assign(buffer_, consumed_ + sizeof(uint32_t), length);
+  *payload = std::string_view(buffer_).substr(consumed_ + sizeof(uint32_t),
+                                              length);
   consumed_ += sizeof(uint32_t) + length;
   return true;
+}
+
+Result<bool> FrameBuffer::Next(std::string* payload) {
+  std::string_view view;
+  Result<bool> next = Next(&view);
+  if (next.ok() && next.value()) payload->assign(view);
+  return next;
 }
 
 Status ToStatus(WireStatus status, const std::string& message) {

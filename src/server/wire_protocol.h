@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "plan/fingerprint.h"
+#include "ppc/predict_report.h"
 
 namespace ppc {
 namespace wire {
@@ -106,6 +108,11 @@ struct Request {
                ? 0
                : static_cast<uint32_t>(batch_points.size() / batch_dims);
   }
+
+  /// Resets every field to its default. The strings and vectors keep
+  /// their storage, so a Request decoded into again and again stops
+  /// allocating once it has held its largest body.
+  void Clear();
 };
 
 /// One server response. Exactly one body section is meaningful, selected
@@ -119,11 +126,9 @@ struct Response {
   WireStatus status = WireStatus::kOk;
   std::string error;
 
-  struct Predict {
-    PlanId plan = kNullPlanId;
-    double confidence = 0.0;
-    bool cache_hit = false;
-  } predict;
+  /// OK kPredict body: the framework's answer as it is.
+  using Predict = PredictReport;
+  Predict predict;
 
   /// OK kPredictBatch body: one Predict per request point, in request
   /// order. A point the predictor abstains on carries kNullPlanId with
@@ -160,14 +165,25 @@ struct Response {
   uint32_t backend_count = 0;
 
   bool ok() const { return status == WireStatus::kOk; }
+
+  /// Resets every field to its default, keeping the storage of the
+  /// strings and vectors (see Request::Clear).
+  void Clear();
 };
 
-/// Appends one complete frame (length prefix included) to `out`.
+/// Appends one complete frame (length prefix included) to `out`, written
+/// in place: nothing is allocated beyond what `out` grows by.
 void EncodeRequest(const Request& request, std::string* out);
 void EncodeResponse(const Response& response, std::string* out);
 
-/// Decodes one frame *payload* (the bytes after the length prefix).
-/// Returns InvalidArgument on any malformed input.
+/// Decodes one frame *payload* (the bytes after the length prefix) into
+/// `*request`, parsing it in place. Every field is overwritten (Clear), and
+/// the strings and vectors keep their storage, so the server decodes each
+/// frame into a request it reuses without allocating. Returns
+/// InvalidArgument (OutOfRange when truncated) on any malformed input, and
+/// then leaves `*request` unspecified.
+Status DecodeRequest(std::string_view payload, Request* request);
+/// The same decoder, into a fresh Request.
 Result<Request> DecodeRequest(const std::string& payload);
 Result<Response> DecodeResponse(const std::string& payload);
 
@@ -182,9 +198,12 @@ class FrameBuffer {
 
   void Append(const char* data, size_t size);
 
-  /// Extracts the next complete payload into `*payload`. Returns true when
-  /// one was extracted, false when more bytes are needed, or an error on a
-  /// framing violation.
+  /// Finds the next complete payload and points `*payload` at it inside
+  /// the buffer: no copy. The view stays valid until the next call to
+  /// Next, Append or Reset. Returns true when one was found, false when
+  /// more bytes are needed, or an error on a framing violation.
+  Result<bool> Next(std::string_view* payload);
+  /// The same, copied into `*payload`.
   Result<bool> Next(std::string* payload);
 
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }

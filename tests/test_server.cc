@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_counter.h"
 #include "common/status.h"
 #include "server/client.h"
 #include "server/failpoints.h"
@@ -620,6 +621,77 @@ TEST_F(ServerTest, APeerThatNeverReadsItsPredictRepliesCannotStallTheIoThread) {
   wire::EncodeResponse(reply, &frame);
   EXPECT_LE(peak(), static_cast<double>(
                         kCap + PlanServer::kMaxMicrobatch * frame.size()));
+}
+
+/// The IO thread answers warm runs of single-point PREDICTs without a heap
+/// allocation: the frame is decoded in place into the run's storage, each
+/// template group is predicted into the run's replies, and the replies are
+/// encoded into the run's frame string. The count is the IO thread's own,
+/// read from the dispatch hook, which runs there for the runs it answers.
+TEST_F(ServerTest, TheIoThreadAnswersWarmPredictRunsWithoutAllocating) {
+  Rng rng(41);
+  WarmQ1Q3Q5(&rng);
+  constexpr uint64_t kRunLength = PlanServer::kMaxMicrobatch;
+  constexpr uint64_t kWarmRuns = 100;
+  constexpr uint64_t kRuns = 1100;
+  // Written by the hook on the IO thread only; read after the replies.
+  std::atomic<uint64_t> hooked{0};
+  std::atomic<uint64_t> allocations_at_warm{0};
+  std::atomic<uint64_t> allocations_at_last{0};
+  PlanServer::Config config;
+  config.pre_dispatch_hook = [&](wire::MessageType) {
+    const uint64_t n = hooked.fetch_add(1) + 1;
+    const uint64_t allocations = ThreadAllocationCount();
+    if (n == kWarmRuns * kRunLength) allocations_at_warm.store(allocations);
+    allocations_at_last.store(allocations);
+  };
+  StartServer(config);
+
+  // Runs over three templates, inside and outside the warmed clusters, so
+  // both answers and abstentions are served.
+  const std::vector<std::string> templates = {"Q1", "Q3", "Q5"};
+  std::vector<std::string> runs(8);
+  uint64_t id = 0;
+  for (std::string& run : runs) {
+    for (uint64_t k = 0; k < kRunLength; ++k) {
+      const std::string& name = templates[rng.UniformInt(uint64_t{3})];
+      const double spread = rng.UniformInt(uint64_t{4}) == 0 ? 0.45 : 0.03;
+      std::vector<double> x(Dims(name));
+      for (double& v : x) v = 0.5 + rng.Uniform(-spread, spread);
+      AppendPredictRequest(name, x, ++id, &run);
+    }
+  }
+  auto fd = net::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok());
+  wire::FrameBuffer frames;
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    // One write per run, and the next only after all its replies: each
+    // read then holds one whole run.
+    const std::string& run = runs[r % runs.size()];
+    ASSERT_TRUE(net::WriteAll(fd.value(), run.data(), run.size(),
+                              net::Deadline::AfterMs(5000))
+                    .ok());
+    for (uint64_t k = 0; k < kRunLength; ++k) {
+      auto response =
+          ReadResponse(fd.value(), &frames, net::Deadline::AfterMs(5000));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_TRUE(response.value().ok()) << response.value().error;
+    }
+  }
+  ::close(fd.value());
+
+  const uint64_t predicts = kRuns * kRunLength;
+  ASSERT_EQ(Counter("server.inline_predicts"), predicts)
+      << "some PREDICTs were not answered on the IO thread";
+  ASSERT_EQ(hooked.load(), predicts);
+  const uint64_t measured = predicts - kWarmRuns * kRunLength;
+  const double per_predict =
+      static_cast<double>(allocations_at_last.load() -
+                          allocations_at_warm.load()) /
+      static_cast<double>(measured);
+  EXPECT_LE(per_predict, 0.05)
+      << allocations_at_last.load() - allocations_at_warm.load()
+      << " allocations over " << measured << " warm PREDICTs";
 }
 
 TEST_F(ServerTest, PredictsFromSeveralReadyConnectionsGoToTheWorkers) {
@@ -1444,18 +1516,30 @@ TEST_F(ServerTest, OutboxStaysBoundedForAPeerThatNeverReads) {
   for (uint64_t id = 1; id <= 32; ++id) {
     AppendBodylessRequest(wire::MessageType::kMetrics, id, &burst);
   }
+  // The server bounds the peer one of two ways, and both close the
+  // connection: a worker's flush runs past the write deadline, or the IO
+  // thread finds a reply would take the outbox past the cap.
+  const auto closed_by_a_bound = [&] {
+    return Counter("server.timeouts.write") +
+               Counter("server.outbox_overflows") >=
+           1;
+  };
   const net::Deadline give_up = net::Deadline::AfterMs(20000);
-  while (Counter("server.timeouts.write") == 0 && !give_up.expired()) {
+  while (!closed_by_a_bound() && !give_up.expired()) {
     // The write fails once the server closed the connection. A write that
     // times out only means TCP is backing off, or that the server stopped
-    // reading: go on until the write deadline fires.
+    // reading: go on until a bound closes the connection.
     const Status sent = net::WriteAll(fd, burst.data(), burst.size(),
                                       net::Deadline::AfterMs(1000));
     if (!sent.ok() && sent.code() != StatusCode::kDeadlineExceeded) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_TRUE(WaitFor([&] { return Counter("server.timeouts.write") >= 1; }));
+  EXPECT_TRUE(WaitFor(closed_by_a_bound));
   ::close(fd);
+  // An overflow close can come while the closed peer's METRICS still fill
+  // the queue: let the workers drain them, or the fresh client is
+  // answered BUSY.
+  EXPECT_TRUE(WaitFor([&] { return server_->queued_requests() == 0; }));
 
   PpcClient fresh;
   ASSERT_TRUE(ConnectClient(&fresh).ok());

@@ -556,6 +556,74 @@ TEST_F(WireProtocolFuzzTest, RandomGarbageStreamsNeverCrashTheDeframer) {
   }
 }
 
+/// Coordinates compared by bit pattern: a corrupted payload may decode a
+/// NaN, which == would never match.
+bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
+void ExpectSameRequest(const Request& expected, const Request& actual) {
+  EXPECT_EQ(actual.type, expected.type);
+  EXPECT_EQ(actual.id, expected.id);
+  EXPECT_EQ(actual.template_name, expected.template_name);
+  EXPECT_TRUE(SameDoubles(actual.point, expected.point));
+  EXPECT_EQ(actual.batch_dims, expected.batch_dims);
+  EXPECT_TRUE(SameDoubles(actual.batch_points, expected.batch_points));
+  EXPECT_EQ(actual.snapshot_blob, expected.snapshot_blob);
+  EXPECT_EQ(actual.topology_op, expected.topology_op);
+  EXPECT_EQ(actual.topology_host, expected.topology_host);
+  EXPECT_EQ(actual.topology_port, expected.topology_port);
+}
+
+/// The server decodes each frame into a Request it reuses, so whatever an
+/// earlier frame left there must not leak into the next. Every payload of
+/// the corpus above (valid, truncated, corrupted) is decoded twice: into a
+/// fresh Request and into one reused, dirty Request. Both must succeed or
+/// fail alike, with the same error, and agree on every field.
+TEST_F(WireProtocolFuzzTest, DecodingIntoAReusedRequestMatchesAFreshOne) {
+  Request reused;
+  reused.type = MessageType::kTopology;
+  reused.id = 99;
+  reused.template_name = "stale template";
+  reused.point = {1.0, 2.0, 3.0};
+  reused.batch_dims = 2;
+  reused.batch_points = {4.0, 5.0, 6.0, 7.0};
+  reused.snapshot_blob = "stale blob";
+  reused.topology_op = TopologyOp::kRemove;
+  reused.topology_host = "stale.host";
+  reused.topology_port = 4242;
+  const auto decode_both = [&](const std::string& payload) {
+    const Result<Request> fresh = DecodeRequest(payload);
+    const Status in_place = DecodeRequest(std::string_view(payload), &reused);
+    ASSERT_EQ(in_place.ok(), fresh.ok()) << in_place.ToString();
+    if (!fresh.ok()) {
+      EXPECT_EQ(in_place.code(), fresh.status().code());
+      EXPECT_EQ(in_place.message(), fresh.status().message());
+      return;
+    }
+    ExpectSameRequest(fresh.value(), reused);
+  };
+  std::vector<Request> valid = {MakePredictRequest(1),
+                                MakeBatchRequest(2, 4, 3)};
+  for (int iter = 0; iter < 1000; ++iter) valid.push_back(RandomRequest());
+  for (const Request& request : valid) {
+    std::string frame;
+    EncodeRequest(request, &frame);
+    const std::string payload = PayloadOf(frame);
+    decode_both(payload);
+    ExpectSameRequest(request, reused);
+    decode_both(payload.substr(0, RandomIndex(payload.size())));
+    std::string corrupted = payload;
+    const uint64_t flips = 1 + rng_.UniformInt(uint64_t{4});
+    for (uint64_t i = 0; i < flips; ++i) {
+      corrupted[RandomIndex(corrupted.size())] = RandomByte();
+    }
+    decode_both(corrupted);
+  }
+}
+
 TEST_F(WireProtocolFuzzTest, ResponsesSurviveTruncationAndCorruption) {
   for (int iter = 0; iter < 500; ++iter) {
     Response response;
