@@ -18,7 +18,6 @@
 #include "ppc/predictor_state.h"
 #include "server/failpoints.h"
 #include "server/net_util.h"
-#include "server/timer_wheel.h"
 
 namespace ppc {
 
@@ -50,6 +49,32 @@ wire::WireStatus WireStatusFrom(const Status& status) {
       return wire::WireStatus::kBadRequest;
     default:
       return wire::WireStatus::kInternal;
+  }
+}
+
+/// Appends one error reply frame to `*out`.
+void EncodeError(wire::MessageType type, uint64_t id, wire::WireStatus status,
+                 const std::string& message, std::string* out) {
+  wire::Response response;
+  response.type = type;
+  response.id = id;
+  response.status = status;
+  response.error = message;
+  wire::EncodeResponse(response, out);
+}
+
+/// Requests whose only effect is their reply: a worker drops one whose
+/// connection is already closed instead of answering it.
+bool AnswerOnly(wire::MessageType type) {
+  switch (type) {
+    case wire::MessageType::kPredict:
+    case wire::MessageType::kPredictBatch:
+    case wire::MessageType::kPing:
+    case wire::MessageType::kMetrics:
+    case wire::MessageType::kSnapshot:
+      return true;
+    default:
+      return false;
   }
 }
 
@@ -92,38 +117,30 @@ class FrameworkHandler final : public RequestHandler {
 
 }  // namespace
 
-/// Per-connection state. The IO thread owns reading (FrameBuffer) and the
-/// deadline bookkeeping. Replies go through the outbox (DESIGN.md §16):
-/// any thread appends complete frames under a short mutex, and the thread
-/// that finds no flush in progress becomes the connection's one flusher,
-/// writing the outbox out until it is empty. No thread queues behind
-/// another's socket write. The IO thread's inline replies go out through
-/// SendWithoutBlocking instead, which may hand the rest of its flush to a
-/// worker. The fd is closed only by the destructor, i.e. after the last
-/// in-flight work item released its reference — so a flusher never
-/// writes to a recycled fd.
+/// Per-connection state. The IO thread owns reading (FrameBuffer), the
+/// deadlines and the epoll registration. Replies go through the outbox
+/// (DESIGN.md §16): any thread appends complete frames under a short
+/// mutex, and the thread that finds no flush in progress becomes the
+/// connection's one flusher, writing the outbox out until it is empty. No
+/// thread queues behind another's socket write. A worker's flush blocks on
+/// the socket under write_deadline_ms; the IO thread's never does: it
+/// sends what the socket takes now and keeps the rest in `unsent`, which
+/// it writes as epoll reports room. The fd is closed only by the
+/// destructor, i.e. after the last in-flight work item released its
+/// reference — so a flusher never writes to a recycled fd.
 struct PlanServer::Connection {
-  /// What Append does when the outbox is full (holds max_frame_bytes or
-  /// more while a flush is running).
+  /// What a worker's Append does when the outbox is full (holds
+  /// max_frame_bytes or more while a flush is running).
   enum class WhenFull {
-    kWait,    ///< A worker: wait for the flush to make room.
-    kAppend,  ///< A worker holding an unflushed connection: append anyway.
-    kDrop,    ///< The IO thread: never wait; drop if it would pass the cap.
+    kWait,    ///< Wait for the flush to make room.
+    kAppend,  ///< The worker holds an unflushed connection: append anyway.
   };
 
   /// What an Append left the caller to do.
   enum class Queued {
-    kFlush,    ///< No flush was running, or a handed-off one was waiting
-               ///< for a worker: the caller now owns it; Flush().
-    kQueued,   ///< The running (or handed-off) flush writes the frames.
-    kDropped,  ///< Closed, or dropped under WhenFull::kDrop.
-  };
-
-  /// What SendWithoutBlocking left the IO thread to do.
-  enum class Sent {
-    kDone,     ///< Written, or appended behind a running flush.
-    kHandOff,  ///< Bytes are left on the outbox: queue a flush item.
-    kDropped,  ///< Closed, past the cap, or the send failed.
+    kFlush,    ///< No flush was running: the caller now owns it; Flush().
+    kQueued,   ///< The running flush writes the frames.
+    kDropped,  ///< Closed.
   };
 
   Connection(int fd_in, PlanServer* server_in)
@@ -134,23 +151,16 @@ struct PlanServer::Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Moves complete frames (length prefixes included) onto the outbox,
-  /// leaving `*frames_in` empty. Waiting workers make a peer that reads
-  /// slowly slow down only its own repliers, and keep the outbox within
-  /// the cap plus one append. The IO thread never waits: frames that would
-  /// take the outbox past the cap come back kDropped, and it closes the
-  /// connection instead of stalling every other one.
+  /// A worker's append: moves complete frames (length prefixes included)
+  /// onto the outbox, leaving `*frames_in` empty. Waiting workers make a
+  /// peer that reads slowly slow down only its own repliers, and keep the
+  /// outbox within the cap plus one append.
   Queued Append(std::string* frames_in, WhenFull when_full) {
     const size_t cap = server->config_.max_frame_bytes;
     std::unique_lock<std::mutex> lock(mu);
     if (when_full == WhenFull::kWait) {
-      room.wait(lock, [&] {
-        return closed || !flushing || flush_queued || outbox.size() < cap;
-      });
-    } else if (when_full == WhenFull::kDrop &&
-               outbox.size() + frames_in->size() > cap) {
-      server->instruments_.outbox_overflows->Increment();
-      return Queued::kDropped;
+      room.wait(lock,
+                [&] { return closed || !flushing || outbox.size() < cap; });
     }
     if (closed) return Queued::kDropped;
     if (outbox.empty()) {
@@ -159,13 +169,8 @@ struct PlanServer::Connection {
       outbox.append(*frames_in);
     }
     server->ObserveOutbox(outbox.size());
-    // A worker takes over a flush the IO thread handed off; the IO
-    // thread's own frames (kDrop) leave it to the worker.
-    if (flushing && (!flush_queued || when_full == WhenFull::kDrop)) {
-      return Queued::kQueued;
-    }
+    if (flushing) return Queued::kQueued;
     flushing = true;
-    flush_queued = false;
     return Queued::kFlush;
   }
 
@@ -176,77 +181,80 @@ struct PlanServer::Connection {
     return !closed && !flushing && outbox.empty();
   }
 
-  /// The IO thread's write of its inline replies: it never waits for room
-  /// and never blocks on the socket. Behind a running or handed-off flush
-  /// the frames are appended under the cap, as WhenFull::kDrop does.
-  /// Otherwise the IO thread is the flusher for one non-blocking send of
-  /// them, which no cap limits, as no cap limits a worker's first append.
-  /// What that leaves goes back on the front of the outbox with the flush
-  /// marked handed off (kHandOff): the first worker to append to the
-  /// connection, or the one that pops the flush item the caller queues,
-  /// writes it under write_deadline_ms. A failed send poisons the
-  /// connection as a failed Flush does.
-  Sent SendWithoutBlocking(std::string* frames_in) {
-    const size_t cap = server->config_.max_frame_bytes;
-    std::unique_lock<std::mutex> lock(mu);
-    if (closed) return Sent::kDropped;
-    if (flushing) {
-      if (outbox.size() + frames_in->size() > cap) {
-        server->instruments_.outbox_overflows->Increment();
-        return Sent::kDropped;
-      }
-      outbox.append(*frames_in);
-      server->ObserveOutbox(outbox.size());
-      return Sent::kDone;
-    }
-    flushing = true;
-    lock.unlock();
-    // An expired deadline: WriteAll writes what the socket takes now and
-    // reports DeadlineExceeded for the rest instead of waiting.
-    size_t sent = 0;
-    const Status st = net::WriteAll(fd, frames_in->data(), frames_in->size(),
-                                    net::Deadline::AfterMs(0), &sent);
-    server->instruments_.flushes->Increment();
-    lock.lock();
-    Sent result = Sent::kDone;
-    if (!st.ok() && st.code() != StatusCode::kDeadlineExceeded) {
-      closed = true;
-      outbox.clear();
-      flushing = false;
-      result = Sent::kDropped;
-    } else if (sent == frames_in->size() && outbox.empty()) {
-      flushing = false;
-    } else {
-      // The unsent tail goes before anything appended during the send.
-      frames_in->erase(0, sent);
-      frames_in->append(outbox);
-      outbox.swap(*frames_in);
-      server->ObserveOutbox(outbox.size());
-      flush_queued = true;
-      result = Sent::kHandOff;
-    }
-    lock.unlock();
-    room.notify_all();
-    return result;
+  bool Closed() {
+    std::lock_guard<std::mutex> lock(mu);
+    return closed;
   }
 
-  /// Run by the worker that pops a flush item, and by the shutdown sweep:
-  /// writes a handed-off flush, unless a worker's append took it over.
-  void FlushQueued() {
+  /// The IO thread's write of its frames: it never waits for room and
+  /// never blocks on the socket. Behind a running flush, a worker's or its
+  /// own, the frames are appended if they keep the outbox within the cap,
+  /// and dropped if not. Otherwise the IO thread becomes the flusher for
+  /// one non-blocking send of them, which no cap limits, as no cap limits a
+  /// worker's first append; what the socket does not take stays in
+  /// `unsent` for WriteUnsent. False when the frames were dropped or the
+  /// send failed.
+  bool SendWithoutBlocking(const std::string& frames_in) {
+    const size_t cap = server->config_.max_frame_bytes;
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (!flush_queued) return;
-      flush_queued = false;
+      if (closed) return false;
+      if (flushing) {
+        if (outbox.size() + frames_in.size() > cap) {
+          server->instruments_.outbox_overflows->Increment();
+          return false;
+        }
+        outbox.append(frames_in);
+        server->ObserveOutbox(outbox.size());
+        return true;
+      }
+      flushing = true;
     }
-    Flush();
+    size_t sent = 0;
+    const bool ok = SendNow(frames_in.data(), frames_in.size(), &sent);
+    if (ok && sent < frames_in.size()) {
+      unsent.assign(frames_in, sent);
+      ArmWriteDeadline();
+    }
+    return EndSend(ok);
   }
 
-  /// Run by the thread Append handed kFlush. Each round swaps the outbox
-  /// out under the mutex and writes it without the mutex, within the
-  /// write deadline, until a round finds the outbox empty. A failed or
-  /// timed-out write poisons the connection: a partly written frame can
-  /// never be completed coherently, so the outbox is dropped and waiting
-  /// appenders wake to find the connection closed. False when it is closed.
+  /// The IO thread's next send of `unsent`, when epoll reports the socket
+  /// writable. False when it failed.
+  bool WriteUnsent() {
+    size_t sent = 0;
+    const bool ok = SendNow(unsent.data(), unsent.size(), &sent);
+    unsent.erase(0, sent);
+    return EndSend(ok);
+  }
+
+  /// Poisons the connection when the IO thread gives up on its flush (a
+  /// failed send, or the write deadline): a partly written frame can never
+  /// be completed coherently, so the unsent bytes and the outbox are
+  /// dropped and waiting appenders wake to find the connection closed.
+  void Poison() { EndSend(false); }
+
+  /// The IO loop is ending: the unsent bytes go back on the front of the
+  /// outbox and the IO thread's flush ends, so the next worker to append
+  /// takes them over (one waiting for room wakes to do so), or Wait()'s
+  /// sweep writes them.
+  void ReleaseUnsent() {
+    if (unsent.empty()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      unsent.append(outbox);
+      outbox.swap(unsent);
+      unsent.clear();
+      flushing = false;
+    }
+    room.notify_all();
+  }
+
+  /// Run by the thread Append handed kFlush, and by Wait()'s sweep. Each
+  /// round swaps the outbox out under the mutex and writes it without the
+  /// mutex, within the write deadline, until a round finds the outbox
+  /// empty. A failed or timed-out write poisons the connection, as
+  /// Poison() does. False when it is closed.
   bool Flush() {
     std::string batch;
     std::unique_lock<std::mutex> lock(mu);
@@ -275,20 +283,6 @@ struct PlanServer::Connection {
     return open;
   }
 
-  /// Append, then Flush when handed the flush. False when the frames were
-  /// dropped or the flush left the connection closed.
-  bool Send(std::string* frames_in, WhenFull when_full) {
-    switch (Append(frames_in, when_full)) {
-      case Queued::kFlush:
-        return Flush();
-      case Queued::kQueued:
-        return true;
-      case Queued::kDropped:
-        break;
-    }
-    return false;
-  }
-
   /// Refuses every later append. A flush already running still writes
   /// what was appended before, so an explanatory frame survives the close.
   void Close() {
@@ -299,6 +293,16 @@ struct PlanServer::Connection {
     room.notify_all();
   }
 
+  /// The earliest deadline armed on the connection (IO thread only): the
+  /// write deadline while bytes are unsent, and the idle and frame
+  /// deadlines while the connection is read.
+  Clock::time_point NextDeadline() const {
+    Clock::time_point due =
+        unsent.empty() ? Clock::time_point::max() : write_deadline;
+    if (!closing) due = std::min({due, idle_deadline, frame_deadline});
+    return due;
+  }
+
   const int fd;
   wire::FrameBuffer frames;
   PlanServer* const server;
@@ -306,20 +310,71 @@ struct PlanServer::Connection {
   std::mutex mu;
   /// Signalled whenever the outbox is swapped out or the flush ends.
   std::condition_variable room;
-  /// Guarded by mu. Invariant: a non-empty outbox has a flusher, or a
-  /// handed-off flush (flush_queued: flushing is set, no thread writes
-  /// yet, and a flush item is queued for the workers).
+  /// Guarded by mu. Invariant: a non-empty outbox has a flusher — a worker
+  /// in Flush, or the IO thread while `unsent` is not empty — except after
+  /// ReleaseUnsent, until a worker's append or Wait()'s sweep takes it.
   std::string outbox;
   bool flushing = false;
-  bool flush_queued = false;
   bool closed = false;
 
-  /// Deadline state, IO thread only. idle_deadline advances on every
-  /// inbound byte; frame_deadline is armed when a frame sits incomplete
-  /// in the buffer and cleared once it completes (slow-loris guard).
-  Clock::time_point idle_deadline{};
-  Clock::time_point frame_deadline{};
-  bool frame_pending = false;
+  /// IO thread only. The bytes of the IO thread's flush that the socket
+  /// has not taken yet (non-empty exactly while the IO thread is the
+  /// flusher and waits for EPOLLOUT), and the deadline of the round they
+  /// belong to: one round is what one send or one swap of the outbox took.
+  std::string unsent;
+  Clock::time_point write_deadline = Clock::time_point::max();
+  /// IO thread only. idle_deadline advances on every inbound byte;
+  /// frame_deadline is armed when a frame sits incomplete in the buffer
+  /// and disarmed (max()) once it completes (slow-loris guard). max()
+  /// means disabled.
+  Clock::time_point idle_deadline = Clock::time_point::max();
+  Clock::time_point frame_deadline = Clock::time_point::max();
+  /// IO thread only: no longer read, kept only to write `unsent` out.
+  bool closing = false;
+  /// IO thread only: the events the fd is registered for.
+  uint32_t events = EPOLLIN;
+
+ private:
+  /// One non-blocking send of `data`: an expired deadline makes WriteAll
+  /// write what the socket takes now and report DeadlineExceeded for the
+  /// rest instead of waiting. False when the send failed.
+  bool SendNow(const char* data, size_t size, size_t* sent) {
+    const Status st =
+        net::WriteAll(fd, data, size, net::Deadline::AfterMs(0), sent);
+    server->instruments_.flushes->Increment();
+    return st.ok() || st.code() == StatusCode::kDeadlineExceeded;
+  }
+
+  /// Ends one of the IO thread's sends. A failed one poisons the
+  /// connection. Otherwise, once `unsent` is written, the frames appended
+  /// meanwhile become the next round's `unsent`, and the flush ends when
+  /// there are none.
+  bool EndSend(bool ok) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!ok) {
+        closed = true;
+        outbox.clear();
+        unsent.clear();
+        flushing = false;
+      } else if (unsent.empty()) {
+        if (outbox.empty()) {
+          flushing = false;
+        } else {
+          unsent.swap(outbox);
+          ArmWriteDeadline();
+        }
+      }
+    }
+    room.notify_all();
+    return ok;
+  }
+
+  void ArmWriteDeadline() {
+    const int64_t ms = server->config_.write_deadline_ms;
+    write_deadline = ms > 0 ? Clock::now() + std::chrono::milliseconds(ms)
+                            : Clock::time_point::max();
+  }
 };
 
 struct PlanServer::WorkItem {
@@ -329,9 +384,6 @@ struct PlanServer::WorkItem {
   wire::Request request;
   /// When the read that completed the request's frame returned.
   Clock::time_point admitted;
-  /// No request: the worker writes `conn`'s handed-off flush
-  /// (Connection::FlushQueued).
-  bool flush_only = false;
 };
 
 /// The storage a run is answered in (DESIGN.md §13), owned by the thread
@@ -533,71 +585,98 @@ void PlanServer::Stop() {
 
 namespace {
 
-/// Wheel geometry: 50 ms resolution is an order of magnitude below the
-/// minimum sensible connection timeout, and 512 slots cover 25.6 s per
-/// turn (longer deadlines survive extra turns via the lazy scheme).
-constexpr size_t kWheelSlots = 512;
-constexpr auto kWheelTick = std::chrono::milliseconds(50);
+/// The deadline sweep runs at most this often: a deadline fires between
+/// its time and one interval later, an order of magnitude below the
+/// shortest sensible connection timeout.
+constexpr auto kSweepInterval = std::chrono::milliseconds(50);
 
 }  // namespace
 
-/// Re-arms `conn`'s wheel entry from its idle/frame deadlines. IO thread
-/// only. With both timeouts disabled the connection carries no timer.
-void PlanServer::ScheduleConnDeadline(net::TimerWheel* wheel,
-                                      const std::shared_ptr<Connection>& conn) {
-  const bool have_idle = config_.idle_timeout_ms > 0;
-  const bool have_frame = conn->frame_pending;
-  if (!have_idle && !have_frame) {
-    wheel->Cancel(conn->fd);
-    return;
+void PlanServer::TouchConnActivity(Connection* conn) {
+  const Clock::time_point now = Clock::now();
+  if (config_.idle_timeout_ms > 0) {
+    conn->idle_deadline =
+        now + std::chrono::milliseconds(config_.idle_timeout_ms);
   }
-  Clock::time_point deadline;
-  if (have_idle && have_frame) {
-    deadline = std::min(conn->idle_deadline, conn->frame_deadline);
-  } else {
-    deadline = have_idle ? conn->idle_deadline : conn->frame_deadline;
+  if (config_.read_deadline_ms <= 0 || conn->frames.buffered_bytes() == 0) {
+    conn->frame_deadline = Clock::time_point::max();
+  } else if (conn->frame_deadline == Clock::time_point::max()) {
+    conn->frame_deadline =
+        now + std::chrono::milliseconds(config_.read_deadline_ms);
+    next_deadline_ = std::min(next_deadline_, conn->frame_deadline);
   }
-  wheel->Schedule(conn->fd, deadline);
+  // An already-armed frame deadline keeps ticking: progress on the *same*
+  // frame must not extend it, or a slow-loris peer could dribble forever.
+  // The idle deadline only moves later, so next_deadline_ stays a bound.
 }
 
-/// Refreshes a connection's deadlines after inbound activity: the idle
-/// clock restarts, and the read deadline arms exactly when an incomplete
-/// frame remains buffered (and disarms when the buffer is drained).
-void PlanServer::TouchConnActivity(net::TimerWheel* wheel,
-                                   const std::shared_ptr<Connection>& conn) {
-  const Clock::time_point now = Clock::now();
-  conn->idle_deadline =
-      now + std::chrono::milliseconds(config_.idle_timeout_ms);
-  if (config_.read_deadline_ms > 0 && conn->frames.buffered_bytes() > 0) {
-    if (!conn->frame_pending) {
-      conn->frame_pending = true;
-      conn->frame_deadline =
-          now + std::chrono::milliseconds(config_.read_deadline_ms);
+void PlanServer::SweepDeadlines(Clock::time_point now,
+                                std::vector<int>* expired) {
+  next_deadline_ = Clock::time_point::max();
+  expired->clear();
+  for (const auto& [fd, conn] : connections_) {
+    const Clock::time_point due = conn->NextDeadline();
+    if (due <= now) {
+      expired->push_back(fd);
+    } else {
+      next_deadline_ = std::min(next_deadline_, due);
     }
-    // An already-armed frame deadline keeps ticking: progress on the
-    // *same* frame must not extend it, or a slow-loris peer could dribble
-    // forever.
-  } else {
-    conn->frame_pending = false;
   }
-  ScheduleConnDeadline(wheel, conn);
+  for (const int fd : *expired) {
+    const std::shared_ptr<Connection> conn = connections_.at(fd);
+    if (!conn->unsent.empty() && now >= conn->write_deadline) {
+      instruments_.timeouts_write->Increment();
+      conn->Poison();
+      CloseConnection(conn);
+      continue;
+    }
+    const bool frame_timed_out = now >= conn->frame_deadline;
+    if (frame_timed_out) {
+      instruments_.timeouts_read->Increment();
+    } else {
+      instruments_.timeouts_idle->Increment();
+    }
+    // Best-effort explanation, then drop: the peer proved it cannot keep
+    // the stream moving, and half-read frames cannot be resumed.
+    SendError(conn, wire::MessageType::kInvalid, 0, wire::WireStatus::kTimeout,
+              frame_timed_out ? "read deadline exceeded"
+                              : "idle timeout exceeded");
+    CloseConnection(conn);
+  }
 }
 
 void PlanServer::IoLoop() {
-  net::TimerWheel wheel(kWheelSlots, kWheelTick);
   std::vector<epoll_event> events(64);
   std::vector<int> expired;
+  next_deadline_ = Clock::time_point::max();
+  Clock::time_point now = Clock::now();
+  Clock::time_point last_sweep = now;
   while (!draining_.load(std::memory_order_acquire)) {
-    const int timeout_ms = wheel.PollTimeoutMs(Clock::now());
+    // Sleep until the earliest armed deadline, but sweep at most once per
+    // interval; with no deadline armed, only an event wakes the loop.
+    int timeout_ms = -1;
+    if (next_deadline_ != Clock::time_point::max()) {
+      const Clock::time_point due =
+          std::max(next_deadline_, last_sweep + kSweepInterval);
+      timeout_ms = due <= now
+                       ? 0
+                       : static_cast<int>(
+                             std::chrono::ceil<std::chrono::milliseconds>(
+                                 due - now)
+                                 .count());
+    }
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
     if (n < 0 && errno != EINTR) break;
     // The IO thread answers a connection's PREDICTs itself only when that
-    // connection is the one this wake reported ready (AdmitRun).
+    // connection is the one this wake reported readable (AdmitRun).
     int ready_connections = 0;
     for (int i = 0; i < std::max(n, 0); ++i) {
       const int fd = events[i].data.fd;
-      if (fd != wake_fd_ && fd != listen_fd_) ++ready_connections;
+      if (fd != wake_fd_ && fd != listen_fd_ &&
+          (events[i].events & EPOLLIN) != 0) {
+        ++ready_connections;
+      }
     }
     for (int i = 0; i < std::max(n, 0); ++i) {
       const int fd = events[i].data.fd;
@@ -608,48 +687,40 @@ void PlanServer::IoLoop() {
         if (g_signal_pending.exchange(false, std::memory_order_relaxed)) {
           Shutdown();
         }
-      } else if (fd == listen_fd_) {
-        AcceptConnections(&wheel);
-      } else {
-        auto it = connections_.find(fd);
-        if (it == connections_.end()) continue;
-        std::shared_ptr<Connection> conn = it->second;
-        const bool broken =
-            (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-        if (broken || !ReadOnce(conn, ready_connections == 1)) {
-          wheel.Cancel(fd);
-          CloseConnection(fd);
-        } else {
-          TouchConnActivity(&wheel, conn);
-        }
+        continue;
       }
-    }
-    expired.clear();
-    wheel.PopExpired(Clock::now(), &expired);
-    for (const int fd : expired) {
+      if (fd == listen_fd_) {
+        AcceptConnections();
+        continue;
+      }
       auto it = connections_.find(fd);
       if (it == connections_.end()) continue;
-      const std::shared_ptr<Connection>& conn = it->second;
-      const Clock::time_point now = Clock::now();
-      const bool frame_timed_out =
-          conn->frame_pending && now >= conn->frame_deadline;
-      if (frame_timed_out) {
-        instruments_.timeouts_read->Increment();
-      } else {
-        instruments_.timeouts_idle->Increment();
+      const std::shared_ptr<Connection> conn = it->second;
+      const uint32_t ready = events[i].events;
+      bool open = (ready & (EPOLLHUP | EPOLLERR)) == 0;
+      // A hung-up peer reads nothing more: unsent bytes are dropped.
+      if (!open && !conn->unsent.empty()) conn->Poison();
+      if (open && (ready & EPOLLOUT) != 0) open = conn->WriteUnsent();
+      if (open && (ready & EPOLLIN) != 0 && !conn->closing) {
+        open = ReadOnce(conn, ready_connections == 1);
+        if (open) TouchConnActivity(conn.get());
       }
-      // Best-effort explanation, then drop: the peer proved it cannot
-      // keep the stream moving, and half-read frames cannot be resumed.
-      SendError(conn, wire::MessageType::kInvalid, 0,
-                wire::WireStatus::kTimeout,
-                frame_timed_out ? "read deadline exceeded"
-                                : "idle timeout exceeded");
-      CloseConnection(fd);
+      if (open) {
+        Watch(conn);
+      } else {
+        CloseConnection(conn);
+      }
+    }
+    now = Clock::now();
+    if (now >= next_deadline_ && now >= last_sweep + kSweepInterval) {
+      SweepDeadlines(now, &expired);
+      last_sweep = now;
     }
   }
+  for (const auto& [fd, conn] : connections_) conn->ReleaseUnsent();
 }
 
-void PlanServer::AcceptConnections(net::TimerWheel* wheel) {
+void PlanServer::AcceptConnections() {
   while (true) {
     const failpoints::Action fault =
         failpoints::Hit(failpoints::Site::kAccept);
@@ -683,7 +754,7 @@ void PlanServer::AcceptConnections(net::TimerWheel* wheel) {
     if (config_.idle_timeout_ms > 0) {
       conn->idle_deadline =
           Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-      ScheduleConnDeadline(wheel, conn);
+      next_deadline_ = std::min(next_deadline_, conn->idle_deadline);
     }
     connections_.emplace(cfd, std::move(conn));
     instruments_.connections_accepted->Increment();
@@ -788,23 +859,7 @@ bool PlanServer::AnswerRunInline(const std::shared_ptr<Connection>& conn) {
   // Counted before the write, so a peer that has read an answer sees it
   // counted.
   instruments_.inline_predicts->Increment(run.size);
-  bool open = true;
-  switch (conn->SendWithoutBlocking(&run.frames)) {
-    case Connection::Sent::kDone:
-      break;
-    case Connection::Sent::kDropped:
-      open = false;
-      break;
-    case Connection::Sent::kHandOff:
-      // A worker writes the rest. The queue was empty when this run was
-      // answered and only this thread pushes, so it has room; it refuses
-      // the item only once the drain began, and then Wait()'s sweep
-      // writes the rest.
-      open = queue_.TryPush(
-                 WorkItem{conn, {}, Clock::now(), /*flush_only=*/true}) ||
-             draining_.load(std::memory_order_acquire);
-      break;
-  }
+  const bool open = SendFrames(conn, run.frames);
   CountRun(run);
   return open;
 }
@@ -873,15 +928,18 @@ bool PlanServer::SendShedAbstain(const std::shared_ptr<Connection>& conn,
   // test polling the counter, an operator correlating with client logs)
   // must also see it counted.
   instruments_.shed_abstained_predicts->Increment();
-  return conn->Send(&frame, Connection::WhenFull::kDrop);
+  return SendFrames(conn, frame);
 }
 
 void PlanServer::SweepUnansweredOnShutdown() {
   char buffer[16 * 1024];
+  std::string_view payload;
+  wire::Request request;
+  std::string replies;
   for (auto& [fd, conn] : connections_) {
-    // A flush the IO thread handed off after the queue closed is written
-    // here, ahead of the sweep's own frames.
-    conn->FlushQueued();
+    // What the IO thread handed back when its loop ended goes out first.
+    conn->Flush();
+    if (conn->closing) continue;
     // Pull whatever arrived after the IO loop stopped reading (bounded:
     // the kernel receive buffer), then deframe and answer each complete
     // request. Decode failures and framing violations just end the sweep
@@ -900,41 +958,64 @@ void PlanServer::SweepUnansweredOnShutdown() {
           break;
       }
     }
-    std::string payload;
+    replies.clear();
     while (true) {
       Result<bool> next = conn->frames.Next(&payload);
       if (!next.ok() || !next.value()) break;
-      Result<wire::Request> request = wire::DecodeRequest(payload);
-      if (!request.ok()) break;
-      SendError(conn, request.value().type, request.value().id,
-                wire::WireStatus::kShuttingDown, "server shutting down");
+      if (!wire::DecodeRequest(payload, &request).ok()) break;
+      EncodeError(request.type, request.id, wire::WireStatus::kShuttingDown,
+                  "server shutting down", &replies);
       instruments_.shutdown_swept->Increment();
+    }
+    if (!replies.empty() &&
+        conn->Append(&replies, Connection::WhenFull::kAppend) ==
+            Connection::Queued::kFlush) {
+      conn->Flush();
     }
   }
 }
 
-void PlanServer::CloseConnection(int fd) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  it->second->Close();
+void PlanServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
+  conn->Close();
+  conn->closing = true;
   // The fd itself closes in ~Connection, once in-flight work items drop
   // their references.
-  connections_.erase(it);
+  Watch(conn);
+}
+
+void PlanServer::Watch(const std::shared_ptr<Connection>& conn) {
+  const bool writing = !conn->unsent.empty();
+  if (conn->closing && !writing) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+    connections_.erase(conn->fd);
+    return;
+  }
+  uint32_t events = 0;
+  if (!conn->closing) events |= EPOLLIN;
+  if (writing) events |= EPOLLOUT;
+  if (events == conn->events) return;
+  if (writing) next_deadline_ = std::min(next_deadline_, conn->write_deadline);
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  conn->events = events;
+}
+
+bool PlanServer::SendFrames(const std::shared_ptr<Connection>& conn,
+                            const std::string& frames) {
+  if (!conn->SendWithoutBlocking(frames)) return false;
+  Watch(conn);
+  return true;
 }
 
 bool PlanServer::SendError(const std::shared_ptr<Connection>& conn,
                            wire::MessageType type, uint64_t id,
                            wire::WireStatus status,
                            const std::string& message) {
-  wire::Response response;
-  response.type = type;
-  response.id = id;
-  response.status = status;
-  response.error = message;
   std::string frame;
-  wire::EncodeResponse(response, &frame);
-  return conn->Send(&frame, Connection::WhenFull::kDrop);
+  EncodeError(type, id, status, message, &frame);
+  return SendFrames(conn, frame);
 }
 
 void PlanServer::ObserveOutbox(size_t bytes) {
@@ -1234,10 +1315,9 @@ void PlanServer::WorkerLoop() {
   // answers every PREDICT itself, a worker may never need one.
   std::unique_ptr<RunScratch> run;
   while (std::optional<WorkItem> item = queue_.Pop()) {
-    if (item->flush_only) {
-      item->conn->FlushQueued();
-      continue;
-    }
+    // Dead work: nobody reads the reply of a request whose connection the
+    // IO thread already closed. Requests with effects still run.
+    if (AnswerOnly(item->request.type) && item->conn->Closed()) continue;
     if (run == nullptr) run = std::make_unique<RunScratch>();
     run->items[run->size++] = std::move(*item);
     // Opportunistic micro-batch: after popping a single-point PREDICT,
@@ -1264,6 +1344,7 @@ void PlanServer::WorkerLoop() {
       while (run->size < kMaxMicrobatch) {
         std::optional<WorkItem> extra = queue_.TryPopIf(joins_run);
         if (!extra.has_value()) break;
+        if (extra->conn->Closed()) continue;
         run->items[run->size++] = std::move(*extra);
       }
     }

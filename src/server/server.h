@@ -2,6 +2,7 @@
 #define PPC_SERVER_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,10 +20,6 @@
 #include "server/wire_protocol.h"
 
 namespace ppc {
-
-namespace net {
-class TimerWheel;
-}  // namespace net
 
 /// Answers one decoded request for the serving core: the framework
 /// handler behind PlanServer(PpcFramework*, Config), or PlanRouter's
@@ -53,10 +50,13 @@ class RequestHandler {
 ///     kMaxMicrobatch, when the shed ladder is at normal, the queue is
 ///     empty, the epoll wake reported this connection as the only ready
 ///     one, the connection has nothing waiting to be written, and the
-///     drain has not begun (DESIGN.md §13). It writes those replies with
-///     one non-blocking send and hands any rest to a worker through the
-///     queue; it never blocks on a socket for them. It never executes an
-///     EXECUTE or any other request.
+///     drain has not begun (DESIGN.md §13). It never executes an EXECUTE
+///     or any other request.
+///   * The IO thread never blocks on a socket. Every frame it writes (its
+///     PREDICT replies, BUSY and SHUTTING_DOWN, shed abstains, BAD_REQUEST
+///     and TIMEOUT) goes out through one non-blocking send; what the socket
+///     does not take, the IO thread writes itself when epoll reports the
+///     connection writable (EPOLLOUT is armed only while such bytes wait).
 ///   * `worker_threads` workers drain the queue, pass each request to the
 ///     handler, and append the response frame to the connection's outbox.
 ///     The thread that finds no flush running writes the outbox out until
@@ -79,11 +79,11 @@ class RequestHandler {
 ///     requests that were on the wire but never admitted get an explicit
 ///     SHUTTING_DOWN error reply (never a silent drop) before the
 ///     connection closes.
-///   * Deadlines (DESIGN.md §14): a timer wheel in the epoll loop closes
-///     connections that sit idle past `idle_timeout_ms` or dribble a
-///     frame slower than `read_deadline_ms` (slow-loris protection);
-///     each flush of a connection's outbox is bounded by
-///     `write_deadline_ms`.
+///   * Deadlines (DESIGN.md §14): each connection carries its own idle,
+///     frame and write deadlines, and one sweep over the connections in the
+///     epoll loop closes those that sit idle past `idle_timeout_ms`,
+///     dribble a frame slower than `read_deadline_ms` (slow-loris
+///     protection), or keep bytes unwritten past `write_deadline_ms`.
 ///   * Graceful degradation: under sustained queue pressure a shedding
 ///     ladder first disables worker micro-batching, then answers PREDICT
 ///     with the predictor's abstain shape instead of queueing, and
@@ -110,10 +110,12 @@ class PlanServer {
     /// forever). 0 disables.
     int64_t read_deadline_ms = 5000;
     /// Bound on one flush: one write of everything a connection's outbox
-    /// held when the flush took it. A peer that stops reading long enough
-    /// to exceed it gets its connection poisoned and closed. 0 means wait
-    /// forever. max_frame_bytes also caps the outbox: workers wait while it
-    /// is full, and the IO thread closes the connection instead.
+    /// held when the flush took it, by a worker's blocking write or by the
+    /// IO thread's non-blocking sends as epoll reports room. A peer that
+    /// stops reading long enough to exceed it gets its connection poisoned
+    /// and closed. 0 means wait forever. max_frame_bytes also caps the
+    /// outbox: workers wait while it is full, and the IO thread closes the
+    /// connection instead.
     int64_t write_deadline_ms = 10000;
     /// Test hook, run before each request is dispatched by the thread that
     /// dispatches it: a worker, or the IO thread for the PREDICTs it
@@ -177,6 +179,7 @@ class PlanServer {
  private:
   friend Status InstallShutdownSignalHandlers(PlanServer* server);
 
+  using Clock = std::chrono::steady_clock;
   struct Connection;
   struct WorkItem;
   struct RunScratch;
@@ -185,21 +188,22 @@ class PlanServer {
   void WorkerLoop();
   /// worker_threads, at least 1.
   size_t WorkerCount() const;
-  void AcceptConnections(net::TimerWheel* wheel);
-  /// Timer-wheel bookkeeping (IO thread only): (re)arms a connection's
-  /// wheel entry from its idle/frame deadlines, and refreshes those
-  /// deadlines after inbound activity.
-  void ScheduleConnDeadline(net::TimerWheel* wheel,
-                            const std::shared_ptr<Connection>& conn);
-  void TouchConnActivity(net::TimerWheel* wheel,
-                         const std::shared_ptr<Connection>& conn);
+  void AcceptConnections();
+  /// Refreshes a connection's deadlines after inbound activity (IO thread
+  /// only): the idle deadline restarts, and the frame deadline arms when
+  /// an incomplete frame stays buffered and disarms when none does.
+  void TouchConnActivity(Connection* conn);
+  /// Closes every connection whose deadline has passed (IO thread only):
+  /// a write deadline poisons it, an idle or frame deadline sends a
+  /// TIMEOUT frame first. Recomputes next_deadline_ from the survivors.
+  void SweepDeadlines(Clock::time_point now, std::vector<int>* expired);
   /// One read of up to 16 KB per epoll wake, then its requests; returns
   /// false when the connection must be dropped. Level-triggered epoll
   /// reports a connection with more bytes again at once, so a peer that
   /// keeps its socket readable gets one read per wake, and the other
-  /// connections, the listener, the timers and the wake fd are served in
-  /// between. `sole_ready`: this epoll wake reported no other connection
-  /// ready.
+  /// connections, the listener, the deadline sweep and the wake fd are
+  /// served in between. `sole_ready`: this epoll wake reported no other
+  /// connection ready.
   bool ReadOnce(const std::shared_ptr<Connection>& conn, bool sole_ready);
   /// Deframes + decodes + admits one read's requests; returns false when
   /// the connection must be dropped (protocol violation, failed write).
@@ -211,13 +215,25 @@ class PlanServer {
   /// item. False when the connection must be dropped.
   bool AdmitRun(const std::shared_ptr<Connection>& conn, bool sole_ready);
   /// Answers `io_run_` on the IO thread through the workers' run path
-  /// (AnswerRun, then CountRun), writes the replies with one non-blocking
-  /// send and queues a flush item for whatever that send left.
+  /// (AnswerRun, then CountRun) and writes the replies with SendFrames.
   bool AnswerRunInline(const std::shared_ptr<Connection>& conn);
   /// Admission of one request: shed sample and abstain rung, then the
   /// queue, or BUSY (SHUTTING_DOWN while draining) when it refuses.
   bool Admit(const std::shared_ptr<Connection>& conn, WorkItem item);
-  void CloseConnection(int fd);
+  /// Refuses later appends and stops reading `conn`. A connection with
+  /// bytes the IO thread has not yet written stays registered for EPOLLOUT
+  /// until they are written or its write deadline passes, so an
+  /// explanatory frame still precedes the close; any other goes at once.
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  /// Keeps `conn`'s epoll registration in step after the IO thread wrote
+  /// to or closed it: EPOLLIN while it is read, EPOLLOUT while it has
+  /// unwritten bytes. A closing connection with none left is removed.
+  void Watch(const std::shared_ptr<Connection>& conn);
+  /// The IO thread's one write path: Connection::SendWithoutBlocking, then
+  /// Watch. False when the connection must be closed: the frames were
+  /// dropped or the send failed.
+  bool SendFrames(const std::shared_ptr<Connection>& conn,
+                  const std::string& frames);
   /// Folds one occupancy sample into the shed controller and counts rung
   /// transitions (IO thread only).
   net::ShedController::Level UpdateShedLevel();
@@ -225,9 +241,10 @@ class PlanServer {
   /// (NULL plan, confidence 0) straight from the IO thread. False when the
   /// connection must be closed: the frame was dropped or its write failed.
   bool SendShedAbstain(const std::shared_ptr<Connection>& conn, uint64_t id);
-  /// Post-drain pass over the surviving connections: any request bytes
-  /// that arrived after the IO loop stopped reading are answered with a
-  /// SHUTTING_DOWN error instead of being silently dropped.
+  /// Post-drain pass over the surviving connections, after every thread
+  /// has exited: bytes the IO thread left unwritten are written first, and
+  /// any request bytes that arrived after the IO loop stopped reading are
+  /// answered with a SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
   /// Answers a worker's run: any one request, or single-point PREDICTs
   /// the worker took together. AnswerRun, then every reply appended and
@@ -254,9 +271,8 @@ class PlanServer {
   /// admission to reply handed off: the request counter and the latency
   /// histogram.
   void Account(wire::MessageType type, double micros, uint64_t count);
-  /// Sends one error frame without waiting (IO thread, shutdown sweep).
-  /// False when the connection must be closed: the frame was dropped or
-  /// its write failed.
+  /// Sends one error frame with SendFrames (IO thread). False when the
+  /// connection must be closed.
   bool SendError(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, uint64_t id, wire::WireStatus status,
                  const std::string& message);
@@ -299,6 +315,10 @@ class PlanServer {
   /// Owned by the IO thread exclusively (workers hold their own
   /// shared_ptr copies inside work items).
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
+  /// No connection has a deadline before this (IO thread only): the epoll
+  /// timeout, and max() when none is armed. A read only lowers it, when it
+  /// arms a frame deadline; the sweep recomputes it.
+  Clock::time_point next_deadline_ = Clock::time_point::max();
 
   /// Largest outbox seen since Start(); raised under outbox_peak_mu_.
   std::atomic<size_t> outbox_peak_bytes_{0};
