@@ -401,7 +401,7 @@ struct PlanServer::RunScratch {
   /// requests and replies keep their storage for the next run, except
   /// those of a run of one other request (METRICS, SNAPSHOT, ...): its
   /// reply can be large, so it is freed, and what a run keeps stays within
-  /// kMaxMicrobatch single-point PREDICTs and their replies.
+  /// kMaxMicrobatch single-point PREDICTs or EXECUTEs and their replies.
   void Release() {
     for (size_t p = 0; p < size; ++p) items[p].conn.reset();
     if (size == 1 && items[0].request.type != wire::MessageType::kPredict) {
@@ -1159,7 +1159,19 @@ void PlanServer::AnswerRun(RunScratch* run) {
 
 void PlanServer::ProcessRun(RunScratch* run) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  AnswerRun(run);
+  if (run->items[0].request.type == wire::MessageType::kExecute) {
+    // One connection's EXECUTEs, answered one by one in queue order, each
+    // as it would be in a run of its own.
+    for (size_t p = 0; p < run->size; ++p) {
+      if (config_.pre_dispatch_hook) {
+        config_.pre_dispatch_hook(wire::MessageType::kExecute);
+      }
+      run->responses[p].Clear();
+      handler_->Handle(run->items[p].request, &run->responses[p]);
+    }
+  } else {
+    AnswerRun(run);
+  }
   // Append every reply first, then flush each connection this worker was
   // handed once, so a run's replies to one connection leave in one write.
   // While it holds an unflushed connection the worker must not wait for
@@ -1183,7 +1195,8 @@ void PlanServer::ProcessRun(RunScratch* run) {
   }
   for (size_t i = 0; i < flushes; ++i) to_flush[i]->Flush();
   CountRun(*run);
-  // Only single-point PREDICTs join a run, so a SHUTDOWN is a run of one.
+  // Only single-point PREDICTs and one connection's EXECUTEs join a run,
+  // so a SHUTDOWN is a run of one.
   if (run->responses[0].type == wire::MessageType::kShutdown &&
       run->responses[0].ok()) {
     // Ack already on the outbox; now start the drain. Everything admitted
@@ -1215,7 +1228,10 @@ void PlanServer::CountRun(const RunScratch& run) {
     first = p + 1;
   }
   if (errors > 0) instruments_.responses_error->Increment(errors);
-  if (run.size >= 2) {
+  // PREDICT runs only: server.microbatch_share divides these by PREDICTs.
+  // An EXECUTE run shows in server.flushes instead.
+  if (run.size >= 2 &&
+      run.items[0].request.type == wire::MessageType::kPredict) {
     instruments_.microbatches->Increment();
     instruments_.microbatched_predicts->Increment(run.size);
   }
@@ -1320,31 +1336,49 @@ void PlanServer::WorkerLoop() {
     if (AnswerOnly(item->request.type) && item->conn->Closed()) continue;
     if (run == nullptr) run = std::make_unique<RunScratch>();
     run->items[run->size++] = std::move(*item);
-    // Opportunistic micro-batch: after popping a single-point PREDICT,
-    // take the single-point PREDICTs queued right behind it (never
-    // blocking) up to the cap, stopping at the first request that is not
-    // one, and answer them as one run. In front of its own framework a
-    // run takes any template. In front of another handler (the router's
-    // forwards) it takes only the head's template and arity: a forward
-    // blocks the worker, and a mixed run would make one template's
-    // answers wait behind another shard's round trip, or a hung shard's
-    // deadline. Anything else stays queued for the other workers. A
-    // zero-arity point cannot form a PREDICT_BATCH. The first shed rung
-    // turns this off — under sustained pressure one slow batch must not
-    // grow head-of-line latency (DESIGN.md §14).
+    // Opportunistic runs: after popping a single-point PREDICT or an
+    // EXECUTE, take the requests queued right behind it that may join it
+    // (never blocking), stopping at the first that may not, and answer
+    // them as one run. Single-point PREDICTs join a PREDICT, up to
+    // kMaxMicrobatch. In front of its own framework they may be of any
+    // template. In front of another handler (the router's forwards) only
+    // the head's template and arity join: a forward blocks the worker, and
+    // a mixed run would make one template's answers wait behind another
+    // shard's round trip, or a hung shard's deadline. A zero-arity point
+    // cannot form a PREDICT_BATCH. EXECUTEs of the head's connection join
+    // an EXECUTE, in front of its own framework only (each would be a
+    // blocking forward in front of the router), up to this worker's fair
+    // share of the queue: a worker that took a pipelined window whole
+    // would leave the others idle (DESIGN.md §13). Anything else stays
+    // queued for the other workers. The first shed rung turns runs off —
+    // under sustained pressure one slow run must not grow head-of-line
+    // latency (DESIGN.md §14).
+    const WorkItem& head = run->items[0];
+    const bool predicts = SinglePointPredict(head.request);
+    const bool executes = runs_span_templates_ &&
+                          head.request.type == wire::MessageType::kExecute;
     if (shed_.level() < net::ShedController::kNoMicrobatch &&
-        SinglePointPredict(run->items[0].request)) {
+        (predicts || executes)) {
+      const size_t cap =
+          predicts ? kMaxMicrobatch
+                   : std::min(kMaxMicrobatch,
+                              (queue_.size() + WorkerCount()) / WorkerCount());
       const auto joins_run = [&](const WorkItem& next) {
-        const wire::Request& head = run->items[0].request;
+        if (executes) {
+          return next.request.type == wire::MessageType::kExecute &&
+                 next.conn == head.conn;
+        }
         return SinglePointPredict(next.request) &&
                (runs_span_templates_ ||
-                (next.request.template_name == head.template_name &&
-                 next.request.point.size() == head.point.size()));
+                (next.request.template_name == head.request.template_name &&
+                 next.request.point.size() == head.request.point.size()));
       };
-      while (run->size < kMaxMicrobatch) {
+      while (run->size < cap) {
         std::optional<WorkItem> extra = queue_.TryPopIf(joins_run);
         if (!extra.has_value()) break;
-        if (extra->conn->Closed()) continue;
+        if (AnswerOnly(extra->request.type) && extra->conn->Closed()) {
+          continue;
+        }
         run->items[run->size++] = std::move(*extra);
       }
     }

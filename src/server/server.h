@@ -59,6 +59,11 @@ class RequestHandler {
 ///     connection writable (EPOLLOUT is armed only while such bytes wait).
 ///   * `worker_threads` workers drain the queue, pass each request to the
 ///     handler, and append the response frame to the connection's outbox.
+///     A worker answers runs: with a single-point PREDICT it takes the
+///     single-point PREDICTs queued right behind it, and in front of its
+///     own framework, with an EXECUTE, the EXECUTEs of the same connection
+///     queued right behind it, up to its fair share of the queue (see
+///     kMaxMicrobatch). A run's replies to one connection go in one append.
 ///     The thread that finds no flush running writes the outbox out until
 ///     it is empty; the others return to work at once, so pipelined
 ///     responses never queue on each other's socket writes.
@@ -137,6 +142,15 @@ class PlanServer {
   /// lock/transform/histogram costs and the socket writes under load
   /// (DESIGN.md §13). Each answer is still its own frame, so clients
   /// observe identical frames either way.
+  ///
+  /// EXECUTE runs: in front of its own framework, a worker that pops an
+  /// EXECUTE also takes the EXECUTEs of the same connection queued right
+  /// behind it, up to its fair share, min(kMaxMicrobatch, ⌈(1 + queued) /
+  /// worker count⌉) with `queued` read once after the pop, so a pipelined
+  /// window is spread over the workers. They are answered one by one in
+  /// queue order and their replies leave in one write. A router's
+  /// forwarded EXECUTEs stay runs of one, and the first shed rung turns
+  /// both kinds of run off.
   static constexpr size_t kMaxMicrobatch = 16;
 
   /// Serves `framework`; the `server.*` instruments go to its registry.
@@ -246,10 +260,11 @@ class PlanServer {
   /// any request bytes that arrived after the IO loop stopped reading are
   /// answered with a SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
-  /// Answers a worker's run: any one request, or single-point PREDICTs
-  /// the worker took together. AnswerRun, then every reply appended and
-  /// each connection flushed once, then CountRun; an acknowledged SHUTDOWN
-  /// then starts the drain.
+  /// Answers a worker's run: any one request, single-point PREDICTs the
+  /// worker took together, or one connection's EXECUTEs. AnswerRun, or for
+  /// EXECUTEs the hook and the handler per item in order; then every reply
+  /// appended and each connection flushed once, then CountRun; an
+  /// acknowledged SHUTDOWN then starts the drain.
   void ProcessRun(RunScratch* run);
   /// Runs the hook for each item, then one AnswerPredictGroup per
   /// (template, arity) group, in order of first appearance, answering
@@ -257,7 +272,7 @@ class PlanServer {
   /// stays with the workers (ProcessRun).
   void AnswerRun(RunScratch* run);
   /// Account for every item of an answered run, and the micro-batch
-  /// counters when it holds two or more.
+  /// counters when it holds two or more PREDICTs.
   void CountRun(const RunScratch& run);
   /// Answers the items of the run's current group (one template and
   /// arity) into the same slots of its responses, with one PREDICT_BATCH

@@ -865,6 +865,46 @@ TEST_F(RouterTest, PipelinedPredictsForALiveShardDoNotWaitBehindAHungOne) {
   for (uint64_t id : hung_ids) ASSERT_TRUE(client.Wait(id).ok());
 }
 
+TEST_F(RouterTest, ARoutersWorkersForwardEachExecuteAlone) {
+  // A forward blocks its worker, so the router's core forms no EXECUTE
+  // runs: pipelined EXECUTEs queued behind one for a hung shard go to the
+  // other workers, one forward each, instead of waiting in its run.
+  StartRouter({0, 1}, /*backend_deadline_ms=*/1500);
+  const std::string hung_template = TemplateOwnedBy(0);
+  const std::string live_template = TemplateOwnedBy(1);
+
+  hung_[0].store(true);
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  auto hung_id = client.SendExecute(hung_template, PointFor(hung_template));
+  ASSERT_TRUE(hung_id.ok()) << hung_id.status().ToString();
+  constexpr uint64_t kLive = 15;
+  std::vector<uint64_t> live_ids;
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < kLive; ++i) {
+    auto id = client.SendExecute(live_template, PointFor(live_template));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    live_ids.push_back(id.value());
+  }
+  for (uint64_t id : live_ids) {
+    auto answer = client.Wait(id);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer.value().ok()) << answer.value().error;
+    EXPECT_FALSE(answer.value().execute.failed_over);
+  }
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, 750)
+      << "an EXECUTE waited in a run behind the hung shard's forward";
+  EXPECT_EQ(AwaitShardCounter(1, "server.requests.execute", kLive), kLive);
+
+  hung_[0].store(false);
+  ASSERT_TRUE(client.Wait(hung_id.value()).ok());
+  EXPECT_EQ(AwaitShardCounter(0, "server.requests.execute", 1), 1u);
+}
+
 TEST_F(RouterTest, AFailedRunIsForwardedOnceNotOncePerItem) {
   StartRouter();
   shards_[0]->Stop();

@@ -15,10 +15,12 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_counter.h"
@@ -117,6 +119,62 @@ template <typename Fn>
 struct AtScopeExit {
   Fn fn;
   ~AtScopeExit() { fn(); }
+};
+
+/// A pre_dispatch_hook for a one-worker server: it holds the first request
+/// dispatched until Release(), and logs each later one with the number of
+/// requests then queued. With one worker, a run's items all leave the
+/// queue before its first is dispatched, so the items of one run log the
+/// same count, and a run of one logs one less than the dispatch before it.
+class DispatchLog {
+ public:
+  struct Entry {
+    wire::MessageType type;
+    size_t queued;
+    bool operator==(const Entry&) const = default;
+  };
+
+  /// The hook for the server `*server` will hold.
+  std::function<void(wire::MessageType)> Hook(
+      const std::unique_ptr<PlanServer>* server) {
+    return [this, server](wire::MessageType type) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!entered_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+        return;
+      }
+      entries_.push_back({type, (*server)->queued_requests()});
+    };
+  }
+
+  /// Waits until the first request is held in the hook.
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return entered_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  std::vector<Entry> Entries() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+  std::vector<Entry> entries_;
 };
 
 /// Framework with Q1 (2-dim) and Q3 (3-dim) registered; `warm_queries`
@@ -1079,6 +1137,295 @@ TEST_F(ServerTest, ExecuteRoundTripFeedsTheOnlineLoop) {
   EXPECT_TRUE(saw_prediction);
 }
 
+TEST_F(ServerTest, PipelinedExecutesOfOneConnectionLeaveInOneWrite) {
+  // A twin framework, warmed the same way, executes the same points in the
+  // same order: with one worker, queue order is execution order, so every
+  // report must match the twin's bit for bit.
+  PpcFramework twin(&SmallTpch(), ServingConfig());
+  ASSERT_TRUE(twin.RegisterTemplate(EvaluationTemplate("Q1")).ok());
+  ASSERT_TRUE(twin.RegisterTemplate(EvaluationTemplate("Q3")).ok());
+  WarmQ1(150);
+  {
+    Rng rng(7);
+    for (int i = 0; i < 150; ++i) {
+      std::vector<double> x = {0.5 + rng.Uniform(-0.02, 0.02),
+                               0.5 + rng.Uniform(-0.02, 0.02)};
+      ASSERT_TRUE(twin.ExecuteAtPoint("Q1", x).ok());
+    }
+  }
+
+  DispatchLog log;
+  PlanServer::Config config;
+  config.worker_threads = 1;
+  config.queue_capacity = 64;
+  config.pre_dispatch_hook = log.Hook(&server_);
+  StartServer(config);
+  AtScopeExit stop{[&] {
+    log.Release();
+    server_->Stop();
+  }};
+
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  auto gate = client.SendPing();
+  ASSERT_TRUE(gate.ok());
+  ASSERT_TRUE(log.WaitEntered());
+  const uint64_t flushes_before = Counter("server.flushes");
+
+  // Points in and around the warmed cluster and far from it, so the run
+  // mixes predicted plans, optimizer calls and feedback.
+  constexpr size_t kExecutes = 16;
+  Rng rng(37);
+  std::vector<std::vector<double>> points;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < kExecutes; ++i) {
+    const double spread = (i % 4 == 0) ? 0.45 : 0.03;
+    points.push_back({0.5 + rng.Uniform(-spread, spread),
+                      0.5 + rng.Uniform(-spread, spread)});
+    auto id = client.SendExecute("Q1", points.back());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->queued_requests() == kExecutes; }));
+  log.Release();
+
+  ASSERT_TRUE(client.Wait(gate.value()).ok());
+  for (size_t i = 0; i < kExecutes; ++i) {
+    auto response = client.Wait(ids[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response.value().ok()) << response.value().error;
+    EXPECT_EQ(response.value().id, ids[i]);
+    auto expected = twin.ExecuteAtPoint("Q1", points[i]);
+    ASSERT_TRUE(expected.ok());
+    const wire::Response::Execute& got = response.value().execute;
+    EXPECT_EQ(got.executed_plan, expected.value().executed_plan) << i;
+    EXPECT_EQ(got.optimal_plan, expected.value().optimal_plan) << i;
+    EXPECT_EQ(got.used_prediction, expected.value().used_prediction) << i;
+    EXPECT_EQ(got.cache_hit, expected.value().cache_hit) << i;
+    EXPECT_EQ(got.optimizer_invoked, expected.value().optimizer_invoked) << i;
+    EXPECT_EQ(got.prediction_evicted, expected.value().prediction_evicted)
+        << i;
+    EXPECT_EQ(got.negative_feedback_triggered,
+              expected.value().negative_feedback_triggered)
+        << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.execution_cost),
+              std::bit_cast<uint64_t>(expected.value().execution_cost))
+        << i;
+  }
+
+  // The worker took all 16 in one run: it popped them before its first
+  // dispatch. A flush counts itself after its write returns, so stop first.
+  server_->Stop();
+  const std::vector<DispatchLog::Entry> dispatched = log.Entries();
+  ASSERT_EQ(dispatched.size(), kExecutes);
+  for (const DispatchLog::Entry& entry : dispatched) {
+    EXPECT_EQ(entry.type, wire::MessageType::kExecute);
+    EXPECT_EQ(entry.queued, 0u);
+  }
+  // One write for the gate's reply and one for the 16 EXECUTEs' replies:
+  // flushes per EXECUTE is 1/16 (it is 1 with every EXECUTE a run of one).
+  // The micro-batch counters count PREDICT runs only.
+  EXPECT_EQ(Counter("server.requests.execute"), kExecutes);
+  EXPECT_EQ(Counter("server.flushes") - flushes_before - 1, 1u);
+  EXPECT_EQ(Counter("server.microbatches"), 0u);
+  EXPECT_EQ(Counter("server.microbatched_predicts"), 0u);
+}
+
+TEST_F(ServerTest, AnExecuteRunTakesOnlyItsConnectionsExecutes) {
+  WarmQ1(50);
+  const std::vector<double> point = {0.5, 0.5};
+  using Entry = DispatchLog::Entry;
+  constexpr wire::MessageType kE = wire::MessageType::kExecute;
+  {
+    DispatchLog log;
+    PlanServer::Config config;
+    config.worker_threads = 1;
+    config.queue_capacity = 64;
+    config.pre_dispatch_hook = log.Hook(&server_);
+    StartServer(config);
+    AtScopeExit stop{[&] {
+      log.Release();
+      server_->Stop();
+    }};
+    PpcClient a;
+    PpcClient b;
+    ASSERT_TRUE(ConnectClient(&a).ok());
+    ASSERT_TRUE(ConnectClient(&b).ok());
+    std::vector<std::pair<PpcClient*, uint64_t>> sent;
+    auto gate = a.SendPing();
+    ASSERT_TRUE(gate.ok());
+    sent.emplace_back(&a, gate.value());
+    ASSERT_TRUE(log.WaitEntered());
+
+    // Queue order: A:E A:E B:E A:E A:PING A:E A:E B:PREDICT B:E B:E A:E.
+    // Each request is admitted before the next is sent, so the two
+    // connections interleave in exactly this order.
+    struct Step {
+      PpcClient* client;
+      wire::MessageType type;
+    };
+    const std::vector<Step> steps = {
+        {&a, kE}, {&a, kE}, {&b, kE}, {&a, kE},
+        {&a, wire::MessageType::kPing}, {&a, kE}, {&a, kE},
+        {&b, wire::MessageType::kPredict}, {&b, kE}, {&b, kE}, {&a, kE}};
+    for (size_t i = 0; i < steps.size(); ++i) {
+      Result<uint64_t> id =
+          steps[i].type == kE ? steps[i].client->SendExecute("Q1", point)
+          : steps[i].type == wire::MessageType::kPing
+              ? steps[i].client->SendPing()
+              : steps[i].client->SendPredict("Q1", point);
+      ASSERT_TRUE(id.ok());
+      sent.emplace_back(steps[i].client, id.value());
+      ASSERT_TRUE(
+          WaitFor([&] { return server_->queued_requests() == i + 1; }));
+    }
+    log.Release();
+    for (const auto& [client, id] : sent) {
+      auto response = client->Wait(id);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(response.value().ok()) << response.value().error;
+    }
+    // Runs: [A:E A:E] [B:E] [A:E] [PING] [A:E A:E] [PREDICT] [B:E B:E]
+    // [A:E]. A run's items log the count queued after its last pop.
+    const std::vector<Entry> expected = {
+        {kE, 9}, {kE, 9}, {kE, 8}, {kE, 7},
+        {wire::MessageType::kPing, 6}, {kE, 4}, {kE, 4},
+        {wire::MessageType::kPredict, 3}, {kE, 1}, {kE, 1}, {kE, 0}};
+    EXPECT_EQ(log.Entries(), expected);
+  }
+
+  // At the first shed rung every EXECUTE is a run of one.
+  DispatchLog log;
+  PlanServer::Config config;
+  config.worker_threads = 1;
+  config.queue_capacity = 8;
+  config.pre_dispatch_hook = log.Hook(&server_);
+  StartServer(config);
+  AtScopeExit stop{[&] {
+    log.Release();
+    server_->Stop();
+  }};
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  auto gate = client.SendPing();
+  ASSERT_TRUE(gate.ok());
+  ASSERT_TRUE(log.WaitEntered());
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < 8; ++i) {
+    auto id = client.SendExecute("Q1", point);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(WaitFor([&] { return server_->queued_requests() == 8; }));
+  // Admissions against the full queue raise the shed EWMA past the first
+  // rung; one sample moves it by at most 0.2, so it stops there.
+  for (int i = 0;
+       i < 8 && server_->shed_level() < net::ShedController::kNoMicrobatch;
+       ++i) {
+    auto id = client.SendPing();
+    ASSERT_TRUE(id.ok());
+    auto busy = client.Wait(id.value());
+    ASSERT_TRUE(busy.ok()) << busy.status().ToString();
+    EXPECT_EQ(busy.value().status, wire::WireStatus::kBusy);
+  }
+  ASSERT_EQ(server_->shed_level(), net::ShedController::kNoMicrobatch);
+  log.Release();
+  ASSERT_TRUE(client.Wait(gate.value()).ok());
+  for (uint64_t id : ids) {
+    auto response = client.Wait(id);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response.value().ok()) << response.value().error;
+  }
+  std::vector<Entry> expected;
+  for (size_t queued = 8; queued-- > 0;) expected.push_back({kE, queued});
+  EXPECT_EQ(log.Entries(), expected);
+}
+
+TEST_F(ServerTest, TwoWorkersShareAPipelinedExecuteWindow) {
+  WarmQ1(50);
+  // Both workers are held on PINGs while 16 EXECUTEs of one connection
+  // queue behind them; then the workers are let go one at a time, and each
+  // is held again at its first EXECUTE, with its run taken.
+  std::mutex mu;
+  std::condition_variable cv;
+  int pings_held = 0;
+  int ping_permits = 0;
+  bool executes_held = true;
+  std::vector<std::thread::id> executors;
+  PlanServer::Config config;
+  config.worker_threads = 2;
+  config.queue_capacity = 64;
+  config.pre_dispatch_hook = [&](wire::MessageType type) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (type == wire::MessageType::kPing) {
+      ++pings_held;
+      cv.notify_all();
+      cv.wait(lock, [&] { return ping_permits > 0; });
+      --ping_permits;
+      return;
+    }
+    executors.push_back(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait(lock, [&] { return !executes_held; });
+  };
+  StartServer(config);
+  const auto release = [&](int permits, bool executes) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ping_permits += permits;
+      executes_held = !executes;
+    }
+    cv.notify_all();
+  };
+  const auto wait_until = [&](auto done) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5), done);
+  };
+  AtScopeExit stop{[&] {
+    release(2, true);
+    server_->Stop();
+  }};
+
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    auto id = client.SendPing();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(wait_until([&] { return pings_held == 2; }));
+  constexpr size_t kExecutes = 16;
+  for (size_t i = 0; i < kExecutes; ++i) {
+    auto id = client.SendExecute("Q1", {0.5, 0.5});
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->queued_requests() == kExecutes; }));
+
+  // The first worker's fair share is ⌈(1 + 15) / 2⌉ = 8, not all 16.
+  release(1, false);
+  ASSERT_TRUE(wait_until([&] { return executors.size() == 1; }));
+  EXPECT_EQ(server_->queued_requests(), kExecutes - 8);
+  // The second's is ⌈(1 + 7) / 2⌉ = 4, which leaves 4 for later runs.
+  release(1, false);
+  ASSERT_TRUE(wait_until([&] { return executors.size() == 2; }));
+  EXPECT_EQ(server_->queued_requests(), kExecutes - 8 - 4);
+  release(0, true);
+
+  for (uint64_t id : ids) {
+    auto response = client.Wait(id);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response.value().ok()) << response.value().error;
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(executors.size(), kExecutes);
+  EXPECT_NE(executors[0], executors[1])
+      << "one worker answered the whole window";
+}
+
 TEST_F(ServerTest, SemanticErrorsKeepTheConnectionOpen) {
   StartServer();
   PpcClient client;
@@ -1495,7 +1842,8 @@ TEST_F(ServerTest, IdleTimeoutClosesSilentConnections) {
   auto fd = net::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
   // Send nothing. The server must explain (one TIMEOUT error frame) and
-  // close well within the test deadline (100 ms timeout + wheel tick).
+  // close well within the test deadline (100 ms timeout + the deadline
+  // sweep, which runs every 50 ms).
   wire::FrameBuffer frames;
   std::string payload;
   char buffer[512];
@@ -2276,6 +2624,35 @@ TEST_F(ServerTest, ChaosMixedTrafficSurvivesRandomFaults) {
       }
     });
   }
+  // A pipelining client: 8 EXECUTEs in flight, then their replies, so the
+  // workers' EXECUTE runs meet the dispatch stalls and the send faults.
+  clients.emplace_back([this, stop_at, &completed_calls]() {
+    PpcClient::Options options;
+    options.call_deadline_ms = 1000;
+    options.retry.max_attempts = 3;
+    options.retry.initial_backoff_ms = 1;
+    options.retry.max_backoff_ms = 8;
+    options.retry.seed = 902;
+    PpcClient client(options);
+    Rng rng(7002);
+    std::vector<uint64_t> ids;
+    while (std::chrono::steady_clock::now() < stop_at) {
+      if (!client.connected() && !ConnectClient(&client).ok()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        continue;
+      }
+      ids.clear();
+      for (int i = 0; i < 8; ++i) {
+        auto id = client.SendExecute("Q3", {0.4 + rng.Uniform(-0.02, 0.02),
+                                            0.4 + rng.Uniform(-0.02, 0.02),
+                                            0.4 + rng.Uniform(-0.02, 0.02)});
+        if (!id.ok()) break;
+        ids.push_back(id.value());
+      }
+      for (uint64_t id : ids) (void)client.Wait(id);
+      completed_calls.fetch_add(ids.size(), std::memory_order_relaxed);
+    }
+  });
   for (std::thread& t : clients) t.join();
   stop.store(true, std::memory_order_relaxed);
   saboteur.join();
